@@ -19,8 +19,9 @@ from .model import (Checkpoint, DomainClassifier, DomainWiseModel, RdaBlock,
                     extract, load_checkpoint, parameter_groups, rda_forward,
                     save_checkpoint)
 from .train import (ModelConfig, RewardTrace, StepId, TrainConfig,
-                    compute_reward, ensemble_accuracy, pretrain_contrastive,
-                    run_epoch, run_step, selection_study, stopping_check,
-                    train_interactive, train_source_only_baseline)
+                    build_pair, compute_reward, ensemble_accuracy,
+                    pretrain_contrastive, run_epoch, run_step,
+                    selection_study, stopping_check, train_interactive,
+                    train_source_only_baseline)
 
 __version__ = "0.1.0"

@@ -433,15 +433,10 @@ class ParameterSet:
         for t in self.entries.values():
             t.zero_grad()
 
-    def snapshot(self) -> Dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.entries.items()}
-
 
 # -- optimizers ---------------------------------------------------------------
 
 class SGD:
-    kind = "sgd"
-
     def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
@@ -457,8 +452,6 @@ class SGD:
 
 
 class Adam:
-    kind = "adam"
-
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         if learning_rate <= 0:
@@ -490,14 +483,6 @@ class Adam:
             t.data = t.data - self.learning_rate * mhat / (np.sqrt(vhat) + self.eps)
             if not np.all(np.isfinite(t.data)):
                 raise FloatingPointError(f"non-finite values in parameter {name!r}")
-
-
-def make_optimizer(kind: str, learning_rate: float):
-    if kind == "sgd":
-        return SGD(learning_rate)
-    if kind == "adam":
-        return Adam(learning_rate)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
 
 
 def optimizer_step(params: ParameterSet, group_ids: Iterable[str], optimizer) -> None:

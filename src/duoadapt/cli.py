@@ -1,22 +1,24 @@
 """Config-driven command line frontend.
 
-Subcommands: gen-data, pretrain, train, eval, compare-stopping.
+Subcommands: gen-data, train, eval, compare-stopping.
 Experiments are described by an INI-style config file; ``--set
 section.key=value`` overrides individual entries. Every artifact embeds
 the config hash so runs can be cross-checked.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
+Exit codes: 0 success, 2 config error, 3 data error (missing or malformed
+dataset or checkpoint), 4 runtime error.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -24,12 +26,10 @@ import numpy as np
 
 from .data import (Dataset, DatasetFormatError, PdaTaskSpec, gen_synthetic_pda,
                    load_dataset, save_dataset)
-from .model import (Checkpoint, build_models, load_checkpoint,
+from .model import (CheckpointFormatError, ensemble_predict, load_checkpoint,
                     save_checkpoint)
-from .train import (ModelConfig, TrainConfig, build_extractor,
-                    ensemble_accuracy, eval_mode, pretrain_contrastive,
-                    selection_study, train_interactive,
-                    train_source_only_baseline)
+from .train import (ModelConfig, TrainConfig, build_pair, eval_mode,
+                    selection_study, train_interactive)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,6 +58,10 @@ _DEFAULTS = {
     "output": {"dir": "runs/experiment"},
     "study": {"n_seeds": "5"},
 }
+
+
+# extractor kind -> the task.input_kind it reads
+_EXTRACTOR_INPUT = {"mlp": "vector", "conv_stack": "image"}
 
 
 class ConfigError(ValueError):
@@ -150,6 +154,12 @@ def load_config(path: Optional[str], overrides: List[str]) -> ExperimentConfig:
         n_seeds = int(raw["study"]["n_seeds"])
     except (ValueError, KeyError) as e:
         raise ConfigError(str(e)) from e
+    needs = _EXTRACTOR_INPUT.get(model.extractor)
+    if needs is None:
+        raise ConfigError(f"unknown model.extractor {model.extractor!r}")
+    if task.input_kind != needs:
+        raise ConfigError(f"model.extractor={model.extractor} needs "
+                          f"task.input_kind={needs}, got {task.input_kind}")
 
     out = Path(raw["output"]["dir"])
     root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -226,23 +236,6 @@ def _load_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, Dataset]:
     return tuple(load_dataset(p) for p in paths)  # type: ignore[return-value]
 
 
-def cmd_pretrain(cfg: ExperimentConfig) -> int:
-    source, target, _ = _load_datasets(cfg)
-    for name, ds, seed_off in (("gs", source, 11), ("gt", target, 13)):
-        ext = build_extractor(cfg.model, ds.inputs.shape[-1],
-                              cfg.train.seed + (0 if name == "gs" else 1))
-        history = pretrain_contrastive(
-            ext, ds, cfg.train, rng=np.random.default_rng(cfg.train.seed + seed_off))
-        arrays = {k: v.data.copy() for k, v in ext.named_parameters("G").items()}
-        for k, v in ext.named_buffers("G").items():
-            arrays["buffer:" + k] = v.copy()
-        save_checkpoint(cfg.output_dir / f"pretrain_{name}.ckpt",
-                        Checkpoint(epoch=0, reward=0.0,
-                                   config_hash=cfg.config_hash, arrays=arrays))
-        print(f"{name}: contrastive loss {history[0]:.4f} -> {history[-1]:.4f}")
-    return EXIT_OK
-
-
 def cmd_train(cfg: ExperimentConfig) -> int:
     source, target, eval_target = _load_datasets(cfg)
     t0 = time.monotonic()
@@ -253,7 +246,6 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     result.trace.save(cfg.output_dir / "trace.csv")
     save_checkpoint(cfg.output_dir / "best.ckpt", result.best)
     with eval_mode(result.ms, result.mt):
-        from .model import ensemble_predict
         preds, _ = ensemble_predict(result.ms, result.mt, eval_target.inputs)
     report = metrics_report(preds, np.asarray(eval_target.labels),
                             final_reward=result.best.reward,
@@ -264,18 +256,6 @@ def cmd_train(cfg: ExperimentConfig) -> int:
           f"(V={result.best.reward:.3f}, accuracy={report.overall_accuracy:.3f}, "
           f"{seconds:.1f}s)")
     return EXIT_OK
-
-
-def _rebuild_models(cfg: ExperimentConfig, n_classes: int, in_dim: int):
-    g_s = build_extractor(cfg.model, in_dim, cfg.train.seed)
-    g_t = build_extractor(cfg.model, in_dim, cfg.train.seed + 1)
-    for g in (g_s, g_t):
-        g.freeze()
-        g.pretrained = True
-    return build_models(n_classes, g_s, g_t, seed=cfg.train.seed + 17,
-                        rda_hidden=cfg.model.rda_hidden,
-                        clf_hidden=cfg.model.clf_hidden,
-                        dropout_p=cfg.model.dropout_p)
 
 
 def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
@@ -289,12 +269,13 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
     if ckpt.config_hash and ckpt.config_hash != cfg.config_hash:
         print(f"warning: checkpoint hash {ckpt.config_hash} != "
               f"config hash {cfg.config_hash}", file=sys.stderr)
-    n_classes = cfg.task.source_classes
-    ms, mt = _rebuild_models(cfg, n_classes, ds.inputs.shape[-1])
+    ms, mt = build_pair(cfg.model, cfg.task.source_classes,
+                        ds.inputs.shape[-1], cfg.train.seed)
+    ms.extractor_s.mark_pretrained()
+    ms.extractor_t.mark_pretrained()
     ckpt.restore(ms, mt)
     t0 = time.monotonic()
     with eval_mode(ms, mt):
-        from .model import ensemble_predict
         preds, _ = ensemble_predict(ms, mt, ds.inputs)
     report = metrics_report(preds, np.asarray(ds.labels), ckpt.reward,
                             ckpt.epoch, time.monotonic() - t0, cfg.config_hash)
@@ -308,11 +289,10 @@ def cmd_compare_stopping(cfg: ExperimentConfig) -> int:
     epoch_rows: List[Dict[str, object]] = []
     summary_rows: List[Dict[str, object]] = []
     for k in range(cfg.n_seeds):
-        task = PdaTaskSpec(**{**_task_kwargs(cfg.task), "seed": cfg.task.seed + k})
+        task = replace(cfg.task, seed=cfg.task.seed + k)
         source, target, eval_target = gen_synthetic_pda(task)
-        train_cfg = TrainConfig(**{**asdict(cfg.train),
-                                   "seed": cfg.train.seed + k,
-                                   "desired_reward": 1.0})
+        train_cfg = replace(cfg.train, seed=cfg.train.seed + k,
+                            desired_reward=1.0)
         result = train_interactive(source, target, train_cfg, cfg.model,
                                    eval_target=eval_target,
                                    config_hash=cfg.config_hash)
@@ -324,9 +304,8 @@ def cmd_compare_stopping(cfg: ExperimentConfig) -> int:
         study = selection_study(result.trace)
         summary_rows.append({"seed": train_cfg.seed, **study})
 
-    import csv as _csv
     with open(cfg.output_dir / "compare_epochs.csv", "w", newline="") as f:
-        w = _csv.DictWriter(f, fieldnames=["seed", "epoch", "accuracy", "V",
+        w = csv.DictWriter(f, fieldnames=["seed", "epoch", "accuracy", "V",
                                            "train_loss"])
         w.writeheader()
         w.writerows(epoch_rows)
@@ -334,24 +313,13 @@ def cmd_compare_stopping(cfg: ExperimentConfig) -> int:
               "accuracy_at_true_best", "regret_V_rule", "regret_loss_rule",
               "epoch_argmax_V", "epoch_argmin_loss", "epoch_true_best"]
     with open(cfg.output_dir / "compare_summary.csv", "w", newline="") as f:
-        w = _csv.DictWriter(f, fieldnames=fields)
+        w = csv.DictWriter(f, fieldnames=fields)
         w.writeheader()
         w.writerows([{k: r[k] for k in fields} for r in summary_rows])
     med_v = float(np.median([r["regret_V_rule"] for r in summary_rows]))
     med_l = float(np.median([r["regret_loss_rule"] for r in summary_rows]))
     print(f"median regret: reward rule {med_v:.4f}, loss rule {med_l:.4f}")
     return EXIT_OK
-
-
-def _task_kwargs(task: PdaTaskSpec) -> Dict[str, object]:
-    return dict(source_classes=task.source_classes,
-                target_classes=task.target_classes,
-                samples_per_class=task.samples_per_class,
-                input_kind=task.input_kind, dim=task.dim,
-                class_separation=task.class_separation,
-                mean_offset=task.mean_offset,
-                rotation_angle=task.rotation_angle, scale=task.scale,
-                noise_sigma=task.noise_sigma, seed=task.seed)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -366,7 +334,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="override a single config entry")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen-data", help="generate and write the synthetic task")
-    sub.add_parser("pretrain", help="contrastively pretrain both extractors")
     sub.add_parser("train", help="full pipeline: pretrain + interactive epochs")
     p_eval = sub.add_parser("eval", help="score a checkpoint on a dataset")
     p_eval.add_argument("checkpoint")
@@ -384,8 +351,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "gen-data":
             return cmd_gen_data(cfg)
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg)
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "eval":
@@ -393,7 +358,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "compare-stopping":
             return cmd_compare_stopping(cfg)
         raise AssertionError(args.command)
-    except (FileNotFoundError, DatasetFormatError) as e:
+    except (FileNotFoundError, DatasetFormatError, CheckpointFormatError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:

@@ -24,13 +24,10 @@ class KernelSpec:
     pooled samples scaled by 0.25/0.5/1/2/4.
     """
 
-    kind: str = "rbf"
     bandwidths: Optional[List[float]] = None
     bandwidth_rule: str = "median_heuristic_multi"
 
     def resolve(self, a: np.ndarray, b: np.ndarray) -> List[float]:
-        if self.kind != "rbf":
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.bandwidth_rule == "fixed":
             if not self.bandwidths:
                 raise ValueError("fixed bandwidth rule requires explicit bandwidths")

@@ -140,14 +140,26 @@ class Conv(Module):
 
 # -- feature extractors -------------------------------------------------------
 
-class MlpExtractor(Module):
-    """Fully connected extractor for vector-valued inputs.
+class Extractor(Module):
+    """Feature extractor with a two-layer projection head.
 
-    Carries a two-layer projection head used only during contrastive
-    pretraining; downstream consumers call ``features`` which bypasses it.
+    The head is used only during contrastive pretraining; downstream
+    consumers call ``features``, which bypasses it.
     """
 
-    kind = "mlp"
+    pretrained = False
+
+    def project(self, x: Tensor) -> Tensor:
+        return self.proj2(self.proj1(self.features(x)).relu())
+
+    def mark_pretrained(self) -> None:
+        """Freeze the weights and let ``extract`` use them."""
+        self.freeze()
+        self.pretrained = True
+
+
+class MlpExtractor(Extractor):
+    """Fully connected extractor for vector-valued inputs."""
 
     def __init__(self, in_dim: int, rng: np.random.Generator,
                  hidden: Sequence[int] = (64,), feature_dim: int = 32,
@@ -158,7 +170,6 @@ class MlpExtractor(Module):
         self.proj1 = Linear(feature_dim, feature_dim, rng)
         self.proj2 = Linear(feature_dim, proj_dim, rng)
         self.feature_dim = feature_dim
-        self.pretrained = False
 
     def features(self, x: Tensor) -> Tensor:
         h = x
@@ -168,18 +179,12 @@ class MlpExtractor(Module):
                 h = h.relu()
         return h
 
-    def project(self, x: Tensor) -> Tensor:
-        return self.proj2(self.proj1(self.features(x)).relu())
 
-
-class ConvExtractor(Module):
+class ConvExtractor(Extractor):
     """Three conv/BN/ReLU/maxpool blocks over 1x32x32 images, then FC."""
 
-    kind = "conv_stack"
-
     def __init__(self, rng: np.random.Generator, channels: Sequence[int] = (32, 64, 128),
-                 feature_dim: int = 512, proj_dim: int = 64,
-                 dropout_p: float = 0.1):
+                 feature_dim: int = 512, proj_dim: int = 64):
         super().__init__()
         chain = [1, *channels]
         self.convs = [Conv(a, b, 3, rng) for a, b in zip(chain[:-1], chain[1:])]
@@ -189,7 +194,6 @@ class ConvExtractor(Module):
         self.proj1 = Linear(feature_dim, feature_dim, rng)
         self.proj2 = Linear(feature_dim, proj_dim, rng)
         self.feature_dim = feature_dim
-        self.pretrained = False
 
     def features(self, x: Tensor) -> Tensor:
         h = x
@@ -198,13 +202,30 @@ class ConvExtractor(Module):
         n = h.shape[0]
         return self.fc(h.reshape(n, -1))
 
-    def project(self, x: Tensor) -> Tensor:
-        return self.proj2(self.proj1(self.features(x)).relu())
-
 
 # -- adaptation block and classifier -----------------------------------------
 
-class RdaBlock(Module):
+class DenseStack(Module):
+    """Hidden Linear -> BatchNorm -> ReLU -> Dropout layers, then a Linear."""
+
+    zero_init_out = False
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
+                 hidden: Sequence[int], dropout_p: float):
+        super().__init__()
+        dims = [in_dim, *hidden]
+        self.fcs = [Linear(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
+        self.bns = [BatchNorm(b) for b in hidden]
+        self.drops = [Dropout(dropout_p, rng) for _ in hidden]
+        self.out = Linear(dims[-1], out_dim, rng, zero_init=self.zero_init_out)
+
+    def __call__(self, h: Tensor) -> Tensor:
+        for fc, bn, drop in zip(self.fcs, self.bns, self.drops):
+            h = drop(bn(fc(h)).relu())
+        return self.out(h)
+
+
+class RdaBlock(DenseStack):
     """Residual adaptation block with an exact identity channel.
 
     Own-domain features pass through untouched (no graph nodes recorded);
@@ -212,52 +233,33 @@ class RdaBlock(Module):
     linear layer starts at zero, so the block is the identity at init.
     """
 
+    zero_init_out = True
+
     def __init__(self, dim: int, own_domain: str, rng: np.random.Generator,
                  hidden: Sequence[int] = (256, 128, 256), dropout_p: float = 0.1):
-        super().__init__()
         if own_domain not in ("source", "target"):
             raise ValueError(f"bad domain {own_domain!r}")
-        dims = [dim, *hidden]
-        self.fcs = [Linear(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
-        self.bns = [BatchNorm(b) for b in hidden]
-        self.drops = [Dropout(dropout_p, rng) for _ in hidden]
-        self.out = Linear(dims[-1], dim, rng, zero_init=True)
+        super().__init__(dim, dim, rng, hidden, dropout_p)
         self.own_domain = own_domain
         self.dim = dim
 
-    def residual(self, z: Tensor) -> Tensor:
-        h = z
-        for fc, bn, drop in zip(self.fcs, self.bns, self.drops):
-            h = drop(bn(fc(h)).relu())
-        return self.out(h)
-
 
 def rda_forward(block: RdaBlock, z: Tensor, domain_of_z: str) -> Tensor:
-    """Identity for own-domain features, z + residual(z) otherwise."""
+    """Identity for own-domain features, z + block(z) otherwise."""
     if z.shape[-1] != block.dim:
         raise ValueError(f"rda_forward: feature dim {z.shape[-1]} != block dim {block.dim}")
     if domain_of_z == block.own_domain:
         return z
-    return z + block.residual(z)
+    return z + block(z)
 
 
-class DomainClassifier(Module):
+class DomainClassifier(DenseStack):
     """Three-layer FC head emitting raw logits over the source label space."""
 
     def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
                  hidden: Sequence[int] = (128, 64), dropout_p: float = 0.1):
-        super().__init__()
-        dims = [dim, *hidden]
-        self.fcs = [Linear(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
-        self.bns = [BatchNorm(b) for b in hidden]
-        self.drops = [Dropout(dropout_p, rng) for _ in hidden]
-        self.out = Linear(dims[-1], n_classes, rng)
+        super().__init__(dim, n_classes, rng, hidden, dropout_p)
         self.n_classes = n_classes
-
-    def __call__(self, h: Tensor) -> Tensor:
-        for fc, bn, drop in zip(self.fcs, self.bns, self.drops):
-            h = drop(bn(fc(h)).relu())
-        return self.out(h)
 
 
 class DomainWiseModel(Module):
@@ -320,16 +322,21 @@ def build_models(n_classes: int, extractor_s: Module, extractor_t: Module,
     return ms, mt
 
 
-def parameter_groups(ms: DomainWiseModel, mt: DomainWiseModel) -> ParameterSet:
-    """Six-group partition of every trainable tensor in both models."""
-    pset = ParameterSet()
-    for group, prefix, module in (
-            ("eps_s", "Gs", ms.extractor_s),
+def _parts(ms: DomainWiseModel, mt: DomainWiseModel
+           ) -> Tuple[Tuple[str, str, Module], ...]:
+    """(parameter group, name prefix, module) for the six parts of a pair."""
+    return (("eps_s", "Gs", ms.extractor_s),
             ("eps_t", "Gt", ms.extractor_t),
             ("phi_s", "Ms.Fs", ms.rda),
             ("theta_s", "Ms.Cs", ms.classifier),
             ("phi_t", "Mt.Ft", mt.rda),
-            ("theta_t", "Mt.Ct", mt.classifier)):
+            ("theta_t", "Mt.Ct", mt.classifier))
+
+
+def parameter_groups(ms: DomainWiseModel, mt: DomainWiseModel) -> ParameterSet:
+    """Six-group partition of every trainable tensor in both models."""
+    pset = ParameterSet()
+    for group, prefix, module in _parts(ms, mt):
         for name, t in module.named_parameters(prefix).items():
             pset.add(group, name, t)
     pset.validate_partition()
@@ -338,9 +345,7 @@ def parameter_groups(ms: DomainWiseModel, mt: DomainWiseModel) -> ParameterSet:
 
 def named_buffers(ms: DomainWiseModel, mt: DomainWiseModel) -> Dict[str, np.ndarray]:
     out: Dict[str, np.ndarray] = {}
-    for prefix, module in (("Gs", ms.extractor_s), ("Gt", ms.extractor_t),
-                           ("Ms.Fs", ms.rda), ("Ms.Cs", ms.classifier),
-                           ("Mt.Ft", mt.rda), ("Mt.Ct", mt.classifier)):
+    for _, prefix, module in _parts(ms, mt):
         out.update(module.named_buffers(prefix))
     return out
 
@@ -367,8 +372,22 @@ class Checkpoint:
                    arrays=arrays)
 
     def restore(self, ms: DomainWiseModel, mt: DomainWiseModel) -> None:
+        """Load every tensor into the pair; the names and shapes must match
+        the pair's exactly, or nothing is loaded."""
         params = parameter_groups(ms, mt).entries
         buffers = named_buffers(ms, mt)
+        targets = {name: t.data for name, t in params.items()}
+        targets.update(("buffer:" + name, b) for name, b in buffers.items())
+        unmatched = sorted(set(targets) ^ set(self.arrays))
+        if unmatched:
+            name = unmatched[0]
+            where = "model" if name in self.arrays else "checkpoint"
+            raise CheckpointFormatError(f"tensor {name!r} is not in the {where}")
+        for name, arr in self.arrays.items():
+            if arr.shape != targets[name].shape:
+                raise CheckpointFormatError(
+                    f"tensor {name!r}: checkpoint shape {arr.shape} != "
+                    f"model shape {targets[name].shape}")
         for name, arr in self.arrays.items():
             if name.startswith("buffer:"):
                 buffers[name[len("buffer:"):]][...] = arr

@@ -14,7 +14,7 @@ import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,10 +22,10 @@ from .autodiff import Adam, ParameterSet, Tensor, optimizer_step
 from .data import AugmentationConfig, Dataset, augment_pair
 from .losses import (ContrastiveBatch, KernelSpec, cross_entropy_hard,
                      cross_entropy_soft, mmd_squared, nt_xent)
-from .model import (BatchNorm, Checkpoint, DomainWiseModel, Dropout,
-                    ConvExtractor, MlpExtractor, build_models,
-                    classifier_logits, ensemble_predict, extract,
-                    parameter_groups, rda_forward)
+from .model import (BatchNorm, Checkpoint, ConvExtractor, DomainClassifier,
+                    DomainWiseModel, Dropout, Module, MlpExtractor,
+                    build_models, classifier_logits, ensemble_predict,
+                    extract, parameter_groups, rda_forward)
 
 
 @dataclass
@@ -41,9 +41,11 @@ class TrainConfig:
     soft_pseudo: bool = True    # soft teacher targets vs hard pseudo-labels
 
     def __post_init__(self):
-        if min(self.pretrain_epochs, self.epochs, self.iters_per_step,
-               self.batch_size) < 1:
+        if min(self.pretrain_epochs, self.epochs, self.iters_per_step) < 1:
             raise ValueError("all counts must be positive")
+        if self.batch_size < 2:
+            # batch norm needs two rows, and pretraining skips smaller batches
+            raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
         if not 0.0 < self.desired_reward <= 1.0:
             raise ValueError("desired_reward must be in (0, 1]")
         if self.learning_rate <= 0 or self.temperature <= 0:
@@ -70,7 +72,8 @@ class StepId(Enum):
     S6_feedback_Fs = 6
 
 
-# step -> (trace column, trainable group)
+# step -> (trace column, trainable group); a group ending in _s belongs to
+# the source model, one ending in _t to the target model
 STEP_MAP: Dict[StepId, Tuple[str, str]] = {
     StepId.S1_train_Cs: ("L_s_s", "theta_s"),
     StepId.S2_align_Fs: ("MMD_s", "phi_s"),
@@ -79,6 +82,10 @@ STEP_MAP: Dict[StepId, Tuple[str, str]] = {
     StepId.S5_source_Ct: ("L_t_s", "theta_t"),
     StepId.S6_feedback_Fs: ("L_st_t", "phi_s"),
 }
+
+# the three mirrored pairs; the remaining steps (S3, S6) are teacher -> student
+SOURCE_CE_STEPS = (StepId.S1_train_Cs, StepId.S5_source_Ct)
+ALIGN_STEPS = (StepId.S2_align_Fs, StepId.S4_align_Ft)
 
 TRACE_COLUMNS = ("epoch", "V", "L_s_s", "MMD_s", "L_t_t", "MMD_t",
                  "L_t_s", "L_st_t", "checkpoint_id", "target_accuracy")
@@ -132,35 +139,30 @@ def _fmt(x: Optional[float]) -> str:
 # -- mode helpers -------------------------------------------------------------
 
 @contextmanager
-def eval_mode(*models: DomainWiseModel):
-    saved = []
-    for model in models:
-        for _, m in model.walk():
-            saved.append((m, m.training))
-            m.training = False
-    try:
-        yield
-    finally:
-        for m, flag in saved:
-            m.training = flag
-
-
-@contextmanager
-def _teacher_mode(model: DomainWiseModel):
-    """Deterministic guidance forward: dropout off, batch stats unpolluted."""
-    saved = []
-    for _, m in model.walk():
-        if isinstance(m, Dropout):
-            saved.append((m, "training", m.training))
-            m.training = False
-        elif isinstance(m, BatchNorm):
-            saved.append((m, "update_stats", m.update_stats))
-            m.update_stats = False
+def _override(settings: Iterable[Tuple[Module, str, bool]]):
+    """Set each (module, attribute, value) for the body, then restore the
+    values the attributes had before, even when the body raises."""
+    settings = list(settings)
+    saved = [(m, attr, getattr(m, attr)) for m, attr, _ in settings]
+    for m, attr, val in settings:
+        setattr(m, attr, val)
     try:
         yield
     finally:
         for m, attr, val in saved:
             setattr(m, attr, val)
+
+
+def eval_mode(*models: DomainWiseModel):
+    return _override((m, "training", False)
+                     for model in models for _, m in model.walk())
+
+
+def _teacher_mode(model: DomainWiseModel):
+    """Deterministic guidance forward: dropout off, batch stats unpolluted."""
+    return _override(
+        (m, "training" if isinstance(m, Dropout) else "update_stats", False)
+        for _, m in model.walk() if isinstance(m, (Dropout, BatchNorm)))
 
 
 # -- batch sampling -----------------------------------------------------------
@@ -201,9 +203,24 @@ def build_extractor(model_cfg: ModelConfig, in_dim: int, seed: int):
                             proj_dim=model_cfg.proj_dim)
     if model_cfg.extractor == "conv_stack":
         return ConvExtractor(rng, feature_dim=model_cfg.feature_dim,
-                             proj_dim=model_cfg.proj_dim,
-                             dropout_p=model_cfg.dropout_p)
+                             proj_dim=model_cfg.proj_dim)
     raise ValueError(f"unknown extractor kind {model_cfg.extractor!r}")
+
+
+def build_pair(model_cfg: ModelConfig, n_classes: int, in_dim: int,
+               seed: int) -> Tuple[DomainWiseModel, DomainWiseModel]:
+    """The source and target models, extractors not yet pretrained.
+
+    Both extractors start from the same init (``seed``): with comparable
+    domains their feature spaces start close, which keeps the residual
+    corrections small. RDA blocks and heads draw from ``seed + 17``.
+    """
+    g_s = build_extractor(model_cfg, in_dim, seed)
+    g_t = build_extractor(model_cfg, in_dim, seed)
+    return build_models(n_classes, g_s, g_t, seed=seed + 17,
+                        rda_hidden=model_cfg.rda_hidden,
+                        clf_hidden=model_cfg.clf_hidden,
+                        dropout_p=model_cfg.dropout_p)
 
 
 def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
@@ -242,8 +259,7 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
             opt.step(params)
             losses.append(loss.item())
         history.append(float(np.mean(losses)))
-    extractor.freeze()
-    extractor.pretrained = True
+    extractor.mark_pretrained()
     return history
 
 
@@ -252,39 +268,26 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
 def _step_loss(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
                sampler: BatchSampler, cfg: TrainConfig,
                kernel: KernelSpec) -> Tensor:
-    if step is StepId.S1_train_Cs:
+    _, group = STEP_MAP[step]
+    model, other = (ms, mt) if group.endswith("_s") else (mt, ms)
+    if step in SOURCE_CE_STEPS:
         xs, ys = sampler.source_batch()
-        return cross_entropy_hard(classifier_logits(ms, xs, "source"), ys)
-    if step is StepId.S2_align_Fs:
+        return cross_entropy_hard(classifier_logits(model, xs, "source"), ys)
+    if step in ALIGN_STEPS:
         xs, _ = sampler.source_batch()
         xt = sampler.target_batch()
-        a = rda_forward(ms.rda, extract(ms, xs, "source"), "source")
-        b = rda_forward(ms.rda, extract(ms, xt, "target"), "target")
+        a = rda_forward(model.rda, extract(model, xs, "source"), "source")
+        b = rda_forward(model.rda, extract(model, xt, "target"), "target")
         return mmd_squared(a, b, kernel)
-    if step is StepId.S3_guide_Ct:
-        xt = sampler.target_batch()
-        with _teacher_mode(ms):
-            teacher = classifier_logits(ms, xt, "target").detach()
-        student = classifier_logits(mt, xt, "target")
-        if cfg.soft_pseudo:
-            return cross_entropy_soft(student, teacher)
-        return cross_entropy_hard(student, teacher.data.argmax(axis=1))
-    if step is StepId.S4_align_Ft:
-        xs, _ = sampler.source_batch()
-        xt = sampler.target_batch()
-        a = rda_forward(mt.rda, extract(mt, xs, "source"), "source")
-        b = rda_forward(mt.rda, extract(mt, xt, "target"), "target")
-        return mmd_squared(a, b, kernel)
-    if step is StepId.S5_source_Ct:
-        xs, ys = sampler.source_batch()
-        return cross_entropy_hard(classifier_logits(mt, xs, "source"), ys)
-    if step is StepId.S6_feedback_Fs:
-        xt = sampler.target_batch()
-        with _teacher_mode(mt):
-            anchor = classifier_logits(mt, xt, "target").detach()
-        moving = classifier_logits(ms, xt, "target")
-        return cross_entropy_soft(moving, anchor)
-    raise ValueError(f"unknown step {step}")
+    xt = sampler.target_batch()
+    with _teacher_mode(other):
+        teacher = classifier_logits(other, xt, "target").detach()
+    student = classifier_logits(model, xt, "target")
+    # hard pseudo-labels are an option of the guidance step S3 only; the
+    # feedback step S6 always follows the target model's soft predictions
+    if cfg.soft_pseudo or step is StepId.S6_feedback_Fs:
+        return cross_entropy_soft(student, teacher)
+    return cross_entropy_hard(student, teacher.data.argmax(axis=1))
 
 
 def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
@@ -329,7 +332,6 @@ def ensemble_accuracy(ms: DomainWiseModel, mt: DomainWiseModel,
 def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
               cfg: TrainConfig, pset: ParameterSet, optimizers: Dict[str, Adam],
               trace: RewardTrace, epoch: int,
-              checkpoints: Dict[str, Checkpoint],
               kernel: Optional[KernelSpec] = None,
               eval_target: Optional[Dataset] = None) -> TraceRow:
     """One pass of S1..S6; the reward is measured right after S1."""
@@ -343,11 +345,7 @@ def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
                                   optimizers, kernel)
         if step is StepId.S1_train_Cs:
             reward = compute_reward(ms, mt, sampler.target.inputs)
-            ms.set_training(True)
-            mt.set_training(True)
     ckpt_id = f"epoch_{epoch}"
-    checkpoints[ckpt_id] = Checkpoint.capture(ms, mt, epoch, reward,
-                                              trace.config_hash)
     acc = None
     if eval_target is not None and eval_target.labels is not None:
         acc = ensemble_accuracy(ms, mt, eval_target)
@@ -372,12 +370,8 @@ class TrainResult:
     ms: DomainWiseModel
     mt: DomainWiseModel
     trace: RewardTrace
-    checkpoints: Dict[str, Checkpoint]
+    best: Checkpoint
     best_checkpoint_id: str
-
-    @property
-    def best(self) -> Checkpoint:
-        return self.checkpoints[self.best_checkpoint_id]
 
 
 def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
@@ -393,39 +387,30 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
     if source.labels is None:
         raise ValueError("source dataset must be labeled")
     n_classes = max(source.labels) + 1
-    in_dim = source.inputs.shape[-1]
-
-    # identical init for both extractors: with comparable domains their
-    # feature spaces start close, which keeps the residual corrections small
-    g_s = build_extractor(model_cfg, in_dim, cfg.seed)
-    g_t = build_extractor(model_cfg, in_dim, cfg.seed)
+    ms, mt = build_pair(model_cfg, n_classes, source.inputs.shape[-1], cfg.seed)
     trace = RewardTrace(config_hash=config_hash)
     trace.pretrain_loss_s = pretrain_contrastive(
-        g_s, source, cfg, aug, np.random.default_rng(cfg.seed + 11))[-1]
+        ms.extractor_s, source, cfg, aug, np.random.default_rng(cfg.seed + 11))[-1]
     trace.pretrain_loss_t = pretrain_contrastive(
-        g_t, target, cfg, aug, np.random.default_rng(cfg.seed + 13))[-1]
+        ms.extractor_t, target, cfg, aug, np.random.default_rng(cfg.seed + 13))[-1]
 
-    ms, mt = build_models(n_classes, g_s, g_t, seed=cfg.seed + 17,
-                          rda_hidden=model_cfg.rda_hidden,
-                          clf_hidden=model_cfg.clf_hidden,
-                          dropout_p=model_cfg.dropout_p)
     pset = parameter_groups(ms, mt)
     optimizers = {g: Adam(cfg.learning_rate)
                   for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
     sampler = BatchSampler(source, target, cfg.batch_size,
                            np.random.default_rng(cfg.seed + 19))
-    checkpoints: Dict[str, Checkpoint] = {}
-    best_id = ""
     for epoch in range(1, cfg.epochs + 1):
-        run_epoch(ms, mt, sampler, cfg, pset, optimizers, trace, epoch,
-                  checkpoints, kernel, eval_target)
+        row = run_epoch(ms, mt, sampler, cfg, pset, optimizers, trace, epoch,
+                        kernel, eval_target)
         verdict, best_id = stopping_check(trace, cfg)
+        if best_id == row.checkpoint_id:
+            best = Checkpoint.capture(ms, mt, epoch, row.V, config_hash)
         if verdict == "stop":
             break
-    checkpoints[best_id].restore(ms, mt)
+    best.restore(ms, mt)
     ms.set_training(False)
     mt.set_training(False)
-    return TrainResult(ms=ms, mt=mt, trace=trace, checkpoints=checkpoints,
+    return TrainResult(ms=ms, mt=mt, trace=trace, best=best,
                        best_checkpoint_id=best_id)
 
 
@@ -445,7 +430,6 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
                                ) -> BaselineResult:
     """Reference point with no adaptation: one extractor pretrained on the
     source, one classifier fit on source labels, applied to targets as-is."""
-    from .model import DomainClassifier
     model_cfg = model_cfg or ModelConfig()
     if source.labels is None:
         raise ValueError("source dataset must be labeled")

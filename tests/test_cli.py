@@ -111,6 +111,13 @@ def test_metrics_report_per_class_and_weighted_overall():
 def test_exit_codes_for_bad_config_and_missing_data(tmp_path, capsys):
     assert main(["--set", "train.epochs=zero", "train"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    for overrides, key in ((["task.input_kind=image"], "task.input_kind"),
+                           (["model.extractor=conv_stack"], "task.input_kind"),
+                           (["model.extractor=resnet"], "model.extractor"),
+                           (["train.batch_size=1"], "batch_size")):
+        args = [a for ov in overrides for a in ("--set", ov)]
+        assert main(args + ["train"]) == EXIT_CONFIG, overrides
+        assert key in capsys.readouterr().err, overrides
     assert main(_fast_args(tmp_path / "empty") + ["train"]) == EXIT_DATA
     assert "run gen-data first" in capsys.readouterr().err
 
@@ -129,9 +136,6 @@ def test_gen_data_writes_files_and_manifest(tmp_path):
 def test_full_pipeline_train_then_eval(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
-    assert main(_fast_args(out) + ["pretrain"]) == EXIT_OK
-    assert (out / "pretrain_gs.ckpt").exists()
-    assert (out / "pretrain_gt.ckpt").exists()
     capsys.readouterr()
 
     assert main(_fast_args(out) + ["train"]) == EXIT_OK
@@ -183,4 +187,5 @@ def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
     bad.write_bytes(b"JUNKJUNK")
     ds = tmp_path / "missing.ds"
     code = main(_fast_args(tmp_path) + ["eval", str(bad), str(ds)])
-    assert code != EXIT_OK
+    assert code == EXIT_DATA
+    assert "not a checkpoint" in capsys.readouterr().err

@@ -10,7 +10,8 @@ from duoadapt.model import (Checkpoint, CheckpointFormatError, DomainClassifier,
                             rda_forward, save_checkpoint)
 
 
-def _small_models(seed=0, n_classes=3, in_dim=6, feature_dim=8):
+def _small_models(seed=0, n_classes=3, in_dim=6, feature_dim=8,
+                  rda_hidden=(12, 8, 12)):
     gs = MlpExtractor(in_dim, np.random.default_rng(seed), hidden=(16,),
                       feature_dim=feature_dim, proj_dim=4)
     gt = MlpExtractor(in_dim, np.random.default_rng(seed), hidden=(16,),
@@ -19,7 +20,7 @@ def _small_models(seed=0, n_classes=3, in_dim=6, feature_dim=8):
         g.freeze()
         g.pretrained = True
     return build_models(n_classes, gs, gt, seed=seed + 1,
-                        rda_hidden=(12, 8, 12), clf_hidden=(10, 8))
+                        rda_hidden=rda_hidden, clf_hidden=(10, 8))
 
 
 def test_rda_identity_channel_returns_same_object():
@@ -174,6 +175,24 @@ def test_checkpoint_restore_recovers_outputs(tmp_path):
 
     ckpt.restore(ms, mt)
     assert np.array_equal(classifier_logits(ms, x, "target").data, before)
+
+
+@pytest.mark.parametrize("rda_hidden, message", [
+    ((12, 8), "'Ms.Fs.bns2.beta' is not in the checkpoint"),
+    ((12, 8, 12, 8), "'Ms.Fs.bns3.beta' is not in the model"),
+    ((12, 9, 12),
+     r"'Ms.Fs.fcs1.weight': checkpoint shape \(12, 9\) != model shape \(12, 8\)"),
+])
+def test_checkpoint_restore_is_strict(rda_hidden, message):
+    ckpt = Checkpoint.capture(*_small_models(rda_hidden=rda_hidden),
+                              epoch=0, reward=0.0)
+    ms, mt = _small_models(seed=3)
+    before = {n: t.data.copy() for n, t in parameter_groups(ms, mt).entries.items()}
+    with pytest.raises(CheckpointFormatError, match=message):
+        ckpt.restore(ms, mt)
+    # a rejected checkpoint loads nothing
+    for name, t in parameter_groups(ms, mt).entries.items():
+        assert np.array_equal(t.data, before[name]), name
 
 
 def test_load_checkpoint_rejects_garbage(tmp_path):

@@ -4,10 +4,12 @@ import pytest
 from duoadapt.autodiff import Adam, Tensor
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
 from duoadapt.losses import KernelSpec
-from duoadapt.model import build_models, parameter_groups
+from duoadapt.model import (BatchNorm, Checkpoint, Dropout, build_models,
+                            parameter_groups)
 from duoadapt.train import (STEP_MAP, TRACE_COLUMNS, BatchSampler, ModelConfig,
                             RewardTrace, StepId, TraceRow, TrainConfig,
-                            build_extractor, compute_reward, eval_mode,
+                            _teacher_mode, build_extractor, compute_reward,
+                            ensemble_accuracy, eval_mode,
                             pretrain_contrastive, run_epoch, run_step,
                             selection_study, stopping_check,
                             train_interactive, train_source_only_baseline)
@@ -46,6 +48,8 @@ def test_train_config_validation():
         TrainConfig(desired_reward=1.5)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-1.0)
+    with pytest.raises(ValueError, match="batch_size"):
+        TrainConfig(batch_size=1)
 
 
 def test_step_map_schedule():
@@ -87,6 +91,25 @@ def test_eval_mode_restores_training_flags():
     assert all(m.training for _, m in ms.walk() if not m.frozen)
     assert all(not m.training for _, m in ms.walk() if m.frozen)
     assert not any(m.training for _, m in mt.walk())
+
+
+def test_teacher_mode_freezes_dropout_and_stats_and_restores_on_raise():
+    source, target, _ = _task()
+    ms, mt = _pretrained_pair(source, target)
+    ms.set_training(True)
+    drops = [m for _, m in ms.walk() if isinstance(m, Dropout)]
+    bns = [m for _, m in ms.walk() if isinstance(m, BatchNorm)]
+    assert drops and bns
+    before = {id(m): (m.training, m.update_stats) for m in bns}
+    with pytest.raises(RuntimeError, match="body"):
+        with _teacher_mode(ms):
+            assert not any(m.training for m in drops)
+            assert not any(m.update_stats for m in bns)
+            # batch norm keeps batch statistics; only the updates stop
+            assert all(m.training for m in bns if not m.frozen)
+            raise RuntimeError("body")
+    assert all(m.training for m in drops)
+    assert {id(m): (m.training, m.update_stats) for m in bns} == before
 
 
 def test_batch_sampler_shapes_and_determinism():
@@ -156,15 +179,14 @@ def test_run_epoch_records_all_losses():
     optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
     sampler = BatchSampler(source, target, 16, np.random.default_rng(9))
     trace = RewardTrace()
-    checkpoints = {}
     row = run_epoch(ms, mt, sampler, FAST, pset, optimizers, trace, 1,
-                    checkpoints, eval_target=eval_target)
+                    eval_target=eval_target)
     assert set(row.losses) == set(TRACE_COLUMNS[2:8])
     assert all(np.isfinite(v) for v in row.losses.values())
     assert 0.0 <= row.V <= 1.0
-    assert row.checkpoint_id == "epoch_1" and "epoch_1" in checkpoints
+    assert row.checkpoint_id == "epoch_1"
     assert row.target_accuracy is not None
-    assert checkpoints["epoch_1"].reward == row.V
+    assert trace.rows == [row]
 
 
 def test_stopping_check_threshold_budget_and_tie_break():
@@ -192,7 +214,7 @@ def test_train_interactive_end_to_end_and_determinism():
     r1 = train_interactive(source, target, cfg, SMALL, eval_target)
     r2 = train_interactive(source, target, cfg, SMALL, eval_target)
     assert r1.trace.to_csv() == r2.trace.to_csv()
-    assert r1.best_checkpoint_id in r1.checkpoints
+    assert r1.best_checkpoint_id == f"epoch_{r1.best.epoch}"
     assert r1.best.reward == max(row.V for row in r1.trace.rows)
     # returned models carry the best checkpoint's weights
     for name, arr in r1.best.arrays.items():
@@ -200,6 +222,36 @@ def test_train_interactive_end_to_end_and_determinism():
             got = parameter_groups(r1.ms, r1.mt).entries[name].data
             assert np.array_equal(got, arr), name
     assert not r1.ms.training and not r1.mt.training
+
+
+def test_train_interactive_captures_only_new_best_epochs(monkeypatch):
+    # V by epoch is 0.271, 0.375, 0.354, 0.5, 0.417: epochs 1, 2 and 4 are
+    # each a new best, and the selected epoch is not the last
+    spec = PdaTaskSpec(source_classes=2, target_classes=(0, 1),
+                       samples_per_class=24, class_separation=3.0,
+                       rotation_angle=0.5, seed=4)
+    source, target, eval_target = gen_synthetic_pda(spec)
+    cfg = TrainConfig(pretrain_epochs=2, epochs=5, iters_per_step=3,
+                      batch_size=16, desired_reward=1.0, seed=4)
+    captured = []
+    original = Checkpoint.capture
+
+    def recording(ms, mt, epoch, *args):
+        captured.append(epoch)
+        return original(ms, mt, epoch, *args)
+    monkeypatch.setattr(Checkpoint, "capture", recording)
+    result = train_interactive(source, target, cfg, SMALL, eval_target)
+
+    rows = result.trace.rows
+    new_best = [r.epoch for i, r in enumerate(rows)
+                if all(r.V > p.V for p in rows[:i])]
+    assert captured == new_best == [1, 2, 4]
+    top = max(r.V for r in rows)
+    best_row = next(r for r in rows if r.V == top)
+    assert result.best.epoch == best_row.epoch
+    assert result.best_checkpoint_id == best_row.checkpoint_id
+    assert ensemble_accuracy(result.ms, result.mt, eval_target) \
+        == best_row.target_accuracy
 
 
 def test_train_interactive_stops_at_desired_reward():
