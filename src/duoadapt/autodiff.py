@@ -76,9 +76,12 @@ class Tensor:
         self.grad = None
 
     def _accum(self, g: np.ndarray) -> None:
+        # the first write keeps ``g`` itself: no backward closure writes into
+        # the gradient it receives, and later writes rebind instead of adding
+        # in place, so sharing the array is safe
         g = _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad = self.grad + g
 
@@ -86,6 +89,9 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
                  op: str, backward: Callable[[np.ndarray], None]) -> "Tensor":
+        """Record a node. A node requires grad exactly when it records a
+        backward, so closures test ``requires_grad`` alone to skip the
+        parents (constants, frozen weights) that need no gradient."""
         requires = any(p.requires_grad or p._backward is not None for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
@@ -103,8 +109,10 @@ class Tensor:
             raise ShapeMismatch("add", self.shape, other.shape)
 
         def back(g):
-            self._accum(g)
-            other._accum(g)
+            if self.requires_grad:
+                self._accum(g)
+            if other.requires_grad:
+                other._accum(g)
         return Tensor._from_op(data, (self, other), "add", back)
 
     __radd__ = __add__
@@ -122,8 +130,10 @@ class Tensor:
             raise ShapeMismatch("sub", self.shape, other.shape)
 
         def back(g):
-            self._accum(g)
-            other._accum(-g)
+            if self.requires_grad:
+                self._accum(g)
+            if other.requires_grad:
+                other._accum(-g)
         return Tensor._from_op(data, (self, other), "sub", back)
 
     def __rsub__(self, other):
@@ -137,8 +147,10 @@ class Tensor:
             raise ShapeMismatch("mul", self.shape, other.shape)
 
         def back(g):
-            self._accum(g * other.data)
-            other._accum(g * self.data)
+            if self.requires_grad:
+                self._accum(g * other.data)
+            if other.requires_grad:
+                other._accum(g * self.data)
         return Tensor._from_op(data, (self, other), "mul", back)
 
     __rmul__ = __mul__
@@ -151,8 +163,10 @@ class Tensor:
             raise ShapeMismatch("div", self.shape, other.shape)
 
         def back(g):
-            self._accum(g / other.data)
-            other._accum(-g * self.data / (other.data ** 2))
+            if self.requires_grad:
+                self._accum(g / other.data)
+            if other.requires_grad:
+                other._accum(-g * self.data / (other.data ** 2))
         return Tensor._from_op(data, (self, other), "div", back)
 
     def __rtruediv__(self, other):
@@ -172,8 +186,10 @@ class Tensor:
         data = self.data @ other.data
 
         def back(g):
-            self._accum(g @ other.data.T)
-            other._accum(self.data.T @ g)
+            if self.requires_grad:
+                self._accum(g @ other.data.T)
+            if other.requires_grad:
+                other._accum(self.data.T @ g)
         return Tensor._from_op(data, (self, other), "matmul", back)
 
     # -- unary / reductions --------------------------------------------------
@@ -274,6 +290,24 @@ def as_tensor(x) -> Tensor:
 
 # -- structured layer primitives ---------------------------------------------
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of an (N, I) batch as one graph node."""
+    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeMismatch("linear", x.shape, w.shape)
+    data = x.data @ w.data
+    data += b.data
+
+    def back(g):
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))
+    return Tensor._from_op(data, (x, w, b), "linear", back)
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with OCKK kernels (zero padding)."""
     if x.ndim != 4 or w.ndim != 4:
@@ -299,8 +333,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     def back(g):
         g = np.asarray(g, dtype=np.float64)
-        dw = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))  # o,c,k,k
-        w._accum(dw)
+        if w.requires_grad:
+            w._accum(np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5])))  # o,c,k,k
+        if not x.requires_grad:
+            return
         dcols = np.einsum("nopq,ocij->ncijpq", g, w.data)
         dx = np.zeros((n, c, h, wd), dtype=np.float64)
         for i in range(k):
@@ -328,11 +364,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Train mode normalizes by batch statistics (biased variance) and, when
     ``update_stats`` is set, folds them into the running buffers with the
-    given momentum; eval mode normalizes by the running buffers.
+    given momentum; eval mode normalizes by the running buffers. One graph
+    node with the closed-form backward (Ioffe & Szegedy 2015).
     """
     if x.ndim == 2:
         axes: Tuple[int, ...] = (0,)
-        shape = (1, -1)
+        shape: Tuple[int, ...] = (1, -1)
     elif x.ndim == 4:
         axes = (0, 2, 3)
         shape = (1, -1, 1, 1)
@@ -341,16 +378,35 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     if training:
         if x.shape[0] < 2:
             raise ValueError("batch_norm: train mode needs batch size >= 2")
-        mu = x.mean(axis=axes, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=axes, keepdims=True)
+        inv_n = 1.0 / float(x.size // x.shape[1])
+        mu = x.data.sum(axis=axes, keepdims=True) * inv_n
+        xc = x.data - mu
+        var = (xc ** 2).sum(axis=axes, keepdims=True) * inv_n
         if update_stats:
-            running_mean[...] = momentum * running_mean + (1 - momentum) * mu.data.reshape(-1)
-            running_var[...] = momentum * running_var + (1 - momentum) * var.data.reshape(-1)
-        xn = (x - mu) / (var + eps).sqrt()
+            running_mean[...] = momentum * running_mean + (1 - momentum) * mu.reshape(-1)
+            running_var[...] = momentum * running_var + (1 - momentum) * var.reshape(-1)
+        std = np.sqrt(var + eps)
     else:
-        xn = ((x - Tensor(running_mean.reshape(shape)))
-              / Tensor(np.sqrt(running_var.reshape(shape) + eps)))
-    return xn * gamma.reshape(shape) + beta.reshape(shape)
+        xc = x.data - running_mean.reshape(shape)
+        std = np.sqrt(running_var.reshape(shape) + eps)
+    xn = xc / std
+    scale = gamma.data.reshape(shape)
+    out = xn * scale
+    out += beta.data.reshape(shape)
+
+    def back(g):
+        if gamma.requires_grad:
+            gamma._accum((g * xn).sum(axis=axes))
+        if beta.requires_grad:
+            beta._accum(g.sum(axis=axes))
+        if x.requires_grad:
+            dxn = g * scale
+            if training:
+                # the batch statistics depend on x too
+                dxn = (dxn - dxn.mean(axis=axes, keepdims=True)
+                       - xn * (dxn * xn).mean(axis=axes, keepdims=True))
+            x._accum(dxn / std)
+    return Tensor._from_op(out, (x, gamma, beta), "batch_norm", back)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
@@ -382,10 +438,19 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     return x * Tensor(mask)
 
 
+def log_softmax_array(z: np.ndarray) -> np.ndarray:
+    """Log-softmax of a plain array over the last axis, max-shifted."""
+    shift = z - z.max(axis=-1, keepdims=True)
+    return shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(x: Tensor) -> Tensor:
-    """Row-wise log-softmax over the last axis, max-shifted for stability."""
-    shift = x - Tensor(x.data.max(axis=-1, keepdims=True))
-    return shift - shift.exp().sum(axis=-1, keepdims=True).log()
+    """Row-wise log-softmax over the last axis as one graph node."""
+    data = log_softmax_array(x.data)
+
+    def back(g):
+        x._accum(g - np.exp(data) * g.sum(axis=-1, keepdims=True))
+    return Tensor._from_op(data, (x,), "log_softmax", back)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -476,11 +541,20 @@ class Adam:
             v = self._v[name]
             self._t[name] += 1
             ts = self._t[name]
-            m[...] = self.beta1 * m + (1 - self.beta1) * g
-            v[...] = self.beta2 * v + (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1 ** ts)
-            vhat = v / (1 - self.beta2 ** ts)
-            t.data = t.data - self.learning_rate * mhat / (np.sqrt(vhat) + self.eps)
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            gg = (1 - self.beta2) * g
+            gg *= g
+            v *= self.beta2
+            v += gg
+            # lr * mhat / (sqrt(vhat) + eps), in that operation order
+            step = np.divide(m, 1 - self.beta1 ** ts)
+            step *= self.learning_rate
+            den = np.divide(v, 1 - self.beta2 ** ts, out=gg)
+            np.sqrt(den, out=den)
+            den += self.eps
+            step /= den
+            t.data = np.subtract(t.data, step, out=step)
             if not np.all(np.isfinite(t.data)):
                 raise FloatingPointError(f"non-finite values in parameter {name!r}")
 

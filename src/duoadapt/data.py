@@ -47,6 +47,14 @@ class PdaTaskSpec:
                 f"target_classes {self.target_classes} not a nonempty subset "
                 f"of [0, {self.source_classes})")
         self.target_classes = tc
+        for domain, n_classes in (("source", self.source_classes),
+                                  ("target", len(tc))):
+            if self.samples_per_class * n_classes < 2:
+                # batch statistics and the two-sample loss need two rows
+                raise ValueError(
+                    f"task.samples_per_class={self.samples_per_class} gives the "
+                    f"{domain} domain {self.samples_per_class * n_classes} row; "
+                    f"each domain needs at least 2")
         if self.input_kind not in ("vector", "image"):
             raise ValueError(f"unknown input_kind {self.input_kind!r}")
 

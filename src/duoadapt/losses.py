@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import ShapeMismatch, Tensor, log_softmax
+from .autodiff import ShapeMismatch, Tensor, log_softmax_array
 
 MEDIAN_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -27,16 +27,15 @@ class KernelSpec:
     bandwidths: Optional[List[float]] = None
     bandwidth_rule: str = "median_heuristic_multi"
 
-    def resolve(self, a: np.ndarray, b: np.ndarray) -> List[float]:
+    def resolve(self, d2: np.ndarray) -> List[float]:
+        """Bandwidths for the pooled samples whose squared-distance matrix
+        is ``d2``; the fixed rule ignores it."""
         if self.bandwidth_rule == "fixed":
             if not self.bandwidths:
                 raise ValueError("fixed bandwidth rule requires explicit bandwidths")
             bws = list(self.bandwidths)
         elif self.bandwidth_rule == "median_heuristic_multi":
-            pool = np.concatenate([a, b], axis=0)
-            sq = np.sum(pool ** 2, axis=1)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * pool @ pool.T
-            med = float(np.median(d2[np.triu_indices(len(pool), k=1)]))
+            med = float(np.median(d2[np.triu_indices(len(d2), k=1)]))
             if med <= 0.0:
                 med = 1.0
             bws = [med * s for s in MEDIAN_SCALES]
@@ -95,28 +94,45 @@ def mmd_squared(a: Tensor, b: Tensor, kernel: Optional[KernelSpec] = None) -> Te
 
     Sums over every resolved RBF bandwidth:
     mean k(a,a) + mean k(b,b) - 2 mean k(a,b). Nonnegative per bandwidth.
+    One graph node over the pooled squared-distance matrix D of the n + m
+    rows X = [a; b], which also feeds the median heuristic. With the block
+    weights W (1/n^2, 1/m^2, -1/nm) the loss is sum W * sum_bw exp(-D/2bw);
+    for G = dL/dD, which is symmetric, dL/dX = 4 (diag(rowsum G) X - G X).
     """
     kernel = kernel or KernelSpec()
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeMismatch("mmd_squared", a.shape, b.shape)
-    if a.shape[0] < 2 or b.shape[0] < 2:
+    n, m = a.shape[0], b.shape[0]
+    if n < 2 or m < 2:
         raise ValueError("mmd_squared needs at least 2 samples per side")
-    bws = kernel.resolve(a.data, b.data)
+    x = np.concatenate([a.data, b.data], axis=0)
+    sq = np.sum(x ** 2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * x @ x.T
+    bws = kernel.resolve(d2)
 
-    sq_a = (a * a).sum(axis=1, keepdims=True)
-    sq_b = (b * b).sum(axis=1, keepdims=True)
-    d_aa = sq_a + sq_a.T - 2.0 * (a @ a.T)
-    d_bb = sq_b + sq_b.T - 2.0 * (b @ b.T)
-    d_ab = sq_a + sq_b.T - 2.0 * (a @ b.T)
-
-    total = None
+    weights = np.full((n + m, n + m), -1.0 / (n * m))
+    weights[:n, :n] = 1.0 / (n * n)
+    weights[n:, n:] = 1.0 / (m * m)
+    needs_grad = a.requires_grad or b.requires_grad
+    ksum = np.zeros_like(d2)
+    dk = np.zeros_like(d2) if needs_grad else None   # d(sum_bw k)/dD
     for bw in bws:
         scale = -0.5 / bw
-        term = ((d_aa * scale).exp().mean()
-                + (d_bb * scale).exp().mean()
-                - 2.0 * (d_ab * scale).exp().mean())
-        total = term if total is None else total + term
-    return total
+        k = np.exp(d2 * scale)
+        ksum += k
+        if needs_grad:
+            k *= scale
+            dk += k
+    value = np.sum(weights * ksum)
+
+    def back(g):
+        grad_d = (g * weights) * dk
+        rows = grad_d.sum(axis=1)
+        for t, part in ((a, slice(0, n)), (b, slice(n, n + m))):
+            if t.requires_grad:
+                gx = rows[part, None] * x[part] - grad_d[part] @ x
+                t._accum(4.0 * gx)
+    return Tensor._from_op(value, (a, b), "mmd_squared", back)
 
 
 def cross_entropy_hard(logits: Tensor, labels: Sequence[int]) -> Tensor:
@@ -127,9 +143,16 @@ def cross_entropy_hard(logits: Tensor, labels: Sequence[int]) -> Tensor:
         raise ShapeMismatch("cross_entropy_hard", logits.shape, labels.shape)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise ValueError(f"labels out of range [0, {k})")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    return -(log_softmax(logits) * Tensor(onehot)).sum() * (1.0 / n)
+    rows = np.arange(n)
+    logp = log_softmax_array(logits.data)
+    value = -logp[rows, labels].sum() * (1.0 / n)
+
+    def back(g):
+        # d/dz of -mean log p_y is (softmax(z) - onehot(y)) / n
+        d = np.exp(logp)
+        d[rows, labels] -= 1.0
+        logits._accum(d * (g / n))
+    return Tensor._from_op(value, (logits,), "cross_entropy_hard", back)
 
 
 def cross_entropy_soft(student_logits: Tensor, teacher_logits: Tensor,
@@ -143,5 +166,17 @@ def cross_entropy_soft(student_logits: Tensor, teacher_logits: Tensor,
                             teacher_logits.shape)
     n = student_logits.shape[0]
     teacher = teacher_logits.detach() if detach_teacher else teacher_logits
-    probs = log_softmax(teacher).exp()
-    return -(probs * log_softmax(student_logits)).sum() * (1.0 / n)
+    probs = np.exp(log_softmax_array(teacher.data))
+    logq = log_softmax_array(student_logits.data)
+    value = -(probs * logq).sum() * (1.0 / n)
+
+    def back(g):
+        scale = g / n
+        if student_logits.requires_grad:
+            # rows of probs sum to one: d/ds = (softmax(s) - probs) / n
+            student_logits._accum((np.exp(logq) - probs) * scale)
+        if teacher.requires_grad:
+            # softmax Jacobian applied to u = -log q / n
+            u = -logq * scale
+            teacher._accum(probs * (u - (probs * u).sum(axis=1, keepdims=True)))
+    return Tensor._from_op(value, (student_logits, teacher), "cross_entropy_soft", back)

@@ -15,7 +15,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 import numpy as np
 
 from .autodiff import (ParameterSet, Tensor, batch_norm, conv2d, dropout,
-                       maxpool2x2)
+                       linear, maxpool2x2)
 
 _CKPT_MAGIC = b"DACK"
 _CKPT_VERSION = 1
@@ -94,7 +94,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return linear(x, self.weight, self.bias)
 
 
 class BatchNorm(Module):

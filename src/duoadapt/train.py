@@ -307,7 +307,10 @@ def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
             raise RuntimeError(
                 f"step {step.name}: no gradient reached group {group} "
                 f"(e.g. {missing[0]})")
-        optimizer_step(pset, (group,), optimizers[group])
+        try:
+            optimizer_step(pset, (group,), optimizers[group])
+        except FloatingPointError as e:
+            raise FloatingPointError(f"step {step.name}, group {group}: {e}") from e
         losses.append(loss.item())
     return float(np.mean(losses))
 
@@ -341,8 +344,11 @@ def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
     reward = None
     for step in StepId:
         column, _ = STEP_MAP[step]
-        losses[column] = run_step(step, ms, mt, sampler, cfg, pset,
-                                  optimizers, kernel)
+        try:
+            losses[column] = run_step(step, ms, mt, sampler, cfg, pset,
+                                      optimizers, kernel)
+        except FloatingPointError as e:
+            raise FloatingPointError(f"epoch {epoch}: {e}") from e
         if step is StepId.S1_train_Cs:
             reward = compute_reward(ms, mt, sampler.target.inputs)
     ckpt_id = f"epoch_{epoch}"

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from duoadapt.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError,
-                          load_config, main, metrics_report)
+from duoadapt import train
+from duoadapt.autodiff import Adam
+from duoadapt.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
+                          ConfigError, load_config, main, metrics_report)
 
 FAST_OVERRIDES = [
     "task.samples_per_class=12",
@@ -114,12 +116,35 @@ def test_exit_codes_for_bad_config_and_missing_data(tmp_path, capsys):
     for overrides, key in ((["task.input_kind=image"], "task.input_kind"),
                            (["model.extractor=conv_stack"], "task.input_kind"),
                            (["model.extractor=resnet"], "model.extractor"),
-                           (["train.batch_size=1"], "batch_size")):
+                           (["train.batch_size=1"], "batch_size"),
+                           (["task.samples_per_class=1", "task.target_classes=0"],
+                            "task.samples_per_class")):
         args = [a for ov in overrides for a in ("--set", ov)]
         assert main(args + ["train"]) == EXIT_CONFIG, overrides
         assert key in capsys.readouterr().err, overrides
     assert main(_fast_args(tmp_path / "empty") + ["train"]) == EXIT_DATA
     assert "run gen-data first" in capsys.readouterr().err
+
+
+def test_non_finite_update_names_epoch_step_group_and_parameter(
+        tmp_path, monkeypatch, capsys):
+    class OverflowingAdam(Adam):
+        """Adam whose updates of the target RDA block are infinite."""
+
+        def step(self, params):
+            if any(name.startswith("Mt.Ft.") for name in params):
+                self.learning_rate = np.inf
+            with np.errstate(invalid="ignore", over="ignore"):
+                super().step(params)
+
+    monkeypatch.setattr(train, "Adam", OverflowingAdam)
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    assert main(_fast_args(out) + ["train"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    for part in ("epoch 1:", "step S4_align_Ft", "group phi_t",
+                 "non-finite values in parameter 'Mt.Ft."):
+        assert part in err, err
 
 
 def test_gen_data_writes_files_and_manifest(tmp_path):

@@ -1,0 +1,329 @@
+"""Oracle tests for the one-node layers and losses.
+
+Each fused op is compared with the unfused composition of elementary Tensor
+ops it replaces, written out below; values and gradients must agree to
+1e-10 (relative to the larger magnitude when that exceeds 1). Every op is
+also checked against central finite differences.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from duoadapt.autodiff import (ShapeMismatch, Tensor, batch_norm, grad_check,
+                               linear, log_softmax)
+from duoadapt.losses import (KernelSpec, cross_entropy_hard,
+                             cross_entropy_soft, mmd_squared)
+
+TOL = 1e-10
+
+
+# -- unfused compositions (the oracles) ---------------------------------------
+
+def _linear_ref(x, w, b):
+    return x @ w + b
+
+
+def _batch_norm_ref(x, gamma, beta, running_mean, running_var, training,
+                    momentum=0.9, eps=1e-5, update_stats=True):
+    if x.ndim == 2:
+        axes, shape = (0,), (1, -1)
+    else:
+        axes, shape = (0, 2, 3), (1, -1, 1, 1)
+    if training:
+        mu = x.mean(axis=axes, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=axes, keepdims=True)
+        if update_stats:
+            running_mean[...] = momentum * running_mean + (1 - momentum) * mu.data.reshape(-1)
+            running_var[...] = momentum * running_var + (1 - momentum) * var.data.reshape(-1)
+        xn = (x - mu) / (var + eps).sqrt()
+    else:
+        xn = ((x - Tensor(running_mean.reshape(shape)))
+              / Tensor(np.sqrt(running_var.reshape(shape) + eps)))
+    return xn * gamma.reshape(shape) + beta.reshape(shape)
+
+
+def _log_softmax_ref(x):
+    shift = x - Tensor(x.data.max(axis=-1, keepdims=True))
+    return shift - shift.exp().sum(axis=-1, keepdims=True).log()
+
+
+def _cross_entropy_hard_ref(logits, labels):
+    n, k = logits.shape
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
+    return -(_log_softmax_ref(logits) * Tensor(onehot)).sum() * (1.0 / n)
+
+
+def _cross_entropy_soft_ref(student, teacher, detach_teacher=True):
+    n = student.shape[0]
+    teacher = teacher.detach() if detach_teacher else teacher
+    probs = _log_softmax_ref(teacher).exp()
+    return -(probs * _log_softmax_ref(student)).sum() * (1.0 / n)
+
+
+def _median_bandwidths(a, b):
+    pool = np.concatenate([a, b], axis=0)
+    sq = np.sum(pool ** 2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * pool @ pool.T
+    med = float(np.median(d2[np.triu_indices(len(pool), k=1)]))
+    return [med * s for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
+
+
+def _mmd_ref(a, b, bws):
+    sq_a = (a * a).sum(axis=1, keepdims=True)
+    sq_b = (b * b).sum(axis=1, keepdims=True)
+    d_aa = sq_a + sq_a.T - 2.0 * (a @ a.T)
+    d_bb = sq_b + sq_b.T - 2.0 * (b @ b.T)
+    d_ab = sq_a + sq_b.T - 2.0 * (a @ b.T)
+    total = None
+    for bw in bws:
+        scale = -0.5 / bw
+        term = ((d_aa * scale).exp().mean()
+                + (d_bb * scale).exp().mean()
+                - 2.0 * (d_ab * scale).exp().mean())
+        total = term if total is None else total + term
+    return total
+
+
+# -- comparison harness -------------------------------------------------------
+
+def _close(got, want):
+    want = np.asarray(want, dtype=np.float64)
+    err = np.max(np.abs(np.asarray(got) - want)) if want.size else 0.0
+    return err <= TOL * max(1.0, float(np.max(np.abs(want))) if want.size else 1.0)
+
+
+def _leaves(arrays, grads):
+    return [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, grads)]
+
+
+def _agree(fused, ref, arrays, grads, weights=None):
+    """Run the fused op and its oracle on fresh leaves; compare outputs
+    and the gradients of sum(weights * out) for every leaf that requires
+    one."""
+    outs = []
+    for build in (fused, ref):
+        leaves = _leaves(arrays, grads)
+        out = build(*leaves)
+        w = np.ones(out.shape) if weights is None else weights
+        (out * Tensor(w)).sum().backward()
+        outs.append((out.data, [t.grad for t in leaves]))
+    (f_out, f_grads), (r_out, r_grads) = outs
+    assert f_out.shape == r_out.shape
+    assert _close(f_out, r_out), (f_out, r_out)
+    for i, (fg, rg) in enumerate(zip(f_grads, r_grads)):
+        if not grads[i]:
+            assert fg is None, f"constant input {i} received a gradient"
+            continue
+        assert fg is not None and _close(fg, rg), (i, fg, rg)
+
+
+# -- linear -------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_linear_matches_composition(n, i, o, seed, x_grad):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal((n, i)), rng.standard_normal((i, o)),
+              rng.standard_normal(o)]
+    _agree(linear, _linear_ref, arrays, [x_grad, True, True],
+           rng.standard_normal((n, o)))
+
+
+def test_linear_is_exact_and_one_node():
+    rng = np.random.default_rng(0)
+    x, w, b = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (3,)))
+    out = linear(Tensor(x), Tensor(w, requires_grad=True), Tensor(b))
+    assert np.array_equal(out.data, x @ w + b)
+    assert out._op == "linear" and len(out._parents) == 3
+
+
+def test_linear_rejects_bad_shapes():
+    x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeMismatch, match="linear"):
+        linear(x, Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
+    with pytest.raises(ShapeMismatch, match="linear"):
+        linear(x, w, Tensor(np.ones(3)))
+
+
+def test_grad_check_linear():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    report = grad_check(lambda: (linear(x, w, b) ** 2).mean(),
+                        {"x": x, "w": w, "b": b}, tolerance=1e-6)
+    assert report.passed, report.failures()
+
+
+# -- batch norm ---------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 5), st.booleans(), st.booleans(),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_batch_norm_matches_composition(n, c, four_d, training, update_stats,
+                                        seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, c, int(rng.integers(1, 4)), int(rng.integers(1, 4))) if four_d else (n, c)
+    x = rng.standard_normal(shape) * rng.uniform(0.5, 3.0) + rng.uniform(-2, 2)
+    gamma = rng.uniform(0.5, 2.0, c)
+    beta = rng.standard_normal(c)
+    stats = (rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
+    buffers = {}
+
+    def run(fn, key):
+        def build(xt, gt, bt):
+            rm, rv = (s.copy() for s in stats)
+            buffers[key] = (rm, rv)
+            return fn(xt, gt, bt, rm, rv, training=training,
+                      update_stats=update_stats)
+        return build
+
+    _agree(run(batch_norm, "fused"), run(_batch_norm_ref, "ref"),
+           [x, gamma, beta], [True, True, True], rng.standard_normal(shape))
+    for got, want, before in zip(buffers["fused"], buffers["ref"], stats):
+        assert _close(got, want)
+        if not (training and update_stats):
+            assert np.array_equal(got, before)
+
+
+def test_batch_norm_constant_input_gets_no_grad():
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.standard_normal((6, 3)))
+    gamma = Tensor(np.ones(3), requires_grad=True)
+    beta = Tensor(np.zeros(3))
+    (batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), training=True) ** 2).sum().backward()
+    assert gamma.grad is not None
+    assert x.grad is None and beta.grad is None
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 2, 2, 2)])
+@pytest.mark.parametrize("training", [True, False])
+def test_grad_check_batch_norm(shape, training):
+    rng = np.random.default_rng(3)
+    c = shape[1]
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 2.0, c), requires_grad=True)
+    beta = Tensor(rng.standard_normal(c), requires_grad=True)
+    weights = Tensor(rng.standard_normal(shape))
+    rm, rv = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+
+    def loss_fn():
+        out = batch_norm(x, gamma, beta, rm, rv, training=training,
+                         update_stats=False)
+        return (out * weights).sum()
+
+    report = grad_check(loss_fn, {"x": x, "gamma": gamma, "beta": beta},
+                        tolerance=1e-6)
+    assert report.passed, report.failures()
+
+
+# -- log-softmax and cross-entropies -------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+def test_log_softmax_matches_composition(n, k, seed):
+    rng = np.random.default_rng(seed)
+    _agree(log_softmax, _log_softmax_ref, [rng.standard_normal((n, k)) * 5],
+           [True], rng.standard_normal((n, k)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+def test_cross_entropy_hard_matches_composition(n, k, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, n)
+    _agree(lambda z: cross_entropy_hard(z, labels),
+           lambda z: _cross_entropy_hard_ref(z, labels),
+           [rng.standard_normal((n, k)) * 3], [True])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 6), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_cross_entropy_soft_matches_composition(n, k, seed, detach):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal((n, k)) * 3, rng.standard_normal((n, k)) * 3]
+    _agree(lambda s, t: cross_entropy_soft(s, t, detach_teacher=detach),
+           lambda s, t: _cross_entropy_soft_ref(s, t, detach_teacher=detach),
+           arrays, [True, not detach])
+
+
+def test_cross_entropy_soft_detached_teacher_gets_no_grad():
+    rng = np.random.default_rng(4)
+    s = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    t = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    cross_entropy_soft(s, t).backward()
+    assert s.grad is not None and t.grad is None
+
+
+def test_grad_check_log_softmax_and_cross_entropies():
+    rng = np.random.default_rng(5)
+    z = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    t = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    labels = rng.integers(0, 3, 4)
+    weights = Tensor(rng.standard_normal((4, 3)))
+    for loss_fn, params in (
+            (lambda: (log_softmax(z) * weights).sum(), {"z": z}),
+            (lambda: cross_entropy_hard(z, labels), {"z": z}),
+            (lambda: cross_entropy_soft(z, t, detach_teacher=False),
+             {"student": z, "teacher": t})):
+        report = grad_check(loss_fn, params, tolerance=1e-6)
+        assert report.passed, report.failures()
+
+
+# -- pooled-distance MMD --------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 9), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["fixed", "median"]),
+       st.sampled_from([(True, True), (True, False), (False, True)]))
+def test_mmd_matches_composition(n, m, d, seed, rule, grads):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d))
+    b = rng.standard_normal((m, d)) + rng.uniform(-1, 1)
+    if rule == "fixed":
+        bws = rng.uniform(0.3, 5.0, int(rng.integers(1, 4))).tolist()
+        kernel = KernelSpec(bandwidths=bws, bandwidth_rule="fixed")
+    else:
+        bws = _median_bandwidths(a, b)
+        kernel = KernelSpec()
+    _agree(lambda x, y: mmd_squared(x, y, kernel),
+           lambda x, y: _mmd_ref(x, y, bws), [a, b], list(grads))
+
+
+def test_mmd_resolve_reads_the_pooled_distances():
+    rng = np.random.default_rng(6)
+    a, b = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    seen = []
+
+    class Recording(KernelSpec):
+        def resolve(self, d2):
+            seen.append(d2)
+            return super().resolve(d2)
+
+    mmd_squared(Tensor(a), Tensor(b), Recording())
+    pool = np.concatenate([a, b])
+    direct = ((pool[:, None] - pool[None]) ** 2).sum(axis=-1)
+    assert seen[0].shape == (9, 9) and _close(seen[0], direct)
+    assert np.allclose(Recording().resolve(seen[0]), _median_bandwidths(a, b),
+                       rtol=1e-12)
+
+
+def test_mmd_rejects_nonpositive_bandwidths():
+    kernel = KernelSpec(bandwidths=[1.0, 0.0], bandwidth_rule="fixed")
+    with pytest.raises(ValueError, match="positive"):
+        mmd_squared(Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), kernel)
+
+
+def test_grad_check_mmd_one_sided():
+    rng = np.random.default_rng(7)
+    a = Tensor(rng.standard_normal((4, 3)))
+    b = Tensor(rng.standard_normal((5, 3)) + 0.5, requires_grad=True)
+    kernel = KernelSpec(bandwidths=[0.5, 2.0], bandwidth_rule="fixed")
+    report = grad_check(lambda: mmd_squared(a, b, kernel), {"b": b},
+                        tolerance=1e-6)
+    assert report.passed, report.failures()
+    assert a.grad is None

@@ -131,7 +131,8 @@ def test_mmd_median_heuristic_bandwidths():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 3))
     b = rng.standard_normal((4, 3))
-    bws = KernelSpec().resolve(a, b)
+    pooled = np.concatenate([a, b])
+    bws = KernelSpec().resolve(((pooled[:, None] - pooled[None]) ** 2).sum(axis=-1))
     pool = np.concatenate([a, b])
     d2 = np.array([np.sum((u - v) ** 2) for i, u in enumerate(pool)
                    for v in pool[i + 1:]])

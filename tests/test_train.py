@@ -8,7 +8,8 @@ from duoadapt.model import (BatchNorm, Checkpoint, Dropout, build_models,
                             parameter_groups)
 from duoadapt.train import (STEP_MAP, TRACE_COLUMNS, BatchSampler, ModelConfig,
                             RewardTrace, StepId, TraceRow, TrainConfig,
-                            _teacher_mode, build_extractor, compute_reward,
+                            _teacher_mode, build_extractor, build_pair,
+                            compute_reward,
                             ensemble_accuracy, eval_mode,
                             pretrain_contrastive, run_epoch, run_step,
                             selection_study, stopping_check,
@@ -301,3 +302,34 @@ def test_selection_study_regrets():
     trace.rows[0].target_accuracy = None
     with pytest.raises(ValueError, match="accuracies"):
         selection_study(trace)
+
+
+def test_graph_nodes_per_backward_stay_small(monkeypatch):
+    # one epoch of the schedule with the default model: each layer and loss
+    # is one graph node (114 nodes per backward when they were composed)
+    source, target, _ = _task(samples_per_class=40)
+    cfg = TrainConfig(iters_per_step=2, batch_size=32)
+    ms, mt = build_pair(ModelConfig(), 2, source.inputs.shape[-1], seed=0)
+    ms.extractor_s.mark_pretrained()
+    ms.extractor_t.mark_pretrained()
+    pset = parameter_groups(ms, mt)
+    optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    sampler = BatchSampler(source, target, cfg.batch_size, np.random.default_rng(0))
+    counts = {"nodes": 0, "backward": 0}
+    from_op, backward = Tensor._from_op, Tensor.backward
+
+    def counting_from_op(data, parents, op, back):
+        out = from_op(data, parents, op, back)
+        counts["nodes"] += out._backward is not None
+        return out
+
+    def counting_backward(self):
+        counts["backward"] += 1
+        backward(self)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting_from_op))
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    for step in StepId:
+        run_step(step, ms, mt, sampler, cfg, pset, optimizers)
+    assert counts["backward"] == 6 * cfg.iters_per_step
+    assert counts["nodes"] / counts["backward"] <= 30, counts
