@@ -8,7 +8,7 @@ agreement-based stopping rule.
 """
 
 from .autodiff import (Adam, GradError, ParameterSet, SGD, ShapeMismatch,
-                       Tensor, grad_check, optimizer_step)
+                       Tensor, grad_check)
 from .data import (AugmentationConfig, Dataset, PdaTaskSpec, augment_pair,
                    gen_synthetic_pda, load_dataset, save_dataset,
                    spectrogram_ingest)

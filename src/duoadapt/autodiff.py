@@ -559,11 +559,6 @@ class Adam:
                 raise FloatingPointError(f"non-finite values in parameter {name!r}")
 
 
-def optimizer_step(params: ParameterSet, group_ids: Iterable[str], optimizer) -> None:
-    """Apply one optimizer update to exactly the named groups."""
-    optimizer.step(params.subset(group_ids))
-
-
 # -- gradient checking --------------------------------------------------------
 
 @dataclass

@@ -228,12 +228,21 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _load_checked(path, labeled: bool) -> Dataset:
+    ds = load_dataset(path)
+    if len(ds) == 0 or (labeled and ds.labels is None):
+        what = "is empty" if len(ds) == 0 else "has no labels"
+        raise DatasetFormatError(f"{path}: dataset {what}")
+    return ds
+
+
 def _load_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, Dataset]:
     paths = [cfg.output_dir / n for n in _DATA_FILES]
     for p in paths:
         if not p.exists():
             raise FileNotFoundError(f"missing dataset file {p}; run gen-data first")
-    return tuple(load_dataset(p) for p in paths)  # type: ignore[return-value]
+    return tuple(_load_checked(p, labeled)  # type: ignore[return-value]
+                 for p, labeled in zip(paths, (True, False, True)))
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
@@ -261,11 +270,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
              dataset_path: str) -> int:
     ckpt = load_checkpoint(checkpoint_path)
-    ds = load_dataset(dataset_path)
-    if len(ds) == 0:
-        raise ValueError(f"empty dataset {dataset_path}")
-    if ds.labels is None:
-        raise ValueError("eval requires a labeled dataset")
+    ds = _load_checked(dataset_path, labeled=True)
     if ckpt.config_hash and ckpt.config_hash != cfg.config_hash:
         print(f"warning: checkpoint hash {ckpt.config_hash} != "
               f"config hash {cfg.config_hash}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Scalar training objectives: contrastive, kernel two-sample, cross-entropy.
 
 All functions build on the autodiff Tensor and are differentiable with
-respect to every non-detached input.
+respect to every input that requires gradients, except the soft
+cross-entropy's teacher, which is a constant target.
 """
 from __future__ import annotations
 
@@ -155,28 +156,21 @@ def cross_entropy_hard(logits: Tensor, labels: Sequence[int]) -> Tensor:
     return Tensor._from_op(value, (logits,), "cross_entropy_hard", back)
 
 
-def cross_entropy_soft(student_logits: Tensor, teacher_logits: Tensor,
-                       detach_teacher: bool = True) -> Tensor:
+def cross_entropy_soft(student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
     """Mean cross-entropy of the student against the teacher's softmax.
 
-    The teacher is treated as a constant target by default.
+    The teacher is a constant target: it is no parent of the node and gets
+    no gradient.
     """
     if student_logits.shape != teacher_logits.shape:
         raise ShapeMismatch("cross_entropy_soft", student_logits.shape,
                             teacher_logits.shape)
     n = student_logits.shape[0]
-    teacher = teacher_logits.detach() if detach_teacher else teacher_logits
-    probs = np.exp(log_softmax_array(teacher.data))
+    probs = np.exp(log_softmax_array(teacher_logits.data))
     logq = log_softmax_array(student_logits.data)
     value = -(probs * logq).sum() * (1.0 / n)
 
     def back(g):
-        scale = g / n
-        if student_logits.requires_grad:
-            # rows of probs sum to one: d/ds = (softmax(s) - probs) / n
-            student_logits._accum((np.exp(logq) - probs) * scale)
-        if teacher.requires_grad:
-            # softmax Jacobian applied to u = -log q / n
-            u = -logq * scale
-            teacher._accum(probs * (u - (probs * u).sum(axis=1, keepdims=True)))
-    return Tensor._from_op(value, (student_logits, teacher), "cross_entropy_soft", back)
+        # rows of probs sum to one: d/ds = (softmax(s) - probs) / n
+        student_logits._accum((np.exp(logq) - probs) * (g / n))
+    return Tensor._from_op(value, (student_logits,), "cross_entropy_soft", back)

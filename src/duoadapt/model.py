@@ -4,7 +4,7 @@ Each domain owns one model: a frozen contrastively-pretrained extractor,
 a residual adaptation block (identity for own-domain features, learned
 residual correction for cross-domain features), and a classification
 head over the full source label space. Final predictions fuse the two
-models by summing their logits.
+models by summing their logits. Everything after ``extract`` reads features.
 """
 from __future__ import annotations
 
@@ -172,12 +172,9 @@ class MlpExtractor(Extractor):
         self.feature_dim = feature_dim
 
     def features(self, x: Tensor) -> Tensor:
-        h = x
-        for i, layer in enumerate(self.layers):
-            h = layer(h)
-            if i < len(self.layers) - 1:
-                h = h.relu()
-        return h
+        for layer in self.layers[:-1]:
+            x = layer(x).relu()
+        return self.layers[-1](x)
 
 
 class ConvExtractor(Extractor):
@@ -199,8 +196,7 @@ class ConvExtractor(Extractor):
         h = x
         for conv, bn in zip(self.convs, self.bns):
             h = maxpool2x2(bn(conv(h)).relu())
-        n = h.shape[0]
-        return self.fc(h.reshape(n, -1))
+        return self.fc(h.reshape(h.shape[0], -1))
 
 
 # -- adaptation block and classifier -----------------------------------------
@@ -259,20 +255,18 @@ class DomainClassifier(DenseStack):
     def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
                  hidden: Sequence[int] = (128, 64), dropout_p: float = 0.1):
         super().__init__(dim, n_classes, rng, hidden, dropout_p)
-        self.n_classes = n_classes
 
 
 class DomainWiseModel(Module):
     """One domain's classifier: shared frozen extractors + own RDA + head."""
 
     def __init__(self, extractor_s: Module, extractor_t: Module,
-                 rda: RdaBlock, classifier: DomainClassifier, domain: str):
+                 rda: RdaBlock, classifier: DomainClassifier):
         super().__init__()
         self.extractor_s = extractor_s
         self.extractor_t = extractor_t
         self.rda = rda
         self.classifier = classifier
-        self.domain = domain
 
 
 def extract(model: DomainWiseModel, x: Tensor, domain_of_x: str) -> Tensor:
@@ -284,18 +278,22 @@ def extract(model: DomainWiseModel, x: Tensor, domain_of_x: str) -> Tensor:
     return ext.features(x)
 
 
-def classifier_logits(model: DomainWiseModel, x: Tensor, domain_of_x: str) -> Tensor:
-    """extractor -> adaptation block -> classifier; raw logits out."""
-    z = extract(model, x, domain_of_x)
-    return model.classifier(rda_forward(model.rda, z, domain_of_x))
+def classifier_logits(model: DomainWiseModel, z: Tensor, domain_of_z: str) -> Tensor:
+    """Features -> adaptation block -> classifier; raw logits out."""
+    return model.classifier(rda_forward(model.rda, z, domain_of_z))
+
+
+def fused_logits(ms: DomainWiseModel, mt: DomainWiseModel,
+                 z_t: Tensor) -> np.ndarray:
+    """Sum of the two models' logits on target features."""
+    return (classifier_logits(ms, z_t, "target").data
+            + classifier_logits(mt, z_t, "target").data)
 
 
 def ensemble_predict(ms: DomainWiseModel, mt: DomainWiseModel,
                      x_t: Tensor) -> Tuple[np.ndarray, np.ndarray]:
-    """Fuse the two models on target samples by summing their logits."""
-    c_s = classifier_logits(ms, x_t, "target").data
-    c_t = classifier_logits(mt, x_t, "target").data
-    fused = c_s + c_t
+    """Fuse the two models on raw target samples by summing their logits."""
+    fused = fused_logits(ms, mt, extract(ms, x_t, "target"))
     fused = fused - fused.max(axis=1, keepdims=True)
     e = np.exp(fused)
     dist = e / e.sum(axis=1, keepdims=True)
@@ -311,14 +309,12 @@ def build_models(n_classes: int, extractor_s: Module, extractor_t: Module,
     if extractor_t.feature_dim != dim:
         raise ValueError("extractor feature dims differ")
     rng = np.random.default_rng(seed)
-    ms = DomainWiseModel(extractor_s, extractor_t,
-                         RdaBlock(dim, "source", rng, rda_hidden, dropout_p),
-                         DomainClassifier(dim, n_classes, rng, clf_hidden, dropout_p),
-                         domain="source")
-    mt = DomainWiseModel(extractor_s, extractor_t,
-                         RdaBlock(dim, "target", rng, rda_hidden, dropout_p),
-                         DomainClassifier(dim, n_classes, rng, clf_hidden, dropout_p),
-                         domain="target")
+    # built in order, source first: both draw from the one stream
+    ms, mt = (DomainWiseModel(extractor_s, extractor_t,
+                              RdaBlock(dim, domain, rng, rda_hidden, dropout_p),
+                              DomainClassifier(dim, n_classes, rng, clf_hidden,
+                                               dropout_p))
+              for domain in ("source", "target"))
     return ms, mt
 
 

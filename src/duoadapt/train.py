@@ -5,7 +5,8 @@ One epoch runs six sequential steps, each minimizing exactly one loss
 over exactly one parameter group. The agreement reward (fraction of
 target samples on which the two models predict the same class) is
 measured once per epoch, right after step 1, and drives both stopping
-and best-model selection.
+and best-model selection. The extractors are frozen once pretrained, so
+each dataset is extracted once and everything after reads feature rows.
 """
 from __future__ import annotations
 
@@ -18,14 +19,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .autodiff import Adam, ParameterSet, Tensor, optimizer_step
+from .autodiff import Adam, ParameterSet, Tensor
 from .data import AugmentationConfig, Dataset, augment_pair
-from .losses import (ContrastiveBatch, KernelSpec, cross_entropy_hard,
-                     cross_entropy_soft, mmd_squared, nt_xent)
+from .losses import (ContrastiveBatch, cross_entropy_hard, cross_entropy_soft,
+                     mmd_squared, nt_xent)
 from .model import (BatchNorm, Checkpoint, ConvExtractor, DomainClassifier,
-                    DomainWiseModel, Dropout, Module, MlpExtractor,
-                    build_models, classifier_logits, ensemble_predict,
-                    extract, parameter_groups, rda_forward)
+                    DomainWiseModel, Dropout, MlpExtractor, build_models,
+                    classifier_logits, extract, fused_logits,
+                    parameter_groups, rda_forward)
 
 
 @dataclass
@@ -139,8 +140,8 @@ def _fmt(x: Optional[float]) -> str:
 # -- mode helpers -------------------------------------------------------------
 
 @contextmanager
-def _override(settings: Iterable[Tuple[Module, str, bool]]):
-    """Set each (module, attribute, value) for the body, then restore the
+def _override(settings: Iterable[Tuple[object, str, bool]]):
+    """Set each (object, attribute, value) for the body, then restore the
     values the attributes had before, even when the body raises."""
     settings = list(settings)
     saved = [(m, attr, getattr(m, attr)) for m, attr, _ in settings]
@@ -159,16 +160,17 @@ def eval_mode(*models: DomainWiseModel):
 
 
 def _teacher_mode(model: DomainWiseModel):
-    """Deterministic guidance forward: dropout off, batch stats unpolluted."""
+    """Guidance forward: no dropout, no stats updates, no graph recorded."""
     return _override(
-        (m, "training" if isinstance(m, Dropout) else "update_stats", False)
-        for _, m in model.walk() if isinstance(m, (Dropout, BatchNorm)))
+        [(m, "training" if isinstance(m, Dropout) else "update_stats", False)
+         for _, m in model.walk() if isinstance(m, (Dropout, BatchNorm))]
+        + [(t, "requires_grad", False) for t in model.named_parameters().values()])
 
 
 # -- batch sampling -----------------------------------------------------------
 
 class BatchSampler:
-    """Fresh random minibatches per iteration, all draws from one stream."""
+    """Fresh random minibatches of (feature) rows, all draws from one stream."""
 
     def __init__(self, source: Dataset, target: Dataset, batch_size: int,
                  rng: np.random.Generator):
@@ -223,6 +225,11 @@ def build_pair(model_cfg: ModelConfig, n_classes: int, in_dim: int,
                         dropout_p=model_cfg.dropout_p)
 
 
+def extract_dataset(model: DomainWiseModel, ds: Dataset, domain: str) -> Dataset:
+    """``ds`` with its inputs replaced by ``domain``'s frozen features."""
+    return Dataset(extract(model, ds.inputs, domain), ds.labels, ds.domain, ds.spec)
+
+
 def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
                          aug: Optional[AugmentationConfig] = None,
                          rng: Optional[np.random.Generator] = None
@@ -266,23 +273,21 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
 # -- interactive schedule -----------------------------------------------------
 
 def _step_loss(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
-               sampler: BatchSampler, cfg: TrainConfig,
-               kernel: KernelSpec) -> Tensor:
+               sampler: BatchSampler, cfg: TrainConfig) -> Tensor:
     _, group = STEP_MAP[step]
     model, other = (ms, mt) if group.endswith("_s") else (mt, ms)
     if step in SOURCE_CE_STEPS:
-        xs, ys = sampler.source_batch()
-        return cross_entropy_hard(classifier_logits(model, xs, "source"), ys)
+        zs, ys = sampler.source_batch()
+        return cross_entropy_hard(classifier_logits(model, zs, "source"), ys)
     if step in ALIGN_STEPS:
-        xs, _ = sampler.source_batch()
-        xt = sampler.target_batch()
-        a = rda_forward(model.rda, extract(model, xs, "source"), "source")
-        b = rda_forward(model.rda, extract(model, xt, "target"), "target")
-        return mmd_squared(a, b, kernel)
-    xt = sampler.target_batch()
+        zs, _ = sampler.source_batch()
+        zt = sampler.target_batch()
+        return mmd_squared(rda_forward(model.rda, zs, "source"),
+                           rda_forward(model.rda, zt, "target"))
+    zt = sampler.target_batch()
     with _teacher_mode(other):
-        teacher = classifier_logits(other, xt, "target").detach()
-    student = classifier_logits(model, xt, "target")
+        teacher = classifier_logits(other, zt, "target")
+    student = classifier_logits(model, zt, "target")
     # hard pseudo-labels are an option of the guidance step S3 only; the
     # feedback step S6 always follows the target model's soft predictions
     if cfg.soft_pseudo or step is StepId.S6_feedback_Fs:
@@ -292,52 +297,57 @@ def _step_loss(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
 
 def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
              sampler: BatchSampler, cfg: TrainConfig, pset: ParameterSet,
-             optimizers: Dict[str, Adam],
-             kernel: Optional[KernelSpec] = None) -> float:
+             optimizers: Dict[str, Adam]) -> float:
     """Run one schedule step: iters_per_step updates of one group only."""
-    kernel = kernel or KernelSpec()
     _, group = STEP_MAP[step]
+    params = pset.subset((group,))
     losses = []
     for _ in range(cfg.iters_per_step):
-        loss = _step_loss(step, ms, mt, sampler, cfg, kernel)
+        loss = _step_loss(step, ms, mt, sampler, cfg)
         pset.zero_grad()
         loss.backward()
-        missing = [n for n, t in pset.subset((group,)).items() if t.grad is None]
+        missing = [n for n, t in params.items() if t.grad is None]
         if missing:
             raise RuntimeError(
                 f"step {step.name}: no gradient reached group {group} "
                 f"(e.g. {missing[0]})")
         try:
-            optimizer_step(pset, (group,), optimizers[group])
+            optimizers[group].step(params)
         except FloatingPointError as e:
             raise FloatingPointError(f"step {step.name}, group {group}: {e}") from e
         losses.append(loss.item())
     return float(np.mean(losses))
 
 
-def compute_reward(ms: DomainWiseModel, mt: DomainWiseModel, x_t: Tensor) -> float:
+def compute_reward(ms: DomainWiseModel, mt: DomainWiseModel, z_t: Tensor) -> float:
     """Agreement fraction of the two models' argmax predictions on targets."""
-    if x_t.shape[0] == 0:
+    if z_t.shape[0] == 0:
         raise ValueError("empty target set")
     with eval_mode(ms, mt):
-        p_s = classifier_logits(ms, x_t, "target").data.argmax(axis=1)
-        p_t = classifier_logits(mt, x_t, "target").data.argmax(axis=1)
+        p_s = classifier_logits(ms, z_t, "target").data.argmax(axis=1)
+        p_t = classifier_logits(mt, z_t, "target").data.argmax(axis=1)
     return float(np.mean(p_s == p_t))
+
+
+def _accuracy(ms: DomainWiseModel, mt: DomainWiseModel, eval_z: Dataset) -> float:
+    """Logit-fusion accuracy on labeled target features."""
+    with eval_mode(ms, mt):
+        preds = fused_logits(ms, mt, eval_z.inputs).argmax(axis=1)
+    return float(np.mean(preds == np.asarray(eval_z.labels)))
 
 
 def ensemble_accuracy(ms: DomainWiseModel, mt: DomainWiseModel,
                       eval_target: Dataset) -> float:
-    with eval_mode(ms, mt):
-        preds, _ = ensemble_predict(ms, mt, eval_target.inputs)
-    return float(np.mean(preds == np.asarray(eval_target.labels)))
+    """Logit-fusion accuracy on a labeled raw-input target set."""
+    return _accuracy(ms, mt, extract_dataset(ms, eval_target, "target"))
 
 
 def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
               cfg: TrainConfig, pset: ParameterSet, optimizers: Dict[str, Adam],
               trace: RewardTrace, epoch: int,
-              kernel: Optional[KernelSpec] = None,
               eval_target: Optional[Dataset] = None) -> TraceRow:
-    """One pass of S1..S6; the reward is measured right after S1."""
+    """One pass of S1..S6; the reward is measured right after S1. The
+    sampler and ``eval_target`` hold features."""
     ms.set_training(True)
     mt.set_training(True)
     losses: Dict[str, float] = {}
@@ -346,17 +356,15 @@ def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
         column, _ = STEP_MAP[step]
         try:
             losses[column] = run_step(step, ms, mt, sampler, cfg, pset,
-                                      optimizers, kernel)
+                                      optimizers)
         except FloatingPointError as e:
             raise FloatingPointError(f"epoch {epoch}: {e}") from e
         if step is StepId.S1_train_Cs:
             reward = compute_reward(ms, mt, sampler.target.inputs)
-    ckpt_id = f"epoch_{epoch}"
     acc = None
     if eval_target is not None and eval_target.labels is not None:
-        acc = ensemble_accuracy(ms, mt, eval_target)
-    row = TraceRow(epoch=epoch, V=reward, losses=losses,
-                   checkpoint_id=ckpt_id, target_accuracy=acc)
+        acc = _accuracy(ms, mt, eval_target)
+    row = TraceRow(epoch, reward, losses, f"epoch_{epoch}", acc)
     trace.append(row)
     return row
 
@@ -384,11 +392,10 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
                       model_cfg: Optional[ModelConfig] = None,
                       eval_target: Optional[Dataset] = None,
                       aug: Optional[AugmentationConfig] = None,
-                      config_hash: str = "",
-                      kernel: Optional[KernelSpec] = None) -> TrainResult:
-    """Full pipeline: pretrain both extractors, then interactive epochs
-    until the reward threshold or the epoch budget is hit. The returned
-    models are restored to the best checkpoint by max reward."""
+                      config_hash: str = "") -> TrainResult:
+    """Full pipeline: pretrain both extractors, extract each dataset once,
+    then interactive epochs until the reward threshold or the epoch budget
+    is hit. The returned models are restored to the best checkpoint."""
     model_cfg = model_cfg or ModelConfig()
     if source.labels is None:
         raise ValueError("source dataset must be labeled")
@@ -403,11 +410,14 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
     pset = parameter_groups(ms, mt)
     optimizers = {g: Adam(cfg.learning_rate)
                   for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
-    sampler = BatchSampler(source, target, cfg.batch_size,
-                           np.random.default_rng(cfg.seed + 19))
+    sampler = BatchSampler(extract_dataset(ms, source, "source"),
+                           extract_dataset(ms, target, "target"),
+                           cfg.batch_size, np.random.default_rng(cfg.seed + 19))
+    eval_z = (None if eval_target is None
+              else extract_dataset(ms, eval_target, "target"))
     for epoch in range(1, cfg.epochs + 1):
         row = run_epoch(ms, mt, sampler, cfg, pset, optimizers, trace, epoch,
-                        kernel, eval_target)
+                        eval_z)
         verdict, best_id = stopping_check(trace, cfg)
         if best_id == row.checkpoint_id:
             best = Checkpoint.capture(ms, mt, epoch, row.V, config_hash)
@@ -450,12 +460,11 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
     opt = Adam(cfg.learning_rate)
     srng = np.random.default_rng(cfg.seed + 29)
     n = len(source)
-    total_iters = cfg.epochs * 6 * cfg.iters_per_step
-    for _ in range(total_iters):
+    z = g.features(source.inputs).data
+    for _ in range(cfg.epochs * 6 * cfg.iters_per_step):
         idx = srng.choice(n, size=min(cfg.batch_size, n), replace=False)
-        x = Tensor(source.inputs.data[idx])
         ys = [source.labels[i] for i in idx]
-        loss = cross_entropy_hard(clf(g.features(x)), ys)
+        loss = cross_entropy_hard(clf(Tensor(z[idx])), ys)
         for t in params.values():
             t.zero_grad()
         loss.backward()

@@ -14,12 +14,12 @@ from duoadapt.data import (PdaTaskSpec, _class_means, gen_synthetic_pda)
 from duoadapt.losses import (ContrastiveBatch, KernelSpec, cross_entropy_hard,
                              cross_entropy_soft, mmd_squared, nt_xent)
 from duoadapt.model import (MlpExtractor, RdaBlock, build_models,
-                            classifier_logits, load_checkpoint,
+                            classifier_logits, extract, load_checkpoint,
                             parameter_groups, rda_forward, save_checkpoint)
 from duoadapt.train import (STEP_MAP, BatchSampler, ModelConfig, StepId,
-                            TrainConfig, build_extractor, pretrain_contrastive,
-                            run_step, selection_study, train_interactive,
-                            train_source_only_baseline)
+                            TrainConfig, build_extractor, extract_dataset,
+                            pretrain_contrastive, run_step, selection_study,
+                            train_interactive, train_source_only_baseline)
 
 N_SEEDS = 5
 
@@ -114,12 +114,12 @@ def test_criterion_1_gradient_fidelity():
     ms, mt = build_models(3, gs, gt, seed=2, rda_hidden=(6, 6, 6),
                           clf_hidden=(6,), dropout_p=0.0)
     ms.set_training(False)
-    xt = Tensor(rng.standard_normal((6, 5)))
+    zt = extract(ms, Tensor(rng.standard_normal((6, 5))), "target")
     ys = rng.integers(0, 3, 6)
     pset = parameter_groups(ms, mt)
     trainable = {n: t for n, t in pset.subset(("phi_s", "theta_s")).items()}
     rep = grad_check(lambda: cross_entropy_hard(
-        classifier_logits(ms, xt, "target"), ys), trainable, tolerance=1e-4)
+        classifier_logits(ms, zt, "target"), ys), trainable, tolerance=1e-4)
     assert rep.passed, rep.failures()
 
     elapsed = time.monotonic() - start
@@ -208,7 +208,9 @@ def test_criterion_4_schedule_isolation():
                           clf_hidden=model_cfg.clf_hidden)
     pset = parameter_groups(ms, mt)
     optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
-    sampler = BatchSampler(source, target, 16, np.random.default_rng(19))
+    sampler = BatchSampler(extract_dataset(ms, source, "source"),
+                           extract_dataset(ms, target, "target"), 16,
+                           np.random.default_rng(19))
     checks = 0
     for epoch in range(3):
         for step in StepId:

@@ -4,7 +4,7 @@ import pytest
 from duoadapt.autodiff import (Adam, GradError, ParameterSet, SGD,
                                ShapeMismatch, Tensor, batch_norm, conv2d,
                                dropout, grad_check, log_softmax, maxpool2x2,
-                               optimizer_step, softmax)
+                               softmax)
 
 
 def test_add_scalar_values():
@@ -246,7 +246,7 @@ def test_optimizer_step_group_isolation():
         t.grad = rng.standard_normal(4)
         pset.add(group, f"{group}.w", t)
     before = {name: t.data.tobytes() for name, t in pset.entries.items()}
-    optimizer_step(pset, ("theta_s",), Adam(1e-2))
+    Adam(1e-2).step(pset.subset(("theta_s",)))
     after = {name: t.data.tobytes() for name, t in pset.entries.items()}
     assert before["theta_s.w"] != after["theta_s.w"]
     assert before["phi_s.w"] == after["phi_s.w"]
@@ -257,7 +257,7 @@ def test_optimizer_step_missing_gradient_raises():
     pset = ParameterSet()
     pset.add("theta_s", "w", Tensor([1.0], requires_grad=True))
     with pytest.raises(GradError, match="missing gradient"):
-        optimizer_step(pset, ("theta_s",), SGD(0.1))
+        SGD(0.1).step(pset.subset(("theta_s",)))
 
 
 def test_parameter_set_rejects_duplicates():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from duoadapt import train
-from duoadapt.autodiff import Adam
+from duoadapt.autodiff import Adam, Tensor
 from duoadapt.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
                           ConfigError, load_config, main, metrics_report)
+from duoadapt.data import Dataset, load_dataset, save_dataset
 
 FAST_OVERRIDES = [
     "task.samples_per_class=12",
@@ -205,6 +206,29 @@ def test_compare_stopping_outputs(tmp_path, capsys):
     for r in summary:
         assert float(r["regret_V_rule"]) >= 0.0
         assert float(r["regret_loss_rule"]) >= 0.0
+
+
+def test_unlabeled_or_empty_datasets_exit_3_naming_the_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    capsys.readouterr()
+    empty = tmp_path / "empty.ds"
+    save_dataset(empty, Dataset(Tensor(np.zeros((0, 8))), [], "target"))
+    # eval scores against labels: target.ds, as written by gen-data, has none
+    for ds, message in ((out / "target.ds", "no labels"), (empty, "empty")):
+        code = main(_fast_args(out) + ["eval", str(out / "best.ckpt"), str(ds)])
+        assert code == EXIT_DATA, ds
+        err = capsys.readouterr().err
+        assert str(ds) in err and message in err, err
+    for name in ("eval_target.ds", "source.ds"):
+        path = out / name
+        labeled = load_dataset(path)
+        save_dataset(path, labeled.without_labels())
+        assert main(_fast_args(out) + ["train"]) == EXIT_DATA, name
+        err = capsys.readouterr().err
+        assert str(path) in err and "no labels" in err, err
+        save_dataset(path, labeled)
 
 
 def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):

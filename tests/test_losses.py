@@ -219,14 +219,6 @@ def test_cross_entropy_soft_detaches_teacher():
     assert t.grad is None
 
 
-def test_cross_entropy_soft_teacher_gradient_when_not_detached():
-    rng = np.random.default_rng(10)
-    s = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    t = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    cross_entropy_soft(s, t, detach_teacher=False).backward()
-    assert t.grad is not None
-
-
 def test_cross_entropy_gradients_vs_finite_differences():
     rng = np.random.default_rng(11)
     logits = Tensor(rng.standard_normal((5, 3)), requires_grad=True)

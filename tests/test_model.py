@@ -1,13 +1,17 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duoadapt.autodiff import Tensor
-from duoadapt.model import (Checkpoint, CheckpointFormatError, DomainClassifier,
-                            DomainWiseModel, ExtractorNotPretrained,
-                            MlpExtractor, RdaBlock, build_models,
-                            classifier_logits, ensemble_predict, extract,
-                            load_checkpoint, named_buffers, parameter_groups,
-                            rda_forward, save_checkpoint)
+from duoadapt.model import (Checkpoint, CheckpointFormatError, ConvExtractor,
+                            DomainClassifier, DomainWiseModel,
+                            ExtractorNotPretrained, MlpExtractor, RdaBlock,
+                            build_models, classifier_logits, ensemble_predict,
+                            extract, load_checkpoint, named_buffers,
+                            parameter_groups, rda_forward, save_checkpoint)
 
 
 def _small_models(seed=0, n_classes=3, in_dim=6, feature_dim=8,
@@ -69,6 +73,36 @@ def test_extract_is_constant_wrt_tape():
     assert not z.requires_grad
 
 
+@lru_cache(maxsize=None)
+def _extractor_and_features(kind):
+    """A pretrained-marked extractor, a whole dataset and its features."""
+    rng = np.random.default_rng(5)
+    if kind == "mlp":
+        g = MlpExtractor(8, rng, hidden=(64,), feature_dim=32, proj_dim=16)
+        x = rng.standard_normal((200, 8))
+    else:
+        g = ConvExtractor(rng, channels=(4, 8, 16), feature_dim=16, proj_dim=8)
+        x = rng.standard_normal((10, 1, 32, 32))
+    g.mark_pretrained()
+    return g, x, g.features(Tensor(x)).data
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["mlp", "conv_stack"]), st.data())
+def test_extract_of_rows_equals_rows_of_whole_set_extraction(kind, data):
+    """The interactive phase runs each frozen extractor once per dataset and
+    reads every batch as rows of those features. Its trace.csv and best.ckpt
+    are byte-identical to extracting each batch only because of this
+    property: the features of any subset of rows, in any order, equal the
+    same rows of the whole-set features bit for bit. It is checked for
+    subsets of two or more rows, as every batch training draws has; a single
+    row takes BLAS's matrix-vector path and may differ in the last bit."""
+    g, x, whole = _extractor_and_features(kind)
+    rows = data.draw(st.lists(st.integers(0, len(x) - 1), min_size=2,
+                              max_size=len(x), unique=True))
+    assert np.array_equal(g.features(Tensor(x[rows])).data, whole[rows])
+
+
 def test_extract_routes_by_input_domain():
     ms, mt = _small_models()
     # same frozen extractors are shared by both models
@@ -79,8 +113,9 @@ def test_extract_routes_by_input_domain():
 def test_classifier_logits_shape():
     ms, _ = _small_models(n_classes=3)
     ms.set_training(False)
-    out = classifier_logits(ms, Tensor(np.random.default_rng(3)
-                                       .standard_normal((5, 6))), "source")
+    z = extract(ms, Tensor(np.random.default_rng(3).standard_normal((5, 6))),
+                "source")
+    out = classifier_logits(ms, z, "source")
     assert out.shape == (5, 3)
 
 
@@ -90,8 +125,9 @@ def test_ensemble_matches_manual_logit_sum():
         m.set_training(False)
     x = Tensor(np.random.default_rng(4).standard_normal((6, 6)))
     ids, dist = ensemble_predict(ms, mt, x)
-    fused = (classifier_logits(ms, x, "target").data
-             + classifier_logits(mt, x, "target").data)
+    z = extract(ms, x, "target")
+    fused = (classifier_logits(ms, z, "target").data
+             + classifier_logits(mt, z, "target").data)
     assert np.array_equal(ids, fused.argmax(axis=1))
     assert np.max(np.abs(dist.sum(axis=1) - 1)) <= 1e-12
     e = np.exp(fused - fused.max(axis=1, keepdims=True))
@@ -164,17 +200,18 @@ def test_checkpoint_restore_recovers_outputs(tmp_path):
     ms, mt = _small_models(seed=8)
     for m in (ms, mt):
         m.set_training(False)
-    x = Tensor(np.random.default_rng(9).standard_normal((5, 6)))
-    before = classifier_logits(ms, x, "target").data.copy()
+    z = extract(ms, Tensor(np.random.default_rng(9).standard_normal((5, 6))),
+                "target")
+    before = classifier_logits(ms, z, "target").data.copy()
     ckpt = Checkpoint.capture(ms, mt, epoch=0, reward=0.0)
 
     rng = np.random.default_rng(10)
     for t in parameter_groups(ms, mt).entries.values():
         t.data = t.data + rng.standard_normal(t.data.shape) * 0.1
-    assert not np.allclose(classifier_logits(ms, x, "target").data, before)
+    assert not np.allclose(classifier_logits(ms, z, "target").data, before)
 
     ckpt.restore(ms, mt)
-    assert np.array_equal(classifier_logits(ms, x, "target").data, before)
+    assert np.array_equal(classifier_logits(ms, z, "target").data, before)
 
 
 @pytest.mark.parametrize("rda_hidden, message", [

@@ -3,16 +3,14 @@ import pytest
 
 from duoadapt.autodiff import Adam, Tensor
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
-from duoadapt.losses import KernelSpec
 from duoadapt.model import (BatchNorm, Checkpoint, Dropout, build_models,
-                            parameter_groups)
+                            extract, parameter_groups)
 from duoadapt.train import (STEP_MAP, TRACE_COLUMNS, BatchSampler, ModelConfig,
                             RewardTrace, StepId, TraceRow, TrainConfig,
                             _teacher_mode, build_extractor, build_pair,
-                            compute_reward,
-                            ensemble_accuracy, eval_mode,
-                            pretrain_contrastive, run_epoch, run_step,
-                            selection_study, stopping_check,
+                            compute_reward, ensemble_accuracy, eval_mode,
+                            extract_dataset, pretrain_contrastive, run_epoch,
+                            run_step, selection_study, stopping_check,
                             train_interactive, train_source_only_baseline)
 
 FAST = TrainConfig(pretrain_epochs=2, epochs=2, iters_per_step=2,
@@ -38,6 +36,13 @@ def _pretrained_pair(source, target, cfg=FAST, model_cfg=SMALL):
     return build_models(n_classes, g_s, g_t, seed=3,
                         rda_hidden=model_cfg.rda_hidden,
                         clf_hidden=model_cfg.clf_hidden)
+
+
+def _feature_sampler(ms, source, target, batch_size, seed):
+    """A sampler over the frozen features of both domains, as in training."""
+    return BatchSampler(extract_dataset(ms, source, "source"),
+                        extract_dataset(ms, target, "target"),
+                        batch_size, np.random.default_rng(seed))
 
 
 def test_train_config_validation():
@@ -100,17 +105,24 @@ def test_teacher_mode_freezes_dropout_and_stats_and_restores_on_raise():
     ms.set_training(True)
     drops = [m for _, m in ms.walk() if isinstance(m, Dropout)]
     bns = [m for _, m in ms.walk() if isinstance(m, BatchNorm)]
+    params = ms.named_parameters()
     assert drops and bns
     before = {id(m): (m.training, m.update_stats) for m in bns}
+    flags = {name: t.requires_grad for name, t in params.items()}
+    # trainable RDA and head weights, frozen extractor weights
+    assert any(flags.values()) and not all(flags.values())
     with pytest.raises(RuntimeError, match="body"):
         with _teacher_mode(ms):
             assert not any(m.training for m in drops)
             assert not any(m.update_stats for m in bns)
             # batch norm keeps batch statistics; only the updates stop
             assert all(m.training for m in bns if not m.frozen)
+            # the teacher forward records no graph
+            assert not any(t.requires_grad for t in params.values())
             raise RuntimeError("body")
     assert all(m.training for m in drops)
     assert {id(m): (m.training, m.update_stats) for m in bns} == before
+    assert {name: t.requires_grad for name, t in params.items()} == flags
 
 
 def test_batch_sampler_shapes_and_determinism():
@@ -148,12 +160,11 @@ def test_run_step_touches_only_its_group():
     ms, mt = _pretrained_pair(source, target)
     pset = parameter_groups(ms, mt)
     optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
-    sampler = BatchSampler(source, target, 16, np.random.default_rng(8))
-    kernel = KernelSpec()
+    sampler = _feature_sampler(ms, source, target, 16, 8)
     for step in StepId:
         _, group = STEP_MAP[step]
         before = {n: t.data.tobytes() for n, t in pset.entries.items()}
-        run_step(step, ms, mt, sampler, FAST, pset, optimizers, kernel)
+        run_step(step, ms, mt, sampler, FAST, pset, optimizers)
         for name, t in pset.entries.items():
             changed = t.data.tobytes() != before[name]
             if name in pset.groups[group]:
@@ -165,10 +176,11 @@ def test_run_step_touches_only_its_group():
 def test_compute_reward_agreement():
     source, target, _ = _task(seed=2)
     ms, mt = _pretrained_pair(source, target)
-    r = compute_reward(ms, mt, target.inputs)
+    z_t = extract(ms, target.inputs, "target")
+    r = compute_reward(ms, mt, z_t)
     assert 0.0 <= r <= 1.0
     # a model always agrees with itself
-    assert compute_reward(ms, ms, target.inputs) == 1.0
+    assert compute_reward(ms, ms, z_t) == 1.0
     with pytest.raises(ValueError, match="empty"):
         compute_reward(ms, mt, Tensor(np.zeros((0, 8))))
 
@@ -178,10 +190,10 @@ def test_run_epoch_records_all_losses():
     ms, mt = _pretrained_pair(source, target)
     pset = parameter_groups(ms, mt)
     optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
-    sampler = BatchSampler(source, target, 16, np.random.default_rng(9))
+    sampler = _feature_sampler(ms, source, target, 16, 9)
     trace = RewardTrace()
     row = run_epoch(ms, mt, sampler, FAST, pset, optimizers, trace, 1,
-                    eval_target=eval_target)
+                    eval_target=extract_dataset(ms, eval_target, "target"))
     assert set(row.losses) == set(TRACE_COLUMNS[2:8])
     assert all(np.isfinite(v) for v in row.losses.values())
     assert 0.0 <= row.V <= 1.0
@@ -306,7 +318,8 @@ def test_selection_study_regrets():
 
 def test_graph_nodes_per_backward_stay_small(monkeypatch):
     # one epoch of the schedule with the default model: each layer and loss
-    # is one graph node (114 nodes per backward when they were composed)
+    # is one graph node (114 nodes per backward when they were composed),
+    # and every node recorded before a backward is reachable from its loss
     source, target, _ = _task(samples_per_class=40)
     cfg = TrainConfig(iters_per_step=2, batch_size=32)
     ms, mt = build_pair(ModelConfig(), 2, source.inputs.shape[-1], seed=0)
@@ -314,17 +327,29 @@ def test_graph_nodes_per_backward_stay_small(monkeypatch):
     ms.extractor_t.mark_pretrained()
     pset = parameter_groups(ms, mt)
     optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
-    sampler = BatchSampler(source, target, cfg.batch_size, np.random.default_rng(0))
+    sampler = _feature_sampler(ms, source, target, cfg.batch_size, 0)
     counts = {"nodes": 0, "backward": 0}
+    recorded = []
     from_op, backward = Tensor._from_op, Tensor.backward
 
     def counting_from_op(data, parents, op, back):
         out = from_op(data, parents, op, back)
-        counts["nodes"] += out._backward is not None
+        if out._backward is not None:
+            counts["nodes"] += 1
+            recorded.append(out)
         return out
 
     def counting_backward(self):
         counts["backward"] += 1
+        reached, stack = set(), [self]
+        while stack:
+            node = stack.pop()
+            if id(node) not in reached:
+                reached.add(id(node))
+                stack.extend(node._parents)
+        unused = [t._op for t in recorded if id(t) not in reached]
+        assert not unused, f"nodes no backward reaches: {unused}"
+        recorded.clear()
         backward(self)
 
     monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting_from_op))
