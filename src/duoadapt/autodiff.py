@@ -309,7 +309,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with OCKK kernels (zero padding)."""
+    """Cross-correlation of NCHW input with OCKK kernels (zero padding).
+
+    Only stride 1 is supported; ``stride`` stays in the signature for
+    callers that pass it positionally before ``padding``.
+    """
+    if stride != 1:
+        raise ValueError(f"conv2d supports stride 1 only, got {stride}")
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeMismatch("conv2d", x.shape, w.shape)
     if padding > 0:
@@ -321,13 +327,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     k = kh
     if k > h or k > wd:
         raise ShapeMismatch("conv2d", x.shape, w.shape)
-    oh = (h - k) // stride + 1
-    ow = (wd - k) // stride + 1
+    oh, ow = h - k + 1, wd - k + 1
     cols = np.empty((n, c, k, k, oh, ow), dtype=np.float64)
     for i in range(k):
         for j in range(k):
-            cols[:, :, i, j, :, :] = x.data[:, :, i:i + stride * oh:stride,
-                                            j:j + stride * ow:stride]
+            cols[:, :, i, j, :, :] = x.data[:, :, i:i + oh, j:j + ow]
     out = np.tensordot(cols, w.data, axes=([1, 2, 3], [1, 2, 3]))  # n,oh,ow,o
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
@@ -337,13 +341,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
             w._accum(np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5])))  # o,c,k,k
         if not x.requires_grad:
             return
-        dcols = np.einsum("nopq,ocij->ncijpq", g, w.data)
-        dx = np.zeros((n, c, h, wd), dtype=np.float64)
+        # col2im: one BLAS contraction over o, then a k*k scatter-add into
+        # a channels-last buffer
+        dcols = np.tensordot(g, w.data, axes=([1], [0]))  # n,oh,ow,c,k,k
+        dx = np.zeros((n, h, wd, c), dtype=np.float64)
         for i in range(k):
             for j in range(k):
-                dx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                    dcols[:, :, i, j, :, :]
-        x._accum(dx)
+                dx[:, i:i + oh, j:j + ow, :] += dcols[..., i, j]
+        x._accum(np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
     return Tensor._from_op(out, (x, w), "conv2d", back)
 
 
@@ -409,23 +414,30 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     return Tensor._from_op(out, (x, gamma, beta), "batch_norm", back)
 
 
+# the four cells of a 2x2 window in argmax order: the first maximum wins
+_POOL_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; spatial dims must be even."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeMismatch("maxpool2x2", x.shape, (n, c, h, w))
-    win = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    out = x.data[:, :, 0::2, 0::2]
+    idx = np.zeros(out.shape, dtype=np.int8)
+    for q, (i, j) in enumerate(_POOL_CELLS[1:], start=1):
+        cell = x.data[:, :, i::2, j::2]
+        wins = cell > out
+        out = np.where(wins, cell, out)
+        idx[wins] = q
 
     def back(g):
         g = np.asarray(g, dtype=np.float64)
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        x._accum(dx.reshape(n, c, h, w))
-    return Tensor._from_op(np.ascontiguousarray(out), (x,), "maxpool2x2", back)
+        dx = np.empty((n, c, h, w), dtype=np.float64)
+        for q, (i, j) in enumerate(_POOL_CELLS):
+            dx[:, :, i::2, j::2] = np.where(idx == q, g, 0.0)
+        x._accum(dx)
+    return Tensor._from_op(out, (x,), "maxpool2x2", back)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:

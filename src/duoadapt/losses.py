@@ -7,6 +7,7 @@ cross-entropy's teacher, which is a constant target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -14,6 +15,14 @@ import numpy as np
 from .autodiff import ShapeMismatch, Tensor, log_softmax_array
 
 MEDIAN_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+@lru_cache(maxsize=16)
+def _upper_pairs(n: int):
+    """Row and column indices of the strict upper triangle of an n x n
+    matrix. A run pools only a few distinct batch sizes, so each is built
+    once; callers index with the arrays and never write to them."""
+    return np.triu_indices(n, k=1)
 
 
 @dataclass
@@ -36,7 +45,7 @@ class KernelSpec:
                 raise ValueError("fixed bandwidth rule requires explicit bandwidths")
             bws = list(self.bandwidths)
         elif self.bandwidth_rule == "median_heuristic_multi":
-            med = float(np.median(d2[np.triu_indices(len(d2), k=1)]))
+            med = float(np.median(d2[_upper_pairs(len(d2))]))
             if med <= 0.0:
                 med = 1.0
             bws = [med * s for s in MEDIAN_SCALES]

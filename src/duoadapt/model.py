@@ -135,7 +135,7 @@ class Conv(Module):
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, stride=1, padding=self.padding)
+        return conv2d(x, self.weight, padding=self.padding)
 
 
 # -- feature extractors -------------------------------------------------------

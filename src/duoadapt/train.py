@@ -265,6 +265,8 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
             loss.backward()
             opt.step(params)
             losses.append(loss.item())
+            # drop this step's graph before the next forward builds its own
+            del x, view, batch, loss
         history.append(float(np.mean(losses)))
     extractor.mark_pretrained()
     return history

@@ -2,16 +2,19 @@
 
 Each fused op is compared with the unfused composition of elementary Tensor
 ops it replaces, written out below; values and gradients must agree to
-1e-10 (relative to the larger magnitude when that exceeds 1). Every op is
-also checked against central finite differences.
+1e-10 (relative to the larger magnitude when that exceeds 1). ``conv2d`` is
+compared with an einsum + col2im node and ``maxpool2x2`` with a
+take/put-along-axis node, bit for bit. Every op is also checked against
+central finite differences.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duoadapt.autodiff import (ShapeMismatch, Tensor, batch_norm, grad_check,
-                               linear, log_softmax)
+from duoadapt.autodiff import (ShapeMismatch, Tensor, batch_norm, conv2d,
+                               grad_check, linear, log_softmax, maxpool2x2,
+                               pad2d)
 from duoadapt.losses import (KernelSpec, cross_entropy_hard,
                              cross_entropy_soft, mmd_squared)
 
@@ -41,6 +44,48 @@ def _batch_norm_ref(x, gamma, beta, running_mean, running_var, training,
         xn = ((x - Tensor(running_mean.reshape(shape)))
               / Tensor(np.sqrt(running_var.reshape(shape) + eps)))
     return xn * gamma.reshape(shape) + beta.reshape(shape)
+
+
+def _conv2d_ref(x, w, padding=0):
+    """Im2col forward and the einsum + col2im input gradient, as one node."""
+    if padding:
+        x = pad2d(x, padding)
+    n, c, h, wd = x.shape
+    o, _, k, _ = w.shape
+    oh, ow = h - k + 1, wd - k + 1
+    cols = np.empty((n, c, k, k, oh, ow))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = x.data[:, :, i:i + oh, j:j + ow]
+    out = np.einsum("ncijpq,ocij->nopq", cols, w.data)
+
+    def back(g):
+        if w.requires_grad:
+            w._accum(np.einsum("nopq,ncijpq->ocij", g, cols))
+        if x.requires_grad:
+            dcols = np.einsum("nopq,ocij->ncijpq", g, w.data)
+            dx = np.zeros((n, c, h, wd))
+            for i in range(k):
+                for j in range(k):
+                    dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, i, j]
+            x._accum(dx)
+    return Tensor._from_op(out, (x, w), "conv2d_ref", back)
+
+
+def _maxpool2x2_ref(x):
+    """Window transpose with argmax, take_along_axis and put_along_axis."""
+    n, c, h, w = x.shape
+    win = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(n, c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+    def back(g):
+        dwin = np.zeros_like(win)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+        dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        x._accum(dx.reshape(n, c, h, w))
+    return Tensor._from_op(out, (x,), "maxpool2x2_ref", back)
 
 
 def _log_softmax_ref(x):
@@ -155,6 +200,59 @@ def test_grad_check_linear():
     report = grad_check(lambda: (linear(x, w, b) ** 2).mean(),
                         {"x": x, "w": w, "b": b}, tolerance=1e-6)
     assert report.passed, report.failures()
+
+
+# -- conv2d and maxpool2x2 -------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
+       st.integers(3, 9), st.integers(3, 9), st.integers(0, 1),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_conv2d_matches_einsum_col2im(n, c, o, h, w, padding, k, seed, x_grad):
+    rng = np.random.default_rng(seed)
+    oh, ow = h + 2 * padding - k + 1, w + 2 * padding - k + 1
+    _agree(lambda x, kern: conv2d(x, kern, padding=padding),
+           lambda x, kern: _conv2d_ref(x, kern, padding),
+           [rng.standard_normal((n, c, h, w)), rng.standard_normal((o, c, k, k))],
+           [x_grad, True], rng.standard_normal((n, o, oh, ow)))
+
+
+def test_conv2d_rejects_stride_other_than_one():
+    x, w = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3)))
+    assert conv2d(x, w, 1).shape == (1, 1, 2, 2)
+    with pytest.raises(ValueError, match="stride 1"):
+        conv2d(x, w, 2)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_grad_check_conv2d_input_and_kernel(padding):
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5, requires_grad=True)
+    weights = Tensor(rng.standard_normal((2, 3, 3 + 2 * padding, 3 + 2 * padding)))
+    report = grad_check(lambda: (conv2d(x, w, padding=padding) * weights).sum(),
+                        {"x": x, "w": w}, tolerance=1e-6)
+    assert report.passed, report.failures()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_maxpool2x2_matches_take_put_exactly(n, c, h2, w2, seed):
+    rng = np.random.default_rng(seed)
+    # coarse rounding forces ties inside the windows; the first maximum in
+    # row-major window order must win in both
+    x = np.round(rng.standard_normal((n, c, 2 * h2, 2 * w2)))
+    g = rng.standard_normal((n, c, h2, w2))
+    results = []
+    for op in (maxpool2x2, _maxpool2x2_ref):
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = op(xt)
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, xt.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_grad, want_grad)
 
 
 # -- batch norm ---------------------------------------------------------------
