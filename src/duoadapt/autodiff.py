@@ -523,52 +523,83 @@ class SGD:
         for name, t in params.items():
             if t.grad is None:
                 raise GradError(f"missing gradient for parameter {name!r}")
-            t.data = t.data - self.learning_rate * t.grad
+            np.subtract(t.data, self.learning_rate * t.grad, out=t.data)
             if not np.all(np.isfinite(t.data)):
                 raise FloatingPointError(f"non-finite values in parameter {name!r}")
 
 
 class Adam:
+    """Adam over one fixed set of tensors, held as one flat buffer.
+
+    The first ``step`` copies the tensors' values into one contiguous
+    buffer and rebinds each tensor's ``.data`` to a reshaped view of it. The
+    moments are flat too; each step gathers the gradients into one flat
+    array and runs the update once over the whole set. Anything else that
+    writes a parameter must write in place (``t.data[...] = ...``) to keep
+    its view.
+    """
+
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._m: Dict[str, np.ndarray] = {}
-        self._v: Dict[str, np.ndarray] = {}
-        self._t: Dict[str, int] = {}
+        self._names: Tuple[str, ...] = ()
+        self._tensors: Tuple[Tensor, ...] = ()
+        self._views: Tuple[np.ndarray, ...] = ()
+        self._ends = self._flat = self._m = self._v = None
+        self._t = 0
 
     def step(self, params: Mapping[str, Tensor]) -> None:
-        for name, t in params.items():
-            if t.grad is None:
-                raise GradError(f"missing gradient for parameter {name!r}")
-            g = t.grad
-            m = self._m.get(name)
-            if m is None:
-                m = np.zeros_like(t.data)
-                self._m[name] = m
-                self._v[name] = np.zeros_like(t.data)
-                self._t[name] = 0
-            v = self._v[name]
-            self._t[name] += 1
-            ts = self._t[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            gg = (1 - self.beta2) * g
-            gg *= g
-            v *= self.beta2
-            v += gg
-            # lr * mhat / (sqrt(vhat) + eps), in that operation order
-            step = np.divide(m, 1 - self.beta1 ** ts)
-            step *= self.learning_rate
-            den = np.divide(v, 1 - self.beta2 ** ts, out=gg)
-            np.sqrt(den, out=den)
-            den += self.eps
-            step /= den
-            t.data = np.subtract(t.data, step, out=step)
-            if not np.all(np.isfinite(t.data)):
-                raise FloatingPointError(f"non-finite values in parameter {name!r}")
+        if self._flat is None:
+            self._names, self._tensors = tuple(params), tuple(params.values())
+            sizes = [t.size for t in self._tensors]
+            self._ends = np.cumsum(sizes, dtype=np.int64)
+            flat = np.concatenate([t.data for t in self._tensors], axis=None)
+            for t, end, size in zip(self._tensors, self._ends, sizes):
+                t.data = flat[end - size:end].reshape(t.shape)
+            self._views = tuple(t.data for t in self._tensors)
+            self._flat = flat
+            self._m, self._v = np.zeros_like(flat), np.zeros_like(flat)
+        elif tuple(params) != self._names or tuple(params.values()) != self._tensors:
+            raise ValueError("Adam steps the tensors of its first step only, "
+                             f"got {list(params)}")
+        elif not all(t.data is v for t, v in zip(self._tensors, self._views)):
+            name = next(n for n, t, v in zip(self._names, self._tensors, self._views)
+                        if t.data is not v)
+            raise ValueError(f"parameter {name!r} no longer views the optimizer's "
+                             "buffer; write it in place")
+        grads = [t.grad for t in self._tensors]
+        if any(g is None for g in grads):
+            name = next(n for n, g in zip(self._names, grads) if g is None)
+            raise GradError(f"missing gradient for parameter {name!r}")
+        flat, m, v = self._flat, self._m, self._v
+        # the gathered gradient and one more array are the step's only work
+        # buffers: the gradient becomes the step, ``w`` its denominator
+        g = np.concatenate(grads, axis=None)
+        self._t += 1
+        ts = self._t
+        m *= self.beta1
+        w = np.multiply(1 - self.beta1, g)
+        m += w
+        np.multiply(1 - self.beta2, g, out=w)
+        w *= g
+        v *= self.beta2
+        v += w
+        # lr * mhat / (sqrt(vhat) + eps), in that operation order
+        np.divide(m, 1 - self.beta1 ** ts, out=g)
+        g *= self.learning_rate
+        np.divide(v, 1 - self.beta2 ** ts, out=w)
+        np.sqrt(w, out=w)
+        w += self.eps
+        g /= w
+        np.subtract(flat, g, out=flat)
+        if not np.isfinite(flat).all():
+            # the first bad offset lies in the first tensor ending after it
+            bad = np.argmin(np.isfinite(flat))
+            name = self._names[int(np.searchsorted(self._ends, bad, side="right"))]
+            raise FloatingPointError(f"non-finite values in parameter {name!r}")
 
 
 # -- gradient checking --------------------------------------------------------

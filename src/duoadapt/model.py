@@ -370,10 +370,10 @@ class Checkpoint:
     def restore(self, ms: DomainWiseModel, mt: DomainWiseModel) -> None:
         """Load every tensor into the pair; the names and shapes must match
         the pair's exactly, or nothing is loaded."""
-        params = parameter_groups(ms, mt).entries
-        buffers = named_buffers(ms, mt)
-        targets = {name: t.data for name, t in params.items()}
-        targets.update(("buffer:" + name, b) for name, b in buffers.items())
+        targets = {name: t.data
+                   for name, t in parameter_groups(ms, mt).entries.items()}
+        targets.update(("buffer:" + name, b)
+                       for name, b in named_buffers(ms, mt).items())
         unmatched = sorted(set(targets) ^ set(self.arrays))
         if unmatched:
             name = unmatched[0]
@@ -384,11 +384,9 @@ class Checkpoint:
                 raise CheckpointFormatError(
                     f"tensor {name!r}: checkpoint shape {arr.shape} != "
                     f"model shape {targets[name].shape}")
+        # in place: a parameter's array may be a view of an optimizer's buffer
         for name, arr in self.arrays.items():
-            if name.startswith("buffer:"):
-                buffers[name[len("buffer:"):]][...] = arr
-            else:
-                params[name].data = arr.copy()
+            targets[name][...] = arr
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -274,10 +274,10 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
 
 # -- interactive schedule -----------------------------------------------------
 
-def _step_loss(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
+def _step_loss(step: StepId, model: DomainWiseModel, other: DomainWiseModel,
                sampler: BatchSampler, cfg: TrainConfig) -> Tensor:
-    _, group = STEP_MAP[step]
-    model, other = (ms, mt) if group.endswith("_s") else (mt, ms)
+    """One iteration's loss for ``model``, the one ``step`` trains. In S3
+    and S6 ``other`` is the teacher, already in teacher mode."""
     if step in SOURCE_CE_STEPS:
         zs, ys = sampler.source_batch()
         return cross_entropy_hard(classifier_logits(model, zs, "source"), ys)
@@ -287,8 +287,7 @@ def _step_loss(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
         return mmd_squared(rda_forward(model.rda, zs, "source"),
                            rda_forward(model.rda, zt, "target"))
     zt = sampler.target_batch()
-    with _teacher_mode(other):
-        teacher = classifier_logits(other, zt, "target")
+    teacher = classifier_logits(other, zt, "target")
     student = classifier_logits(model, zt, "target")
     # hard pseudo-labels are an option of the guidance step S3 only; the
     # feedback step S6 always follows the target model's soft predictions
@@ -303,21 +302,25 @@ def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
     """Run one schedule step: iters_per_step updates of one group only."""
     _, group = STEP_MAP[step]
     params = pset.subset((group,))
+    model, other = (ms, mt) if group.endswith("_s") else (mt, ms)
+    # S3 and S6 read the other model only as the teacher
+    guided = step not in SOURCE_CE_STEPS + ALIGN_STEPS
     losses = []
-    for _ in range(cfg.iters_per_step):
-        loss = _step_loss(step, ms, mt, sampler, cfg)
-        pset.zero_grad()
-        loss.backward()
-        missing = [n for n, t in params.items() if t.grad is None]
-        if missing:
-            raise RuntimeError(
-                f"step {step.name}: no gradient reached group {group} "
-                f"(e.g. {missing[0]})")
-        try:
-            optimizers[group].step(params)
-        except FloatingPointError as e:
-            raise FloatingPointError(f"step {step.name}, group {group}: {e}") from e
-        losses.append(loss.item())
+    with _teacher_mode(other) if guided else nullcontext():
+        for _ in range(cfg.iters_per_step):
+            loss = _step_loss(step, model, other, sampler, cfg)
+            pset.zero_grad()
+            loss.backward()
+            missing = [n for n, t in params.items() if t.grad is None]
+            if missing:
+                raise RuntimeError(
+                    f"step {step.name}: no gradient reached group {group} "
+                    f"(e.g. {missing[0]})")
+            try:
+                optimizers[group].step(params)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"step {step.name}, group {group}: {e}") from e
+            losses.append(loss.item())
     return float(np.mean(losses))
 
 
@@ -415,8 +418,14 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
     sampler = BatchSampler(extract_dataset(ms, source, "source"),
                            extract_dataset(ms, target, "target"),
                            cfg.batch_size, np.random.default_rng(cfg.seed + 19))
-    eval_z = (None if eval_target is None
-              else extract_dataset(ms, eval_target, "target"))
+    if eval_target is None:
+        eval_z = None
+    elif eval_target.inputs is target.inputs:
+        # gen_synthetic_pda hands out one input tensor for both target sets
+        eval_z = Dataset(sampler.target.inputs, eval_target.labels,
+                         eval_target.domain, eval_target.spec)
+    else:
+        eval_z = extract_dataset(ms, eval_target, "target")
     for epoch in range(1, cfg.epochs + 1):
         row = run_epoch(ms, mt, sampler, cfg, pset, optimizers, trace, epoch,
                         eval_z)

@@ -5,16 +5,20 @@ ops it replaces, written out below; values and gradients must agree to
 1e-10 (relative to the larger magnitude when that exceeds 1). ``conv2d`` is
 compared with an einsum + col2im node and ``maxpool2x2`` with a
 take/put-along-axis node, bit for bit. Every op is also checked against
-central finite differences.
+central finite differences. ``Adam``'s one update over a flat buffer is
+compared with ``_adam_ref``, the per-tensor loop with state per parameter
+name, bit for bit, step by step and through a whole ``train_interactive``.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duoadapt.autodiff import (ShapeMismatch, Tensor, batch_norm, conv2d,
-                               grad_check, linear, log_softmax, maxpool2x2,
-                               pad2d)
+from duoadapt import train
+from duoadapt.autodiff import (Adam, GradError, ShapeMismatch, Tensor,
+                               batch_norm, conv2d, grad_check, linear,
+                               log_softmax, maxpool2x2, pad2d)
+from duoadapt.data import PdaTaskSpec, gen_synthetic_pda
 from duoadapt.losses import (KernelSpec, cross_entropy_hard,
                              cross_entropy_soft, mmd_squared)
 
@@ -128,6 +132,46 @@ def _mmd_ref(a, b, bws):
                 - 2.0 * (d_ab * scale).exp().mean())
         total = term if total is None else total + term
     return total
+
+
+class _adam_ref:
+    """Adam as one loop over the tensors, with moments and a step count per
+    parameter name; each update rebinds the tensor's ``.data``."""
+
+    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self._m, self._v, self._t = {}, {}, {}
+
+    def step(self, params):
+        for name, t in params.items():
+            if t.grad is None:
+                raise GradError(f"missing gradient for parameter {name!r}")
+            g = t.grad
+            m = self._m.get(name)
+            if m is None:
+                m = np.zeros_like(t.data)
+                self._m[name] = m
+                self._v[name] = np.zeros_like(t.data)
+                self._t[name] = 0
+            v = self._v[name]
+            self._t[name] += 1
+            ts = self._t[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            gg = (1 - self.beta2) * g
+            gg *= g
+            v *= self.beta2
+            v += gg
+            step = np.divide(m, 1 - self.beta1 ** ts)
+            step *= self.learning_rate
+            den = np.divide(v, 1 - self.beta2 ** ts, out=gg)
+            np.sqrt(den, out=den)
+            den += self.eps
+            step /= den
+            t.data = np.subtract(t.data, step, out=step)
+            if not np.all(np.isfinite(t.data)):
+                raise FloatingPointError(f"non-finite values in parameter {name!r}")
 
 
 # -- comparison harness -------------------------------------------------------
@@ -420,3 +464,84 @@ def test_grad_check_mmd_one_sided():
                         tolerance=1e-6)
     assert report.passed, report.failures()
     assert a.grad is None
+
+
+# -- Adam ---------------------------------------------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1, max_size=5),
+       st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_adam_flat_step_matches_per_tensor_loop(shapes, steps, seed):
+    rng = np.random.default_rng(seed)
+    init = [rng.standard_normal(shape) for shape in shapes]
+    flat = {f"p{i}": Tensor(a.copy(), requires_grad=True) for i, a in enumerate(init)}
+    ref = {f"p{i}": Tensor(a.copy(), requires_grad=True) for i, a in enumerate(init)}
+    opt, opt_ref = Adam(1e-2), _adam_ref(1e-2)
+    for _ in range(steps):
+        scale = 10.0 ** rng.uniform(-6, 3)
+        grads = {name: rng.standard_normal(t.shape) * scale
+                 for name, t in flat.items()}
+        for name, g in grads.items():
+            # one array for both: neither optimizer may write into a gradient
+            flat[name].grad = ref[name].grad = g
+        kept = {name: g.copy() for name, g in grads.items()}
+        opt.step(flat)
+        opt_ref.step(ref)
+        for name, t in flat.items():
+            assert np.array_equal(t.data, ref[name].data), name
+            assert np.array_equal(grads[name], kept[name]), name
+
+
+def test_train_interactive_with_flat_adam_matches_per_tensor_loop(monkeypatch):
+    spec = PdaTaskSpec(source_classes=2, target_classes=(0, 1),
+                       samples_per_class=24, class_separation=3.0,
+                       rotation_angle=0.5, seed=4)
+    source, target, eval_target = gen_synthetic_pda(spec)
+    cfg = train.TrainConfig(pretrain_epochs=2, epochs=3, iters_per_step=3,
+                            batch_size=16, desired_reward=1.0, seed=4)
+    model_cfg = train.ModelConfig(feature_dim=8, mlp_hidden=(16,), proj_dim=4,
+                                  rda_hidden=(12, 8, 12), clf_hidden=(10, 8))
+    flat = train.train_interactive(source, target, cfg, model_cfg, eval_target)
+    monkeypatch.setattr(train, "Adam", _adam_ref)
+    ref = train.train_interactive(source, target, cfg, model_cfg, eval_target)
+    assert flat.trace.to_csv() == ref.trace.to_csv()
+    assert flat.best.arrays.keys() == ref.best.arrays.keys()
+    for name, arr in flat.best.arrays.items():
+        assert arr.tobytes() == ref.best.arrays[name].tobytes(), name
+
+
+def _pair_with_grads(first_grad, second_grad):
+    a = Tensor([1.0, -2.0], requires_grad=True)
+    b = Tensor([[0.5, 0.25], [3.0, -1.0]], requires_grad=True)
+    a.grad = None if first_grad is None else np.asarray(first_grad, dtype=float)
+    b.grad = None if second_grad is None else np.asarray(second_grad, dtype=float)
+    return {"a": a, "b": b}
+
+
+def test_adam_missing_gradient_names_the_parameter():
+    with pytest.raises(GradError, match="missing gradient for parameter 'b'"):
+        Adam(1e-3).step(_pair_with_grads([0.1, 0.2], None))
+
+
+@pytest.mark.parametrize("index", [(0, 0), (1, 1)])
+def test_adam_non_finite_value_names_its_tensor(index):
+    # the first and the last offset of the second tensor
+    bad = np.ones((2, 2))
+    bad[index] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match="non-finite values in parameter 'b'"):
+        Adam(1e-3).step(_pair_with_grads([0.1, 0.2], bad))
+
+
+def test_adam_rejects_another_mapping_or_a_rebound_tensor():
+    params = _pair_with_grads([0.1, 0.2], np.ones((2, 2)))
+    opt = Adam(1e-3)
+    opt.step(params)
+    with pytest.raises(ValueError, match="first step"):
+        opt.step({"a": params["a"]})
+    stranger = _pair_with_grads([0.1, 0.2], np.ones((2, 2)))["b"]
+    with pytest.raises(ValueError, match="first step"):
+        opt.step({"a": params["a"], "b": stranger})
+    params["b"].data = params["b"].data.copy()
+    with pytest.raises(ValueError, match="parameter 'b' no longer views"):
+        opt.step(params)

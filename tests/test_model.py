@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duoadapt.autodiff import Tensor
+from duoadapt.autodiff import SGD, Adam, Tensor
+from duoadapt.losses import cross_entropy_hard
 from duoadapt.model import (Checkpoint, CheckpointFormatError, ConvExtractor,
                             DomainClassifier, DomainWiseModel,
                             ExtractorNotPretrained, MlpExtractor, RdaBlock,
@@ -207,11 +208,50 @@ def test_checkpoint_restore_recovers_outputs(tmp_path):
 
     rng = np.random.default_rng(10)
     for t in parameter_groups(ms, mt).entries.values():
-        t.data = t.data + rng.standard_normal(t.data.shape) * 0.1
+        t.data += rng.standard_normal(t.data.shape) * 0.1
     assert not np.allclose(classifier_logits(ms, z, "target").data, before)
 
     ckpt.restore(ms, mt)
     assert np.array_equal(classifier_logits(ms, z, "target").data, before)
+
+
+def test_no_writer_detaches_a_parameter_from_its_optimizer_buffer():
+    ms, mt = _small_models(seed=12)
+    for m in (ms, mt):
+        m.set_training(False)
+    z = extract(ms, Tensor(np.random.default_rng(13).standard_normal((6, 6))),
+                "target")
+    params = parameter_groups(ms, mt).subset(("theta_s",))
+    opt = Adam(1e-2)
+
+    def adam_step():
+        for t in params.values():
+            t.zero_grad()
+        cross_entropy_hard(classifier_logits(ms, z, "target"),
+                           [0, 1, 2, 0, 1, 2]).backward()
+        opt.step(params)
+
+    for _ in range(3):
+        adam_step()
+    ckpt = Checkpoint.capture(ms, mt, epoch=0, reward=0.0)
+    adam_step()
+    ckpt.restore(ms, mt)
+    # the tensors the model reads are the ones the next update moves
+    read = {name: t.data.copy()
+            for name, t in ms.classifier.named_parameters("Ms.Cs").items()}
+    assert read.keys() == params.keys()
+    before = classifier_logits(ms, z, "target").data.copy()
+    adam_step()
+    moved = {name for name, t in ms.classifier.named_parameters("Ms.Cs").items()
+             if not np.array_equal(t.data, read[name])}
+    assert moved == set(params)
+    assert not np.array_equal(classifier_logits(ms, z, "target").data, before)
+
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    w.grad = np.array([0.5, -0.5])
+    data = w.data
+    SGD(0.1).step({"w": w})
+    assert w.data is data
 
 
 @pytest.mark.parametrize("rda_hidden, message", [

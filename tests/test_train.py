@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from duoadapt import train as train_module
 from duoadapt.autodiff import Adam, Tensor
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
 from duoadapt.model import (BatchNorm, Checkpoint, Dropout, build_models,
@@ -265,6 +266,28 @@ def test_train_interactive_captures_only_new_best_epochs(monkeypatch):
     assert result.best_checkpoint_id == best_row.checkpoint_id
     assert ensemble_accuracy(result.ms, result.mt, eval_target) \
         == best_row.target_accuracy
+
+
+def test_train_interactive_extracts_shared_target_inputs_once(monkeypatch):
+    source, target, eval_target = _task(seed=6)
+    assert eval_target.inputs is target.inputs
+    calls = []
+    original = train_module.extract
+
+    def counting(model, x, domain_of_x):
+        calls.append(domain_of_x)
+        return original(model, x, domain_of_x)
+    monkeypatch.setattr(train_module, "extract", counting)
+    shared = train_interactive(source, target, FAST, SMALL, eval_target)
+    assert calls == ["source", "target"]
+    # a separate copy of the same inputs is extracted on its own, with the
+    # same features and therefore the same trace
+    calls.clear()
+    copy = Dataset(Tensor(eval_target.inputs.data.copy()), eval_target.labels,
+                   eval_target.domain, eval_target.spec)
+    separate = train_interactive(source, target, FAST, SMALL, copy)
+    assert calls == ["source", "target", "target"]
+    assert shared.trace.to_csv() == separate.trace.to_csv()
 
 
 def test_train_interactive_stops_at_desired_reward():
