@@ -308,57 +308,61 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(data, (x, w, b), "linear", back)
 
 
+def _span(i: int, pad: int, size: int, out: int) -> Tuple[slice, slice]:
+    """Output positions whose kernel offset ``i`` lands inside an image axis
+    of ``size`` padded by ``pad``, and the input positions they read."""
+    lo = max(0, pad - i)
+    hi = max(lo, min(out, size + pad - i))
+    return slice(lo, hi), slice(lo + i - pad, hi + i - pad)
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with OCKK kernels (zero padding).
 
-    Only stride 1 is supported; ``stride`` stays in the signature for
-    callers that pass it positionally before ``padding``.
+    Im2col writes the columns once, in the (c, k, k, n, oh, ow) order the
+    matrix products read them as a (c*k*k, n*oh*ow) matrix; window cells
+    outside the image are zeros in that buffer, so no padded copy of ``x``
+    is made. Only stride 1 is supported; ``stride`` stays in the signature
+    for callers that pass it positionally before ``padding``.
     """
     if stride != 1:
         raise ValueError(f"conv2d supports stride 1 only, got {stride}")
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeMismatch("conv2d", x.shape, w.shape)
-    if padding > 0:
-        x = pad2d(x, padding)
     n, c, h, wd = x.shape
     o, ck, kh, kw = w.shape
     if ck != c or kh != kw:
         raise ShapeMismatch("conv2d", x.shape, w.shape)
     k = kh
-    if k > h or k > wd:
+    if k > h + 2 * padding or k > wd + 2 * padding:
         raise ShapeMismatch("conv2d", x.shape, w.shape)
-    oh, ow = h - k + 1, wd - k + 1
-    cols = np.empty((n, c, k, k, oh, ow), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j, :, :] = x.data[:, :, i:i + oh, j:j + ow]
-    out = np.tensordot(cols, w.data, axes=([1, 2, 3], [1, 2, 3]))  # n,oh,ow,o
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    oh, ow = h + 2 * padding - k + 1, wd + 2 * padding - k + 1
+    row_spans = [_span(i, padding, h, oh) for i in range(k)]
+    col_spans = [_span(j, padding, wd, ow) for j in range(k)]
+    cols = (np.zeros if padding else np.empty)((c, k, k, n, oh, ow))
+    xt = x.data.transpose(1, 0, 2, 3)
+    for i, (po, pi) in enumerate(row_spans):
+        for j, (qo, qi) in enumerate(col_spans):
+            cols[:, i, j, :, po, qo] = xt[:, :, pi, qi]
+    cols = cols.reshape(c * k * k, n * oh * ow)
+    wmat = w.data.reshape(o, c * k * k)
+    out = np.ascontiguousarray((wmat @ cols).reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
 
     def back(g):
-        g = np.asarray(g, dtype=np.float64)
+        g = np.asarray(g, dtype=np.float64).transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
         if w.requires_grad:
-            w._accum(np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5])))  # o,c,k,k
+            w._accum((g @ cols.T).reshape(w.shape))
         if not x.requires_grad:
             return
-        # col2im: one BLAS contraction over o, then a k*k scatter-add into
-        # a channels-last buffer
-        dcols = np.tensordot(g, w.data, axes=([1], [0]))  # n,oh,ow,c,k,k
-        dx = np.zeros((n, h, wd, c), dtype=np.float64)
-        for i in range(k):
-            for j in range(k):
-                dx[:, i:i + oh, j:j + ow, :] += dcols[..., i, j]
-        x._accum(np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
+        # col2im: one matrix product over o, then k*k slice-adds of the
+        # in-image part of each window cell
+        dcols = (wmat.T @ g).reshape(c, k, k, n, oh, ow)
+        dx = np.zeros((c, n, h, wd), dtype=np.float64)
+        for i, (po, pi) in enumerate(row_spans):
+            for j, (qo, qi) in enumerate(col_spans):
+                dx[:, :, pi, qi] += dcols[:, i, j, :, po, qo]
+        x._accum(np.ascontiguousarray(dx.transpose(1, 0, 2, 3)))
     return Tensor._from_op(out, (x, w), "conv2d", back)
-
-
-def pad2d(x: Tensor, p: int) -> Tensor:
-    """Zero-pad the two trailing spatial dims of an NCHW tensor."""
-    data = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
-
-    def back(g):
-        x._accum(np.asarray(g)[:, :, p:-p, p:-p])
-    return Tensor._from_op(data, (x,), "pad2d", back)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,

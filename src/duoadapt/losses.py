@@ -71,11 +71,11 @@ class ContrastiveBatch:
             raise ValueError("temperature must be positive")
 
 
-def _normalize_rows(x: Tensor, op: str) -> Tensor:
-    norms = (x * x).sum(axis=1, keepdims=True).sqrt()
-    if np.any(norms.data < 1e-12):
-        raise ValueError(f"{op}: zero-norm row, cosine similarity undefined")
-    return x / norms
+def _through_row_norm(x_hat: np.ndarray, norm: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Gradient with respect to x of x_hat = x / |x| per row, given d = dL/dx_hat;
+    overwrites ``d``."""
+    d -= x_hat * (x_hat * d).sum(axis=1, keepdims=True)
+    return d / norm
 
 
 def nt_xent(batch: ContrastiveBatch) -> Tensor:
@@ -83,20 +83,47 @@ def nt_xent(batch: ContrastiveBatch) -> Tensor:
 
     Each augmented row is an anchor whose positive is the same-index
     original; the 2N-2 remaining rows of both sets are its negatives.
-    Similarity is exp(cosine / temperature).
+    Similarity is exp(cosine / temperature). One graph node over the
+    normalised rows o^, a^ and E_ao = exp(a^ o^T / t), E_aa = exp(a^ a^T / t).
+    With r = (g/n) / denom per anchor, G_ao = (E_ao r - (g/n) I) / t and
+    G_aa = E_aa r / t with a zero diagonal; then da^ = G_ao o^ + (G_aa + G_aa^T) a^,
+    do^ = G_ao^T a^, and each row normalisation maps dx^ to
+    (dx^ - x^ (x^ . dx^)) / |x| (Chen et al. 2020).
     """
-    n = batch.originals.shape[0]
+    o, a = batch.originals, batch.augmented
+    n = o.shape[0]
     if n < 2:
         raise ValueError("nt_xent needs at least 2 pairs (no negatives otherwise)")
-    o = _normalize_rows(batch.originals, "nt_xent")
-    a = _normalize_rows(batch.augmented, "nt_xent")
+    norm_o, norm_a = (np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
+                      for x in (o, a))
+    if np.any(norm_o < 1e-12) or np.any(norm_a < 1e-12):
+        raise ValueError("nt_xent: zero-norm row, cosine similarity undefined")
+    o_hat, a_hat = o.data / norm_o, a.data / norm_a
     inv_t = 1.0 / batch.temperature
-    d_ao = ((a @ o.T) * inv_t).exp()   # anchor i vs original j
-    d_aa = ((a @ a.T) * inv_t).exp()   # anchor i vs augmented j
-    eye = Tensor(np.eye(n))
-    pos = (d_ao * eye).sum(axis=1)
-    denom = d_ao.sum(axis=1) + d_aa.sum(axis=1) - (d_aa * eye).sum(axis=1)
-    return (denom.log() - pos.log()).mean()
+    # contiguous transposes, as ``Tensor.T`` makes them, keep the value bit
+    # equal to the composition of Tensor ops; a transposed view takes another
+    # BLAS path
+    d_ao = np.exp((a_hat @ o_hat.T.copy()) * inv_t)   # anchor i vs original j
+    d_aa = np.exp((a_hat @ a_hat.T.copy()) * inv_t)   # anchor i vs augmented j
+    pos = np.diagonal(d_ao)
+    denom = d_ao.sum(axis=1) + d_aa.sum(axis=1) - np.diagonal(d_aa)
+    value = (np.log(denom) - np.log(pos)).sum() * (1.0 / n)
+
+    def back(g):
+        gn = g / n
+        r = (gn / denom)[:, None]
+        g_ao = d_ao * r
+        g_ao[np.diag_indices(n)] -= gn
+        g_ao *= inv_t
+        g_aa = d_aa * r
+        g_aa *= inv_t
+        np.fill_diagonal(g_aa, 0.0)
+        if o.requires_grad:
+            o._accum(_through_row_norm(o_hat, norm_o, g_ao.T @ a_hat))
+        if a.requires_grad:
+            a._accum(_through_row_norm(a_hat, norm_a,
+                                       g_ao @ o_hat + (g_aa + g_aa.T) @ a_hat))
+    return Tensor._from_op(value, (o, a), "nt_xent", back)
 
 
 def mmd_squared(a: Tensor, b: Tensor, kernel: Optional[KernelSpec] = None) -> Tensor:

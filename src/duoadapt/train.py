@@ -247,10 +247,10 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
     opt = Adam(cfg.learning_rate)
     n = len(data)
     history: List[float] = []
-    for _ in range(cfg.pretrain_epochs):
+    for epoch in range(1, cfg.pretrain_epochs + 1):
         order = rng.permutation(n)
         losses = []
-        for start in range(0, n, cfg.batch_size):
+        for b, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = order[start:start + cfg.batch_size]
             if len(idx) < 2:
                 continue
@@ -259,7 +259,12 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
             batch = ContrastiveBatch(originals=extractor.project(x),
                                      augmented=extractor.project(view),
                                      temperature=cfg.temperature)
-            loss = nt_xent(batch)
+            try:
+                loss = nt_xent(batch)
+            except ValueError as e:
+                # a zero-norm projection row is reported, not clamped: a
+                # clamped norm would send a 1/eps-scaled gradient upstream
+                raise ValueError(f"pretraining epoch {epoch}, batch {b}: {e}") from e
             for t in params.values():
                 t.zero_grad()
             loss.backward()

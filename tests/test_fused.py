@@ -3,11 +3,15 @@
 Each fused op is compared with the unfused composition of elementary Tensor
 ops it replaces, written out below; values and gradients must agree to
 1e-10 (relative to the larger magnitude when that exceeds 1). ``conv2d`` is
-compared with an einsum + col2im node and ``maxpool2x2`` with a
-take/put-along-axis node, bit for bit. Every op is also checked against
-central finite differences. ``Adam``'s one update over a flat buffer is
-compared with ``_adam_ref``, the per-tensor loop with state per parameter
-name, bit for bit, step by step and through a whole ``train_interactive``.
+compared with an einsum + col2im node over a ``pad2d`` copy of the input,
+and ``maxpool2x2`` with a take/put-along-axis node, bit for bit. ``nt_xent``
+is compared with ``_nt_xent_ref``, its composition of row norms, matmuls,
+exp, masks, log and mean. Pooling before a ReLU must equal pooling after it
+bit for bit, in values and input gradient, since the extractors rely on
+that order. Every op is also checked against central finite differences.
+``Adam``'s one update over a flat buffer is compared with ``_adam_ref``, the
+per-tensor loop with state per parameter name, bit for bit, step by step and
+through a whole ``train_interactive``.
 """
 import numpy as np
 import pytest
@@ -17,10 +21,10 @@ from hypothesis import strategies as st
 from duoadapt import train
 from duoadapt.autodiff import (Adam, GradError, ShapeMismatch, Tensor,
                                batch_norm, conv2d, grad_check, linear,
-                               log_softmax, maxpool2x2, pad2d)
+                               log_softmax, maxpool2x2)
 from duoadapt.data import PdaTaskSpec, gen_synthetic_pda
-from duoadapt.losses import (KernelSpec, cross_entropy_hard,
-                             cross_entropy_soft, mmd_squared)
+from duoadapt.losses import (ContrastiveBatch, KernelSpec, cross_entropy_hard,
+                             cross_entropy_soft, mmd_squared, nt_xent)
 
 TOL = 1e-10
 
@@ -48,6 +52,15 @@ def _batch_norm_ref(x, gamma, beta, running_mean, running_var, training,
         xn = ((x - Tensor(running_mean.reshape(shape)))
               / Tensor(np.sqrt(running_var.reshape(shape) + eps)))
     return xn * gamma.reshape(shape) + beta.reshape(shape)
+
+
+def pad2d(x, p):
+    """Zero-pad the two trailing spatial dims of an NCHW tensor."""
+    data = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
+
+    def back(g):
+        x._accum(np.asarray(g)[:, :, p:-p, p:-p])
+    return Tensor._from_op(data, (x,), "pad2d", back)
 
 
 def _conv2d_ref(x, w, padding=0):
@@ -134,6 +147,19 @@ def _mmd_ref(a, b, bws):
     return total
 
 
+def _nt_xent_ref(originals, augmented, temperature):
+    n = originals.shape[0]
+    o = originals / (originals * originals).sum(axis=1, keepdims=True).sqrt()
+    a = augmented / (augmented * augmented).sum(axis=1, keepdims=True).sqrt()
+    inv_t = 1.0 / temperature
+    d_ao = ((a @ o.T) * inv_t).exp()
+    d_aa = ((a @ a.T) * inv_t).exp()
+    eye = Tensor(np.eye(n))
+    pos = (d_ao * eye).sum(axis=1)
+    denom = d_ao.sum(axis=1) + d_aa.sum(axis=1) - (d_aa * eye).sum(axis=1)
+    return (denom.log() - pos.log()).mean()
+
+
 class _adam_ref:
     """Adam as one loop over the tensors, with moments and a step count per
     parameter name; each update rebinds the tensor's ``.data``."""
@@ -205,6 +231,23 @@ def _agree(fused, ref, arrays, grads, weights=None):
             assert fg is None, f"constant input {i} received a gradient"
             continue
         assert fg is not None and _close(fg, rg), (i, fg, rg)
+
+
+def _pool_bits_agree(first, second, n, c, h2, w2, seed):
+    """Both pooling builds give the same output and input gradient, bit for
+    bit, on integer-rounded (n, c, 2*h2, 2*w2) inputs."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.standard_normal((n, c, 2 * h2, 2 * w2)))
+    g = rng.standard_normal((n, c, h2, w2))
+    results = []
+    for build in (first, second):
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = build(xt)
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, xt.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_grad, want_grad)
 
 
 # -- linear -------------------------------------------------------------------
@@ -283,20 +326,18 @@ def test_grad_check_conv2d_input_and_kernel(padding):
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
        st.integers(0, 2 ** 32 - 1))
 def test_maxpool2x2_matches_take_put_exactly(n, c, h2, w2, seed):
-    rng = np.random.default_rng(seed)
     # coarse rounding forces ties inside the windows; the first maximum in
     # row-major window order must win in both
-    x = np.round(rng.standard_normal((n, c, 2 * h2, 2 * w2)))
-    g = rng.standard_normal((n, c, h2, w2))
-    results = []
-    for op in (maxpool2x2, _maxpool2x2_ref):
-        xt = Tensor(x.copy(), requires_grad=True)
-        out = op(xt)
-        (out * Tensor(g)).sum().backward()
-        results.append((out.data, xt.grad))
-    (got, got_grad), (want, want_grad) = results
-    assert np.array_equal(got, want)
-    assert np.array_equal(got_grad, want_grad)
+    _pool_bits_agree(maxpool2x2, _maxpool2x2_ref, n, c, h2, w2, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_maxpool_before_relu_equals_relu_before_maxpool(n, c, h2, w2, seed):
+    # integer inputs put zeros and ties inside the windows
+    _pool_bits_agree(lambda t: maxpool2x2(t).relu(),
+                     lambda t: maxpool2x2(t.relu()), n, c, h2, w2, seed)
 
 
 # -- batch norm ---------------------------------------------------------------
@@ -464,6 +505,29 @@ def test_grad_check_mmd_one_sided():
                         tolerance=1e-6)
     assert report.passed, report.failures()
     assert a.grad is None
+
+
+# -- NT-Xent --------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 6), st.floats(0.1, 2.0),
+       st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(True, True), (True, False), (False, True)]))
+def test_nt_xent_matches_composition(n, d, temperature, seed, grads):
+    rng = np.random.default_rng(seed)
+    _agree(lambda o, a: nt_xent(ContrastiveBatch(o, a, temperature)),
+           lambda o, a: _nt_xent_ref(o, a, temperature),
+           [rng.standard_normal((n, d)), rng.standard_normal((n, d))],
+           list(grads))
+
+
+def test_grad_check_nt_xent():
+    rng = np.random.default_rng(10)
+    o = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    report = grad_check(lambda: nt_xent(ContrastiveBatch(o, a, 0.3)),
+                        {"originals": o, "augmented": a}, tolerance=1e-6)
+    assert report.passed, report.failures()
 
 
 # -- Adam ---------------------------------------------------------------------

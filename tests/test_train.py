@@ -156,6 +156,21 @@ def test_pretrain_reduces_loss_and_freezes():
     assert all(not t.requires_grad for t in g.named_parameters("G").values())
 
 
+def test_pretraining_zero_norm_row_names_epoch_and_batch():
+    # proj2's bias starts at zero, so a row whose proj1 ReLU units are all
+    # off projects to exactly zero; on this task and seed that happens in
+    # the first batch, and the failure is reported rather than clamped
+    source, target, eval_target = gen_synthetic_pda(PdaTaskSpec(
+        seed=5, source_classes=2, target_classes=(0, 1), samples_per_class=24,
+        rotation_angle=0.5))
+    model_cfg = ModelConfig(feature_dim=8, mlp_hidden=(16,), proj_dim=4,
+                            rda_hidden=(16, 8, 16), clf_hidden=(16, 8))
+    cfg = TrainConfig(seed=5, epochs=1, iters_per_step=1)
+    with pytest.raises(ValueError, match="pretraining epoch 1, batch 1: "
+                                         "nt_xent: zero-norm row"):
+        train_interactive(source, target, cfg, model_cfg, eval_target)
+
+
 def test_run_step_touches_only_its_group():
     source, target, _ = _task(seed=1)
     ms, mt = _pretrained_pair(source, target)
@@ -381,3 +396,29 @@ def test_graph_nodes_per_backward_stay_small(monkeypatch):
         run_step(step, ms, mt, sampler, cfg, pset, optimizers)
     assert counts["backward"] == 6 * cfg.iters_per_step
     assert counts["nodes"] / counts["backward"] <= 30, counts
+
+
+def test_pretraining_graph_nodes_per_backward_stay_small(monkeypatch):
+    # the default MLP records one node per layer in each of the two branches
+    # (linear, relu, linear; linear, relu, linear) plus one for nt_xent: 13
+    # per backward (41 when nt_xent was composed of generic ops)
+    source, _, _ = _task(samples_per_class=40)
+    extractor = build_extractor(ModelConfig(), source.inputs.shape[-1], 0)
+    counts = {"nodes": 0, "backward": 0}
+    from_op, backward = Tensor._from_op, Tensor.backward
+
+    def counting_from_op(data, parents, op, back):
+        out = from_op(data, parents, op, back)
+        counts["nodes"] += out._backward is not None
+        return out
+
+    def counting_backward(self):
+        counts["backward"] += 1
+        backward(self)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting_from_op))
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    pretrain_contrastive(extractor, source,
+                         TrainConfig(pretrain_epochs=1, batch_size=32))
+    assert counts["backward"] == 3
+    assert counts["nodes"] / counts["backward"] <= 13, counts
