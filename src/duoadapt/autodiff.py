@@ -7,7 +7,8 @@ order. Everything is 64-bit, single-threaded, and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -289,22 +290,45 @@ def as_tensor(x) -> Tensor:
 
 
 # -- structured layer primitives ---------------------------------------------
+#
+# Each layer's array math lives in a plain-array forward and backward helper;
+# the one-layer ops below and ``dense_stack`` call the same helpers. A
+# backward helper takes the flags (one per input, in parameter order) of the
+# gradients it must compute and returns None for the others.
+
+def _accum_each(tensors: Sequence[Tensor], grads: Sequence) -> None:
+    for t, g in zip(tensors, grads):
+        if g is not None:
+            t._accum(g)
+
+
+def _check_linear(x_shape: Tuple[int, ...], w: Tensor, b: Tensor) -> None:
+    if (len(x_shape) != 2 or w.ndim != 2 or x_shape[1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeMismatch("linear", x_shape, w.shape)
+
+
+def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    data = x @ w
+    data += b
+    return data
+
+
+def _linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, need) -> tuple:
+    need_x, need_w, need_b = need
+    return (g @ w.T if need_x else None,
+            x.T @ g if need_w else None,
+            g.sum(axis=0) if need_b else None)
+
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of an (N, I) batch as one graph node."""
-    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape != w.shape[1:]):
-        raise ShapeMismatch("linear", x.shape, w.shape)
-    data = x.data @ w.data
-    data += b.data
+    _check_linear(x.shape, w, b)
+    data = _linear_fwd(x.data, w.data, b.data)
 
     def back(g):
-        if x.requires_grad:
-            x._accum(g @ w.data.T)
-        if w.requires_grad:
-            w._accum(x.data.T @ g)
-        if b.requires_grad:
-            b._accum(g.sum(axis=0))
+        _accum_each((x, w, b), _linear_bwd(
+            g, x.data, w.data, (x.requires_grad, w.requires_grad, b.requires_grad)))
     return Tensor._from_op(data, (x, w, b), "linear", back)
 
 
@@ -365,17 +389,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return Tensor._from_op(out, (x, w), "conv2d", back)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.9, eps: float = 1e-5,
-               update_stats: bool = True) -> Tensor:
-    """Batch normalization over (N,) or (N,H,W) slices per feature/channel.
-
-    Train mode normalizes by batch statistics (biased variance) and, when
-    ``update_stats`` is set, folds them into the running buffers with the
-    given momentum; eval mode normalizes by the running buffers. One graph
-    node with the closed-form backward (Ioffe & Szegedy 2015).
-    """
+def _batch_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                    running_mean: np.ndarray, running_var: np.ndarray,
+                    training: bool, momentum: float, eps: float,
+                    update_stats: bool) -> Tuple[np.ndarray, tuple]:
+    """Normalized, scaled and shifted ``x``, and the cache its backward reads."""
     if x.ndim == 2:
         axes: Tuple[int, ...] = (0,)
         shape: Tuple[int, ...] = (1, -1)
@@ -388,33 +406,58 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         if x.shape[0] < 2:
             raise ValueError("batch_norm: train mode needs batch size >= 2")
         inv_n = 1.0 / float(x.size // x.shape[1])
-        mu = x.data.sum(axis=axes, keepdims=True) * inv_n
-        xc = x.data - mu
+        mu = x.sum(axis=axes, keepdims=True) * inv_n
+        xc = x - mu
         var = (xc ** 2).sum(axis=axes, keepdims=True) * inv_n
         if update_stats:
             running_mean[...] = momentum * running_mean + (1 - momentum) * mu.reshape(-1)
             running_var[...] = momentum * running_var + (1 - momentum) * var.reshape(-1)
         std = np.sqrt(var + eps)
     else:
-        xc = x.data - running_mean.reshape(shape)
+        xc = x - running_mean.reshape(shape)
         std = np.sqrt(running_var.reshape(shape) + eps)
     xn = xc / std
-    scale = gamma.data.reshape(shape)
+    scale = gamma.reshape(shape)
     out = xn * scale
-    out += beta.data.reshape(shape)
+    out += beta.reshape(shape)
+    return out, (axes, training, xn, scale, std)
+
+
+def _batch_norm_bwd(g: np.ndarray, cache: tuple, need) -> tuple:
+    """Closed-form gradients (Ioffe & Szegedy 2015) for (x, gamma, beta)."""
+    axes, training, xn, scale, std = cache
+    need_x, need_gamma, need_beta = need
+    dx = None
+    if need_x:
+        dxn = g * scale
+        if training:
+            # the batch statistics depend on x too
+            dxn = (dxn - dxn.mean(axis=axes, keepdims=True)
+                   - xn * (dxn * xn).mean(axis=axes, keepdims=True))
+        dx = dxn / std
+    return (dx,
+            (g * xn).sum(axis=axes) if need_gamma else None,
+            g.sum(axis=axes) if need_beta else None)
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+               running_mean: np.ndarray, running_var: np.ndarray,
+               training: bool, momentum: float = 0.9, eps: float = 1e-5,
+               update_stats: bool = True) -> Tensor:
+    """Batch normalization over (N,) or (N,H,W) slices per feature/channel.
+
+    Train mode normalizes by batch statistics (biased variance) and, when
+    ``update_stats`` is set, folds them into the running buffers with the
+    given momentum; eval mode normalizes by the running buffers. One graph
+    node with the closed-form backward.
+    """
+    out, cache = _batch_norm_fwd(x.data, gamma.data, beta.data, running_mean,
+                                 running_var, training, momentum, eps,
+                                 update_stats)
 
     def back(g):
-        if gamma.requires_grad:
-            gamma._accum((g * xn).sum(axis=axes))
-        if beta.requires_grad:
-            beta._accum(g.sum(axis=axes))
-        if x.requires_grad:
-            dxn = g * scale
-            if training:
-                # the batch statistics depend on x too
-                dxn = (dxn - dxn.mean(axis=axes, keepdims=True)
-                       - xn * (dxn * xn).mean(axis=axes, keepdims=True))
-            x._accum(dxn / std)
+        _accum_each((x, gamma, beta), _batch_norm_bwd(
+            g, cache, (x.requires_grad, gamma.requires_grad, beta.requires_grad)))
     return Tensor._from_op(out, (x, gamma, beta), "batch_norm", back)
 
 
@@ -444,14 +487,91 @@ def maxpool2x2(x: Tensor) -> Tensor:
     return Tensor._from_op(out, (x,), "maxpool2x2", back)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity in eval mode or at p == 0."""
+def _dropout_mask(shape: Tuple[int, ...], p: float, rng: np.random.Generator,
+                  training: bool) -> Optional[np.ndarray]:
+    """The inverted-dropout multiplier, or None where dropout is the identity
+    (eval mode or p == 0). Draws from ``rng`` only when it returns a mask."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
+        return None
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
+    """Inverted dropout; identity in eval mode or at p == 0."""
+    mask = _dropout_mask(x.shape, p, rng, training)
+    return x if mask is None else x * Tensor(mask)
+
+
+def dense_stack(x: Tensor, hidden: Iterable[tuple], out, residual: bool = False) -> Tensor:
+    """A dense stack as one graph node: hidden Linear -> BatchNorm -> ReLU ->
+    Dropout layers, then a Linear, plus ``x`` itself when ``residual``.
+
+    ``hidden`` yields one (fc, bn, drop) triple per hidden layer: ``fc`` and
+    ``out`` carry ``weight`` and ``bias`` tensors; ``bn`` carries ``gamma``,
+    ``beta``, ``running_mean``, ``running_var``, ``momentum``, ``eps``,
+    ``training`` and ``update_stats`` (the running buffers are updated only
+    when both flags are set); ``drop`` carries ``p``, ``rng`` and
+    ``training``. Every layer runs the same array helpers, in the same
+    order, as its one-layer op, and the dropout masks are drawn layer by
+    layer from each ``drop.rng``. The backward runs the layers' gradients in
+    reverse over the cached arrays, only for the parents that require one,
+    and stops below the lowest layer with such a parent.
+    """
+    layers = []
+    h = x.data
+    for fc, bn, drop in hidden:
+        _check_linear(h.shape, fc.weight, fc.bias)
+        a = _linear_fwd(h, fc.weight.data, fc.bias.data)
+        y, bn_cache = _batch_norm_fwd(a, bn.gamma.data, bn.beta.data,
+                                      bn.running_mean, bn.running_var,
+                                      bn.training, bn.momentum, bn.eps,
+                                      bn.update_stats)
+        relu_mask = y > 0.0
+        r = y * relu_mask
+        drop_mask = _dropout_mask(r.shape, drop.p, drop.rng, drop.training)
+        layers.append(((fc.weight, fc.bias, bn.gamma, bn.beta),
+                       h, bn_cache, relu_mask, drop_mask))
+        h = r if drop_mask is None else r * drop_mask
+    _check_linear(h.shape, out.weight, out.bias)
+    data = _linear_fwd(h, out.weight.data, out.bias.data)
+    if residual:
+        data = x.data + data
+    top = (out.weight, out.bias)
+    parents = (x,) + tuple(t for ws, *_ in layers for t in ws) + top
+
+    def back(g):
+        if residual and x.requires_grad:
+            x._accum(g)
+        # below[i]: the input of hidden layer i or a parent under it needs a
+        # gradient, so the backward must go on below layer i
+        below = [x.requires_grad]
+        for ws, *_ in layers:
+            below.append(below[-1] or any(t.requires_grad for t in ws))
+        w, b = top
+        grads = _linear_bwd(g, h, w.data, (below[-1], w.requires_grad, b.requires_grad))
+        _accum_each(top, grads[1:])
+        dh = grads[0]
+        for i in range(len(layers) - 1, -1, -1):
+            if dh is None:
+                return
+            (w, b, gamma, beta), h_in, bn_cache, relu_mask, drop_mask = layers[i]
+            if drop_mask is not None:
+                dh = dh * drop_mask
+            dh = dh * relu_mask
+            da, dgamma, dbeta = _batch_norm_bwd(
+                dh, bn_cache, (below[i] or w.requires_grad or b.requires_grad,
+                               gamma.requires_grad, beta.requires_grad))
+            _accum_each((gamma, beta), (dgamma, dbeta))
+            if da is None:
+                return
+            dh, dw, db = _linear_bwd(da, h_in, w.data,
+                                     (below[i], w.requires_grad, b.requires_grad))
+            _accum_each((w, b), (dw, db))
+        if dh is not None:
+            x._accum(dh)
+    return Tensor._from_op(data, parents, "dense_stack", back)
 
 
 def log_softmax_array(z: np.ndarray) -> np.ndarray:

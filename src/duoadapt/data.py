@@ -57,6 +57,8 @@ class PdaTaskSpec:
                     f"each domain needs at least 2")
         if self.input_kind not in ("vector", "image"):
             raise ValueError(f"unknown input_kind {self.input_kind!r}")
+        if self.dim < 1:
+            raise ValueError(f"task.dim must be at least 1, got {self.dim}")
 
 
 @dataclass

@@ -18,11 +18,23 @@ MEDIAN_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 @lru_cache(maxsize=16)
-def _upper_pairs(n: int):
-    """Row and column indices of the strict upper triangle of an n x n
-    matrix. A run pools only a few distinct batch sizes, so each is built
-    once; callers index with the arrays and never write to them."""
-    return np.triu_indices(n, k=1)
+def _upper_pairs(n: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of an n x n matrix, in
+    row-major order. A run pools only a few distinct batch sizes, so each is
+    built once; callers read the array and never write to it."""
+    rows, cols = np.triu_indices(n, k=1)
+    return rows * n + cols
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a finite 1-d array from one partition: the middle
+    value, or for an even count the mean of it and the largest value below
+    it, summed and halved as ``np.median`` does. Overwrites ``values``."""
+    h = len(values) // 2
+    values.partition(h)
+    if len(values) % 2:
+        return float(values[h])
+    return float((values[:h].max() + values[h]) / 2.0)
 
 
 @dataclass
@@ -45,7 +57,7 @@ class KernelSpec:
                 raise ValueError("fixed bandwidth rule requires explicit bandwidths")
             bws = list(self.bandwidths)
         elif self.bandwidth_rule == "median_heuristic_multi":
-            med = float(np.median(d2[_upper_pairs(len(d2))]))
+            med = _median(d2.take(_upper_pairs(len(d2))))
             if med <= 0.0:
                 med = 1.0
             bws = [med * s for s in MEDIAN_SCALES]

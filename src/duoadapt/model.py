@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import (ParameterSet, Tensor, batch_norm, conv2d, dropout,
+from .autodiff import (ParameterSet, Tensor, batch_norm, conv2d, dense_stack,
                        linear, maxpool2x2)
 
 _CKPT_MAGIC = b"DACK"
@@ -112,17 +112,16 @@ class BatchNorm(Module):
         return batch_norm(x, self.gamma, self.beta, self.running_mean,
                           self.running_var, training=self.training,
                           momentum=self.momentum, eps=self.eps,
-                          update_stats=self.update_stats and self.training)
+                          update_stats=self.update_stats)
 
 
 class Dropout(Module):
+    """Dropout state of one dense-stack layer; ``dense_stack`` applies it."""
+
     def __init__(self, p: float, rng: np.random.Generator):
         super().__init__()
         self.p = p
         self.rng = rng
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return dropout(x, self.p, self.rng, self.training)
 
 
 class Conv(Module):
@@ -207,7 +206,8 @@ class ConvExtractor(Extractor):
 # -- adaptation block and classifier -----------------------------------------
 
 class DenseStack(Module):
-    """Hidden Linear -> BatchNorm -> ReLU -> Dropout layers, then a Linear."""
+    """Hidden Linear -> BatchNorm -> ReLU -> Dropout layers, then a Linear;
+    each call is one ``dense_stack`` graph node."""
 
     zero_init_out = False
 
@@ -220,10 +220,10 @@ class DenseStack(Module):
         self.drops = [Dropout(dropout_p, rng) for _ in hidden]
         self.out = Linear(dims[-1], out_dim, rng, zero_init=self.zero_init_out)
 
-    def __call__(self, h: Tensor) -> Tensor:
-        for fc, bn, drop in zip(self.fcs, self.bns, self.drops):
-            h = drop(bn(fc(h)).relu())
-        return self.out(h)
+    def __call__(self, h: Tensor, residual: bool = False) -> Tensor:
+        """The stack's output, plus ``h`` itself when ``residual``."""
+        return dense_stack(h, zip(self.fcs, self.bns, self.drops), self.out,
+                           residual)
 
 
 class RdaBlock(DenseStack):
@@ -251,7 +251,7 @@ def rda_forward(block: RdaBlock, z: Tensor, domain_of_z: str) -> Tensor:
         raise ValueError(f"rda_forward: feature dim {z.shape[-1]} != block dim {block.dim}")
     if domain_of_z == block.own_domain:
         return z
-    return z + block(z)
+    return block(z, residual=True)
 
 
 class DomainClassifier(DenseStack):

@@ -63,6 +63,17 @@ class ModelConfig:
     clf_hidden: Tuple[int, ...] = (32, 16)
     dropout_p: float = 0.1
 
+    def __post_init__(self):
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError(f"model.dropout_p must be in [0, 1), got {self.dropout_p}")
+        for key in ("feature_dim", "proj_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"model.{key} must be at least 1, got {getattr(self, key)}")
+        for key in ("mlp_hidden", "rda_hidden", "clf_hidden"):
+            if any(w < 1 for w in getattr(self, key)):
+                raise ValueError(f"model.{key} widths must be at least 1, "
+                                 f"got {getattr(self, key)}")
+
 
 class StepId(Enum):
     S1_train_Cs = 1
@@ -160,11 +171,11 @@ def eval_mode(*models: DomainWiseModel):
 
 
 def _teacher_mode(model: DomainWiseModel):
-    """Guidance forward: no dropout, no stats updates, no graph recorded."""
+    """Guidance forward: no dropout and no stats updates. It records no graph
+    because ``run_step`` freezes every group but the trained one."""
     return _override(
-        [(m, "training" if isinstance(m, Dropout) else "update_stats", False)
-         for _, m in model.walk() if isinstance(m, (Dropout, BatchNorm))]
-        + [(t, "requires_grad", False) for t in model.named_parameters().values()])
+        (m, "training" if isinstance(m, Dropout) else "update_stats", False)
+        for _, m in model.walk() if isinstance(m, (Dropout, BatchNorm)))
 
 
 # -- batch sampling -----------------------------------------------------------
@@ -304,14 +315,19 @@ def _step_loss(step: StepId, model: DomainWiseModel, other: DomainWiseModel,
 def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
              sampler: BatchSampler, cfg: TrainConfig, pset: ParameterSet,
              optimizers: Dict[str, Adam]) -> float:
-    """Run one schedule step: iters_per_step updates of one group only."""
+    """Run one schedule step: iters_per_step updates of one group only.
+
+    Every other group is frozen for the step, so the graph reaches only the
+    trained group's tensors and the backward computes no other gradient."""
     _, group = STEP_MAP[step]
     params = pset.subset((group,))
     model, other = (ms, mt) if group.endswith("_s") else (mt, ms)
     # S3 and S6 read the other model only as the teacher
     guided = step not in SOURCE_CE_STEPS + ALIGN_STEPS
+    frozen = ((t, "requires_grad", False)
+              for name, t in pset.entries.items() if name not in params)
     losses = []
-    with _teacher_mode(other) if guided else nullcontext():
+    with _override(frozen), (_teacher_mode(other) if guided else nullcontext()):
         for _ in range(cfg.iters_per_step):
             loss = _step_loss(step, model, other, sampler, cfg)
             pset.zero_grad()

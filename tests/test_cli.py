@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from duoadapt import train
+from duoadapt import cli, train
 from duoadapt.autodiff import Adam, Tensor
 from duoadapt.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
                           ConfigError, load_config, main, metrics_report)
@@ -119,7 +119,15 @@ def test_exit_codes_for_bad_config_and_missing_data(tmp_path, capsys):
                            (["model.extractor=resnet"], "model.extractor"),
                            (["train.batch_size=1"], "batch_size"),
                            (["task.samples_per_class=1", "task.target_classes=0"],
-                            "task.samples_per_class")):
+                            "task.samples_per_class"),
+                           (["model.dropout_p=1.0"], "model.dropout_p"),
+                           (["model.dropout_p=-0.1"], "model.dropout_p"),
+                           (["model.rda_hidden=32,0,32"], "model.rda_hidden"),
+                           (["model.clf_hidden=0"], "model.clf_hidden"),
+                           (["model.mlp_hidden=0"], "model.mlp_hidden"),
+                           (["model.feature_dim=0"], "model.feature_dim"),
+                           (["model.proj_dim=0"], "model.proj_dim"),
+                           (["task.dim=0"], "task.dim")):
         args = [a for ov in overrides for a in ("--set", ov)]
         assert main(args + ["train"]) == EXIT_CONFIG, overrides
         assert key in capsys.readouterr().err, overrides
@@ -179,6 +187,41 @@ def test_full_pipeline_train_then_eval(tmp_path, capsys):
     # scoring the saved checkpoint reproduces the training-time metrics
     assert report["overall_accuracy"] == metrics["overall_accuracy"]
     assert report["final_reward"] == metrics["final_reward"]
+
+
+def test_train_extracts_the_target_rows_once(tmp_path, monkeypatch, capsys):
+    # gen-data writes the same target rows to target.ds and eval_target.ds;
+    # train shares one tensor between them, so training extracts them once
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    calls = []
+    extract = train.extract
+
+    def counting(model, x, domain_of_x):
+        calls.append(domain_of_x)
+        return extract(model, x, domain_of_x)
+    monkeypatch.setattr(train, "extract", counting)
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    assert calls == ["source", "target"]
+    shared = json.loads((out / "metrics.json").read_text())
+
+    # the eval rows in a tensor of their own are extracted separately, with
+    # the same metrics
+    train_interactive = cli.train_interactive
+
+    def separate(source, target, cfg, model_cfg, eval_target, **kwargs):
+        copy = Dataset(Tensor(eval_target.inputs.data.copy()), eval_target.labels,
+                       eval_target.domain, eval_target.spec)
+        return train_interactive(source, target, cfg, model_cfg,
+                                 eval_target=copy, **kwargs)
+    monkeypatch.setattr(cli, "train_interactive", separate)
+    calls.clear()
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    assert calls == ["source", "target", "target"]
+    apart = json.loads((out / "metrics.json").read_text())
+    for report in (shared, apart):
+        del report["wall_clock_seconds"]
+    assert shared == apart
 
 
 def test_eval_warns_on_config_hash_mismatch(tmp_path, capsys):

@@ -11,7 +11,12 @@ bit for bit, in values and input gradient, since the extractors rely on
 that order. Every op is also checked against central finite differences.
 ``Adam``'s one update over a flat buffer is compared with ``_adam_ref``, the
 per-tensor loop with state per parameter name, bit for bit, step by step and
-through a whole ``train_interactive``.
+through a whole ``train_interactive``. ``dense_stack`` is compared with
+``_dense_stack_ref``, the per-layer composition of ``linear``,
+``batch_norm``, ReLU, ``dropout`` and the residual add, bit for bit in
+values, gradients, running buffers and the dropout generator's next draw.
+The median-heuristic bandwidths are compared with ``np.median`` over the
+upper triangle, bit for bit.
 """
 import numpy as np
 import pytest
@@ -20,11 +25,13 @@ from hypothesis import strategies as st
 
 from duoadapt import train
 from duoadapt.autodiff import (Adam, GradError, ShapeMismatch, Tensor,
-                               batch_norm, conv2d, grad_check, linear,
+                               batch_norm, conv2d, dropout, grad_check, linear,
                                log_softmax, maxpool2x2)
 from duoadapt.data import PdaTaskSpec, gen_synthetic_pda
-from duoadapt.losses import (ContrastiveBatch, KernelSpec, cross_entropy_hard,
-                             cross_entropy_soft, mmd_squared, nt_xent)
+from duoadapt.losses import (MEDIAN_SCALES, ContrastiveBatch, KernelSpec,
+                             cross_entropy_hard, cross_entropy_soft,
+                             mmd_squared, nt_xent)
+from duoadapt.model import DenseStack
 
 TOL = 1e-10
 
@@ -158,6 +165,16 @@ def _nt_xent_ref(originals, augmented, temperature):
     pos = (d_ao * eye).sum(axis=1)
     denom = d_ao.sum(axis=1) + d_aa.sum(axis=1) - (d_aa * eye).sum(axis=1)
     return (denom.log() - pos.log()).mean()
+
+
+def _dense_stack_ref(stack, x, residual=False):
+    """``DenseStack``'s layers one node each: linear, batch norm, ReLU and
+    dropout per hidden layer, then a linear, then the residual add."""
+    h = x
+    for fc, bn, drop in zip(stack.fcs, stack.bns, stack.drops):
+        h = dropout(bn(fc(h)).relu(), drop.p, drop.rng, drop.training)
+    out = stack.out(h)
+    return x + out if residual else out
 
 
 class _adam_ref:
@@ -528,6 +545,103 @@ def test_grad_check_nt_xent():
     report = grad_check(lambda: nt_xent(ContrastiveBatch(o, a, 0.3)),
                         {"originals": o, "augmented": a}, tolerance=1e-6)
     assert report.passed, report.failures()
+
+
+# -- dense stack ----------------------------------------------------------------
+
+def _stack_copy(seed, dims, p, requires, training, update_stats):
+    """A DenseStack with random running buffers, dropout drawing from a
+    fresh generator, and the given requires_grad flag per weight."""
+    rng = np.random.default_rng(seed)
+    stack = DenseStack(dims[0], dims[-1], rng, dims[1:-1], p)
+    stack.set_training(training)
+    for bn in stack.bns:
+        bn.update_stats = update_stats
+        bn.running_mean[...] = rng.standard_normal(bn.running_mean.shape)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, bn.running_var.shape)
+    for drop in stack.drops:
+        drop.rng = np.random.default_rng(seed + 1)
+    for t, flag in zip(stack.named_parameters().values(), requires):
+        t.requires_grad = flag
+    return stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.lists(st.integers(1, 6), min_size=5, max_size=5),
+       st.integers(2, 9), st.booleans(), st.booleans(),
+       st.sampled_from([0.0, 0.3]), st.booleans(), st.integers(0, 2 ** 31))
+def test_dense_stack_matches_composition(depth, widths, n, training,
+                                         update_stats, p, residual, seed):
+    dims = widths[:depth + 2]
+    if residual:
+        dims[-1] = dims[0]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dims[0]))
+    weights = Tensor(rng.standard_normal((n, dims[-1])))
+    x_grad = bool(rng.integers(2))
+    requires = rng.integers(2, size=4 * depth + 2).astype(bool).tolist()
+    results = []
+    for build in (lambda s, t: s(t, residual=residual),
+                  lambda s, t: _dense_stack_ref(s, t, residual)):
+        stack = _stack_copy(seed, dims, p, requires, training, update_stats)
+        xt = Tensor(x.copy(), requires_grad=x_grad)
+        out = build(stack, xt)
+        leaves = [xt, *stack.named_parameters().values()]
+        if any(t.requires_grad for t in leaves):
+            (out * weights).sum().backward()
+        else:
+            assert out._backward is None
+        results.append((out, [t.grad for t in leaves],
+                        [b.copy() for b in stack.named_buffers().values()],
+                        stack.drops[0].rng.random() if depth else None))
+    (got, got_grads, got_bufs, got_draw), (want, want_grads, want_bufs, want_draw) = results
+    if got._backward is not None:
+        assert got._op == "dense_stack"
+    assert np.array_equal(got.data, want.data)
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        assert (g is None) == (w is None), i
+        assert g is None or np.array_equal(g, w), i
+    for g, w in zip(got_bufs, want_bufs):
+        assert np.array_equal(g, w)
+    assert got_draw == want_draw
+
+
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("training", [True, False])
+def test_grad_check_dense_stack(residual, training):
+    rng = np.random.default_rng(11)
+    stack = DenseStack(4, 4, rng, (5, 3), dropout_p=0.0)
+    stack.set_training(training)
+    for bn in stack.bns:
+        bn.update_stats = False
+    x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    weights = Tensor(rng.standard_normal((6, 4)))
+    # a bias in front of a train-mode batch norm has an exactly zero
+    # gradient, which central differences see only as rounding noise
+    params = {"x": x, **{name: t for name, t in stack.named_parameters().items()
+                         if not (training and name.startswith("fcs")
+                                 and name.endswith("bias"))}}
+    report = grad_check(lambda: (stack(x, residual=residual) * weights).sum(),
+                        params, tolerance=1e-6)
+    assert report.passed, report.failures()
+
+
+# -- median-heuristic bandwidths -----------------------------------------------
+
+def test_resolve_matches_np_median():
+    # every n from 2 to 130 gives odd and even pair counts n(n-1)/2;
+    # integer-valued matrices force ties and zero medians, continuous ones
+    # make the partition leave the lower half unsorted; neither is
+    # symmetric, so gathering the wrong triangle fails too
+    for n in range(2, 131):
+        rng = np.random.default_rng(n)
+        for d2 in (np.round(rng.uniform(0.0, 4.0, (n, n))),
+                   rng.standard_normal((n, n)) ** 2):
+            med = float(np.median(d2[np.triu_indices(n, 1)]))
+            med = med if med > 0.0 else 1.0
+            assert KernelSpec().resolve(d2) == [med * s for s in MEDIAN_SCALES], n
+    # a zero median falls back to unit bandwidths
+    assert KernelSpec().resolve(np.zeros((3, 3))) == list(MEDIAN_SCALES)
 
 
 # -- Adam ---------------------------------------------------------------------

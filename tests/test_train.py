@@ -106,24 +106,17 @@ def test_teacher_mode_freezes_dropout_and_stats_and_restores_on_raise():
     ms.set_training(True)
     drops = [m for _, m in ms.walk() if isinstance(m, Dropout)]
     bns = [m for _, m in ms.walk() if isinstance(m, BatchNorm)]
-    params = ms.named_parameters()
     assert drops and bns
     before = {id(m): (m.training, m.update_stats) for m in bns}
-    flags = {name: t.requires_grad for name, t in params.items()}
-    # trainable RDA and head weights, frozen extractor weights
-    assert any(flags.values()) and not all(flags.values())
     with pytest.raises(RuntimeError, match="body"):
         with _teacher_mode(ms):
             assert not any(m.training for m in drops)
             assert not any(m.update_stats for m in bns)
             # batch norm keeps batch statistics; only the updates stop
             assert all(m.training for m in bns if not m.frozen)
-            # the teacher forward records no graph
-            assert not any(t.requires_grad for t in params.values())
             raise RuntimeError("body")
     assert all(m.training for m in drops)
     assert {id(m): (m.training, m.update_stats) for m in bns} == before
-    assert {name: t.requires_grad for name, t in params.items()} == flags
 
 
 def test_batch_sampler_shapes_and_determinism():
@@ -187,6 +180,44 @@ def test_run_step_touches_only_its_group():
                 assert changed, f"{step.name}: {name} should move"
             else:
                 assert not changed, f"{step.name}: {name} must stay"
+
+
+def test_run_step_leaves_gradients_only_on_its_group():
+    # every other group is frozen for the step, the teacher's included, so
+    # its forward records no graph and the backward reaches only the group
+    source, target, _ = _task(seed=1)
+    ms, mt = _pretrained_pair(source, target)
+    pset = parameter_groups(ms, mt)
+    flags = {name: t.requires_grad for name, t in pset.entries.items()}
+    # trainable RDA and head weights, frozen extractor weights
+    assert any(flags.values()) and not all(flags.values())
+    seen = []
+
+    class Spy(Adam):
+        def step(self, params):
+            seen.append({n for n, t in pset.entries.items() if t.requires_grad})
+            super().step(params)
+
+    optimizers = {g: Spy(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    sampler = _feature_sampler(ms, source, target, 16, 8)
+    for step in StepId:
+        _, group = STEP_MAP[step]
+        seen.clear()
+        run_step(step, ms, mt, sampler, FAST, pset, optimizers)
+        for name, t in pset.entries.items():
+            if name not in pset.groups[group]:
+                assert t.grad is None, f"{step.name}: {name} got a gradient"
+        assert seen == [set(pset.groups[group])] * FAST.iters_per_step, step.name
+        assert {n: t.requires_grad for n, t in pset.entries.items()} == flags
+
+    class Failing(Adam):
+        def step(self, params):
+            raise FloatingPointError("non-finite")
+
+    with pytest.raises(FloatingPointError, match="S6_feedback_Fs"):
+        run_step(StepId.S6_feedback_Fs, ms, mt, sampler, FAST, pset,
+                 {"phi_s": Failing(1e-3)})
+    assert {n: t.requires_grad for n, t in pset.entries.items()} == flags
 
 
 def test_compute_reward_agreement():
@@ -396,6 +427,41 @@ def test_graph_nodes_per_backward_stay_small(monkeypatch):
         run_step(step, ms, mt, sampler, cfg, pset, optimizers)
     assert counts["backward"] == 6 * cfg.iters_per_step
     assert counts["nodes"] / counts["backward"] <= 30, counts
+
+
+def test_interactive_steps_record_at_most_three_nodes_per_backward(monkeypatch):
+    # each dense stack is one node and only the trained group records any:
+    # a classifier step is the stack and its loss, an alignment step the RDA
+    # stack and the MMD node, and S6 the RDA stack, the classifier stack and
+    # the loss (about 16 nodes per backward with a node per layer)
+    source, target, _ = _task(samples_per_class=40)
+    cfg = TrainConfig(iters_per_step=2, batch_size=32)
+    ms, mt = build_pair(ModelConfig(), 2, source.inputs.shape[-1], seed=0)
+    ms.extractor_s.mark_pretrained()
+    ms.extractor_t.mark_pretrained()
+    pset = parameter_groups(ms, mt)
+    optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    sampler = _feature_sampler(ms, source, target, cfg.batch_size, 0)
+    recorded, per_backward = [], {}
+    from_op, backward = Tensor._from_op, Tensor.backward
+
+    def counting_from_op(data, parents, op, back):
+        out = from_op(data, parents, op, back)
+        if out._backward is not None:
+            recorded.append(op)
+        return out
+
+    def counting_backward(self):
+        per_backward.setdefault(step.name, []).append(len(recorded))
+        recorded.clear()
+        backward(self)
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting_from_op))
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    for step in StepId:
+        run_step(step, ms, mt, sampler, cfg, pset, optimizers)
+    assert len(per_backward) == 6
+    assert max(n for counts in per_backward.values() for n in counts) <= 3, per_backward
 
 
 def test_pretraining_graph_nodes_per_backward_stay_small(monkeypatch):
