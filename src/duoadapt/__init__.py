@@ -7,8 +7,7 @@ discrepancy, and are trained by a six-step per-epoch schedule with an
 agreement-based stopping rule.
 """
 
-from .autodiff import (Adam, GradError, ParameterSet, SGD, ShapeMismatch,
-                       Tensor, grad_check)
+from .autodiff import Adam, GradError, ShapeMismatch, Tensor, grad_check
 from .data import (AugmentationConfig, Dataset, PdaTaskSpec, augment_pair,
                    gen_synthetic_pda, load_dataset, save_dataset,
                    spectrogram_ingest)

@@ -6,13 +6,11 @@ order. Everything is 64-bit, single-threaded, and deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 import numpy as np
-
-PARAM_GROUPS = ("eps_s", "eps_t", "phi_s", "phi_t", "theta_s", "theta_t")
 
 
 class ShapeMismatch(ValueError):
@@ -589,114 +587,43 @@ def log_softmax(x: Tensor) -> Tensor:
     return Tensor._from_op(data, (x,), "log_softmax", back)
 
 
-def softmax(x: Tensor) -> Tensor:
-    return log_softmax(x).exp()
-
-
-# -- parameter bookkeeping ----------------------------------------------------
-
-@dataclass
-class ParameterSet:
-    """Named trainable tensors partitioned into the six schedule groups."""
-
-    entries: Dict[str, Tensor] = field(default_factory=dict)
-    groups: Dict[str, List[str]] = field(default_factory=dict)
-
-    def add(self, group: str, name: str, t: Tensor) -> None:
-        if group not in PARAM_GROUPS:
-            raise ValueError(f"unknown group {group!r}")
-        if name in self.entries:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self.entries[name] = t
-        self.groups.setdefault(group, []).append(name)
-
-    def subset(self, group_ids: Iterable[str]) -> Dict[str, Tensor]:
-        out: Dict[str, Tensor] = {}
-        for gid in group_ids:
-            if gid not in PARAM_GROUPS:
-                raise ValueError(f"unknown group {gid!r}")
-            for name in self.groups.get(gid, ()):
-                out[name] = self.entries[name]
-        return out
-
-    def validate_partition(self) -> None:
-        seen: Dict[str, str] = {}
-        for gid, names in self.groups.items():
-            for name in names:
-                if name in seen:
-                    raise ValueError(f"parameter {name!r} in groups {seen[name]} and {gid}")
-                seen[name] = gid
-        missing = set(self.entries) - set(seen)
-        if missing:
-            raise ValueError(f"parameters without a group: {sorted(missing)}")
-
-    def zero_grad(self) -> None:
-        for t in self.entries.values():
-            t.zero_grad()
-
-
-# -- optimizers ---------------------------------------------------------------
-
-class SGD:
-    def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        self.learning_rate = learning_rate
-
-    def step(self, params: Mapping[str, Tensor]) -> None:
-        for name, t in params.items():
-            if t.grad is None:
-                raise GradError(f"missing gradient for parameter {name!r}")
-            np.subtract(t.data, self.learning_rate * t.grad, out=t.data)
-            if not np.all(np.isfinite(t.data)):
-                raise FloatingPointError(f"non-finite values in parameter {name!r}")
-
+# -- optimizer ----------------------------------------------------------------
 
 class Adam:
-    """Adam over one fixed set of tensors, held as one flat buffer.
+    """Adam over one fixed set of named tensors, held as one flat buffer.
 
-    The first ``step`` copies the tensors' values into one contiguous
-    buffer and rebinds each tensor's ``.data`` to a reshaped view of it. The
-    moments are flat too; each step gathers the gradients into one flat
-    array and runs the update once over the whole set. Anything else that
-    writes a parameter must write in place (``t.data[...] = ...``) to keep
-    its view.
+    Construction copies the tensors' values into one contiguous buffer and
+    rebinds each tensor's ``.data`` to a reshaped view of it. The moments
+    are flat too; each step gathers the gradients into one flat array and
+    runs the update once over the whole set. Anything else that writes a
+    parameter must write in place (``t.data[...] = ...``) to keep its view.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Mapping[str, Tensor], learning_rate: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._names: Tuple[str, ...] = ()
-        self._tensors: Tuple[Tensor, ...] = ()
-        self._views: Tuple[np.ndarray, ...] = ()
-        self._ends = self._flat = self._m = self._v = None
+        self.params: Dict[str, Tensor] = dict(params)
+        sizes = [t.size for t in self.params.values()]
+        self._ends = np.cumsum(sizes, dtype=np.int64)
+        flat = np.concatenate([t.data for t in self.params.values()], axis=None)
+        for t, end, size in zip(self.params.values(), self._ends, sizes):
+            t.data = flat[end - size:end].reshape(t.shape)
+        self._views = tuple(t.data for t in self.params.values())
+        self._flat = flat
+        self._m, self._v = np.zeros_like(flat), np.zeros_like(flat)
         self._t = 0
 
-    def step(self, params: Mapping[str, Tensor]) -> None:
-        if self._flat is None:
-            self._names, self._tensors = tuple(params), tuple(params.values())
-            sizes = [t.size for t in self._tensors]
-            self._ends = np.cumsum(sizes, dtype=np.int64)
-            flat = np.concatenate([t.data for t in self._tensors], axis=None)
-            for t, end, size in zip(self._tensors, self._ends, sizes):
-                t.data = flat[end - size:end].reshape(t.shape)
-            self._views = tuple(t.data for t in self._tensors)
-            self._flat = flat
-            self._m, self._v = np.zeros_like(flat), np.zeros_like(flat)
-        elif tuple(params) != self._names or tuple(params.values()) != self._tensors:
-            raise ValueError("Adam steps the tensors of its first step only, "
-                             f"got {list(params)}")
-        elif not all(t.data is v for t, v in zip(self._tensors, self._views)):
-            name = next(n for n, t, v in zip(self._names, self._tensors, self._views)
-                        if t.data is not v)
-            raise ValueError(f"parameter {name!r} no longer views the optimizer's "
-                             "buffer; write it in place")
-        grads = [t.grad for t in self._tensors]
+    def step(self) -> None:
+        for (name, t), view in zip(self.params.items(), self._views):
+            if t.data is not view:
+                raise ValueError(f"parameter {name!r} no longer views the "
+                                 "optimizer's buffer; write it in place")
+        grads = [t.grad for t in self.params.values()]
         if any(g is None for g in grads):
-            name = next(n for n, g in zip(self._names, grads) if g is None)
+            name = next(n for n, g in zip(self.params, grads) if g is None)
             raise GradError(f"missing gradient for parameter {name!r}")
         flat, m, v = self._flat, self._m, self._v
         # the gathered gradient and one more array are the step's only work
@@ -722,7 +649,8 @@ class Adam:
         if not np.isfinite(flat).all():
             # the first bad offset lies in the first tensor ending after it
             bad = np.argmin(np.isfinite(flat))
-            name = self._names[int(np.searchsorted(self._ends, bad, side="right"))]
+            at = int(np.searchsorted(self._ends, bad, side="right"))
+            name = list(self.params)[at]
             raise FloatingPointError(f"non-finite values in parameter {name!r}")
 
 

@@ -154,6 +154,8 @@ def load_config(path: Optional[str], overrides: List[str]) -> ExperimentConfig:
         n_seeds = int(raw["study"]["n_seeds"])
     except (ValueError, KeyError) as e:
         raise ConfigError(str(e)) from e
+    if n_seeds < 1:
+        raise ConfigError(f"study.n_seeds must be at least 1, got {n_seeds}")
     needs = _EXTRACTOR_INPUT.get(model.extractor)
     if needs is None:
         raise ConfigError(f"unknown model.extractor {model.extractor!r}")
@@ -241,8 +243,14 @@ def _load_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, Dataset]:
     for p in paths:
         if not p.exists():
             raise FileNotFoundError(f"missing dataset file {p}; run gen-data first")
-    return tuple(_load_checked(p, labeled)  # type: ignore[return-value]
-                 for p, labeled in zip(paths, (True, False, True)))
+    datasets = tuple(_load_checked(p, labeled)
+                     for p, labeled in zip(paths, (True, False, True)))
+    for p, ds in zip(paths[:2], datasets):
+        if len(ds) < 2:
+            # pretraining and train-mode batch norm need two rows
+            raise DatasetFormatError(f"{p}: training needs at least 2 rows, "
+                                     f"got {len(ds)}")
+    return datasets  # type: ignore[return-value]
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:

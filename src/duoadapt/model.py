@@ -14,8 +14,8 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import (ParameterSet, Tensor, batch_norm, conv2d, dense_stack,
-                       linear, maxpool2x2)
+from .autodiff import (Tensor, batch_norm, conv2d, dense_stack, linear,
+                       maxpool2x2)
 
 _CKPT_MAGIC = b"DACK"
 _CKPT_VERSION = 1
@@ -334,14 +334,12 @@ def _parts(ms: DomainWiseModel, mt: DomainWiseModel
             ("theta_t", "Mt.Ct", mt.classifier))
 
 
-def parameter_groups(ms: DomainWiseModel, mt: DomainWiseModel) -> ParameterSet:
-    """Six-group partition of every trainable tensor in both models."""
-    pset = ParameterSet()
-    for group, prefix, module in _parts(ms, mt):
-        for name, t in module.named_parameters(prefix).items():
-            pset.add(group, name, t)
-    pset.validate_partition()
-    return pset
+def parameter_groups(ms: DomainWiseModel, mt: DomainWiseModel
+                     ) -> Dict[str, Dict[str, Tensor]]:
+    """Every tensor of the pair as {group: {name: tensor}}; each group's names
+    share its own prefix, so no name is in two groups."""
+    return {group: module.named_parameters(prefix)
+            for group, prefix, module in _parts(ms, mt)}
 
 
 def named_buffers(ms: DomainWiseModel, mt: DomainWiseModel) -> Dict[str, np.ndarray]:
@@ -366,7 +364,8 @@ class Checkpoint:
     def capture(cls, ms: DomainWiseModel, mt: DomainWiseModel, epoch: int,
                 reward: float, config_hash: str = "") -> "Checkpoint":
         arrays = {name: t.data.copy()
-                  for name, t in parameter_groups(ms, mt).entries.items()}
+                  for group in parameter_groups(ms, mt).values()
+                  for name, t in group.items()}
         for name, buf in named_buffers(ms, mt).items():
             arrays["buffer:" + name] = buf.copy()
         return cls(epoch=epoch, reward=reward, config_hash=config_hash,
@@ -375,8 +374,8 @@ class Checkpoint:
     def restore(self, ms: DomainWiseModel, mt: DomainWiseModel) -> None:
         """Load every tensor into the pair; the names and shapes must match
         the pair's exactly, or nothing is loaded."""
-        targets = {name: t.data
-                   for name, t in parameter_groups(ms, mt).entries.items()}
+        targets = {name: t.data for group in parameter_groups(ms, mt).values()
+                   for name, t in group.items()}
         targets.update(("buffer:" + name, b)
                        for name, b in named_buffers(ms, mt).items())
         unmatched = sorted(set(targets) ^ set(self.arrays))

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .autodiff import Adam, ParameterSet, Tensor
+from .autodiff import Adam, GradError, Tensor
 from .data import AugmentationConfig, Dataset, augment_pair
 from .losses import (ContrastiveBatch, cross_entropy_hard, cross_entropy_soft,
                      mmd_squared, nt_xent)
@@ -250,12 +250,13 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
     Returns the per-epoch mean contrastive loss; the projection head is
     unused after this call.
     """
-    if len(data) == 0:
-        raise ValueError("empty pretraining dataset")
+    if len(data) < 2:
+        # one row makes no contrastive pair and no batch-norm statistics
+        raise ValueError(f"pretraining needs at least 2 rows, got {len(data)}")
     aug = aug or AugmentationConfig()
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     params = extractor.named_parameters("G")
-    opt = Adam(cfg.learning_rate)
+    opt = Adam(params, cfg.learning_rate)
     n = len(data)
     history: List[float] = []
     for epoch in range(1, cfg.pretrain_epochs + 1):
@@ -279,7 +280,7 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
             for t in params.values():
                 t.zero_grad()
             loss.backward()
-            opt.step(params)
+            opt.step()
             losses.append(loss.item())
             # drop this step's graph before the next forward builds its own
             del x, view, batch, loss
@@ -313,34 +314,33 @@ def _step_loss(step: StepId, model: DomainWiseModel, other: DomainWiseModel,
 
 
 def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
-             sampler: BatchSampler, cfg: TrainConfig, pset: ParameterSet,
+             sampler: BatchSampler, cfg: TrainConfig,
              optimizers: Dict[str, Adam]) -> float:
     """Run one schedule step: iters_per_step updates of one group only.
 
-    Every other group is frozen for the step, so the graph reaches only the
-    trained group's tensors and the backward computes no other gradient."""
+    The other optimizers' tensors are frozen for the step, so the graph
+    reaches only the trained group's tensors and the backward computes no
+    other gradient."""
     _, group = STEP_MAP[step]
-    params = pset.subset((group,))
+    opt = optimizers[group]
     model, other = (ms, mt) if group.endswith("_s") else (mt, ms)
     # S3 and S6 read the other model only as the teacher
     guided = step not in SOURCE_CE_STEPS + ALIGN_STEPS
+    tensors = [t for o in optimizers.values() for t in o.params.values()]
     frozen = ((t, "requires_grad", False)
-              for name, t in pset.entries.items() if name not in params)
+              for o in optimizers.values() if o is not opt
+              for t in o.params.values())
     losses = []
     with _override(frozen), (_teacher_mode(other) if guided else nullcontext()):
         for _ in range(cfg.iters_per_step):
             loss = _step_loss(step, model, other, sampler, cfg)
-            pset.zero_grad()
+            for t in tensors:
+                t.zero_grad()
             loss.backward()
-            missing = [n for n, t in params.items() if t.grad is None]
-            if missing:
-                raise RuntimeError(
-                    f"step {step.name}: no gradient reached group {group} "
-                    f"(e.g. {missing[0]})")
             try:
-                optimizers[group].step(params)
-            except FloatingPointError as e:
-                raise FloatingPointError(f"step {step.name}, group {group}: {e}") from e
+                opt.step()
+            except (FloatingPointError, GradError) as e:
+                raise type(e)(f"step {step.name}, group {group}: {e}") from e
             losses.append(loss.item())
     return float(np.mean(losses))
 
@@ -369,7 +369,7 @@ def ensemble_accuracy(ms: DomainWiseModel, mt: DomainWiseModel,
 
 
 def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
-              cfg: TrainConfig, pset: ParameterSet, optimizers: Dict[str, Adam],
+              cfg: TrainConfig, optimizers: Dict[str, Adam],
               trace: RewardTrace, epoch: int,
               eval_target: Optional[Dataset] = None) -> TraceRow:
     """One pass of S1..S6; the reward is measured right after S1. The
@@ -381,10 +381,9 @@ def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
     for step in StepId:
         column, _ = STEP_MAP[step]
         try:
-            losses[column] = run_step(step, ms, mt, sampler, cfg, pset,
-                                      optimizers)
-        except FloatingPointError as e:
-            raise FloatingPointError(f"epoch {epoch}: {e}") from e
+            losses[column] = run_step(step, ms, mt, sampler, cfg, optimizers)
+        except (FloatingPointError, GradError) as e:
+            raise type(e)(f"epoch {epoch}: {e}") from e
         if step is StepId.S1_train_Cs:
             reward = compute_reward(ms, mt, sampler.target.inputs)
     acc = None
@@ -433,9 +432,8 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
     trace.pretrain_loss_t = pretrain_contrastive(
         ms.extractor_t, target, cfg, aug, np.random.default_rng(cfg.seed + 13))[-1]
 
-    pset = parameter_groups(ms, mt)
-    optimizers = {g: Adam(cfg.learning_rate)
-                  for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    groups = parameter_groups(ms, mt)
+    optimizers = {g: Adam(groups[g], cfg.learning_rate) for _, g in STEP_MAP.values()}
     sampler = BatchSampler(extract_dataset(ms, source, "source"),
                            extract_dataset(ms, target, "target"),
                            cfg.batch_size, np.random.default_rng(cfg.seed + 19))
@@ -448,8 +446,7 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
     else:
         eval_z = extract_dataset(ms, eval_target, "target")
     for epoch in range(1, cfg.epochs + 1):
-        row = run_epoch(ms, mt, sampler, cfg, pset, optimizers, trace, epoch,
-                        eval_z)
+        row = run_epoch(ms, mt, sampler, cfg, optimizers, trace, epoch, eval_z)
         verdict, best_id = stopping_check(trace, cfg)
         if best_id == row.checkpoint_id:
             best = Checkpoint.capture(ms, mt, epoch, row.V, config_hash)
@@ -489,7 +486,7 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
                            hidden=model_cfg.clf_hidden,
                            dropout_p=model_cfg.dropout_p)
     params = clf.named_parameters("C")
-    opt = Adam(cfg.learning_rate)
+    opt = Adam(params, cfg.learning_rate)
     srng = np.random.default_rng(cfg.seed + 29)
     n = len(source)
     z = g.features(source.inputs).data
@@ -500,7 +497,7 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
         for t in params.values():
             t.zero_grad()
         loss.backward()
-        opt.step(params)
+        opt.step()
     clf.set_training(False)
     acc = None
     if eval_target is not None and eval_target.labels is not None:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from duoadapt.autodiff import (Adam, GradError, ParameterSet, SGD,
-                               ShapeMismatch, Tensor, batch_norm, conv2d,
-                               dropout, grad_check, log_softmax, maxpool2x2,
-                               softmax)
+from duoadapt.autodiff import (Adam, GradError, ShapeMismatch, Tensor,
+                               batch_norm, conv2d, dropout, grad_check,
+                               log_softmax, maxpool2x2)
 
 
 def test_add_scalar_values():
@@ -130,13 +129,13 @@ def test_batch_norm_eval_uses_running_stats():
 # -- activations --------------------------------------------------------------
 
 def test_softmax_uniform():
-    out = softmax(Tensor(np.zeros((1, 3))))
+    out = log_softmax(Tensor(np.zeros((1, 3)))).exp()
     assert np.allclose(out.data, 1 / 3)
 
 
 def test_softmax_rows_are_distributions():
     rng = np.random.default_rng(7)
-    out = softmax(Tensor(rng.standard_normal((10, 6)) * 30))
+    out = log_softmax(Tensor(rng.standard_normal((10, 6)) * 30)).exp()
     assert np.all(out.data >= 0)
     assert np.max(np.abs(out.data.sum(axis=1) - 1)) <= 1e-12
 
@@ -219,19 +218,12 @@ def test_mlp_cross_entropy_matches_finite_differences():
 
 # -- optimizers ---------------------------------------------------------------
 
-def test_sgd_hand_value():
-    w = Tensor([1.0], requires_grad=True)
-    w.grad = np.array([2.0])
-    SGD(0.1).step({"w": w})
-    assert np.allclose(w.data, [0.8])
-
-
 def test_adam_first_step_matches_hand_formula():
     g = np.array([0.3, -1.7])
     w = Tensor([1.0, 1.0], requires_grad=True)
     w.grad = g.copy()
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-    Adam(lr).step({"w": w})
+    Adam({"w": w}, lr).step()
     mhat = (1 - b1) * g / (1 - b1)
     vhat = (1 - b2) * g * g / (1 - b2)
     expected = np.ones(2) - lr * mhat / (np.sqrt(vhat) + eps)
@@ -239,43 +231,35 @@ def test_adam_first_step_matches_hand_formula():
 
 
 def test_optimizer_step_group_isolation():
-    pset = ParameterSet()
     rng = np.random.default_rng(11)
+    params = {}
     for group in ("theta_s", "phi_s", "eps_s"):
         t = Tensor(rng.standard_normal(4), requires_grad=True)
         t.grad = rng.standard_normal(4)
-        pset.add(group, f"{group}.w", t)
-    before = {name: t.data.tobytes() for name, t in pset.entries.items()}
-    Adam(1e-2).step(pset.subset(("theta_s",)))
-    after = {name: t.data.tobytes() for name, t in pset.entries.items()}
+        params[f"{group}.w"] = t
+    before = {name: t.data.tobytes() for name, t in params.items()}
+    Adam({"theta_s.w": params["theta_s.w"]}, 1e-2).step()
+    after = {name: t.data.tobytes() for name, t in params.items()}
     assert before["theta_s.w"] != after["theta_s.w"]
     assert before["phi_s.w"] == after["phi_s.w"]
     assert before["eps_s.w"] == after["eps_s.w"]
 
 
 def test_optimizer_step_missing_gradient_raises():
-    pset = ParameterSet()
-    pset.add("theta_s", "w", Tensor([1.0], requires_grad=True))
+    opt = Adam({"w": Tensor([1.0], requires_grad=True)}, 0.1)
     with pytest.raises(GradError, match="missing gradient"):
-        SGD(0.1).step(pset.subset(("theta_s",)))
-
-
-def test_parameter_set_rejects_duplicates():
-    pset = ParameterSet()
-    pset.add("theta_s", "w", Tensor([1.0]))
-    with pytest.raises(ValueError, match="duplicate"):
-        pset.add("phi_s", "w", Tensor([2.0]))
+        opt.step()
 
 
 def test_adam_determinism():
     def run():
         rng = np.random.default_rng(12)
         w = Tensor(rng.standard_normal(8), requires_grad=True)
-        opt = Adam(1e-3)
+        opt = Adam({"w": w}, 1e-3)
         for _ in range(25):
             w.zero_grad()
             (w * w).sum().backward()
-            opt.step({"w": w})
+            opt.step()
         return w.data.tobytes()
 
     assert run() == run()

@@ -127,7 +127,9 @@ def test_exit_codes_for_bad_config_and_missing_data(tmp_path, capsys):
                            (["model.mlp_hidden=0"], "model.mlp_hidden"),
                            (["model.feature_dim=0"], "model.feature_dim"),
                            (["model.proj_dim=0"], "model.proj_dim"),
-                           (["task.dim=0"], "task.dim")):
+                           (["task.dim=0"], "task.dim"),
+                           (["study.n_seeds=0"], "study.n_seeds"),
+                           (["study.n_seeds=-3"], "study.n_seeds")):
         args = [a for ov in overrides for a in ("--set", ov)]
         assert main(args + ["train"]) == EXIT_CONFIG, overrides
         assert key in capsys.readouterr().err, overrides
@@ -140,11 +142,11 @@ def test_non_finite_update_names_epoch_step_group_and_parameter(
     class OverflowingAdam(Adam):
         """Adam whose updates of the target RDA block are infinite."""
 
-        def step(self, params):
-            if any(name.startswith("Mt.Ft.") for name in params):
+        def step(self):
+            if any(name.startswith("Mt.Ft.") for name in self.params):
                 self.learning_rate = np.inf
             with np.errstate(invalid="ignore", over="ignore"):
-                super().step(params)
+                super().step()
 
     monkeypatch.setattr(train, "Adam", OverflowingAdam)
     out = tmp_path / "run"
@@ -187,6 +189,34 @@ def test_full_pipeline_train_then_eval(tmp_path, capsys):
     # scoring the saved checkpoint reproduces the training-time metrics
     assert report["overall_accuracy"] == metrics["overall_accuracy"]
     assert report["final_reward"] == metrics["final_reward"]
+
+
+def _first_row(ds):
+    labels = None if ds.labels is None else ds.labels[:1]
+    return Dataset(Tensor(ds.inputs.data[:1]), labels, ds.domain, ds.spec)
+
+
+def test_train_rejects_a_one_row_dataset_and_eval_scores_one(tmp_path, capsys):
+    # pretraining and train-mode batch norm need two rows; eval-mode batch
+    # norm reads the running statistics, so eval scores a single row
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    capsys.readouterr()
+    one = tmp_path / "one.ds"
+    eval_target = load_dataset(out / "eval_target.ds")
+    save_dataset(one, _first_row(eval_target))
+    assert main(_fast_args(out) + ["eval", str(out / "best.ckpt"), str(one)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["per_class_counts"] == {str(eval_target.labels[0]): 1}
+    for name in ("source.ds", "target.ds"):
+        run = tmp_path / name.replace(".", "_")
+        assert main(_fast_args(run) + ["gen-data"]) == EXIT_OK
+        save_dataset(run / name, _first_row(load_dataset(run / name)))
+        capsys.readouterr()
+        assert main(_fast_args(run) + ["train"]) == EXIT_DATA, name
+        err = capsys.readouterr().err
+        assert name in err and "at least 2 rows, got 1" in err, err
 
 
 def test_train_extracts_the_target_rows_once(tmp_path, monkeypatch, capsys):

@@ -181,23 +181,20 @@ class _adam_ref:
     """Adam as one loop over the tensors, with moments and a step count per
     parameter name; each update rebinds the tensor's ``.data``."""
 
-    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = dict(params)
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._m, self._v, self._t = {}, {}, {}
+        self._m = {name: np.zeros_like(t.data) for name, t in self.params.items()}
+        self._v = {name: np.zeros_like(t.data) for name, t in self.params.items()}
+        self._t = dict.fromkeys(self.params, 0)
 
-    def step(self, params):
-        for name, t in params.items():
+    def step(self):
+        for name, t in self.params.items():
             if t.grad is None:
                 raise GradError(f"missing gradient for parameter {name!r}")
             g = t.grad
-            m = self._m.get(name)
-            if m is None:
-                m = np.zeros_like(t.data)
-                self._m[name] = m
-                self._v[name] = np.zeros_like(t.data)
-                self._t[name] = 0
-            v = self._v[name]
+            m, v = self._m[name], self._v[name]
             self._t[name] += 1
             ts = self._t[name]
             m *= self.beta1
@@ -654,7 +651,7 @@ def test_adam_flat_step_matches_per_tensor_loop(shapes, steps, seed):
     init = [rng.standard_normal(shape) for shape in shapes]
     flat = {f"p{i}": Tensor(a.copy(), requires_grad=True) for i, a in enumerate(init)}
     ref = {f"p{i}": Tensor(a.copy(), requires_grad=True) for i, a in enumerate(init)}
-    opt, opt_ref = Adam(1e-2), _adam_ref(1e-2)
+    opt, opt_ref = Adam(flat, 1e-2), _adam_ref(ref, 1e-2)
     for _ in range(steps):
         scale = 10.0 ** rng.uniform(-6, 3)
         grads = {name: rng.standard_normal(t.shape) * scale
@@ -663,8 +660,8 @@ def test_adam_flat_step_matches_per_tensor_loop(shapes, steps, seed):
             # one array for both: neither optimizer may write into a gradient
             flat[name].grad = ref[name].grad = g
         kept = {name: g.copy() for name, g in grads.items()}
-        opt.step(flat)
-        opt_ref.step(ref)
+        opt.step()
+        opt_ref.step()
         for name, t in flat.items():
             assert np.array_equal(t.data, ref[name].data), name
             assert np.array_equal(grads[name], kept[name]), name
@@ -698,7 +695,7 @@ def _pair_with_grads(first_grad, second_grad):
 
 def test_adam_missing_gradient_names_the_parameter():
     with pytest.raises(GradError, match="missing gradient for parameter 'b'"):
-        Adam(1e-3).step(_pair_with_grads([0.1, 0.2], None))
+        Adam(_pair_with_grads([0.1, 0.2], None), 1e-3).step()
 
 
 @pytest.mark.parametrize("index", [(0, 0), (1, 1)])
@@ -708,18 +705,13 @@ def test_adam_non_finite_value_names_its_tensor(index):
     bad[index] = np.nan
     with pytest.raises(FloatingPointError,
                        match="non-finite values in parameter 'b'"):
-        Adam(1e-3).step(_pair_with_grads([0.1, 0.2], bad))
+        Adam(_pair_with_grads([0.1, 0.2], bad), 1e-3).step()
 
 
-def test_adam_rejects_another_mapping_or_a_rebound_tensor():
+def test_adam_rejects_a_rebound_tensor():
     params = _pair_with_grads([0.1, 0.2], np.ones((2, 2)))
-    opt = Adam(1e-3)
-    opt.step(params)
-    with pytest.raises(ValueError, match="first step"):
-        opt.step({"a": params["a"]})
-    stranger = _pair_with_grads([0.1, 0.2], np.ones((2, 2)))["b"]
-    with pytest.raises(ValueError, match="first step"):
-        opt.step({"a": params["a"], "b": stranger})
+    opt = Adam(params, 1e-3)
+    opt.step()
     params["b"].data = params["b"].data.copy()
     with pytest.raises(ValueError, match="parameter 'b' no longer views"):
-        opt.step(params)
+        opt.step()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from duoadapt import train as train_module
-from duoadapt.autodiff import Adam, Tensor
+from duoadapt.autodiff import Adam, GradError, Tensor
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
 from duoadapt.model import (BatchNorm, Checkpoint, Dropout, build_models,
                             extract, parameter_groups)
@@ -149,6 +149,14 @@ def test_pretrain_reduces_loss_and_freezes():
     assert all(not t.requires_grad for t in g.named_parameters("G").values())
 
 
+def test_pretraining_rejects_fewer_than_two_rows():
+    # one row makes no contrastive pair and no batch statistics
+    source, _, _ = _task()
+    one = Dataset(Tensor(source.inputs.data[:1]), source.labels[:1], source.domain)
+    with pytest.raises(ValueError, match="at least 2 rows, got 1"):
+        pretrain_contrastive(build_extractor(SMALL, 8, 0), one, FAST)
+
+
 def test_pretraining_zero_norm_row_names_epoch_and_batch():
     # proj2's bias starts at zero, so a row whose proj1 ReLU units are all
     # off projects to exactly zero; on this task and seed that happens in
@@ -167,16 +175,18 @@ def test_pretraining_zero_norm_row_names_epoch_and_batch():
 def test_run_step_touches_only_its_group():
     source, target, _ = _task(seed=1)
     ms, mt = _pretrained_pair(source, target)
-    pset = parameter_groups(ms, mt)
-    optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    groups = parameter_groups(ms, mt)
+    optimizers = {g: Adam(groups[g], 1e-3)
+                  for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    entries = {n: t for g in groups.values() for n, t in g.items()}
     sampler = _feature_sampler(ms, source, target, 16, 8)
     for step in StepId:
         _, group = STEP_MAP[step]
-        before = {n: t.data.tobytes() for n, t in pset.entries.items()}
-        run_step(step, ms, mt, sampler, FAST, pset, optimizers)
-        for name, t in pset.entries.items():
+        before = {n: t.data.tobytes() for n, t in entries.items()}
+        run_step(step, ms, mt, sampler, FAST, optimizers)
+        for name, t in entries.items():
             changed = t.data.tobytes() != before[name]
-            if name in pset.groups[group]:
+            if name in groups[group]:
                 assert changed, f"{step.name}: {name} should move"
             else:
                 assert not changed, f"{step.name}: {name} must stay"
@@ -187,37 +197,56 @@ def test_run_step_leaves_gradients_only_on_its_group():
     # its forward records no graph and the backward reaches only the group
     source, target, _ = _task(seed=1)
     ms, mt = _pretrained_pair(source, target)
-    pset = parameter_groups(ms, mt)
-    flags = {name: t.requires_grad for name, t in pset.entries.items()}
+    groups = parameter_groups(ms, mt)
+    entries = {n: t for g in groups.values() for n, t in g.items()}
+    flags = {name: t.requires_grad for name, t in entries.items()}
     # trainable RDA and head weights, frozen extractor weights
     assert any(flags.values()) and not all(flags.values())
     seen = []
 
     class Spy(Adam):
-        def step(self, params):
-            seen.append({n for n, t in pset.entries.items() if t.requires_grad})
-            super().step(params)
+        def step(self):
+            seen.append({n for n, t in entries.items() if t.requires_grad})
+            super().step()
 
-    optimizers = {g: Spy(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    optimizers = {g: Spy(groups[g], 1e-3)
+                  for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
     sampler = _feature_sampler(ms, source, target, 16, 8)
     for step in StepId:
         _, group = STEP_MAP[step]
         seen.clear()
-        run_step(step, ms, mt, sampler, FAST, pset, optimizers)
-        for name, t in pset.entries.items():
-            if name not in pset.groups[group]:
+        run_step(step, ms, mt, sampler, FAST, optimizers)
+        for name, t in entries.items():
+            if name not in groups[group]:
                 assert t.grad is None, f"{step.name}: {name} got a gradient"
-        assert seen == [set(pset.groups[group])] * FAST.iters_per_step, step.name
-        assert {n: t.requires_grad for n, t in pset.entries.items()} == flags
+        assert seen == [set(groups[group])] * FAST.iters_per_step, step.name
+        assert {n: t.requires_grad for n, t in entries.items()} == flags
 
     class Failing(Adam):
-        def step(self, params):
+        def step(self):
             raise FloatingPointError("non-finite")
 
     with pytest.raises(FloatingPointError, match="S6_feedback_Fs"):
-        run_step(StepId.S6_feedback_Fs, ms, mt, sampler, FAST, pset,
-                 {"phi_s": Failing(1e-3)})
-    assert {n: t.requires_grad for n, t in pset.entries.items()} == flags
+        run_step(StepId.S6_feedback_Fs, ms, mt, sampler, FAST,
+                 {"phi_s": Failing(groups["phi_s"], 1e-3)})
+    assert {n: t.requires_grad for n, t in entries.items()} == flags
+
+
+def test_missing_gradient_names_epoch_step_group_and_parameter(monkeypatch):
+    # a loss that never reaches the trained group leaves it without gradients
+    source, target, _ = _task(seed=1)
+    ms, mt = _pretrained_pair(source, target)
+    groups = parameter_groups(ms, mt)
+    optimizers = {g: Adam(groups[g], 1e-3)
+                  for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    sampler = _feature_sampler(ms, source, target, 16, 8)
+    stray = Tensor([1.0], requires_grad=True)
+    monkeypatch.setattr(train_module, "_step_loss", lambda *args: (stray * stray).sum())
+    first = next(iter(groups["theta_s"]))
+    with pytest.raises(GradError) as info:
+        run_epoch(ms, mt, sampler, FAST, optimizers, RewardTrace(), 2)
+    assert str(info.value) == ("epoch 2: step S1_train_Cs, group theta_s: "
+                               f"missing gradient for parameter '{first}'")
 
 
 def test_compute_reward_agreement():
@@ -235,11 +264,12 @@ def test_compute_reward_agreement():
 def test_run_epoch_records_all_losses():
     source, target, eval_target = _task(seed=3)
     ms, mt = _pretrained_pair(source, target)
-    pset = parameter_groups(ms, mt)
-    optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    groups = parameter_groups(ms, mt)
+    optimizers = {g: Adam(groups[g], 1e-3)
+                  for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
     sampler = _feature_sampler(ms, source, target, 16, 9)
     trace = RewardTrace()
-    row = run_epoch(ms, mt, sampler, FAST, pset, optimizers, trace, 1,
+    row = run_epoch(ms, mt, sampler, FAST, optimizers, trace, 1,
                     eval_target=extract_dataset(ms, eval_target, "target"))
     assert set(row.losses) == set(TRACE_COLUMNS[2:8])
     assert all(np.isfinite(v) for v in row.losses.values())
@@ -277,10 +307,11 @@ def test_train_interactive_end_to_end_and_determinism():
     assert r1.best_checkpoint_id == f"epoch_{r1.best.epoch}"
     assert r1.best.reward == max(row.V for row in r1.trace.rows)
     # returned models carry the best checkpoint's weights
+    entries = {n: t for g in parameter_groups(r1.ms, r1.mt).values()
+               for n, t in g.items()}
     for name, arr in r1.best.arrays.items():
         if not name.startswith("buffer:"):
-            got = parameter_groups(r1.ms, r1.mt).entries[name].data
-            assert np.array_equal(got, arr), name
+            assert np.array_equal(entries[name].data, arr), name
     assert not r1.ms.training and not r1.mt.training
 
 
@@ -394,8 +425,9 @@ def test_graph_nodes_per_backward_stay_small(monkeypatch):
     ms, mt = build_pair(ModelConfig(), 2, source.inputs.shape[-1], seed=0)
     ms.extractor_s.mark_pretrained()
     ms.extractor_t.mark_pretrained()
-    pset = parameter_groups(ms, mt)
-    optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    groups = parameter_groups(ms, mt)
+    optimizers = {g: Adam(groups[g], 1e-3)
+                  for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
     sampler = _feature_sampler(ms, source, target, cfg.batch_size, 0)
     counts = {"nodes": 0, "backward": 0}
     recorded = []
@@ -424,7 +456,7 @@ def test_graph_nodes_per_backward_stay_small(monkeypatch):
     monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting_from_op))
     monkeypatch.setattr(Tensor, "backward", counting_backward)
     for step in StepId:
-        run_step(step, ms, mt, sampler, cfg, pset, optimizers)
+        run_step(step, ms, mt, sampler, cfg, optimizers)
     assert counts["backward"] == 6 * cfg.iters_per_step
     assert counts["nodes"] / counts["backward"] <= 30, counts
 
@@ -439,8 +471,9 @@ def test_interactive_steps_record_at_most_three_nodes_per_backward(monkeypatch):
     ms, mt = build_pair(ModelConfig(), 2, source.inputs.shape[-1], seed=0)
     ms.extractor_s.mark_pretrained()
     ms.extractor_t.mark_pretrained()
-    pset = parameter_groups(ms, mt)
-    optimizers = {g: Adam(1e-3) for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    groups = parameter_groups(ms, mt)
+    optimizers = {g: Adam(groups[g], 1e-3)
+                  for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
     sampler = _feature_sampler(ms, source, target, cfg.batch_size, 0)
     recorded, per_backward = [], {}
     from_op, backward = Tensor._from_op, Tensor.backward
@@ -459,7 +492,7 @@ def test_interactive_steps_record_at_most_three_nodes_per_backward(monkeypatch):
     monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting_from_op))
     monkeypatch.setattr(Tensor, "backward", counting_backward)
     for step in StepId:
-        run_step(step, ms, mt, sampler, cfg, pset, optimizers)
+        run_step(step, ms, mt, sampler, cfg, optimizers)
     assert len(per_backward) == 6
     assert max(n for counts in per_backward.values() for n in counts) <= 3, per_backward
 
