@@ -502,33 +502,41 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     return x if mask is None else x * Tensor(mask)
 
 
-def dense_stack(x: Tensor, hidden: Iterable[tuple], out, residual: bool = False) -> Tensor:
+# the forward modes of a dense stack: a student being trained, a teacher
+# guiding it, and evaluation
+MODES = ("train", "teacher", "eval")
+
+
+def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
+                rng: np.random.Generator, residual: bool = False) -> Tensor:
     """A dense stack as one graph node: hidden Linear -> BatchNorm -> ReLU ->
     Dropout layers, then a Linear, plus ``x`` itself when ``residual``.
 
-    ``hidden`` yields one (fc, bn, drop) triple per hidden layer: ``fc`` and
-    ``out`` carry ``weight`` and ``bias`` tensors; ``bn`` carries ``gamma``,
-    ``beta``, ``running_mean``, ``running_var``, ``momentum``, ``eps``,
-    ``training`` and ``update_stats`` (the running buffers are updated only
-    when both flags are set); ``drop`` carries ``p``, ``rng`` and
-    ``training``. Every layer runs the same array helpers, in the same
-    order, as its one-layer op, and the dropout masks are drawn layer by
-    layer from each ``drop.rng``. The backward runs the layers' gradients in
-    reverse over the cached arrays, only for the parents that require one,
-    and stops below the lowest layer with such a parent.
+    ``hidden`` yields one (fc, bn) pair per hidden layer: ``fc`` and ``out``
+    carry ``weight`` and ``bias`` tensors; ``bn`` carries ``gamma``,
+    ``beta``, ``running_mean``, ``running_var``, ``momentum`` and ``eps``.
+    ``mode`` is one of ``MODES``. Batch norm uses batch statistics unless
+    it is "eval" and folds them into the running buffers only in "train";
+    dropout with probability ``p`` runs only in "train", its masks drawn
+    layer by layer from ``rng``. Every layer runs the same array helpers, in
+    the same order, as its one-layer op. The backward runs the layers'
+    gradients in reverse over the cached arrays, only for the parents that
+    require one, and stops below the lowest layer with such a parent.
     """
+    if mode not in MODES:
+        raise ValueError(f"dense_stack: unknown mode {mode!r}, expected one of {MODES}")
+    batch_stats, train = mode != "eval", mode == "train"
     layers = []
     h = x.data
-    for fc, bn, drop in hidden:
+    for fc, bn in hidden:
         _check_linear(h.shape, fc.weight, fc.bias)
         a = _linear_fwd(h, fc.weight.data, fc.bias.data)
         y, bn_cache = _batch_norm_fwd(a, bn.gamma.data, bn.beta.data,
                                       bn.running_mean, bn.running_var,
-                                      bn.training, bn.momentum, bn.eps,
-                                      bn.update_stats)
+                                      batch_stats, bn.momentum, bn.eps, train)
         relu_mask = y > 0.0
         r = y * relu_mask
-        drop_mask = _dropout_mask(r.shape, drop.p, drop.rng, drop.training)
+        drop_mask = _dropout_mask(r.shape, p, rng, train)
         layers.append(((fc.weight, fc.bias, bn.gamma, bn.beta),
                        h, bn_cache, relu_mask, drop_mask))
         h = r if drop_mask is None else r * drop_mask

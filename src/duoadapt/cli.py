@@ -26,10 +26,10 @@ import numpy as np
 
 from .data import (Dataset, DatasetFormatError, PdaTaskSpec, gen_synthetic_pda,
                    load_dataset, save_dataset)
-from .model import (CheckpointFormatError, ensemble_predict, load_checkpoint,
-                    save_checkpoint)
-from .train import (ModelConfig, TrainConfig, build_pair, eval_mode,
-                    selection_study, train_interactive)
+from .model import (CheckpointFormatError, ensemble_predict, fused_logits,
+                    load_checkpoint, save_checkpoint)
+from .train import (ModelConfig, TrainConfig, build_pair, selection_study,
+                    train_interactive)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -259,7 +259,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         # gen-data writes the target rows to both files: share one tensor so
         # that training extracts them once
         eval_target = Dataset(target.inputs, eval_target.labels,
-                              eval_target.domain, eval_target.spec)
+                              eval_target.domain)
     t0 = time.monotonic()
     result = train_interactive(source, target, cfg.train, cfg.model,
                                eval_target=eval_target,
@@ -267,8 +267,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     seconds = time.monotonic() - t0
     result.trace.save(cfg.output_dir / "trace.csv")
     save_checkpoint(cfg.output_dir / "best.ckpt", result.best)
-    with eval_mode(result.ms, result.mt):
-        preds, _ = ensemble_predict(result.ms, result.mt, eval_target.inputs)
+    # training extracted the eval rows already: score their features
+    preds = fused_logits(result.ms, result.mt, result.eval_z.inputs).argmax(axis=1)
     report = metrics_report(preds, np.asarray(eval_target.labels),
                             final_reward=result.best.reward,
                             chosen_epoch=result.best.epoch, seconds=seconds,
@@ -293,8 +293,7 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
     ms.extractor_t.mark_pretrained()
     ckpt.restore(ms, mt)
     t0 = time.monotonic()
-    with eval_mode(ms, mt):
-        preds, _ = ensemble_predict(ms, mt, ds.inputs)
+    preds = ensemble_predict(ms, mt, ds.inputs)
     report = metrics_report(preds, np.asarray(ds.labels), ckpt.reward,
                             ckpt.epoch, time.monotonic() - t0, cfg.config_hash)
     print(report.to_json())

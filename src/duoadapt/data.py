@@ -68,7 +68,6 @@ class Dataset:
     inputs: Tensor
     labels: Optional[List[int]]
     domain: str
-    spec: Optional[PdaTaskSpec] = None
 
     def __post_init__(self):
         if self.labels is not None and len(self.labels) != self.inputs.shape[0]:
@@ -78,7 +77,7 @@ class Dataset:
         return self.inputs.shape[0]
 
     def without_labels(self) -> "Dataset":
-        return Dataset(self.inputs, None, self.domain, self.spec)
+        return Dataset(self.inputs, None, self.domain)
 
 
 @dataclass
@@ -160,8 +159,8 @@ def gen_synthetic_pda(spec: PdaTaskSpec) -> Tuple[Dataset, Dataset, Dataset]:
         src_x = spectrogram_ingest(Tensor(src_sig), window=64, hop=16).data
         tgt_x = spectrogram_ingest(Tensor(tgt_sig), window=64, hop=16).data
 
-    source = Dataset(Tensor(src_x), src_y, "source", spec)
-    eval_target = Dataset(Tensor(tgt_x), tgt_y, "target", spec)
+    source = Dataset(Tensor(src_x), src_y, "source")
+    eval_target = Dataset(Tensor(tgt_x), tgt_y, "target")
     return source, eval_target.without_labels(), eval_target
 
 

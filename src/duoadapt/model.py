@@ -34,10 +34,6 @@ class CheckpointFormatError(ValueError):
 class Module:
     """Tiny container base: children discovered from instance attributes."""
 
-    def __init__(self):
-        self.training = True
-        self.frozen = False
-
     def _children(self) -> Iterator[Tuple[str, "Module"]]:
         for name, val in vars(self).items():
             if isinstance(val, Module):
@@ -52,10 +48,6 @@ class Module:
         for name, child in self._children():
             path = f"{prefix}.{name}" if prefix else name
             yield from child.walk(path)
-
-    def set_training(self, flag: bool) -> None:
-        for _, m in self.walk():
-            m.training = False if m.frozen else flag
 
     def named_parameters(self, prefix: str = "") -> Dict[str, Tensor]:
         out: Dict[str, Tensor] = {}
@@ -74,9 +66,6 @@ class Module:
         return out
 
     def freeze(self) -> None:
-        for _, m in self.walk():
-            m.frozen = True
-            m.training = False
         for t in self.named_parameters().values():
             t.requires_grad = False
             t.grad = None
@@ -85,7 +74,6 @@ class Module:
 class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  zero_init: bool = False):
-        super().__init__()
         if zero_init:
             w = np.zeros((in_dim, out_dim))
         else:
@@ -99,35 +87,22 @@ class Linear(Module):
 
 class BatchNorm(Module):
     def __init__(self, dim: int, momentum: float = 0.9, eps: float = 1e-5):
-        super().__init__()
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
         self.momentum = momentum
         self.eps = eps
-        self.update_stats = True
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean,
-                          self.running_var, training=self.training,
-                          momentum=self.momentum, eps=self.eps,
-                          update_stats=self.update_stats)
-
-
-class Dropout(Module):
-    """Dropout state of one dense-stack layer; ``dense_stack`` applies it."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        self.p = p
-        self.rng = rng
+                          self.running_var, training=training,
+                          momentum=self.momentum, eps=self.eps)
 
 
 class Conv(Module):
     def __init__(self, in_ch: int, out_ch: int, k: int, rng: np.random.Generator,
                  padding: int = 1):
-        super().__init__()
         scale = np.sqrt(2.0 / (in_ch * k * k))
         self.weight = Tensor(rng.standard_normal((out_ch, in_ch, k, k)) * scale,
                              requires_grad=True)
@@ -163,7 +138,6 @@ class MlpExtractor(Extractor):
     def __init__(self, in_dim: int, rng: np.random.Generator,
                  hidden: Sequence[int] = (64,), feature_dim: int = 32,
                  proj_dim: int = 16):
-        super().__init__()
         dims = [in_dim, *hidden, feature_dim]
         self.layers = [Linear(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
         self.proj1 = Linear(feature_dim, feature_dim, rng)
@@ -179,14 +153,14 @@ class MlpExtractor(Extractor):
 class ConvExtractor(Extractor):
     """Three conv/BN/maxpool/ReLU blocks over 1x32x32 images, then FC.
 
-    Pooling before the ReLU is exact: ReLU is monotone, so the first
-    maximum of each window is the same cell either way, and the ReLU runs
-    on a quarter of the values.
+    The batch norms use batch statistics until the extractor is pretrained
+    and their running statistics after. Pooling before the ReLU is exact:
+    ReLU is monotone, so the first maximum of each window is the same cell
+    either way, and the ReLU runs on a quarter of the values.
     """
 
     def __init__(self, rng: np.random.Generator, channels: Sequence[int] = (32, 64, 128),
                  feature_dim: int = 512, proj_dim: int = 64):
-        super().__init__()
         chain = [1, *channels]
         self.convs = [Conv(a, b, 3, rng) for a, b in zip(chain[:-1], chain[1:])]
         self.bns = [BatchNorm(c) for c in channels]
@@ -199,7 +173,7 @@ class ConvExtractor(Extractor):
     def features(self, x: Tensor) -> Tensor:
         h = x
         for conv, bn in zip(self.convs, self.bns):
-            h = maxpool2x2(bn(conv(h))).relu()
+            h = maxpool2x2(bn(conv(h), training=not self.pretrained)).relu()
         return self.fc(h.reshape(h.shape[0], -1))
 
 
@@ -207,23 +181,25 @@ class ConvExtractor(Extractor):
 
 class DenseStack(Module):
     """Hidden Linear -> BatchNorm -> ReLU -> Dropout layers, then a Linear;
-    each call is one ``dense_stack`` graph node."""
+    each call is one ``dense_stack`` graph node. Every layer's dropout
+    draws from the one generator ``rng``."""
 
     zero_init_out = False
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  hidden: Sequence[int], dropout_p: float):
-        super().__init__()
         dims = [in_dim, *hidden]
         self.fcs = [Linear(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
         self.bns = [BatchNorm(b) for b in hidden]
-        self.drops = [Dropout(dropout_p, rng) for _ in hidden]
+        self.dropout_p = dropout_p
+        self.rng = rng
         self.out = Linear(dims[-1], out_dim, rng, zero_init=self.zero_init_out)
 
-    def __call__(self, h: Tensor, residual: bool = False) -> Tensor:
-        """The stack's output, plus ``h`` itself when ``residual``."""
-        return dense_stack(h, zip(self.fcs, self.bns, self.drops), self.out,
-                           residual)
+    def __call__(self, h: Tensor, mode: str, residual: bool = False) -> Tensor:
+        """The stack's output in ``mode`` (one of ``autodiff.MODES``), plus
+        ``h`` itself when ``residual``."""
+        return dense_stack(h, zip(self.fcs, self.bns), self.out, mode,
+                           self.dropout_p, self.rng, residual)
 
 
 class RdaBlock(DenseStack):
@@ -245,13 +221,13 @@ class RdaBlock(DenseStack):
         self.dim = dim
 
 
-def rda_forward(block: RdaBlock, z: Tensor, domain_of_z: str) -> Tensor:
-    """Identity for own-domain features, z + block(z) otherwise."""
+def rda_forward(block: RdaBlock, z: Tensor, domain_of_z: str, mode: str) -> Tensor:
+    """Identity for own-domain features, z + block(z) in ``mode`` otherwise."""
     if z.shape[-1] != block.dim:
         raise ValueError(f"rda_forward: feature dim {z.shape[-1]} != block dim {block.dim}")
     if domain_of_z == block.own_domain:
         return z
-    return block(z, residual=True)
+    return block(z, mode, residual=True)
 
 
 class DomainClassifier(DenseStack):
@@ -267,7 +243,6 @@ class DomainWiseModel(Module):
 
     def __init__(self, extractor_s: Module, extractor_t: Module,
                  rda: RdaBlock, classifier: DomainClassifier):
-        super().__init__()
         self.extractor_s = extractor_s
         self.extractor_t = extractor_t
         self.rda = rda
@@ -283,26 +258,24 @@ def extract(model: DomainWiseModel, x: Tensor, domain_of_x: str) -> Tensor:
     return ext.features(x)
 
 
-def classifier_logits(model: DomainWiseModel, z: Tensor, domain_of_z: str) -> Tensor:
-    """Features -> adaptation block -> classifier; raw logits out."""
-    return model.classifier(rda_forward(model.rda, z, domain_of_z))
+def classifier_logits(model: DomainWiseModel, z: Tensor, domain_of_z: str,
+                      mode: str) -> Tensor:
+    """Features -> adaptation block -> classifier, both in ``mode``; raw
+    logits out."""
+    return model.classifier(rda_forward(model.rda, z, domain_of_z, mode), mode)
 
 
 def fused_logits(ms: DomainWiseModel, mt: DomainWiseModel,
                  z_t: Tensor) -> np.ndarray:
-    """Sum of the two models' logits on target features."""
-    return (classifier_logits(ms, z_t, "target").data
-            + classifier_logits(mt, z_t, "target").data)
+    """Sum of the two models' eval-mode logits on target features."""
+    return (classifier_logits(ms, z_t, "target", "eval").data
+            + classifier_logits(mt, z_t, "target", "eval").data)
 
 
 def ensemble_predict(ms: DomainWiseModel, mt: DomainWiseModel,
-                     x_t: Tensor) -> Tuple[np.ndarray, np.ndarray]:
-    """Fuse the two models on raw target samples by summing their logits."""
-    fused = fused_logits(ms, mt, extract(ms, x_t, "target"))
-    fused = fused - fused.max(axis=1, keepdims=True)
-    e = np.exp(fused)
-    dist = e / e.sum(axis=1, keepdims=True)
-    return fused.argmax(axis=1), dist
+                     x_t: Tensor) -> np.ndarray:
+    """Class predictions on raw target samples from the summed logits."""
+    return fused_logits(ms, mt, extract(ms, x_t, "target")).argmax(axis=1)
 
 
 def build_models(n_classes: int, extractor_s: Module, extractor_t: Module,

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .autodiff import Adam, GradError, Tensor
 from .data import AugmentationConfig, Dataset, augment_pair
 from .losses import (ContrastiveBatch, cross_entropy_hard, cross_entropy_soft,
                      mmd_squared, nt_xent)
-from .model import (BatchNorm, Checkpoint, ConvExtractor, DomainClassifier,
-                    DomainWiseModel, Dropout, MlpExtractor, build_models,
+from .model import (Checkpoint, ConvExtractor, DomainClassifier,
+                    DomainWiseModel, MlpExtractor, build_models,
                     classifier_logits, extract, fused_logits,
                     parameter_groups, rda_forward)
 
@@ -148,36 +147,6 @@ def _fmt(x: Optional[float]) -> str:
     return "" if x is None else repr(float(x))
 
 
-# -- mode helpers -------------------------------------------------------------
-
-@contextmanager
-def _override(settings: Iterable[Tuple[object, str, bool]]):
-    """Set each (object, attribute, value) for the body, then restore the
-    values the attributes had before, even when the body raises."""
-    settings = list(settings)
-    saved = [(m, attr, getattr(m, attr)) for m, attr, _ in settings]
-    for m, attr, val in settings:
-        setattr(m, attr, val)
-    try:
-        yield
-    finally:
-        for m, attr, val in saved:
-            setattr(m, attr, val)
-
-
-def eval_mode(*models: DomainWiseModel):
-    return _override((m, "training", False)
-                     for model in models for _, m in model.walk())
-
-
-def _teacher_mode(model: DomainWiseModel):
-    """Guidance forward: no dropout and no stats updates. It records no graph
-    because ``run_step`` freezes every group but the trained one."""
-    return _override(
-        (m, "training" if isinstance(m, Dropout) else "update_stats", False)
-        for _, m in model.walk() if isinstance(m, (Dropout, BatchNorm)))
-
-
 # -- batch sampling -----------------------------------------------------------
 
 class BatchSampler:
@@ -238,7 +207,7 @@ def build_pair(model_cfg: ModelConfig, n_classes: int, in_dim: int,
 
 def extract_dataset(model: DomainWiseModel, ds: Dataset, domain: str) -> Dataset:
     """``ds`` with its inputs replaced by ``domain``'s frozen features."""
-    return Dataset(extract(model, ds.inputs, domain), ds.labels, ds.domain, ds.spec)
+    return Dataset(extract(model, ds.inputs, domain), ds.labels, ds.domain)
 
 
 def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
@@ -294,18 +263,20 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
 def _step_loss(step: StepId, model: DomainWiseModel, other: DomainWiseModel,
                sampler: BatchSampler, cfg: TrainConfig) -> Tensor:
     """One iteration's loss for ``model``, the one ``step`` trains. In S3
-    and S6 ``other`` is the teacher, already in teacher mode."""
+    and S6 ``other`` is the teacher: batch statistics, but no running-buffer
+    update and no dropout. It records no graph because ``run_step`` freezes
+    every group but the trained one."""
     if step in SOURCE_CE_STEPS:
         zs, ys = sampler.source_batch()
-        return cross_entropy_hard(classifier_logits(model, zs, "source"), ys)
+        return cross_entropy_hard(classifier_logits(model, zs, "source", "train"), ys)
     if step in ALIGN_STEPS:
         zs, _ = sampler.source_batch()
         zt = sampler.target_batch()
-        return mmd_squared(rda_forward(model.rda, zs, "source"),
-                           rda_forward(model.rda, zt, "target"))
+        return mmd_squared(rda_forward(model.rda, zs, "source", "train"),
+                           rda_forward(model.rda, zt, "target", "train"))
     zt = sampler.target_batch()
-    teacher = classifier_logits(other, zt, "target")
-    student = classifier_logits(model, zt, "target")
+    teacher = classifier_logits(other, zt, "target", "teacher")
+    student = classifier_logits(model, zt, "target", "train")
     # hard pseudo-labels are an option of the guidance step S3 only; the
     # feedback step S6 always follows the target model's soft predictions
     if cfg.soft_pseudo or step is StepId.S6_feedback_Fs:
@@ -320,18 +291,19 @@ def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
 
     The other optimizers' tensors are frozen for the step, so the graph
     reaches only the trained group's tensors and the backward computes no
-    other gradient."""
+    other gradient. Their ``requires_grad`` flags are restored afterwards,
+    also when the step raises."""
     _, group = STEP_MAP[step]
     opt = optimizers[group]
     model, other = (ms, mt) if group.endswith("_s") else (mt, ms)
-    # S3 and S6 read the other model only as the teacher
-    guided = step not in SOURCE_CE_STEPS + ALIGN_STEPS
     tensors = [t for o in optimizers.values() for t in o.params.values()]
-    frozen = ((t, "requires_grad", False)
-              for o in optimizers.values() if o is not opt
-              for t in o.params.values())
+    frozen = [t for o in optimizers.values() if o is not opt
+              for t in o.params.values()]
+    saved = [t.requires_grad for t in frozen]
+    for t in frozen:
+        t.requires_grad = False
     losses = []
-    with _override(frozen), (_teacher_mode(other) if guided else nullcontext()):
+    try:
         for _ in range(cfg.iters_per_step):
             loss = _step_loss(step, model, other, sampler, cfg)
             for t in tensors:
@@ -342,6 +314,9 @@ def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
             except (FloatingPointError, GradError) as e:
                 raise type(e)(f"step {step.name}, group {group}: {e}") from e
             losses.append(loss.item())
+    finally:
+        for t, flag in zip(frozen, saved):
+            t.requires_grad = flag
     return float(np.mean(losses))
 
 
@@ -349,16 +324,14 @@ def compute_reward(ms: DomainWiseModel, mt: DomainWiseModel, z_t: Tensor) -> flo
     """Agreement fraction of the two models' argmax predictions on targets."""
     if z_t.shape[0] == 0:
         raise ValueError("empty target set")
-    with eval_mode(ms, mt):
-        p_s = classifier_logits(ms, z_t, "target").data.argmax(axis=1)
-        p_t = classifier_logits(mt, z_t, "target").data.argmax(axis=1)
+    p_s = classifier_logits(ms, z_t, "target", "eval").data.argmax(axis=1)
+    p_t = classifier_logits(mt, z_t, "target", "eval").data.argmax(axis=1)
     return float(np.mean(p_s == p_t))
 
 
 def _accuracy(ms: DomainWiseModel, mt: DomainWiseModel, eval_z: Dataset) -> float:
     """Logit-fusion accuracy on labeled target features."""
-    with eval_mode(ms, mt):
-        preds = fused_logits(ms, mt, eval_z.inputs).argmax(axis=1)
+    preds = fused_logits(ms, mt, eval_z.inputs).argmax(axis=1)
     return float(np.mean(preds == np.asarray(eval_z.labels)))
 
 
@@ -374,8 +347,6 @@ def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
               eval_target: Optional[Dataset] = None) -> TraceRow:
     """One pass of S1..S6; the reward is measured right after S1. The
     sampler and ``eval_target`` hold features."""
-    ms.set_training(True)
-    mt.set_training(True)
     losses: Dict[str, float] = {}
     reward = None
     for step in StepId:
@@ -411,6 +382,7 @@ class TrainResult:
     trace: RewardTrace
     best: Checkpoint
     best_checkpoint_id: str
+    eval_z: Optional[Dataset]    # the eval target's features, if one was given
 
 
 def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
@@ -442,7 +414,7 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
     elif eval_target.inputs is target.inputs:
         # gen_synthetic_pda hands out one input tensor for both target sets
         eval_z = Dataset(sampler.target.inputs, eval_target.labels,
-                         eval_target.domain, eval_target.spec)
+                         eval_target.domain)
     else:
         eval_z = extract_dataset(ms, eval_target, "target")
     for epoch in range(1, cfg.epochs + 1):
@@ -453,10 +425,8 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
         if verdict == "stop":
             break
     best.restore(ms, mt)
-    ms.set_training(False)
-    mt.set_training(False)
     return TrainResult(ms=ms, mt=mt, trace=trace, best=best,
-                       best_checkpoint_id=best_id)
+                       best_checkpoint_id=best_id, eval_z=eval_z)
 
 
 # -- source-only baseline -----------------------------------------------------
@@ -493,15 +463,14 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
     for _ in range(cfg.epochs * 6 * cfg.iters_per_step):
         idx = srng.choice(n, size=min(cfg.batch_size, n), replace=False)
         ys = [source.labels[i] for i in idx]
-        loss = cross_entropy_hard(clf(Tensor(z[idx])), ys)
+        loss = cross_entropy_hard(clf(Tensor(z[idx]), "train"), ys)
         for t in params.values():
             t.zero_grad()
         loss.backward()
         opt.step()
-    clf.set_training(False)
     acc = None
     if eval_target is not None and eval_target.labels is not None:
-        preds = clf(g.features(eval_target.inputs)).data.argmax(axis=1)
+        preds = clf(g.features(eval_target.inputs), "eval").data.argmax(axis=1)
         acc = float(np.mean(preds == np.asarray(eval_target.labels)))
     return BaselineResult(extractor=g, classifier=clf, target_accuracy=acc)
 

@@ -113,13 +113,12 @@ def test_criterion_1_gradient_fidelity():
         g.pretrained = True
     ms, mt = build_models(3, gs, gt, seed=2, rda_hidden=(6, 6, 6),
                           clf_hidden=(6,), dropout_p=0.0)
-    ms.set_training(False)
     zt = extract(ms, Tensor(rng.standard_normal((6, 5))), "target")
     ys = rng.integers(0, 3, 6)
     groups = parameter_groups(ms, mt)
     trainable = {**groups["phi_s"], **groups["theta_s"]}
     rep = grad_check(lambda: cross_entropy_hard(
-        classifier_logits(ms, zt, "target"), ys), trainable, tolerance=1e-4)
+        classifier_logits(ms, zt, "target", "eval"), ys), trainable, tolerance=1e-4)
     assert rep.passed, rep.failures()
 
     elapsed = time.monotonic() - start
@@ -183,7 +182,7 @@ def test_criterion_3_identity_channel_exactness():
                          np.random.default_rng(trial), hidden=(8, 8))
         z = Tensor(rng.standard_normal((int(rng.integers(2, 9)), dim)),
                    requires_grad=True)
-        out = rda_forward(block, z, block.own_domain)
+        out = rda_forward(block, z, block.own_domain, "train")
         assert out is z  # bit-identical, not a copy
         (out * out).sum().backward()
         for name, p in block.named_parameters("F").items():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from duoadapt import cli, train
+from duoadapt import cli, model, train
 from duoadapt.autodiff import Adam, Tensor
 from duoadapt.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
                           ConfigError, load_config, main, metrics_report)
@@ -193,7 +193,7 @@ def test_full_pipeline_train_then_eval(tmp_path, capsys):
 
 def _first_row(ds):
     labels = None if ds.labels is None else ds.labels[:1]
-    return Dataset(Tensor(ds.inputs.data[:1]), labels, ds.domain, ds.spec)
+    return Dataset(Tensor(ds.inputs.data[:1]), labels, ds.domain)
 
 
 def test_train_rejects_a_one_row_dataset_and_eval_scores_one(tmp_path, capsys):
@@ -221,7 +221,8 @@ def test_train_rejects_a_one_row_dataset_and_eval_scores_one(tmp_path, capsys):
 
 def test_train_extracts_the_target_rows_once(tmp_path, monkeypatch, capsys):
     # gen-data writes the same target rows to target.ds and eval_target.ds;
-    # train shares one tensor between them, so training extracts them once
+    # train shares one tensor between them, so training extracts them once,
+    # and the metrics score the features training extracted
     out = tmp_path / "run"
     assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
     calls = []
@@ -230,7 +231,9 @@ def test_train_extracts_the_target_rows_once(tmp_path, monkeypatch, capsys):
     def counting(model, x, domain_of_x):
         calls.append(domain_of_x)
         return extract(model, x, domain_of_x)
-    monkeypatch.setattr(train, "extract", counting)
+    # every module that calls extract binds it by name
+    for module in (train, model):
+        monkeypatch.setattr(module, "extract", counting)
     assert main(_fast_args(out) + ["train"]) == EXIT_OK
     assert calls == ["source", "target"]
     shared = json.loads((out / "metrics.json").read_text())
@@ -241,7 +244,7 @@ def test_train_extracts_the_target_rows_once(tmp_path, monkeypatch, capsys):
 
     def separate(source, target, cfg, model_cfg, eval_target, **kwargs):
         copy = Dataset(Tensor(eval_target.inputs.data.copy()), eval_target.labels,
-                       eval_target.domain, eval_target.spec)
+                       eval_target.domain)
         return train_interactive(source, target, cfg, model_cfg,
                                  eval_target=copy, **kwargs)
     monkeypatch.setattr(cli, "train_interactive", separate)

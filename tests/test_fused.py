@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duoadapt import train
-from duoadapt.autodiff import (Adam, GradError, ShapeMismatch, Tensor,
+from duoadapt.autodiff import (MODES, Adam, GradError, ShapeMismatch, Tensor,
                                batch_norm, conv2d, dropout, grad_check, linear,
                                log_softmax, maxpool2x2)
 from duoadapt.data import PdaTaskSpec, gen_synthetic_pda
@@ -167,12 +167,15 @@ def _nt_xent_ref(originals, augmented, temperature):
     return (denom.log() - pos.log()).mean()
 
 
-def _dense_stack_ref(stack, x, residual=False):
+def _dense_stack_ref(stack, x, mode, residual=False):
     """``DenseStack``'s layers one node each: linear, batch norm, ReLU and
     dropout per hidden layer, then a linear, then the residual add."""
     h = x
-    for fc, bn, drop in zip(stack.fcs, stack.bns, stack.drops):
-        h = dropout(bn(fc(h)).relu(), drop.p, drop.rng, drop.training)
+    for fc, bn in zip(stack.fcs, stack.bns):
+        h = batch_norm(fc(h), bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                       training=mode != "eval", momentum=bn.momentum, eps=bn.eps,
+                       update_stats=mode == "train")
+        h = dropout(h.relu(), stack.dropout_p, stack.rng, training=mode == "train")
     out = stack.out(h)
     return x + out if residual else out
 
@@ -546,18 +549,15 @@ def test_grad_check_nt_xent():
 
 # -- dense stack ----------------------------------------------------------------
 
-def _stack_copy(seed, dims, p, requires, training, update_stats):
+def _stack_copy(seed, dims, p, requires):
     """A DenseStack with random running buffers, dropout drawing from a
     fresh generator, and the given requires_grad flag per weight."""
     rng = np.random.default_rng(seed)
     stack = DenseStack(dims[0], dims[-1], rng, dims[1:-1], p)
-    stack.set_training(training)
     for bn in stack.bns:
-        bn.update_stats = update_stats
         bn.running_mean[...] = rng.standard_normal(bn.running_mean.shape)
         bn.running_var[...] = rng.uniform(0.5, 2.0, bn.running_var.shape)
-    for drop in stack.drops:
-        drop.rng = np.random.default_rng(seed + 1)
+    stack.rng = np.random.default_rng(seed + 1)
     for t, flag in zip(stack.named_parameters().values(), requires):
         t.requires_grad = flag
     return stack
@@ -565,10 +565,10 @@ def _stack_copy(seed, dims, p, requires, training, update_stats):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 3), st.lists(st.integers(1, 6), min_size=5, max_size=5),
-       st.integers(2, 9), st.booleans(), st.booleans(),
+       st.integers(2, 9), st.sampled_from(MODES),
        st.sampled_from([0.0, 0.3]), st.booleans(), st.integers(0, 2 ** 31))
-def test_dense_stack_matches_composition(depth, widths, n, training,
-                                         update_stats, p, residual, seed):
+def test_dense_stack_matches_composition(depth, widths, n, mode, p, residual,
+                                         seed):
     dims = widths[:depth + 2]
     if residual:
         dims[-1] = dims[0]
@@ -578,9 +578,9 @@ def test_dense_stack_matches_composition(depth, widths, n, training,
     x_grad = bool(rng.integers(2))
     requires = rng.integers(2, size=4 * depth + 2).astype(bool).tolist()
     results = []
-    for build in (lambda s, t: s(t, residual=residual),
-                  lambda s, t: _dense_stack_ref(s, t, residual)):
-        stack = _stack_copy(seed, dims, p, requires, training, update_stats)
+    for build in (lambda s, t: s(t, mode, residual=residual),
+                  lambda s, t: _dense_stack_ref(s, t, mode, residual)):
+        stack = _stack_copy(seed, dims, p, requires)
         xt = Tensor(x.copy(), requires_grad=x_grad)
         out = build(stack, xt)
         leaves = [xt, *stack.named_parameters().values()]
@@ -590,7 +590,7 @@ def test_dense_stack_matches_composition(depth, widths, n, training,
             assert out._backward is None
         results.append((out, [t.grad for t in leaves],
                         [b.copy() for b in stack.named_buffers().values()],
-                        stack.drops[0].rng.random() if depth else None))
+                        stack.rng.random()))
     (got, got_grads, got_bufs, got_draw), (want, want_grads, want_bufs, want_draw) = results
     if got._backward is not None:
         assert got._op == "dense_stack"
@@ -604,23 +604,29 @@ def test_dense_stack_matches_composition(depth, widths, n, training,
 
 
 @pytest.mark.parametrize("residual", [False, True])
-@pytest.mark.parametrize("training", [True, False])
-def test_grad_check_dense_stack(residual, training):
+@pytest.mark.parametrize("batch_stats", [True, False])
+def test_grad_check_dense_stack(residual, batch_stats):
+    # "teacher" normalizes by batch statistics like "train" but leaves the
+    # running buffers alone over the check's many forwards
+    mode = "teacher" if batch_stats else "eval"
     rng = np.random.default_rng(11)
     stack = DenseStack(4, 4, rng, (5, 3), dropout_p=0.0)
-    stack.set_training(training)
-    for bn in stack.bns:
-        bn.update_stats = False
     x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
     weights = Tensor(rng.standard_normal((6, 4)))
-    # a bias in front of a train-mode batch norm has an exactly zero
+    # a bias in front of a batch-statistics batch norm has an exactly zero
     # gradient, which central differences see only as rounding noise
     params = {"x": x, **{name: t for name, t in stack.named_parameters().items()
-                         if not (training and name.startswith("fcs")
+                         if not (batch_stats and name.startswith("fcs")
                                  and name.endswith("bias"))}}
-    report = grad_check(lambda: (stack(x, residual=residual) * weights).sum(),
+    report = grad_check(lambda: (stack(x, mode, residual=residual) * weights).sum(),
                         params, tolerance=1e-6)
     assert report.passed, report.failures()
+
+
+def test_dense_stack_rejects_an_unknown_mode():
+    stack = DenseStack(4, 4, np.random.default_rng(0), (5,), dropout_p=0.1)
+    with pytest.raises(ValueError, match="unknown mode 'training'"):
+        stack(Tensor(np.zeros((3, 4))), "training")
 
 
 # -- median-heuristic bandwidths -----------------------------------------------

@@ -31,16 +31,15 @@ def _small_models(seed=0, n_classes=3, in_dim=6, feature_dim=8,
 def test_rda_identity_channel_returns_same_object():
     block = RdaBlock(5, "source", np.random.default_rng(0), hidden=(8, 8, 8))
     z = Tensor(np.random.default_rng(1).standard_normal((4, 5)))
-    assert rda_forward(block, z, "source") is z
+    assert rda_forward(block, z, "source", "train") is z
 
 
 def test_rda_cross_domain_is_identity_at_init():
     # The residual path ends in a zero-initialized linear layer, so a fresh
     # block maps cross-domain features through unchanged (values, not object).
     block = RdaBlock(5, "source", np.random.default_rng(0), hidden=(8, 8, 8))
-    block.set_training(False)
     z = Tensor(np.random.default_rng(1).standard_normal((4, 5)))
-    out = rda_forward(block, z, "target")
+    out = rda_forward(block, z, "target", "eval")
     assert out is not z
     assert np.array_equal(out.data, z.data)
 
@@ -48,7 +47,7 @@ def test_rda_cross_domain_is_identity_at_init():
 def test_rda_rejects_wrong_feature_dim():
     block = RdaBlock(5, "source", np.random.default_rng(0), hidden=(8,))
     with pytest.raises(ValueError, match="feature dim"):
-        rda_forward(block, Tensor(np.zeros((2, 6))), "target")
+        rda_forward(block, Tensor(np.zeros((2, 6))), "target", "eval")
 
 
 def test_rda_rejects_bad_domain():
@@ -68,7 +67,6 @@ def test_extract_requires_pretraining():
 
 def test_extract_is_constant_wrt_tape():
     ms, _ = _small_models()
-    ms.set_training(False)
     z = extract(ms, Tensor(np.random.default_rng(2).standard_normal((4, 6))),
                 "source")
     assert not z.requires_grad
@@ -113,26 +111,20 @@ def test_extract_routes_by_input_domain():
 
 def test_classifier_logits_shape():
     ms, _ = _small_models(n_classes=3)
-    ms.set_training(False)
     z = extract(ms, Tensor(np.random.default_rng(3).standard_normal((5, 6))),
                 "source")
-    out = classifier_logits(ms, z, "source")
+    out = classifier_logits(ms, z, "source", "eval")
     assert out.shape == (5, 3)
 
 
 def test_ensemble_matches_manual_logit_sum():
     ms, mt = _small_models(n_classes=4)
-    for m in (ms, mt):
-        m.set_training(False)
     x = Tensor(np.random.default_rng(4).standard_normal((6, 6)))
-    ids, dist = ensemble_predict(ms, mt, x)
+    ids = ensemble_predict(ms, mt, x)
     z = extract(ms, x, "target")
-    fused = (classifier_logits(ms, z, "target").data
-             + classifier_logits(mt, z, "target").data)
+    fused = (classifier_logits(ms, z, "target", "eval").data
+             + classifier_logits(mt, z, "target", "eval").data)
     assert np.array_equal(ids, fused.argmax(axis=1))
-    assert np.max(np.abs(dist.sum(axis=1) - 1)) <= 1e-12
-    e = np.exp(fused - fused.max(axis=1, keepdims=True))
-    assert np.allclose(dist, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
 
 def _entries(ms, mt):
@@ -171,8 +163,7 @@ def test_frozen_extractor_parameters_do_not_require_grad():
 
 def test_classifier_emits_raw_logits():
     clf = DomainClassifier(4, 3, np.random.default_rng(5), hidden=(8,))
-    clf.set_training(False)
-    out = clf(Tensor(np.random.default_rng(6).standard_normal((10, 4)) * 5))
+    out = clf(Tensor(np.random.default_rng(6).standard_normal((10, 4)) * 5), "eval")
     # raw logits: not constrained to the simplex
     assert not np.allclose(out.data.sum(axis=1), 1.0)
 
@@ -206,26 +197,22 @@ def test_checkpoint_roundtrip_is_byte_exact(tmp_path):
 
 def test_checkpoint_restore_recovers_outputs(tmp_path):
     ms, mt = _small_models(seed=8)
-    for m in (ms, mt):
-        m.set_training(False)
     z = extract(ms, Tensor(np.random.default_rng(9).standard_normal((5, 6))),
                 "target")
-    before = classifier_logits(ms, z, "target").data.copy()
+    before = classifier_logits(ms, z, "target", "eval").data.copy()
     ckpt = Checkpoint.capture(ms, mt, epoch=0, reward=0.0)
 
     rng = np.random.default_rng(10)
     for t in _entries(ms, mt).values():
         t.data += rng.standard_normal(t.data.shape) * 0.1
-    assert not np.allclose(classifier_logits(ms, z, "target").data, before)
+    assert not np.allclose(classifier_logits(ms, z, "target", "eval").data, before)
 
     ckpt.restore(ms, mt)
-    assert np.array_equal(classifier_logits(ms, z, "target").data, before)
+    assert np.array_equal(classifier_logits(ms, z, "target", "eval").data, before)
 
 
 def test_no_writer_detaches_a_parameter_from_its_optimizer_buffer():
     ms, mt = _small_models(seed=12)
-    for m in (ms, mt):
-        m.set_training(False)
     z = extract(ms, Tensor(np.random.default_rng(13).standard_normal((6, 6))),
                 "target")
     params = parameter_groups(ms, mt)["theta_s"]
@@ -234,7 +221,7 @@ def test_no_writer_detaches_a_parameter_from_its_optimizer_buffer():
     def adam_step():
         for t in params.values():
             t.zero_grad()
-        cross_entropy_hard(classifier_logits(ms, z, "target"),
+        cross_entropy_hard(classifier_logits(ms, z, "target", "eval"),
                            [0, 1, 2, 0, 1, 2]).backward()
         opt.step()
 
@@ -247,12 +234,12 @@ def test_no_writer_detaches_a_parameter_from_its_optimizer_buffer():
     read = {name: t.data.copy()
             for name, t in ms.classifier.named_parameters("Ms.Cs").items()}
     assert read.keys() == params.keys()
-    before = classifier_logits(ms, z, "target").data.copy()
+    before = classifier_logits(ms, z, "target", "eval").data.copy()
     adam_step()
     moved = {name for name, t in ms.classifier.named_parameters("Ms.Cs").items()
              if not np.array_equal(t.data, read[name])}
     assert moved == set(params)
-    assert not np.array_equal(classifier_logits(ms, z, "target").data, before)
+    assert not np.array_equal(classifier_logits(ms, z, "target", "eval").data, before)
 
 
 @pytest.mark.parametrize("rda_hidden, message", [

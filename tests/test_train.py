@@ -4,13 +4,13 @@ import pytest
 from duoadapt import train as train_module
 from duoadapt.autodiff import Adam, GradError, Tensor
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
-from duoadapt.model import (BatchNorm, Checkpoint, Dropout, build_models,
-                            extract, parameter_groups)
+from duoadapt.model import (Checkpoint, build_models, extract, named_buffers,
+                            parameter_groups)
 from duoadapt.train import (STEP_MAP, TRACE_COLUMNS, BatchSampler, ModelConfig,
                             RewardTrace, StepId, TraceRow, TrainConfig,
-                            _teacher_mode, build_extractor, build_pair,
-                            compute_reward, ensemble_accuracy, eval_mode,
-                            extract_dataset, pretrain_contrastive, run_epoch,
+                            build_extractor, build_pair, compute_reward,
+                            ensemble_accuracy, extract_dataset,
+                            pretrain_contrastive, run_epoch,
                             run_step, selection_study, stopping_check,
                             train_interactive, train_source_only_baseline)
 
@@ -85,38 +85,6 @@ def test_reward_trace_validation_and_csv():
     assert lines[0] == "# config_hash=deadbeef"
     assert lines[2] == ",".join(TRACE_COLUMNS)
     assert len(lines) == 5
-
-
-def test_eval_mode_restores_training_flags():
-    source, target, _ = _task()
-    ms, mt = _pretrained_pair(source, target)
-    ms.set_training(True)
-    mt.set_training(False)
-    with eval_mode(ms, mt):
-        assert not any(m.training for _, m in ms.walk())
-    # frozen extractor modules stay out of training mode permanently
-    assert all(m.training for _, m in ms.walk() if not m.frozen)
-    assert all(not m.training for _, m in ms.walk() if m.frozen)
-    assert not any(m.training for _, m in mt.walk())
-
-
-def test_teacher_mode_freezes_dropout_and_stats_and_restores_on_raise():
-    source, target, _ = _task()
-    ms, mt = _pretrained_pair(source, target)
-    ms.set_training(True)
-    drops = [m for _, m in ms.walk() if isinstance(m, Dropout)]
-    bns = [m for _, m in ms.walk() if isinstance(m, BatchNorm)]
-    assert drops and bns
-    before = {id(m): (m.training, m.update_stats) for m in bns}
-    with pytest.raises(RuntimeError, match="body"):
-        with _teacher_mode(ms):
-            assert not any(m.training for m in drops)
-            assert not any(m.update_stats for m in bns)
-            # batch norm keeps batch statistics; only the updates stop
-            assert all(m.training for m in bns if not m.frozen)
-            raise RuntimeError("body")
-    assert all(m.training for m in drops)
-    assert {id(m): (m.training, m.update_stats) for m in bns} == before
 
 
 def test_batch_sampler_shapes_and_determinism():
@@ -232,6 +200,50 @@ def test_run_step_leaves_gradients_only_on_its_group():
     assert {n: t.requires_grad for n, t in entries.items()} == flags
 
 
+def _buffer_owners(ms, mt):
+    """Snapshot of every batch norm's running buffers, and a function that
+    names the batch norms (by module prefix) whose buffers have changed."""
+    buffers = named_buffers(ms, mt)
+    before = {n: b.copy() for n, b in buffers.items()}
+
+    def changed():
+        return {n.split(".bns")[0] for n, b in buffers.items()
+                if not np.array_equal(b, before[n])}
+    return changed
+
+
+def test_run_step_updates_running_stats_of_its_students_only():
+    # each step's students run in "train" mode and fold their batch
+    # statistics into the running buffers; the S3/S6 teacher runs in
+    # "teacher" mode and the own-domain RDA block is never called
+    source, target, _ = _task(source_classes=3, samples_per_class=24)
+    ms, mt = _pretrained_pair(source, target)
+    groups = parameter_groups(ms, mt)
+    optimizers = {g: Adam(groups[g], 1e-3)
+                  for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
+    sampler = _feature_sampler(ms, source, target, 16, 19)
+    students = {StepId.S1_train_Cs: {"Ms.Cs"}, StepId.S2_align_Fs: {"Ms.Fs"},
+                StepId.S3_guide_Ct: {"Mt.Ct"}, StepId.S4_align_Ft: {"Mt.Ft"},
+                StepId.S5_source_Ct: {"Mt.Ct", "Mt.Ft"},
+                StepId.S6_feedback_Fs: {"Ms.Cs", "Ms.Fs"}}
+    for step in StepId:
+        changed = _buffer_owners(ms, mt)
+        run_step(step, ms, mt, sampler, FAST, optimizers)
+        assert changed() == students[step], step.name
+
+
+def test_eval_passes_leave_buffers_and_dropout_stream_untouched():
+    source, target, eval_target = _task(seed=3)
+    ms, mt = _pretrained_pair(source, target)
+    changed = _buffer_owners(ms, mt)
+    streams = {id(s.rng): s.rng for m in (ms, mt) for s in (m.rda, m.classifier)}
+    states = {k: g.bit_generator.state for k, g in streams.items()}
+    compute_reward(ms, mt, extract(ms, target.inputs, "target"))
+    ensemble_accuracy(ms, mt, eval_target)
+    assert changed() == set()
+    assert {k: g.bit_generator.state for k, g in streams.items()} == states
+
+
 def test_missing_gradient_names_epoch_step_group_and_parameter(monkeypatch):
     # a loss that never reaches the trained group leaves it without gradients
     source, target, _ = _task(seed=1)
@@ -312,7 +324,6 @@ def test_train_interactive_end_to_end_and_determinism():
     for name, arr in r1.best.arrays.items():
         if not name.startswith("buffer:"):
             assert np.array_equal(entries[name].data, arr), name
-    assert not r1.ms.training and not r1.mt.training
 
 
 def test_train_interactive_captures_only_new_best_epochs(monkeypatch):
@@ -361,7 +372,7 @@ def test_train_interactive_extracts_shared_target_inputs_once(monkeypatch):
     # same features and therefore the same trace
     calls.clear()
     copy = Dataset(Tensor(eval_target.inputs.data.copy()), eval_target.labels,
-                   eval_target.domain, eval_target.spec)
+                   eval_target.domain)
     separate = train_interactive(source, target, FAST, SMALL, copy)
     assert calls == ["source", "target", "target"]
     assert shared.trace.to_csv() == separate.trace.to_csv()
