@@ -8,9 +8,8 @@ agreement-based stopping rule.
 """
 
 from .autodiff import Adam, GradError, ShapeMismatch, Tensor, grad_check
-from .data import (AugmentationConfig, Dataset, PdaTaskSpec, augment_pair,
-                   gen_synthetic_pda, load_dataset, save_dataset,
-                   spectrogram_ingest)
+from .data import (Dataset, PdaTaskSpec, augment_pair, gen_synthetic_pda,
+                   load_dataset, save_dataset, spectrogram_ingest)
 from .losses import (ContrastiveBatch, KernelSpec, cross_entropy_hard,
                      cross_entropy_soft, mmd_squared, nt_xent)
 from .model import (Checkpoint, DomainClassifier, DomainWiseModel, RdaBlock,

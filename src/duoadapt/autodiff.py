@@ -68,9 +68,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -387,10 +384,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return Tensor._from_op(out, (x, w), "conv2d", back)
 
 
+# the forward modes of batch norm and of a dense stack: a student being
+# trained, a teacher guiding it, and evaluation
+MODES = ("train", "teacher", "eval")
+
+
 def _batch_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                     running_mean: np.ndarray, running_var: np.ndarray,
-                    training: bool, momentum: float, eps: float,
-                    update_stats: bool) -> Tuple[np.ndarray, tuple]:
+                    mode: str, momentum: float, eps: float
+                    ) -> Tuple[np.ndarray, tuple]:
     """Normalized, scaled and shifted ``x``, and the cache its backward reads."""
     if x.ndim == 2:
         axes: Tuple[int, ...] = (0,)
@@ -400,14 +402,15 @@ def _batch_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         shape = (1, -1, 1, 1)
     else:
         raise ShapeMismatch("batch_norm", x.shape, gamma.shape)
-    if training:
+    batch_stats = mode != "eval"
+    if batch_stats:
         if x.shape[0] < 2:
-            raise ValueError("batch_norm: train mode needs batch size >= 2")
+            raise ValueError(f"batch_norm: {mode} mode needs batch size >= 2")
         inv_n = 1.0 / float(x.size // x.shape[1])
         mu = x.sum(axis=axes, keepdims=True) * inv_n
         xc = x - mu
         var = (xc ** 2).sum(axis=axes, keepdims=True) * inv_n
-        if update_stats:
+        if mode == "train":
             running_mean[...] = momentum * running_mean + (1 - momentum) * mu.reshape(-1)
             running_var[...] = momentum * running_var + (1 - momentum) * var.reshape(-1)
         std = np.sqrt(var + eps)
@@ -418,17 +421,17 @@ def _batch_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     scale = gamma.reshape(shape)
     out = xn * scale
     out += beta.reshape(shape)
-    return out, (axes, training, xn, scale, std)
+    return out, (axes, batch_stats, xn, scale, std)
 
 
 def _batch_norm_bwd(g: np.ndarray, cache: tuple, need) -> tuple:
     """Closed-form gradients (Ioffe & Szegedy 2015) for (x, gamma, beta)."""
-    axes, training, xn, scale, std = cache
+    axes, batch_stats, xn, scale, std = cache
     need_x, need_gamma, need_beta = need
     dx = None
     if need_x:
         dxn = g * scale
-        if training:
+        if batch_stats:
             # the batch statistics depend on x too
             dxn = (dxn - dxn.mean(axis=axes, keepdims=True)
                    - xn * (dxn * xn).mean(axis=axes, keepdims=True))
@@ -440,18 +443,18 @@ def _batch_norm_bwd(g: np.ndarray, cache: tuple, need) -> tuple:
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.9, eps: float = 1e-5,
-               update_stats: bool = True) -> Tensor:
+               mode: str, momentum: float = 0.9, eps: float = 1e-5) -> Tensor:
     """Batch normalization over (N,) or (N,H,W) slices per feature/channel.
 
-    Train mode normalizes by batch statistics (biased variance) and, when
-    ``update_stats`` is set, folds them into the running buffers with the
-    given momentum; eval mode normalizes by the running buffers. One graph
-    node with the closed-form backward.
+    ``mode`` is one of ``MODES``. "train" and "teacher" normalize by batch
+    statistics (biased variance) and only "train" folds them into the
+    running buffers with the given momentum; "eval" normalizes by the
+    running buffers. One graph node with the closed-form backward.
     """
+    if mode not in MODES:
+        raise ValueError(f"batch_norm: unknown mode {mode!r}, expected one of {MODES}")
     out, cache = _batch_norm_fwd(x.data, gamma.data, beta.data, running_mean,
-                                 running_var, training, momentum, eps,
-                                 update_stats)
+                                 running_var, mode, momentum, eps)
 
     def back(g):
         _accum_each((x, gamma, beta), _batch_norm_bwd(
@@ -496,17 +499,6 @@ def _dropout_mask(shape: Tuple[int, ...], p: float, rng: np.random.Generator,
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity in eval mode or at p == 0."""
-    mask = _dropout_mask(x.shape, p, rng, training)
-    return x if mask is None else x * Tensor(mask)
-
-
-# the forward modes of a dense stack: a student being trained, a teacher
-# guiding it, and evaluation
-MODES = ("train", "teacher", "eval")
-
-
 def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
                 rng: np.random.Generator, residual: bool = False) -> Tensor:
     """A dense stack as one graph node: hidden Linear -> BatchNorm -> ReLU ->
@@ -515,17 +507,16 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
     ``hidden`` yields one (fc, bn) pair per hidden layer: ``fc`` and ``out``
     carry ``weight`` and ``bias`` tensors; ``bn`` carries ``gamma``,
     ``beta``, ``running_mean``, ``running_var``, ``momentum`` and ``eps``.
-    ``mode`` is one of ``MODES``. Batch norm uses batch statistics unless
-    it is "eval" and folds them into the running buffers only in "train";
+    ``mode`` is one of ``MODES`` and means what it means to ``batch_norm``;
     dropout with probability ``p`` runs only in "train", its masks drawn
     layer by layer from ``rng``. Every layer runs the same array helpers, in
-    the same order, as its one-layer op. The backward runs the layers'
-    gradients in reverse over the cached arrays, only for the parents that
-    require one, and stops below the lowest layer with such a parent.
+    the same order, as the one-layer ``linear`` and ``batch_norm``. The
+    backward runs the layers' gradients in reverse over the cached arrays,
+    only for the parents that require one, and stops below the lowest layer
+    with such a parent.
     """
     if mode not in MODES:
         raise ValueError(f"dense_stack: unknown mode {mode!r}, expected one of {MODES}")
-    batch_stats, train = mode != "eval", mode == "train"
     layers = []
     h = x.data
     for fc, bn in hidden:
@@ -533,10 +524,10 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
         a = _linear_fwd(h, fc.weight.data, fc.bias.data)
         y, bn_cache = _batch_norm_fwd(a, bn.gamma.data, bn.beta.data,
                                       bn.running_mean, bn.running_var,
-                                      batch_stats, bn.momentum, bn.eps, train)
+                                      mode, bn.momentum, bn.eps)
         relu_mask = y > 0.0
         r = y * relu_mask
-        drop_mask = _dropout_mask(r.shape, p, rng, train)
+        drop_mask = _dropout_mask(r.shape, p, rng, mode == "train")
         layers.append(((fc.weight, fc.bias, bn.gamma, bn.beta),
                        h, bn_cache, relu_mask, drop_mask))
         h = r if drop_mask is None else r * drop_mask
@@ -584,15 +575,6 @@ def log_softmax_array(z: np.ndarray) -> np.ndarray:
     """Log-softmax of a plain array over the last axis, max-shifted."""
     shift = z - z.max(axis=-1, keepdims=True)
     return shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    """Row-wise log-softmax over the last axis as one graph node."""
-    data = log_softmax_array(x.data)
-
-    def back(g):
-        x._accum(g - np.exp(data) * g.sum(axis=-1, keepdims=True))
-    return Tensor._from_op(data, (x,), "log_softmax", back)
 
 
 # -- optimizer ----------------------------------------------------------------

@@ -7,7 +7,7 @@ source label space. The trainer-facing target view never carries labels.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,14 +78,6 @@ class Dataset:
 
     def without_labels(self) -> "Dataset":
         return Dataset(self.inputs, None, self.domain)
-
-
-@dataclass
-class AugmentationConfig:
-    """Ordered, label-preserving augmentation pipeline for the view pair."""
-
-    ops: List[Tuple] = field(default_factory=lambda: [
-        ("additive_gaussian", 0.1), ("amplitude_scale", (0.8, 1.2))])
 
 
 def _rotation_matrix(d: int, angle: float) -> np.ndarray:
@@ -208,55 +200,25 @@ def spectrogram_ingest(signals: Tensor, window: int, hop: int,
     return Tensor(images)
 
 
-def augment_pair(x: Tensor, cfg: AugmentationConfig,
-                 rng: np.random.Generator) -> Tuple[Tensor, Tensor]:
-    """Two independently augmented views of the same batch, row-aligned."""
-    return _augment_once(x, cfg, rng), _augment_once(x, cfg, rng)
+def augment_pair(x: Tensor, rng: np.random.Generator) -> Tuple[Tensor, Tensor]:
+    """Two independently augmented views of the same batch, row-aligned.
+
+    Each view adds Gaussian noise with sigma 0.1, then scales each row by
+    one amplitude drawn from U(0.8, 1.2); the first view's draws come first.
+    """
+    return _augment_once(x.data, rng), _augment_once(x.data, rng)
 
 
-def _augment_once(x: Tensor, cfg: AugmentationConfig,
-                  rng: np.random.Generator) -> Tensor:
-    out = x.data.copy()
-    n = out.shape[0]
-    for op in cfg.ops:
-        name, arg = op[0], op[1] if len(op) > 1 else None
-        if name == "additive_gaussian":
-            if arg < 0:
-                raise ValueError("noise sigma must be >= 0")
-            if arg > 0:
-                out = out + arg * rng.standard_normal(out.shape)
-        elif name == "amplitude_scale":
-            lo, hi = arg
-            scale = rng.uniform(lo, hi, size=(n,) + (1,) * (out.ndim - 1))
-            out = out * scale
-        elif name == "channel_mask":
-            if not 0 <= arg < 1:
-                raise ValueError("mask probability must be in [0, 1)")
-            mask = rng.random(out.shape) >= arg
-            out = out * mask
-        elif name == "random_crop_resize":
-            if out.ndim != 4:
-                raise ValueError("random_crop_resize requires image input")
-            frac = arg if arg is not None else 0.8
-            h, w = out.shape[2], out.shape[3]
-            ch, cw = max(2, int(h * frac)), max(2, int(w * frac))
-            cropped = np.empty_like(out)
-            for i in range(n):
-                top = rng.integers(0, h - ch + 1)
-                left = rng.integers(0, w - cw + 1)
-                for c in range(out.shape[1]):
-                    cropped[i, c] = _bilinear_resize(
-                        out[i, c, top:top + ch, left:left + cw], h, w)
-            out = cropped
-        else:
-            raise ValueError(f"unknown augmentation op {name!r}")
+def _augment_once(x: np.ndarray, rng: np.random.Generator) -> Tensor:
+    out = x + 0.1 * rng.standard_normal(x.shape)
+    out *= rng.uniform(0.8, 1.2, size=(x.shape[0],) + (1,) * (x.ndim - 1))
     return Tensor(out)
 
 
 # -- binary container ---------------------------------------------------------
 # Layout: magic "DADS" | u16 version | u8 has_labels | u8 ndim |
 #         ndim x u32 shape | domain tag (u16 length + utf-8) |
-#         row-major f64 payload | optional i64 label block.
+#         row-major f64 payload | optional i64 label block (each label >= 0).
 
 def save_dataset(path, ds: Dataset) -> None:
     shape = ds.inputs.shape
@@ -308,4 +270,7 @@ def _parse_dataset(raw: bytes, has_labels: int, ndim: int, path) -> Dataset:
         off += 8 * shape[0]
     if off != len(raw):
         raise DatasetFormatError(f"{path}: trailing or truncated payload")
+    if labels and min(labels) < 0:
+        row = next(i for i, y in enumerate(labels) if y < 0)
+        raise DatasetFormatError(f"{path}: negative label {labels[row]} in row {row}")
     return Dataset(Tensor(payload.reshape(shape)), labels, domain)

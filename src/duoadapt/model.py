@@ -94,10 +94,10 @@ class BatchNorm(Module):
         self.momentum = momentum
         self.eps = eps
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, mode: str) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean,
-                          self.running_var, training=training,
-                          momentum=self.momentum, eps=self.eps)
+                          self.running_var, mode, momentum=self.momentum,
+                          eps=self.eps)
 
 
 class Conv(Module):
@@ -171,9 +171,10 @@ class ConvExtractor(Extractor):
         self.feature_dim = feature_dim
 
     def features(self, x: Tensor) -> Tensor:
+        mode = "eval" if self.pretrained else "train"
         h = x
         for conv, bn in zip(self.convs, self.bns):
-            h = maxpool2x2(bn(conv(h), training=not self.pretrained)).relu()
+            h = maxpool2x2(bn(conv(h), mode)).relu()
         return self.fc(h.reshape(h.shape[0], -1))
 
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .autodiff import Adam, GradError, Tensor
-from .data import AugmentationConfig, Dataset, augment_pair
+from .data import Dataset, augment_pair
 from .losses import (ContrastiveBatch, cross_entropy_hard, cross_entropy_soft,
                      mmd_squared, nt_xent)
 from .model import (Checkpoint, ConvExtractor, DomainClassifier,
@@ -211,7 +211,6 @@ def extract_dataset(model: DomainWiseModel, ds: Dataset, domain: str) -> Dataset
 
 
 def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
-                         aug: Optional[AugmentationConfig] = None,
                          rng: Optional[np.random.Generator] = None
                          ) -> List[float]:
     """Train an extractor on original/augmented pairs, then freeze it.
@@ -222,7 +221,6 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
     if len(data) < 2:
         # one row makes no contrastive pair and no batch-norm statistics
         raise ValueError(f"pretraining needs at least 2 rows, got {len(data)}")
-    aug = aug or AugmentationConfig()
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     params = extractor.named_parameters("G")
     opt = Adam(params, cfg.learning_rate)
@@ -236,7 +234,7 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
             if len(idx) < 2:
                 continue
             x = Tensor(data.inputs.data[idx])
-            view, _ = augment_pair(x, aug, rng)
+            view, _ = augment_pair(x, rng)
             batch = ContrastiveBatch(originals=extractor.project(x),
                                      augmented=extractor.project(view),
                                      temperature=cfg.temperature)
@@ -388,7 +386,6 @@ class TrainResult:
 def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
                       model_cfg: Optional[ModelConfig] = None,
                       eval_target: Optional[Dataset] = None,
-                      aug: Optional[AugmentationConfig] = None,
                       config_hash: str = "") -> TrainResult:
     """Full pipeline: pretrain both extractors, extract each dataset once,
     then interactive epochs until the reward threshold or the epoch budget
@@ -400,9 +397,9 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
     ms, mt = build_pair(model_cfg, n_classes, source.inputs.shape[-1], cfg.seed)
     trace = RewardTrace(config_hash=config_hash)
     trace.pretrain_loss_s = pretrain_contrastive(
-        ms.extractor_s, source, cfg, aug, np.random.default_rng(cfg.seed + 11))[-1]
+        ms.extractor_s, source, cfg, np.random.default_rng(cfg.seed + 11))[-1]
     trace.pretrain_loss_t = pretrain_contrastive(
-        ms.extractor_t, target, cfg, aug, np.random.default_rng(cfg.seed + 13))[-1]
+        ms.extractor_t, target, cfg, np.random.default_rng(cfg.seed + 13))[-1]
 
     groups = parameter_groups(ms, mt)
     optimizers = {g: Adam(groups[g], cfg.learning_rate) for _, g in STEP_MAP.values()}
@@ -440,8 +437,7 @@ class BaselineResult:
 
 def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
                                model_cfg: Optional[ModelConfig] = None,
-                               eval_target: Optional[Dataset] = None,
-                               aug: Optional[AugmentationConfig] = None
+                               eval_target: Optional[Dataset] = None
                                ) -> BaselineResult:
     """Reference point with no adaptation: one extractor pretrained on the
     source, one classifier fit on source labels, applied to targets as-is."""
@@ -450,7 +446,7 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
         raise ValueError("source dataset must be labeled")
     n_classes = max(source.labels) + 1
     g = build_extractor(model_cfg, source.inputs.shape[-1], cfg.seed)
-    pretrain_contrastive(g, source, cfg, aug, np.random.default_rng(cfg.seed + 11))
+    pretrain_contrastive(g, source, cfg, np.random.default_rng(cfg.seed + 11))
     rng = np.random.default_rng(cfg.seed + 23)
     clf = DomainClassifier(g.feature_dim, n_classes, rng,
                            hidden=model_cfg.clf_hidden,

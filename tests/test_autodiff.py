@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from duoadapt.autodiff import (Adam, GradError, ShapeMismatch, Tensor,
-                               batch_norm, conv2d, dropout, grad_check,
-                               log_softmax, maxpool2x2)
+from duoadapt.autodiff import (MODES, Adam, GradError, ShapeMismatch, Tensor,
+                               _dropout_mask, batch_norm, conv2d, grad_check,
+                               log_softmax_array, maxpool2x2)
+from duoadapt.losses import cross_entropy_hard
 
 
 def test_add_scalar_values():
@@ -89,7 +90,7 @@ def test_batch_norm_constant_column_is_zero():
     x = Tensor(np.full((8, 3), 4.0))
     gamma = Tensor(np.ones(3))
     beta = Tensor(np.zeros(3))
-    out = batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
+    out = batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), "train")
     assert np.allclose(out.data, 0.0, atol=1e-9)
 
 
@@ -97,47 +98,64 @@ def test_batch_norm_beta_shifts_mean():
     rng = np.random.default_rng(5)
     x = Tensor(rng.standard_normal((64, 4)))
     out = batch_norm(x, Tensor(np.ones(4)), Tensor(np.full(4, 5.0)),
-                     np.zeros(4), np.ones(4), training=True)
+                     np.zeros(4), np.ones(4), "train")
     assert np.allclose(out.data.mean(axis=0), 5.0, atol=1e-9)
 
 
 def test_batch_norm_standardizes_random_batch():
+    # "train" and "teacher" normalize by the batch; only "train" moves the
+    # running buffers, and "eval" reads them
     rng = np.random.default_rng(6)
     x = Tensor(3.0 + 2.0 * rng.standard_normal((128, 5)))
     eps = 1e-5
-    out = batch_norm(x, Tensor(np.ones(5)), Tensor(np.zeros(5)),
-                     np.zeros(5), np.ones(5), training=True, eps=eps)
-    assert np.max(np.abs(out.data.mean(axis=0))) <= 1e-9
-    var = out.data.var(axis=0)
     raw_var = x.data.var(axis=0)
-    assert np.allclose(var, raw_var / (raw_var + eps), atol=1e-9)
+    for mode in MODES:
+        rm, rv = np.zeros(5), np.ones(5)
+        out = batch_norm(x, Tensor(np.ones(5)), Tensor(np.zeros(5)), rm, rv,
+                         mode, eps=eps)
+        if mode == "eval":
+            assert np.allclose(out.data, x.data / np.sqrt(1.0 + eps))
+            continue
+        assert np.max(np.abs(out.data.mean(axis=0))) <= 1e-9
+        assert np.allclose(out.data.var(axis=0), raw_var / (raw_var + eps),
+                           atol=1e-9)
+        moved = not (np.array_equal(rm, np.zeros(5))
+                     and np.array_equal(rv, np.ones(5)))
+        assert moved == (mode == "train"), mode
 
 
 def test_batch_norm_rejects_batch_of_one():
-    with pytest.raises(ValueError, match="batch size"):
-        batch_norm(Tensor(np.zeros((1, 3))), Tensor(np.ones(3)),
-                   Tensor(np.zeros(3)), np.zeros(3), np.ones(3), training=True)
+    for mode in ("train", "teacher"):
+        with pytest.raises(ValueError, match=f"{mode} mode needs batch size"):
+            batch_norm(Tensor(np.zeros((1, 3))), Tensor(np.ones(3)),
+                       Tensor(np.zeros(3)), np.zeros(3), np.ones(3), mode)
+
+
+def test_batch_norm_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="batch_norm: unknown mode True"):
+        batch_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(3)),
+                   Tensor(np.zeros(3)), np.zeros(3), np.ones(3), True)
 
 
 def test_batch_norm_eval_uses_running_stats():
     x = Tensor(np.array([[2.0, 4.0]]))
     out = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                     np.array([2.0, 4.0]), np.ones(2), training=False, eps=0.0)
+                     np.array([2.0, 4.0]), np.ones(2), "eval", eps=0.0)
     assert np.allclose(out.data, 0.0)
 
 
 # -- activations --------------------------------------------------------------
 
 def test_softmax_uniform():
-    out = log_softmax(Tensor(np.zeros((1, 3)))).exp()
-    assert np.allclose(out.data, 1 / 3)
+    out = np.exp(log_softmax_array(np.zeros((1, 3))))
+    assert np.allclose(out, 1 / 3)
 
 
 def test_softmax_rows_are_distributions():
     rng = np.random.default_rng(7)
-    out = log_softmax(Tensor(rng.standard_normal((10, 6)) * 30)).exp()
-    assert np.all(out.data >= 0)
-    assert np.max(np.abs(out.data.sum(axis=1) - 1)) <= 1e-12
+    out = np.exp(log_softmax_array(rng.standard_normal((10, 6)) * 30))
+    assert np.all(out >= 0)
+    assert np.max(np.abs(out.sum(axis=1) - 1)) <= 1e-12
 
 
 def test_relu():
@@ -145,21 +163,21 @@ def test_relu():
 
 
 def test_dropout_p_zero_is_identity():
-    x = Tensor(np.random.default_rng(8).standard_normal((4, 4)))
-    out = dropout(x, 0.0, np.random.default_rng(0), training=True)
-    assert out is x
+    # the identity is no mask, and it leaves the generator untouched
+    rng = np.random.default_rng(0)
+    assert _dropout_mask((4, 4), 0.0, rng, training=True) is None
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_dropout_eval_is_identity():
-    x = Tensor(np.ones((4, 4)))
-    out = dropout(x, 0.5, np.random.default_rng(0), training=False)
-    assert out is x
+    rng = np.random.default_rng(0)
+    assert _dropout_mask((4, 4), 0.5, rng, training=False) is None
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_dropout_scales_survivors():
-    x = Tensor(np.ones((1000, 1)))
-    out = dropout(x, 0.25, np.random.default_rng(9), training=True)
-    kept = out.data[out.data > 0]
+    mask = _dropout_mask((1000, 1), 0.25, np.random.default_rng(9), training=True)
+    kept = mask[mask > 0]
     assert np.allclose(kept, 1 / 0.75)
     assert abs(len(kept) / 1000 - 0.75) < 0.05
 
@@ -204,12 +222,11 @@ def test_mlp_cross_entropy_matches_finite_differences():
     w2 = Tensor(rng.standard_normal((4, 3)) * 0.5, requires_grad=True)
     b2 = Tensor(np.zeros(3), requires_grad=True)
     x = Tensor(rng.standard_normal((6, 5)))
-    onehot = np.zeros((6, 3))
-    onehot[np.arange(6), rng.integers(0, 3, 6)] = 1.0
+    labels = rng.integers(0, 3, 6)
 
     def loss_fn():
         h = (x @ w1 + b1).relu()
-        return -(log_softmax(h @ w2 + b2) * Tensor(onehot)).sum() * (1 / 6)
+        return cross_entropy_hard(h @ w2 + b2, labels)
 
     report = grad_check(loss_fn, {"w1": w1, "b1": b1, "w2": w2, "b2": b2},
                         tolerance=1e-4, h=1e-5)

@@ -307,6 +307,36 @@ def test_unlabeled_or_empty_datasets_exit_3_naming_the_file(tmp_path, capsys):
         save_dataset(path, labeled)
 
 
+def _with_label(ds, row, label):
+    labels = list(ds.labels)
+    labels[row] = label
+    return Dataset(ds.inputs, labels, ds.domain)
+
+
+def test_negative_labels_exit_3_naming_the_file(tmp_path, capsys):
+    # a negative label fails when the file is loaded, not when a sampled
+    # batch or a per-class count happens to reach its row
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    capsys.readouterr()
+    source = out / "source.ds"
+    labeled = load_dataset(source)
+    save_dataset(source, _with_label(labeled, 5, -1))
+    assert main(_fast_args(out) + ["train"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{source}: negative label -1 in row 5" in err, err
+    save_dataset(source, labeled)
+
+    bad = tmp_path / "bad_eval.ds"
+    save_dataset(bad, _with_label(load_dataset(out / "eval_target.ds"), 0, -3))
+    code = main(_fast_args(out) + ["eval", str(out / "best.ckpt"), str(bad)])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad}: negative label -3 in row 0" in captured.err, captured.err
+
+
 def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"JUNKJUNK")

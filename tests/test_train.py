@@ -4,8 +4,9 @@ import pytest
 from duoadapt import train as train_module
 from duoadapt.autodiff import Adam, GradError, Tensor
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
-from duoadapt.model import (Checkpoint, build_models, extract, named_buffers,
-                            parameter_groups)
+from duoadapt.losses import cross_entropy_hard, cross_entropy_soft
+from duoadapt.model import (Checkpoint, build_models, classifier_logits,
+                            extract, named_buffers, parameter_groups)
 from duoadapt.train import (STEP_MAP, TRACE_COLUMNS, BatchSampler, ModelConfig,
                             RewardTrace, StepId, TraceRow, TrainConfig,
                             build_extractor, build_pair, compute_reward,
@@ -230,6 +231,34 @@ def test_run_step_updates_running_stats_of_its_students_only():
         changed = _buffer_owners(ms, mt)
         run_step(step, ms, mt, sampler, FAST, optimizers)
         assert changed() == students[step], step.name
+
+
+def test_hard_pseudo_labels_apply_to_the_guidance_step_only():
+    # with soft_pseudo off, S3 trains on the teacher's argmax; S6 still
+    # follows the target model's soft predictions. Each step's loss is
+    # recomputed from the same batch: the sampler is re-seeded and the
+    # dropout streams are rewound
+    source, target, _ = _task(seed=2, source_classes=3, samples_per_class=24)
+    ms, mt = _pretrained_pair(source, target)
+    sampler = _feature_sampler(ms, source, target, 16, 0)
+    cfg = TrainConfig(pretrain_epochs=2, epochs=2, iters_per_step=2,
+                      batch_size=16, soft_pseudo=False)
+    streams = {id(s.rng): s.rng for m in (ms, mt) for s in (m.rda, m.classifier)}
+    for step, student, teacher in ((StepId.S3_guide_Ct, mt, ms),
+                                   (StepId.S6_feedback_Fs, ms, mt)):
+        states = {k: g.bit_generator.state for k, g in streams.items()}
+        sampler.rng = np.random.default_rng(5)
+        loss = train_module._step_loss(step, student, teacher, sampler, cfg).item()
+        for k, g in streams.items():
+            g.bit_generator.state = states[k]
+        sampler.rng = np.random.default_rng(5)
+        zt = sampler.target_batch()
+        t = classifier_logits(teacher, zt, "target", "teacher")
+        s = classifier_logits(student, zt, "target", "train")
+        hard = cross_entropy_hard(s, t.data.argmax(axis=1)).item()
+        soft = cross_entropy_soft(s, t).item()
+        assert hard != soft
+        assert loss == (hard if step is StepId.S3_guide_Ct else soft), step.name
 
 
 def test_eval_passes_leave_buffers_and_dropout_stream_untouched():
