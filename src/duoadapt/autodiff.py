@@ -6,6 +6,7 @@ order. Everything is 64-bit, single-threaded, and deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -34,6 +35,12 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _records(parents: Sequence["Tensor"]) -> bool:
+    """Whether an op over ``parents`` records a graph node: some parent
+    requires a gradient or was recorded itself."""
+    return any(p.requires_grad or p._backward is not None for p in parents)
 
 
 class Tensor:
@@ -88,7 +95,7 @@ class Tensor:
         """Record a node. A node requires grad exactly when it records a
         backward, so closures test ``requires_grad`` alone to skip the
         parents (constants, frozen weights) that need no gradient."""
-        requires = any(p.requires_grad or p._backward is not None for p in parents)
+        requires = _records(parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -335,91 +342,146 @@ def _span(i: int, pad: int, size: int, out: int) -> Tuple[slice, slice]:
     return slice(lo, hi), slice(lo + i - pad, hi + i - pad)
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of NCHW input with OCKK kernels (zero padding).
+def _window_spans(x_shape: Tuple[int, ...], k: int, pad: int) -> tuple:
+    """The (output, input) slice pairs of each kernel row offset and of each
+    column offset over the two trailing axes of ``x_shape``, and the output
+    height and width."""
+    h, w = x_shape[-2:]
+    oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    return ([_span(i, pad, h, oh) for i in range(k)],
+            [_span(j, pad, w, ow) for j in range(k)], oh, ow)
+
+
+def _swap01(a: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a 4-D array with its first two axes swapped:
+    NCHW to channels-first (C, N, H, W), and back."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+
+
+def _conv_out_hw(x_shape: Tuple[int, ...], w_shape: Tuple[int, ...],
+                 padding: int, op: str) -> Tuple[int, int]:
+    """Output height and width of a stride-1 conv of an NCHW ``x_shape``
+    with OCKK kernels, or ``ShapeMismatch`` naming ``op``."""
+    if len(x_shape) != 4 or len(w_shape) != 4:
+        raise ShapeMismatch(op, x_shape, w_shape)
+    _, c, h, wd = x_shape
+    _, ck, kh, kw = w_shape
+    if ck != c or kh != kw or kh > h + 2 * padding or kw > wd + 2 * padding:
+        raise ShapeMismatch(op, x_shape, w_shape)
+    return h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1
+
+
+def _conv_fwd(x: np.ndarray, w: np.ndarray, padding: int
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Stride-1 cross-correlation of a (c, n, h, w) array with OCKK kernels:
+    the (o, n*oh*ow) result and the im2col matrix its backward reads.
 
     Im2col writes the columns once, in the (c, k, k, n, oh, ow) order the
     matrix products read them as a (c*k*k, n*oh*ow) matrix; window cells
     outside the image are zeros in that buffer, so no padded copy of ``x``
-    is made. Only stride 1 is supported; ``stride`` stays in the signature
-    for callers that pass it positionally before ``padding``.
+    is made.
+    """
+    c, n = x.shape[:2]
+    k = w.shape[-1]
+    row_spans, col_spans, oh, ow = _window_spans(x.shape, k, padding)
+    cols = (np.zeros if padding else np.empty)((c, k, k, n, oh, ow))
+    for i, (po, pi) in enumerate(row_spans):
+        for j, (qo, qi) in enumerate(col_spans):
+            cols[:, i, j, :, po, qo] = x[:, :, pi, qi]
+    cols = cols.reshape(c * k * k, n * oh * ow)
+    return w.reshape(w.shape[0], c * k * k) @ cols, cols
+
+
+def _conv_bwd(g: np.ndarray, cols: np.ndarray, x_shape: Tuple[int, ...],
+              w: np.ndarray, padding: int, need) -> tuple:
+    """Gradients for (x, w) of ``_conv_fwd`` from its (o, n*oh*ow) output
+    gradient; the input gradient is (c, n, h, w), like the input."""
+    need_x, need_w = need
+    o, c, k, _ = w.shape
+    dw = (g @ cols.T).reshape(w.shape) if need_w else None
+    if not need_x:
+        return None, dw
+    # col2im: one matrix product over o, then k*k slice-adds of the
+    # in-image part of each window cell
+    row_spans, col_spans, oh, ow = _window_spans(x_shape, k, padding)
+    dcols = (w.reshape(o, c * k * k).T @ g).reshape(c, k, k, x_shape[1], oh, ow)
+    dx = np.zeros(x_shape, dtype=np.float64)
+    for i, (po, pi) in enumerate(row_spans):
+        for j, (qo, qi) in enumerate(col_spans):
+            dx[:, :, pi, qi] += dcols[:, i, j, :, po, qo]
+    return dx, dw
+
+
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation of NCHW input with OCKK kernels (zero padding).
+
+    The channels-first array helpers shared with ``conv_stack`` read the
+    input as a (c, n, h, w) view; the output is transposed back to NCHW.
+    Only stride 1 is supported; ``stride`` stays in the signature for
+    callers that pass it positionally before ``padding``.
     """
     if stride != 1:
         raise ValueError(f"conv2d supports stride 1 only, got {stride}")
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeMismatch("conv2d", x.shape, w.shape)
-    n, c, h, wd = x.shape
-    o, ck, kh, kw = w.shape
-    if ck != c or kh != kw:
-        raise ShapeMismatch("conv2d", x.shape, w.shape)
-    k = kh
-    if k > h + 2 * padding or k > wd + 2 * padding:
-        raise ShapeMismatch("conv2d", x.shape, w.shape)
-    oh, ow = h + 2 * padding - k + 1, wd + 2 * padding - k + 1
-    row_spans = [_span(i, padding, h, oh) for i in range(k)]
-    col_spans = [_span(j, padding, wd, ow) for j in range(k)]
-    cols = (np.zeros if padding else np.empty)((c, k, k, n, oh, ow))
-    xt = x.data.transpose(1, 0, 2, 3)
-    for i, (po, pi) in enumerate(row_spans):
-        for j, (qo, qi) in enumerate(col_spans):
-            cols[:, i, j, :, po, qo] = xt[:, :, pi, qi]
-    cols = cols.reshape(c * k * k, n * oh * ow)
-    wmat = w.data.reshape(o, c * k * k)
-    out = np.ascontiguousarray((wmat @ cols).reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
+    oh, ow = _conv_out_hw(x.shape, w.shape, padding, "conv2d")
+    n, o = x.shape[0], w.shape[0]
+    xc = x.data.transpose(1, 0, 2, 3)
+    out, cols = _conv_fwd(xc, w.data, padding)
 
     def back(g):
-        g = np.asarray(g, dtype=np.float64).transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
-        if w.requires_grad:
-            w._accum((g @ cols.T).reshape(w.shape))
-        if not x.requires_grad:
-            return
-        # col2im: one matrix product over o, then k*k slice-adds of the
-        # in-image part of each window cell
-        dcols = (wmat.T @ g).reshape(c, k, k, n, oh, ow)
-        dx = np.zeros((c, n, h, wd), dtype=np.float64)
-        for i, (po, pi) in enumerate(row_spans):
-            for j, (qo, qi) in enumerate(col_spans):
-                dx[:, :, pi, qi] += dcols[:, i, j, :, po, qo]
-        x._accum(np.ascontiguousarray(dx.transpose(1, 0, 2, 3)))
-    return Tensor._from_op(out, (x, w), "conv2d", back)
+        dx, dw = _conv_bwd(_swap01(g).reshape(o, n * oh * ow), cols, xc.shape,
+                           w.data, padding, (x.requires_grad, w.requires_grad))
+        _accum_each((x, w), (None if dx is None else _swap01(dx), dw))
+    return Tensor._from_op(_swap01(out.reshape(o, n, oh, ow)), (x, w), "conv2d", back)
 
 
-# the forward modes of batch norm and of a dense stack: a student being
-# trained, a teacher guiding it, and evaluation
+# the forward modes of batch norm and of the dense and conv stacks: a
+# student being trained, a teacher guiding it, and evaluation
 MODES = ("train", "teacher", "eval")
+
+
+def _check_mode(op: str, mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"{op}: unknown mode {mode!r}, expected one of {MODES}")
 
 
 def _batch_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                     running_mean: np.ndarray, running_var: np.ndarray,
                     mode: str, momentum: float, eps: float
                     ) -> Tuple[np.ndarray, tuple]:
-    """Normalized, scaled and shifted ``x``, and the cache its backward reads."""
+    """Normalized, scaled and shifted ``x``, and the cache its backward reads.
+
+    ``x`` is an (N, F) batch or a channels-first (C, N, H, W) batch; each
+    feature's or channel's statistics reduce over the other axes.
+    """
     if x.ndim == 2:
         axes: Tuple[int, ...] = (0,)
         shape: Tuple[int, ...] = (1, -1)
     elif x.ndim == 4:
-        axes = (0, 2, 3)
-        shape = (1, -1, 1, 1)
+        axes = (1, 2, 3)
+        shape = (-1, 1, 1, 1)
     else:
         raise ShapeMismatch("batch_norm", x.shape, gamma.shape)
     batch_stats = mode != "eval"
     if batch_stats:
-        if x.shape[0] < 2:
+        if x.shape[axes[0]] < 2:
             raise ValueError(f"batch_norm: {mode} mode needs batch size >= 2")
-        inv_n = 1.0 / float(x.size // x.shape[1])
+        inv_n = 1.0 / math.prod(x.shape[a] for a in axes)
         mu = x.sum(axis=axes, keepdims=True) * inv_n
-        xc = x - mu
-        var = (xc ** 2).sum(axis=axes, keepdims=True) * inv_n
+        xn = x - mu
+        out = xn ** 2
+        var = out.sum(axis=axes, keepdims=True) * inv_n
         if mode == "train":
             running_mean[...] = momentum * running_mean + (1 - momentum) * mu.reshape(-1)
             running_var[...] = momentum * running_var + (1 - momentum) * var.reshape(-1)
         std = np.sqrt(var + eps)
     else:
-        xc = x - running_mean.reshape(shape)
+        xn = x - running_mean.reshape(shape)
         std = np.sqrt(running_var.reshape(shape) + eps)
-    xn = xc / std
+        out = np.empty_like(xn)
+    # in place, in the operation order of ``(x - mu) / std * scale + beta``
+    xn /= std
     scale = gamma.reshape(shape)
-    out = xn * scale
+    np.multiply(xn, scale, out=out)
     out += beta.reshape(shape)
     return out, (axes, batch_stats, xn, scale, std)
 
@@ -430,12 +492,16 @@ def _batch_norm_bwd(g: np.ndarray, cache: tuple, need) -> tuple:
     need_x, need_gamma, need_beta = need
     dx = None
     if need_x:
-        dxn = g * scale
+        dx = g * scale
         if batch_stats:
-            # the batch statistics depend on x too
-            dxn = (dxn - dxn.mean(axis=axes, keepdims=True)
-                   - xn * (dxn * xn).mean(axis=axes, keepdims=True))
-        dx = dxn / std
+            # the batch statistics depend on x too: in place, in the
+            # operation order of ``(dxn - mean(dxn)) - xn * mean(dxn * xn)``
+            mean = dx.mean(axis=axes, keepdims=True)
+            t = dx * xn
+            np.multiply(xn, t.mean(axis=axes, keepdims=True), out=t)
+            dx -= mean
+            dx -= t
+        dx /= std
     return (dx,
             (g * xn).sum(axis=axes) if need_gamma else None,
             g.sum(axis=axes) if need_beta else None)
@@ -449,42 +515,61 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     ``mode`` is one of ``MODES``. "train" and "teacher" normalize by batch
     statistics (biased variance) and only "train" folds them into the
     running buffers with the given momentum; "eval" normalizes by the
-    running buffers. One graph node with the closed-form backward.
+    running buffers. One graph node with the closed-form backward; a 4-D
+    batch runs channels first, as in ``conv_stack``.
     """
-    if mode not in MODES:
-        raise ValueError(f"batch_norm: unknown mode {mode!r}, expected one of {MODES}")
-    out, cache = _batch_norm_fwd(x.data, gamma.data, beta.data, running_mean,
-                                 running_var, mode, momentum, eps)
+    _check_mode("batch_norm", mode)
+    swap = _swap01 if x.ndim == 4 else (lambda a: a)
+    out, cache = _batch_norm_fwd(swap(x.data), gamma.data, beta.data,
+                                 running_mean, running_var, mode, momentum, eps)
 
     def back(g):
-        _accum_each((x, gamma, beta), _batch_norm_bwd(
-            g, cache, (x.requires_grad, gamma.requires_grad, beta.requires_grad)))
-    return Tensor._from_op(out, (x, gamma, beta), "batch_norm", back)
+        dx, dgamma, dbeta = _batch_norm_bwd(
+            swap(g), cache, (x.requires_grad, gamma.requires_grad, beta.requires_grad))
+        _accum_each((x, gamma, beta), (None if dx is None else swap(dx), dgamma, dbeta))
+    return Tensor._from_op(swap(out), (x, gamma, beta), "batch_norm", back)
 
 
 # the four cells of a 2x2 window in argmax order: the first maximum wins
 _POOL_CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def _check_pool(shape: Tuple[int, ...], op: str) -> None:
+    if len(shape) != 4 or shape[-2] % 2 or shape[-1] % 2:
+        raise ShapeMismatch(op, shape, shape[:-2] + (2, 2))
+
+
+def _pool_fwd(x: np.ndarray) -> np.ndarray:
+    """2x2 max pooling with stride 2 over the two trailing axes: the
+    maximum of the four strided views of the window cells."""
+    views = [x[..., i::2, j::2] for i, j in _POOL_CELLS]
+    out = np.maximum(views[0], views[1])
+    for v in views[2:]:
+        np.maximum(out, v, out=out)
+    return out
+
+
+def _pool_bwd(g: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each window's gradient, sent to the first of its cells, in
+    ``_POOL_CELLS`` order, that equals the pooled ``out``; the other cells
+    get ``g * False``, a zero with the sign of ``g``."""
+    dx = np.empty(x.shape, dtype=np.float64)
+    free = np.ones(out.shape, dtype=bool)
+    for i, j in _POOL_CELLS:
+        hit = x[..., i::2, j::2] == out
+        hit &= free
+        free ^= hit
+        np.multiply(g, hit, out=dx[..., i::2, j::2])
+    return dx
+
+
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; spatial dims must be even."""
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeMismatch("maxpool2x2", x.shape, (n, c, h, w))
-    out = x.data[:, :, 0::2, 0::2]
-    idx = np.zeros(out.shape, dtype=np.int8)
-    for q, (i, j) in enumerate(_POOL_CELLS[1:], start=1):
-        cell = x.data[:, :, i::2, j::2]
-        wins = cell > out
-        out = np.where(wins, cell, out)
-        idx[wins] = q
+    _check_pool(x.shape, "maxpool2x2")
+    out = _pool_fwd(x.data)
 
     def back(g):
-        g = np.asarray(g, dtype=np.float64)
-        dx = np.empty((n, c, h, w), dtype=np.float64)
-        for q, (i, j) in enumerate(_POOL_CELLS):
-            dx[:, :, i::2, j::2] = np.where(idx == q, g, 0.0)
-        x._accum(dx)
+        x._accum(_pool_bwd(np.asarray(g, dtype=np.float64), x.data, out))
     return Tensor._from_op(out, (x,), "maxpool2x2", back)
 
 
@@ -515,8 +600,7 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
     only for the parents that require one, and stops below the lowest layer
     with such a parent.
     """
-    if mode not in MODES:
-        raise ValueError(f"dense_stack: unknown mode {mode!r}, expected one of {MODES}")
+    _check_mode("dense_stack", mode)
     layers = []
     h = x.data
     for fc, bn in hidden:
@@ -569,6 +653,79 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
         if dh is not None:
             x._accum(dh)
     return Tensor._from_op(data, parents, "dense_stack", back)
+
+
+def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
+    """Conv -> BatchNorm -> 2x2 max pool -> ReLU blocks as one graph node,
+    from an NCHW batch to its flattened (N, C*H*W) features.
+
+    ``blocks`` yields one (conv, bn) pair per block: ``conv`` carries an
+    OCKK ``weight`` tensor and its ``padding``; ``bn`` carries what a
+    ``dense_stack`` batch norm carries. ``mode`` is one of ``MODES`` and
+    means what it means to ``batch_norm``. Between blocks the activations
+    keep the (c, n, h, w) layout that the conv's matrix product writes, so
+    batch norm reduces along contiguous channel rows and the next im2col
+    reads it as it is; one transpose returns the last block's output to
+    NCHW. Every layer runs the same array helpers as the one-layer
+    ``conv2d``, ``batch_norm`` and ``maxpool2x2``. Pooling keeps no index:
+    the backward sends each window's gradient to its first maximum by
+    comparing the cells with the pooled output, and a forward that records
+    no graph keeps no block's arrays. The backward stops below the lowest
+    block with a parent that requires a gradient.
+    """
+    _check_mode("conv_stack", mode)
+    blocks = list(blocks)
+    if x.ndim != 4:
+        raise ShapeMismatch("conv_stack", x.shape,
+                            blocks[0][0].weight.shape if blocks else ())
+    parents = (x,) + tuple(t for conv, bn in blocks
+                           for t in (conv.weight, bn.gamma, bn.beta))
+    record = _records(parents)
+    layers = []
+    h = x.data.transpose(1, 0, 2, 3)
+    for conv, bn in blocks:
+        c, n = h.shape[:2]
+        w = conv.weight
+        oh, ow = _conv_out_hw((n, c) + h.shape[2:], w.shape, conv.padding,
+                              "conv_stack")
+        _check_pool((n, w.shape[0], oh, ow), "conv_stack")
+        a, cols = _conv_fwd(h, w.data, conv.padding)
+        y, bn_cache = _batch_norm_fwd(a.reshape(-1, n, oh, ow), bn.gamma.data,
+                                      bn.beta.data, bn.running_mean,
+                                      bn.running_var, mode, bn.momentum, bn.eps)
+        p = _pool_fwd(y)
+        relu_mask = p > 0.0
+        if record:
+            layers.append(((w, bn.gamma, bn.beta), conv.padding, h.shape, cols,
+                           bn_cache, y, p, relu_mask))
+        h = p * relu_mask
+    out_shape = h.shape
+    data = _swap01(h).reshape(h.shape[1], -1)
+
+    def back(g):
+        # below[i]: the input of block i or a parent under it needs a
+        # gradient, so the backward must go on below block i
+        below = [x.requires_grad]
+        for ws, *_ in layers:
+            below.append(below[-1] or any(t.requires_grad for t in ws))
+        c, n, hh, ww = out_shape
+        d = _swap01(g.reshape(n, c, hh, ww))
+        for i in range(len(layers) - 1, -1, -1):
+            (w, gamma, beta), padding, in_shape, cols, bn_cache, y, p, relu_mask = layers[i]
+            dy = _pool_bwd(d * relu_mask, y, p)
+            da, dgamma, dbeta = _batch_norm_bwd(
+                dy, bn_cache, (below[i] or w.requires_grad,
+                               gamma.requires_grad, beta.requires_grad))
+            _accum_each((gamma, beta), (dgamma, dbeta))
+            if da is None:
+                return
+            d, dw = _conv_bwd(da.reshape(da.shape[0], -1), cols, in_shape, w.data,
+                              padding, (below[i], w.requires_grad))
+            _accum_each((w,), (dw,))
+            if d is None:
+                return
+        x._accum(_swap01(d))
+    return Tensor._from_op(data, parents, "conv_stack", back)
 
 
 def log_softmax_array(z: np.ndarray) -> np.ndarray:

@@ -230,11 +230,17 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _load_checked(path, labeled: bool) -> Dataset:
+def _load_checked(path, n_classes: Optional[int]) -> Dataset:
+    """A non-empty dataset; with ``n_classes``, one whose rows all carry a
+    label below it (the configured ``task.source_classes``)."""
     ds = load_dataset(path)
-    if len(ds) == 0 or (labeled and ds.labels is None):
+    if len(ds) == 0 or (n_classes is not None and ds.labels is None):
         what = "is empty" if len(ds) == 0 else "has no labels"
         raise DatasetFormatError(f"{path}: dataset {what}")
+    if n_classes is not None and max(ds.labels) >= n_classes:
+        row = next(i for i, y in enumerate(ds.labels) if y >= n_classes)
+        raise DatasetFormatError(f"{path}: label {ds.labels[row]} in row {row} "
+                                 f"is not below task.source_classes={n_classes}")
     return ds
 
 
@@ -243,8 +249,9 @@ def _load_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, Dataset]:
     for p in paths:
         if not p.exists():
             raise FileNotFoundError(f"missing dataset file {p}; run gen-data first")
-    datasets = tuple(_load_checked(p, labeled)
-                     for p, labeled in zip(paths, (True, False, True)))
+    n_classes = cfg.task.source_classes
+    datasets = tuple(_load_checked(p, classes)
+                     for p, classes in zip(paths, (n_classes, None, n_classes)))
     for p, ds in zip(paths[:2], datasets):
         if len(ds) < 2:
             # pretraining and train-mode batch norm need two rows
@@ -283,7 +290,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
              dataset_path: str) -> int:
     ckpt = load_checkpoint(checkpoint_path)
-    ds = _load_checked(dataset_path, labeled=True)
+    ds = _load_checked(dataset_path, cfg.task.source_classes)
     if ckpt.config_hash and ckpt.config_hash != cfg.config_hash:
         print(f"warning: checkpoint hash {ckpt.config_hash} != "
               f"config hash {cfg.config_hash}", file=sys.stderr)

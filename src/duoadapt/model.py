@@ -14,8 +14,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import (Tensor, batch_norm, conv2d, dense_stack, linear,
-                       maxpool2x2)
+from .autodiff import Tensor, conv_stack, dense_stack, linear
 
 _CKPT_MAGIC = b"DACK"
 _CKPT_VERSION = 1
@@ -94,11 +93,6 @@ class BatchNorm(Module):
         self.momentum = momentum
         self.eps = eps
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.running_mean,
-                          self.running_var, mode, momentum=self.momentum,
-                          eps=self.eps)
-
 
 class Conv(Module):
     def __init__(self, in_ch: int, out_ch: int, k: int, rng: np.random.Generator,
@@ -107,9 +101,6 @@ class Conv(Module):
         self.weight = Tensor(rng.standard_normal((out_ch, in_ch, k, k)) * scale,
                              requires_grad=True)
         self.padding = padding
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, padding=self.padding)
 
 
 # -- feature extractors -------------------------------------------------------
@@ -151,7 +142,8 @@ class MlpExtractor(Extractor):
 
 
 class ConvExtractor(Extractor):
-    """Three conv/BN/maxpool/ReLU blocks over 1x32x32 images, then FC.
+    """Three conv/BN/maxpool/ReLU blocks over 1x32x32 images, then FC; a
+    ``features`` call is one ``conv_stack`` node and one ``linear`` node.
 
     The batch norms use batch statistics until the extractor is pretrained
     and their running statistics after. Pooling before the ReLU is exact:
@@ -172,10 +164,7 @@ class ConvExtractor(Extractor):
 
     def features(self, x: Tensor) -> Tensor:
         mode = "eval" if self.pretrained else "train"
-        h = x
-        for conv, bn in zip(self.convs, self.bns):
-            h = maxpool2x2(bn(conv(h), mode)).relu()
-        return self.fc(h.reshape(h.shape[0], -1))
+        return self.fc(conv_stack(x, zip(self.convs, self.bns), mode))
 
 
 # -- adaptation block and classifier -----------------------------------------

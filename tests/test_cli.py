@@ -337,6 +337,35 @@ def test_negative_labels_exit_3_naming_the_file(tmp_path, capsys):
     assert f"{bad}: negative label -3 in row 0" in captured.err, captured.err
 
 
+def test_labels_outside_the_source_classes_exit_3_naming_the_file(tmp_path, capsys):
+    # heads are sized from task.source_classes, so a larger label is bad
+    # data, not a reason to train heads of another size
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    capsys.readouterr()
+    classes = load_config(None, FAST_OVERRIDES).task.source_classes
+    source = out / "source.ds"
+    labeled = load_dataset(source)
+    save_dataset(source, _with_label(labeled, 3, 9))
+    assert main(_fast_args(out) + ["train"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"{source}: label 9 in row 3 is not below "
+            f"task.source_classes={classes}") in err, err
+    assert not (out / "best.ckpt").exists()
+    save_dataset(source, labeled)
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    capsys.readouterr()
+
+    bad = tmp_path / "bad_eval.ds"
+    save_dataset(bad, _with_label(load_dataset(out / "eval_target.ds"), 0, classes))
+    code = main(_fast_args(out) + ["eval", str(out / "best.ckpt"), str(bad)])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{bad}: label {classes} in row 0 is not below "
+            f"task.source_classes={classes}") in captured.err, captured.err
+
+
 def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"JUNKJUNK")

@@ -15,24 +15,28 @@ through a whole ``train_interactive``. ``dense_stack`` is compared with
 ``_dense_stack_ref``, the per-layer composition of ``linear``,
 ``batch_norm``, ReLU, a ``_dropout_mask`` product and the residual add, bit
 for bit in values, gradients, running buffers and the dropout generator's
-next draw.
+next draw. ``conv_stack`` is compared with ``_conv_stack_ref``, the
+per-block composition of ``conv2d``, ``batch_norm``, ``maxpool2x2`` and a
+ReLU, bit for bit in values, gradients and running buffers in every mode:
+the one-layer ops run the same array helpers, with a 4-D batch norm
+channels first as in the stack, so every sum runs in the same order.
 The median-heuristic bandwidths are compared with ``np.median`` over the
 upper triangle, bit for bit.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from duoadapt import train
 from duoadapt.autodiff import (MODES, Adam, GradError, ShapeMismatch, Tensor,
-                               _dropout_mask, batch_norm, conv2d, grad_check,
-                               linear, maxpool2x2)
+                               _dropout_mask, batch_norm, conv2d, conv_stack,
+                               grad_check, linear, maxpool2x2)
 from duoadapt.data import PdaTaskSpec, gen_synthetic_pda
 from duoadapt.losses import (MEDIAN_SCALES, ContrastiveBatch, KernelSpec,
                              cross_entropy_hard, cross_entropy_soft,
                              mmd_squared, nt_xent)
-from duoadapt.model import DenseStack
+from duoadapt.model import BatchNorm, Conv, DenseStack
 
 TOL = 1e-10
 
@@ -180,6 +184,18 @@ def _dense_stack_ref(stack, x, mode, residual=False):
             h = h * Tensor(mask)
     out = stack.out(h)
     return x + out if residual else out
+
+
+def _conv_stack_ref(x, blocks, mode):
+    """``conv_stack``'s blocks one node each: conv, batch norm, 2x2 max pool
+    and ReLU per block, then a reshape to one row per sample."""
+    h = x
+    for conv, bn in blocks:
+        h = maxpool2x2(batch_norm(conv2d(h, conv.weight, padding=conv.padding),
+                                  bn.gamma, bn.beta, bn.running_mean,
+                                  bn.running_var, mode, momentum=bn.momentum,
+                                  eps=bn.eps)).relu()
+    return h.reshape(h.shape[0], -1)
 
 
 class _adam_ref:
@@ -618,6 +634,128 @@ def test_dense_stack_rejects_an_unknown_mode():
     stack = DenseStack(4, 4, np.random.default_rng(0), (5,), dropout_p=0.1)
     with pytest.raises(ValueError, match="unknown mode 'training'"):
         stack(Tensor(np.zeros((3, 4))), "training")
+
+
+# -- conv stack -----------------------------------------------------------------
+
+def _conv_blocks(seed, chain, kernels, pads, requires=None):
+    """(Conv, BatchNorm) blocks with random weights, affine parameters and
+    running buffers, and the given requires_grad flag per tensor."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for c_in, c_out, k, pad in zip(chain[:-1], chain[1:], kernels, pads):
+        conv, bn = Conv(c_in, c_out, k, rng, padding=pad), BatchNorm(c_out)
+        bn.gamma.data[...] = rng.uniform(0.5, 2.0, c_out)
+        bn.beta.data[...] = rng.standard_normal(c_out)
+        bn.running_mean[...] = rng.standard_normal(c_out)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, c_out)
+        blocks.append((conv, bn))
+    tensors = [t for conv, bn in blocks for t in (conv.weight, bn.gamma, bn.beta)]
+    for t, flag in zip(tensors, requires or ()):
+        t.requires_grad = flag
+    return blocks, tensors
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 4),
+       st.lists(st.integers(1, 4), min_size=4, max_size=4),
+       st.lists(st.sampled_from([1, 3]), min_size=3, max_size=3),
+       st.lists(st.integers(0, 1), min_size=3, max_size=3),
+       st.integers(1, 2), st.integers(1, 2), st.sampled_from(MODES),
+       st.integers(0, 2 ** 31))
+def test_conv_stack_matches_composition(depth, n, chain, kernels, pads,
+                                        out_h, out_w, mode, seed):
+    kernels, pads = kernels[:depth], pads[:depth]
+    # input sizes worked back from the last block's pooled size, so every
+    # conv output is even; an odd kernel keeps each block's input even too
+    height, width = out_h, out_w
+    for k, pad in zip(kernels[::-1], pads[::-1]):
+        height, width = 2 * height - 2 * pad + k - 1, 2 * width - 2 * pad + k - 1
+        assume(height >= 1 and width >= 1)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, chain[0], height, width)) * rng.uniform(0.5, 3.0)
+    x_grad = bool(rng.integers(2))
+    requires = rng.integers(2, size=3 * depth).astype(bool).tolist()
+    weights = None
+    results = []
+    for build in (conv_stack, _conv_stack_ref):
+        blocks, tensors = _conv_blocks(seed, chain[:depth + 1], kernels, pads,
+                                       requires)
+        xt = Tensor(x.copy(), requires_grad=x_grad)
+        out = build(xt, blocks, mode)
+        if weights is None:
+            weights = Tensor(rng.standard_normal(out.shape))
+        leaves = [xt, *tensors]
+        if any(t.requires_grad for t in leaves):
+            (out * weights).sum().backward()
+        else:
+            assert out._backward is None
+        results.append((out, [t.grad for t in leaves],
+                        [b.copy() for _, bn in blocks
+                         for b in (bn.running_mean, bn.running_var)]))
+    (got, got_grads, got_bufs), (want, want_grads, want_bufs) = results
+    if got._backward is not None:
+        assert got._op == "conv_stack"
+    assert np.array_equal(got.data, want.data)
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        assert (g is None) == (w is None), i
+        assert g is None or np.array_equal(g, w), i
+    for g, w in zip(got_bufs, want_bufs):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("mode", ["teacher", "eval"])
+def test_grad_check_conv_stack(mode):
+    # "teacher" normalizes by batch statistics like "train" but leaves the
+    # running buffers alone over the check's many forwards
+    blocks, tensors = _conv_blocks(12, (1, 2, 2), (3, 3), (1, 1))
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((3, 1, 8, 8)), requires_grad=True)
+    weights = Tensor(rng.standard_normal((3, 8)))
+    params = {"x": x, **{f"t{i}": t for i, t in enumerate(tensors)}}
+    report = grad_check(lambda: (conv_stack(x, blocks, mode) * weights).sum(),
+                        params, tolerance=1e-6)
+    assert report.passed, report.failures()
+
+
+def test_conv_stack_sends_a_tied_window_gradient_to_its_first_cell():
+    # an identity block: a 1x1 kernel of one, and a batch norm that maps
+    # each value to itself over unit running statistics in "eval"
+    blocks, _ = _conv_blocks(0, (1, 1), (1,), (0,))
+    conv, bn = blocks[0]
+    conv.weight.data[...] = 1.0
+    bn.gamma.data[...], bn.beta.data[...] = 1.0, 0.0
+    bn.running_mean[...], bn.running_var[...] = 0.0, 1.0 - bn.eps
+    rng = np.random.default_rng(4)
+    windows = rng.uniform(1.0, 2.0, (2, 1, 3, 3))
+    x = Tensor(np.kron(windows, np.ones((2, 2))), requires_grad=True)
+    g = rng.standard_normal((2, 9))
+    out = conv_stack(x, blocks, "eval")
+    assert np.array_equal(out.data, windows.reshape(2, 9))
+    (out * Tensor(g)).sum().backward()
+    assert np.array_equal(x.grad[:, :, 0::2, 0::2], g.reshape(2, 1, 3, 3))
+    for i, j in [(0, 1), (1, 0), (1, 1)]:
+        assert not x.grad[:, :, i::2, j::2].any()
+
+
+@pytest.mark.parametrize("shape, chain, message", [
+    ((2, 1, 5, 5), (1, 2), r"\(2, 2, 5, 5\) and \(2, 2, 2, 2\)"),
+    ((2, 2, 4, 4), (1, 2), r"\(2, 2, 4, 4\) and \(2, 1, 3, 3\)"),
+    ((2, 16), (1, 2), r"\(2, 16\) and \(2, 1, 3, 3\)"),
+])
+def test_conv_stack_rejects_bad_shapes(shape, chain, message):
+    # an odd conv output cannot be pooled; channels must match the kernel
+    blocks, _ = _conv_blocks(0, chain, (3,), (1,))
+    with pytest.raises(ShapeMismatch, match="conv_stack: incompatible shapes " + message):
+        conv_stack(Tensor(np.zeros(shape)), blocks, "eval")
+
+
+def test_conv_stack_rejects_an_unknown_mode_and_a_batch_of_one():
+    blocks, _ = _conv_blocks(0, (1, 2), (3,), (1,))
+    with pytest.raises(ValueError, match="unknown mode 'training'"):
+        conv_stack(Tensor(np.zeros((2, 1, 4, 4))), blocks, "training")
+    with pytest.raises(ValueError, match="train mode needs batch size >= 2"):
+        conv_stack(Tensor(np.zeros((1, 1, 4, 4))), blocks, "train")
 
 
 # -- median-heuristic bandwidths -----------------------------------------------

@@ -72,6 +72,25 @@ def test_extract_is_constant_wrt_tape():
     assert not z.requires_grad
 
 
+def test_conv_features_are_two_graph_nodes_under_unchanged_names():
+    rng = np.random.default_rng(3)
+    g = ConvExtractor(rng, channels=(2, 3, 4), feature_dim=5, proj_dim=2)
+    out = g.features(Tensor(rng.standard_normal((3, 1, 32, 32))))
+    assert out.shape == (3, 5)
+    ops, pending = [], [out]
+    while pending:
+        t = pending.pop()
+        if t._backward is not None:
+            ops.append(t._op)
+            pending.extend(t._parents)
+    assert sorted(ops) == ["conv_stack", "linear"]
+    # checkpoints name the blocks' tensors and buffers as before
+    names = set(g.named_parameters("Gs")) | set(g.named_buffers("Gs"))
+    assert {f"Gs.convs{i}.weight" for i in range(3)} <= names
+    assert {f"Gs.bns{i}.{name}" for i in range(3)
+            for name in ("gamma", "beta", "running_mean", "running_var")} <= names
+
+
 @lru_cache(maxsize=None)
 def _extractor_and_features(kind):
     """A pretrained-marked extractor, a whole dataset and its features."""
