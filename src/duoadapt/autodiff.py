@@ -6,7 +6,6 @@ order. Everything is 64-bit, single-threaded, and deterministic.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -371,41 +370,46 @@ def _conv_out_hw(x_shape: Tuple[int, ...], w_shape: Tuple[int, ...],
     return h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1
 
 
-def _conv_fwd(x: np.ndarray, w: np.ndarray, padding: int
-              ) -> Tuple[np.ndarray, np.ndarray]:
-    """Stride-1 cross-correlation of a (c, n, h, w) array with OCKK kernels:
-    the (o, n*oh*ow) result and the im2col matrix its backward reads.
+def _im2col(x: np.ndarray, k: int, padding: int) -> np.ndarray:
+    """The (c*k*k, n*oh*ow) im2col matrix of a (c, n, h, w) array for
+    stride-1 k x k windows.
 
-    Im2col writes the columns once, in the (c, k, k, n, oh, ow) order the
-    matrix products read them as a (c*k*k, n*oh*ow) matrix; window cells
-    outside the image are zeros in that buffer, so no padded copy of ``x``
-    is made.
+    The columns are written once, in the (c, k, k, n, oh, ow) order the
+    matrix products read them; window cells outside the image are zeros in
+    that buffer, so no padded copy of ``x`` is made.
     """
     c, n = x.shape[:2]
-    k = w.shape[-1]
     row_spans, col_spans, oh, ow = _window_spans(x.shape, k, padding)
     cols = (np.zeros if padding else np.empty)((c, k, k, n, oh, ow))
     for i, (po, pi) in enumerate(row_spans):
         for j, (qo, qi) in enumerate(col_spans):
             cols[:, i, j, :, po, qo] = x[:, :, pi, qi]
-    cols = cols.reshape(c * k * k, n * oh * ow)
-    return w.reshape(w.shape[0], c * k * k) @ cols, cols
+    return cols.reshape(c * k * k, n * oh * ow)
 
 
-def _conv_bwd(g: np.ndarray, cols: np.ndarray, x_shape: Tuple[int, ...],
-              w: np.ndarray, padding: int, need) -> tuple:
+def _conv_fwd(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
+    """Stride-1 cross-correlation of a (c, n, h, w) array with OCKK kernels,
+    as an (o, n*oh*ow) array. The im2col matrix is dropped after the
+    product; the backward rebuilds it from ``x``."""
+    return w.reshape(w.shape[0], -1) @ _im2col(x, w.shape[-1], padding)
+
+
+def _conv_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, padding: int,
+              need) -> tuple:
     """Gradients for (x, w) of ``_conv_fwd`` from its (o, n*oh*ow) output
-    gradient; the input gradient is (c, n, h, w), like the input."""
+    gradient and its (c, n, h, w) input ``x``; the input gradient has
+    ``x``'s shape. Only the kernel gradient rebuilds the im2col matrix, and
+    it is dropped before col2im allocates its own."""
     need_x, need_w = need
     o, c, k, _ = w.shape
-    dw = (g @ cols.T).reshape(w.shape) if need_w else None
+    dw = (g @ _im2col(x, k, padding).T).reshape(w.shape) if need_w else None
     if not need_x:
         return None, dw
     # col2im: one matrix product over o, then k*k slice-adds of the
     # in-image part of each window cell
-    row_spans, col_spans, oh, ow = _window_spans(x_shape, k, padding)
-    dcols = (w.reshape(o, c * k * k).T @ g).reshape(c, k, k, x_shape[1], oh, ow)
-    dx = np.zeros(x_shape, dtype=np.float64)
+    row_spans, col_spans, oh, ow = _window_spans(x.shape, k, padding)
+    dcols = (w.reshape(o, c * k * k).T @ g).reshape(c, k, k, x.shape[1], oh, ow)
+    dx = np.zeros(x.shape, dtype=np.float64)
     for i, (po, pi) in enumerate(row_spans):
         for j, (qo, qi) in enumerate(col_spans):
             dx[:, :, pi, qi] += dcols[:, i, j, :, po, qo]
@@ -417,19 +421,20 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     The channels-first array helpers shared with ``conv_stack`` read the
     input as a (c, n, h, w) view; the output is transposed back to NCHW.
-    Only stride 1 is supported; ``stride`` stays in the signature for
-    callers that pass it positionally before ``padding``.
+    The node keeps that view, not the im2col matrix. Only stride 1 is
+    supported; ``stride`` stays in the signature for callers that pass it
+    positionally before ``padding``.
     """
     if stride != 1:
         raise ValueError(f"conv2d supports stride 1 only, got {stride}")
     oh, ow = _conv_out_hw(x.shape, w.shape, padding, "conv2d")
     n, o = x.shape[0], w.shape[0]
     xc = x.data.transpose(1, 0, 2, 3)
-    out, cols = _conv_fwd(xc, w.data, padding)
+    out = _conv_fwd(xc, w.data, padding)
 
     def back(g):
-        dx, dw = _conv_bwd(_swap01(g).reshape(o, n * oh * ow), cols, xc.shape,
-                           w.data, padding, (x.requires_grad, w.requires_grad))
+        dx, dw = _conv_bwd(_swap01(g).reshape(o, n * oh * ow), xc, w.data,
+                           padding, (x.requires_grad, w.requires_grad))
         _accum_each((x, w), (None if dx is None else _swap01(dx), dw))
     return Tensor._from_op(_swap01(out.reshape(o, n, oh, ow)), (x, w), "conv2d", back)
 
@@ -450,61 +455,99 @@ def _batch_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                     ) -> Tuple[np.ndarray, tuple]:
     """Normalized, scaled and shifted ``x``, and the cache its backward reads.
 
-    ``x`` is an (N, F) batch or a channels-first (C, N, H, W) batch; each
-    feature's or channel's statistics reduce over the other axes.
+    ``x`` is an (N, F) batch, normalized per column, or a channels-first
+    (C, N, H, W) batch, worked as (C, N*H*W) channel rows: each channel's
+    variance is one row dot product, with no squared copy of the batch. The
+    output has ``x``'s shape.
     """
     if x.ndim == 2:
-        axes: Tuple[int, ...] = (0,)
-        shape: Tuple[int, ...] = (1, -1)
+        axis, shape = 0, (1, -1)
+        rows = x
     elif x.ndim == 4:
-        axes = (1, 2, 3)
-        shape = (-1, 1, 1, 1)
+        axis, shape = 1, (-1, 1)
+        rows = x.reshape(x.shape[0], -1)
     else:
         raise ShapeMismatch("batch_norm", x.shape, gamma.shape)
     batch_stats = mode != "eval"
+    out = None
     if batch_stats:
-        if x.shape[axes[0]] < 2:
+        if x.shape[axis] < 2:
             raise ValueError(f"batch_norm: {mode} mode needs batch size >= 2")
-        inv_n = 1.0 / math.prod(x.shape[a] for a in axes)
-        mu = x.sum(axis=axes, keepdims=True) * inv_n
-        xn = x - mu
-        out = xn ** 2
-        var = out.sum(axis=axes, keepdims=True) * inv_n
+        inv_n = 1.0 / rows.shape[axis]
+        mu = rows.sum(axis=axis, keepdims=True) * inv_n
+        xn = rows - mu
+        if axis == 0:
+            # the squared array's buffer takes the output below
+            out = xn ** 2
+            var = out.sum(axis=0, keepdims=True) * inv_n
+        else:
+            var = np.einsum("ij,ij->i", xn, xn).reshape(shape) * inv_n
         if mode == "train":
             running_mean[...] = momentum * running_mean + (1 - momentum) * mu.reshape(-1)
             running_var[...] = momentum * running_var + (1 - momentum) * var.reshape(-1)
         std = np.sqrt(var + eps)
     else:
-        xn = x - running_mean.reshape(shape)
+        xn = rows - running_mean.reshape(shape)
         std = np.sqrt(running_var.reshape(shape) + eps)
-        out = np.empty_like(xn)
-    # in place, in the operation order of ``(x - mu) / std * scale + beta``
     xn /= std
-    scale = gamma.reshape(shape)
-    np.multiply(xn, scale, out=out)
-    out += beta.reshape(shape)
-    return out, (axes, batch_stats, xn, scale, std)
+    cache = (x.shape, batch_stats, xn, gamma.reshape(shape), std)
+    return _batch_norm_out(cache, beta, out), cache
+
+
+def _batch_norm_out(cache: tuple, beta: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The output of ``_batch_norm_fwd`` from its cache, in the operation
+    order of ``xn * scale + beta``, into ``out`` when given. The forward
+    and ``conv_stack``'s backward both call it, so a rebuilt output equals
+    the forward's bit for bit."""
+    shape, _, xn, scale, _ = cache
+    out = np.multiply(xn, scale, out=out)
+    out += beta.reshape(scale.shape)
+    return out.reshape(shape)
 
 
 def _batch_norm_bwd(g: np.ndarray, cache: tuple, need) -> tuple:
-    """Closed-form gradients (Ioffe & Szegedy 2015) for (x, gamma, beta)."""
-    axes, batch_stats, xn, scale, std = cache
+    """Closed-form gradients (Ioffe & Szegedy 2015) for (x, gamma, beta).
+
+    Over the (C, N*H*W) channel rows of a 4-D batch, the input gradient is
+    ``gamma/std * (g - sum(g)/N - xn * sum(g*xn)/N)``, whose two sums are
+    ``dbeta`` and ``dgamma``, one pass over the rows each. An (N, F) batch
+    keeps the operation order written below.
+    """
+    shape, batch_stats, xn, scale, std = cache
     need_x, need_gamma, need_beta = need
+    if len(shape) == 4:
+        g = g.reshape(xn.shape)
+        sums = need_x and batch_stats
+        dgamma = np.einsum("ij,ij->i", g, xn) if need_gamma or sums else None
+        dbeta = g.sum(axis=1) if need_beta or sums else None
+        dx = None
+        if need_x:
+            if batch_stats:
+                inv_n = 1.0 / xn.shape[1]
+                dx = np.multiply(xn, (dgamma * inv_n)[:, None])
+                np.subtract(g, dx, out=dx)
+                dx -= (dbeta * inv_n)[:, None]
+                dx *= scale / std
+            else:
+                dx = g * (scale / std)
+            dx = dx.reshape(shape)
+        return dx, dgamma if need_gamma else None, dbeta if need_beta else None
     dx = None
     if need_x:
         dx = g * scale
         if batch_stats:
             # the batch statistics depend on x too: in place, in the
             # operation order of ``(dxn - mean(dxn)) - xn * mean(dxn * xn)``
-            mean = dx.mean(axis=axes, keepdims=True)
+            mean = dx.mean(axis=0, keepdims=True)
             t = dx * xn
-            np.multiply(xn, t.mean(axis=axes, keepdims=True), out=t)
+            np.multiply(xn, t.mean(axis=0, keepdims=True), out=t)
             dx -= mean
             dx -= t
         dx /= std
     return (dx,
-            (g * xn).sum(axis=axes) if need_gamma else None,
-            g.sum(axis=axes) if need_beta else None)
+            (g * xn).sum(axis=0) if need_gamma else None,
+            g.sum(axis=0) if need_beta else None)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -667,11 +710,16 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
     batch norm reduces along contiguous channel rows and the next im2col
     reads it as it is; one transpose returns the last block's output to
     NCHW. Every layer runs the same array helpers as the one-layer
-    ``conv2d``, ``batch_norm`` and ``maxpool2x2``. Pooling keeps no index:
-    the backward sends each window's gradient to its first maximum by
-    comparing the cells with the pooled output, and a forward that records
-    no graph keeps no block's arrays. The backward stops below the lowest
-    block with a parent that requires a gradient.
+    ``conv2d``, ``batch_norm`` and ``maxpool2x2``.
+
+    Each recorded block keeps its input, its normalized activations, its
+    pooled output and its ReLU mask; a forward that records no graph keeps
+    nothing. The backward rebuilds the im2col matrix from the input when
+    the kernel needs a gradient, and the pre-pool batch-norm output from
+    the normalized activations, bit for bit, so it can send each window's
+    gradient to its first maximum by comparing the cells with the pooled
+    output. It stops below the lowest block with a parent that requires a
+    gradient.
     """
     _check_mode("conv_stack", mode)
     blocks = list(blocks)
@@ -689,15 +737,15 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
         oh, ow = _conv_out_hw((n, c) + h.shape[2:], w.shape, conv.padding,
                               "conv_stack")
         _check_pool((n, w.shape[0], oh, ow), "conv_stack")
-        a, cols = _conv_fwd(h, w.data, conv.padding)
-        y, bn_cache = _batch_norm_fwd(a.reshape(-1, n, oh, ow), bn.gamma.data,
-                                      bn.beta.data, bn.running_mean,
-                                      bn.running_var, mode, bn.momentum, bn.eps)
+        y, bn_cache = _batch_norm_fwd(
+            _conv_fwd(h, w.data, conv.padding).reshape(-1, n, oh, ow),
+            bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var,
+            mode, bn.momentum, bn.eps)
         p = _pool_fwd(y)
         relu_mask = p > 0.0
         if record:
-            layers.append(((w, bn.gamma, bn.beta), conv.padding, h.shape, cols,
-                           bn_cache, y, p, relu_mask))
+            layers.append(((w, bn.gamma, bn.beta), conv.padding, h, bn_cache,
+                           p, relu_mask))
         h = p * relu_mask
     out_shape = h.shape
     data = _swap01(h).reshape(h.shape[1], -1)
@@ -711,15 +759,16 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
         c, n, hh, ww = out_shape
         d = _swap01(g.reshape(n, c, hh, ww))
         for i in range(len(layers) - 1, -1, -1):
-            (w, gamma, beta), padding, in_shape, cols, bn_cache, y, p, relu_mask = layers[i]
-            dy = _pool_bwd(d * relu_mask, y, p)
+            (w, gamma, beta), padding, h_in, bn_cache, p, relu_mask = layers[i]
+            dy = _pool_bwd(d * relu_mask, _batch_norm_out(bn_cache, beta.data), p)
             da, dgamma, dbeta = _batch_norm_bwd(
                 dy, bn_cache, (below[i] or w.requires_grad,
                                gamma.requires_grad, beta.requires_grad))
+            del dy  # dead before the conv backward allocates its own arrays
             _accum_each((gamma, beta), (dgamma, dbeta))
             if da is None:
                 return
-            d, dw = _conv_bwd(da.reshape(da.shape[0], -1), cols, in_shape, w.data,
+            d, dw = _conv_bwd(da.reshape(da.shape[0], -1), h_in, w.data,
                               padding, (below[i], w.requires_grad))
             _accum_each((w,), (dw,))
             if d is None:

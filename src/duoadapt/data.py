@@ -218,7 +218,8 @@ def _augment_once(x: np.ndarray, rng: np.random.Generator) -> Tensor:
 # -- binary container ---------------------------------------------------------
 # Layout: magic "DADS" | u16 version | u8 has_labels | u8 ndim |
 #         ndim x u32 shape | domain tag (u16 length + utf-8) |
-#         row-major f64 payload | optional i64 label block (each label >= 0).
+#         row-major f64 payload (each value finite) |
+#         optional i64 label block (each label >= 0).
 
 def save_dataset(path, ds: Dataset) -> None:
     shape = ds.inputs.shape
@@ -273,4 +274,11 @@ def _parse_dataset(raw: bytes, has_labels: int, ndim: int, path) -> Dataset:
     if labels and min(labels) < 0:
         row = next(i for i, y in enumerate(labels) if y < 0)
         raise DatasetFormatError(f"{path}: negative label {labels[row]} in row {row}")
+    finite = np.isfinite(payload)
+    if not finite.all():
+        # the first bad cell, by its row and its column in the flattened row
+        bad = int(np.argmin(finite))
+        row, col = divmod(bad, count // shape[0] if shape else 1)
+        raise DatasetFormatError(f"{path}: non-finite value {payload[bad]} "
+                                 f"in row {row}, column {col}")
     return Dataset(Tensor(payload.reshape(shape)), labels, domain)

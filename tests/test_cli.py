@@ -366,6 +366,42 @@ def test_labels_outside_the_source_classes_exit_3_naming_the_file(tmp_path, caps
             f"task.source_classes={classes}") in captured.err, captured.err
 
 
+def _with_input(ds, row, col, value):
+    inputs = ds.inputs.data.copy()
+    inputs[row, col] = value
+    return Dataset(Tensor(inputs), ds.labels, ds.domain)
+
+
+def test_train_rejects_a_nan_input_naming_the_file_row_and_column(tmp_path, capsys):
+    # a NaN input used to surface as a non-finite parameter after the first
+    # update, which blames the parameter, not the data
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    capsys.readouterr()
+    source = out / "source.ds"
+    save_dataset(source, _with_input(load_dataset(source), 7, 3, np.nan))
+    assert main(_fast_args(out) + ["train"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{source}: non-finite value nan in row 7, column 3" in err, err
+    assert not (out / "best.ckpt").exists()
+
+
+def test_eval_rejects_an_infinite_input_naming_the_file_row_and_column(
+        tmp_path, capsys):
+    # an infinite cell used to be scored like any other row
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    capsys.readouterr()
+    bad = tmp_path / "bad_eval.ds"
+    save_dataset(bad, _with_input(load_dataset(out / "eval_target.ds"), 2, 5, -np.inf))
+    code = main(_fast_args(out) + ["eval", str(out / "best.ckpt"), str(bad)])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad}: non-finite value -inf in row 2, column 5" in captured.err, captured.err
+
+
 def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"JUNKJUNK")

@@ -21,8 +21,13 @@ ReLU, bit for bit in values, gradients and running buffers in every mode:
 the one-layer ops run the same array helpers, with a 4-D batch norm
 channels first as in the stack, so every sum runs in the same order.
 The median-heuristic bandwidths are compared with ``np.median`` over the
-upper triangle, bit for bit.
+upper triangle, bit for bit. The memory guards count, with tracemalloc, the
+bytes a recorded ``conv_stack`` or ``conv2d`` forward keeps for its backward
+and the peak of one conv pretraining step: neither op may keep an im2col
+matrix or a pre-pool batch-norm output.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,11 +37,11 @@ from duoadapt import train
 from duoadapt.autodiff import (MODES, Adam, GradError, ShapeMismatch, Tensor,
                                _dropout_mask, batch_norm, conv2d, conv_stack,
                                grad_check, linear, maxpool2x2)
-from duoadapt.data import PdaTaskSpec, gen_synthetic_pda
+from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
 from duoadapt.losses import (MEDIAN_SCALES, ContrastiveBatch, KernelSpec,
                              cross_entropy_hard, cross_entropy_soft,
                              mmd_squared, nt_xent)
-from duoadapt.model import BatchNorm, Conv, DenseStack
+from duoadapt.model import BatchNorm, Conv, ConvExtractor, DenseStack
 
 TOL = 1e-10
 
@@ -377,13 +382,11 @@ def test_maxpool_before_relu_equals_relu_before_maxpool(n, c, h2, w2, seed):
 
 # -- batch norm ---------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 9), st.integers(1, 5), st.booleans(),
-       st.sampled_from(MODES), st.integers(0, 2 ** 32 - 1))
-def test_batch_norm_matches_composition(n, c, four_d, mode, seed):
-    rng = np.random.default_rng(seed)
-    shape = (n, c, int(rng.integers(1, 4)), int(rng.integers(1, 4))) if four_d else (n, c)
-    x = rng.standard_normal(shape) * rng.uniform(0.5, 3.0) + rng.uniform(-2, 2)
+def _batch_norm_agrees(x, mode, rng):
+    """``batch_norm`` and ``_batch_norm_ref`` agree on ``x`` in ``mode``, with
+    random affine parameters and running buffers drawn from ``rng``: in
+    values, in every gradient and in the running buffers."""
+    c = x.shape[1]
     gamma = rng.uniform(0.5, 2.0, c)
     beta = rng.standard_normal(c)
     stats = (rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
@@ -397,11 +400,30 @@ def test_batch_norm_matches_composition(n, c, four_d, mode, seed):
         return build
 
     _agree(run(batch_norm, "fused"), run(_batch_norm_ref, "ref"),
-           [x, gamma, beta], [True, True, True], rng.standard_normal(shape))
+           [x, gamma, beta], [True, True, True], rng.standard_normal(x.shape))
     for got, want, before in zip(buffers["fused"], buffers["ref"], stats):
         assert _close(got, want)
         if mode != "train":
             assert np.array_equal(got, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 5), st.booleans(),
+       st.sampled_from(MODES), st.integers(0, 2 ** 32 - 1))
+def test_batch_norm_matches_composition(n, c, four_d, mode, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, c, int(rng.integers(1, 4)), int(rng.integers(1, 4))) if four_d else (n, c)
+    x = rng.standard_normal(shape) * rng.uniform(0.5, 3.0) + rng.uniform(-2, 2)
+    _batch_norm_agrees(x, mode, rng)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batch_norm_matches_composition_at_a_conv_shape(mode):
+    # a conv block's shape: N = 32*16*16 = 8192 values per channel, enough
+    # for cancellation in the channel-row closed form's sums to show; the
+    # Hypothesis test above reaches N <= 81
+    rng = np.random.default_rng(5)
+    _batch_norm_agrees(rng.standard_normal((32, 8, 16, 16)) * 2.0 + 3.0, mode, rng)
 
 
 def test_batch_norm_constant_input_gets_no_grad():
@@ -756,6 +778,66 @@ def test_conv_stack_rejects_an_unknown_mode_and_a_batch_of_one():
         conv_stack(Tensor(np.zeros((2, 1, 4, 4))), blocks, "training")
     with pytest.raises(ValueError, match="train mode needs batch size >= 2"):
         conv_stack(Tensor(np.zeros((1, 1, 4, 4))), blocks, "train")
+
+
+# -- memory kept for the conv backward ------------------------------------------
+
+MIB = 2 ** 20
+
+
+def _kept_bytes(fn):
+    """``fn``'s result and the bytes, traced by tracemalloc, that stay
+    allocated while the result is kept."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_recorded_conv_forwards_keep_no_im2col_matrix_or_pre_pool_output():
+    # with the default channels at batch 32, the im2col matrices come to
+    # 29 MiB and the pre-pool batch-norm outputs to 14 MiB; the backward
+    # rebuilds both, so a recorded forward keeps neither
+    rng = np.random.default_rng(0)
+    ext = ConvExtractor(rng)
+    x = Tensor(rng.standard_normal((32, 1, 32, 32)))
+    out, kept = _kept_bytes(lambda: conv_stack(x, zip(ext.convs, ext.bns), "train"))
+    assert out._op == "conv_stack"
+    assert kept <= 30 * MIB, kept / MIB
+    # the second block's conv alone: a 4 MiB output over an 18 MiB im2col
+    h = Tensor(rng.standard_normal((32, 32, 16, 16)))
+    out, kept = _kept_bytes(lambda: conv2d(h, ext.convs[1].weight, padding=1))
+    assert out._op == "conv2d"
+    assert kept <= out.data.nbytes + MIB, kept / MIB
+
+
+def test_a_conv_pretraining_step_peaks_below_110_mib(monkeypatch):
+    start = []
+
+    class PeakAfterSetUp(Adam):
+        """Adam whose construction ends the set-up: the step is measured
+        from there."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(train, "Adam", PeakAfterSetUp)
+    rng = np.random.default_rng(0)
+    ext = ConvExtractor(rng)
+    data = Dataset(Tensor(rng.random((32, 1, 32, 32))), None, "source")
+    cfg = train.TrainConfig(pretrain_epochs=1, batch_size=32)
+    tracemalloc.start()
+    try:
+        train.pretrain_contrastive(ext, data, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 110 * MIB, peak / MIB
 
 
 # -- median-heuristic bandwidths -----------------------------------------------
