@@ -18,9 +18,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import (Dict, List, Optional, Tuple, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -38,30 +39,21 @@ EXIT_RUNTIME = 4
 
 OUTPUT_ROOT_ENV = "DUOADAPT_OUTPUT_ROOT"
 
-_DEFAULTS = {
-    "task": {
-        "source_classes": "4", "target_classes": "0,1",
-        "samples_per_class": "200", "input_kind": "vector", "dim": "8",
-        "class_separation": "3.0", "mean_offset": "", "rotation_angle": "0.0",
-        "scale": "1.0", "noise_sigma": "0.0", "seed": "0",
-    },
-    "train": {
-        "pretrain_epochs": "20", "temperature": "0.5", "epochs": "10",
-        "iters_per_step": "10", "learning_rate": "1e-3", "batch_size": "64",
-        "desired_reward": "0.95", "seed": "0", "soft_pseudo": "true",
-    },
-    "model": {
-        "extractor": "mlp", "feature_dim": "32", "mlp_hidden": "64",
-        "proj_dim": "16", "rda_hidden": "32,16,32", "clf_hidden": "32,16",
-        "dropout_p": "0.1",
-    },
-    "output": {"dir": "runs/experiment"},
-    "study": {"n_seeds": "5"},
-}
-
-
 # extractor kind -> the task.input_kind it reads
 _EXTRACTOR_INPUT = {"mlp": "vector", "conv_stack": "image"}
+
+# config section -> the dataclass whose fields are its keys, with their
+# types and defaults
+_SECTIONS = {"task": PdaTaskSpec, "train": TrainConfig, "model": ModelConfig}
+# the keys no dataclass holds; each default's type is its key's type
+_EXTRA_DEFAULTS = {"output": {"dir": "runs/experiment"}, "study": {"n_seeds": 5}}
+# section -> key -> type, for every key a config may set
+_KEY_TYPES = {sec: {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
+              for sec, cls in _SECTIONS.items()}
+_KEY_TYPES.update({sec: {key: type(default) for key, default in keys.items()}
+                   for sec, keys in _EXTRA_DEFAULTS.items()})
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 class ConfigError(ValueError):
@@ -76,100 +68,83 @@ class ExperimentConfig:
     output_dir: Path
     n_seeds: int
     config_hash: str
-    raw: Dict[str, Dict[str, str]]
+
+    def __post_init__(self):
+        if self.n_seeds < 1:
+            raise ConfigError(f"study.n_seeds must be at least 1, got {self.n_seeds}")
+        needs = _EXTRACTOR_INPUT.get(self.model.extractor)
+        if needs is None:
+            raise ConfigError(f"unknown model.extractor {self.model.extractor!r}")
+        if self.task.input_kind != needs:
+            raise ConfigError(f"model.extractor={self.model.extractor} needs "
+                              f"task.input_kind={needs}, got {self.task.input_kind}")
 
 
-def _parse_ints(s: str) -> Tuple[int, ...]:
-    return tuple(int(v) for v in s.split(",") if v.strip() != "")
-
-
-def _parse_floats(s: str) -> Tuple[float, ...]:
-    return tuple(float(v) for v in s.split(",") if v.strip() != "")
-
-
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {s!r}")
+def _parse(tp, text: str, key: str):
+    """``text`` as a value of ``tp``: an int, float, str or bool, or a tuple
+    of ints or floats written comma-separated. Floats must be finite."""
+    item = get_args(tp)[0] if get_origin(tp) is tuple else tp
+    try:
+        if item is not tp:
+            value = tuple(item(v) for v in text.split(",") if v.strip())
+        elif tp is bool:
+            value = _BOOLS[text.lower()]
+        else:
+            value = tp(text)
+    except (ValueError, KeyError):
+        what = tp.__name__ if item is tp else f"comma-separated {item.__name__}s"
+        raise ConfigError(f"{key}: cannot read {text!r} as {what}") from None
+    if item is float and not np.isfinite(value).all():
+        raise ConfigError(f"{key}: {text!r} is not finite")
+    return value
 
 
 def load_config(path: Optional[str], overrides: List[str]) -> ExperimentConfig:
-    raw = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
+    texts: Dict[str, Dict[str, str]] = {sec: {} for sec in _KEY_TYPES}
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as e:
+            raise ConfigError(f"{path}: {e}") from e
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for sec in parser.sections():
-            if sec not in raw:
+            if sec not in texts:
                 raise ConfigError(f"unknown config section [{sec}]")
-            for key, val in parser.items(sec):
-                if key not in raw[sec]:
+            for key, text in parser.items(sec):
+                if key not in _KEY_TYPES[sec]:
                     raise ConfigError(f"unknown config key {sec}.{key}")
-                raw[sec][key] = val
+                texts[sec][key] = text
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
-        target, val = item.split("=", 1)
+        target, text = item.split("=", 1)
         sec, key = target.split(".", 1)
-        if sec not in raw or key not in raw[sec]:
+        if sec not in texts or key not in _KEY_TYPES[sec]:
             raise ConfigError(f"unknown config key {sec}.{key}")
-        raw[sec][key] = val
+        texts[sec][key] = text
+    values = {sec: {key: _parse(_KEY_TYPES[sec][key], text, f"{sec}.{key}")
+                    for key, text in keys.items()}
+              for sec, keys in texts.items()}
 
-    canonical = "\n".join(f"{s}.{k}={raw[s][k]}"
-                          for s in sorted(raw) for k in sorted(raw[s]))
+    try:
+        built = {sec: cls(**values[sec]) for sec, cls in _SECTIONS.items()}
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    extra = {sec: {**keys, **values[sec]} for sec, keys in _EXTRA_DEFAULTS.items()}
+    # the resolved values, so every spelling of one config hashes alike
+    resolved = {**{sec: asdict(obj) for sec, obj in built.items()}, **extra}
+    canonical = json.dumps(resolved, sort_keys=True)
     config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    t = raw["task"]
-    try:
-        task = PdaTaskSpec(
-            source_classes=int(t["source_classes"]),
-            target_classes=_parse_ints(t["target_classes"]),
-            samples_per_class=int(t["samples_per_class"]),
-            input_kind=t["input_kind"], dim=int(t["dim"]),
-            class_separation=float(t["class_separation"]),
-            mean_offset=_parse_floats(t["mean_offset"]),
-            rotation_angle=float(t["rotation_angle"]),
-            scale=float(t["scale"]), noise_sigma=float(t["noise_sigma"]),
-            seed=int(t["seed"]))
-        tr = raw["train"]
-        train = TrainConfig(
-            pretrain_epochs=int(tr["pretrain_epochs"]),
-            temperature=float(tr["temperature"]), epochs=int(tr["epochs"]),
-            iters_per_step=int(tr["iters_per_step"]),
-            learning_rate=float(tr["learning_rate"]),
-            batch_size=int(tr["batch_size"]),
-            desired_reward=float(tr["desired_reward"]),
-            seed=int(tr["seed"]), soft_pseudo=_parse_bool(tr["soft_pseudo"]))
-        m = raw["model"]
-        model = ModelConfig(
-            extractor=m["extractor"], feature_dim=int(m["feature_dim"]),
-            mlp_hidden=_parse_ints(m["mlp_hidden"]),
-            proj_dim=int(m["proj_dim"]),
-            rda_hidden=_parse_ints(m["rda_hidden"]),
-            clf_hidden=_parse_ints(m["clf_hidden"]),
-            dropout_p=float(m["dropout_p"]))
-        n_seeds = int(raw["study"]["n_seeds"])
-    except (ValueError, KeyError) as e:
-        raise ConfigError(str(e)) from e
-    if n_seeds < 1:
-        raise ConfigError(f"study.n_seeds must be at least 1, got {n_seeds}")
-    needs = _EXTRACTOR_INPUT.get(model.extractor)
-    if needs is None:
-        raise ConfigError(f"unknown model.extractor {model.extractor!r}")
-    if task.input_kind != needs:
-        raise ConfigError(f"model.extractor={model.extractor} needs "
-                          f"task.input_kind={needs}, got {task.input_kind}")
-
-    out = Path(raw["output"]["dir"])
+    out = Path(extra["output"]["dir"])
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not out.is_absolute():
         out = Path(root) / out
-    return ExperimentConfig(task=task, train=train, model=model,
-                            output_dir=out, n_seeds=n_seeds,
-                            config_hash=config_hash, raw=raw)
+    return ExperimentConfig(**built, output_dir=out,
+                            n_seeds=extra["study"]["n_seeds"],
+                            config_hash=config_hash)
 
 
 @dataclass
@@ -328,18 +303,12 @@ def cmd_compare_stopping(cfg: ExperimentConfig) -> int:
         study = selection_study(result.trace)
         summary_rows.append({"seed": train_cfg.seed, **study})
 
-    with open(cfg.output_dir / "compare_epochs.csv", "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=["seed", "epoch", "accuracy", "V",
-                                           "train_loss"])
-        w.writeheader()
-        w.writerows(epoch_rows)
-    fields = ["seed", "accuracy_at_argmax_V", "accuracy_at_argmin_loss",
-              "accuracy_at_true_best", "regret_V_rule", "regret_loss_rule",
-              "epoch_argmax_V", "epoch_argmin_loss", "epoch_true_best"]
-    with open(cfg.output_dir / "compare_summary.csv", "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=fields)
-        w.writeheader()
-        w.writerows([{k: r[k] for k in fields} for r in summary_rows])
+    for name, rows in (("compare_epochs.csv", epoch_rows),
+                       ("compare_summary.csv", summary_rows)):
+        with open(cfg.output_dir / name, "w", newline="") as f:
+            w = csv.DictWriter(f, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
     med_v = float(np.median([r["regret_V_rule"] for r in summary_rows]))
     med_l = float(np.median([r["regret_loss_rule"] for r in summary_rows]))
     print(f"median regret: reward rule {med_v:.4f}, loss rule {med_l:.4f}")

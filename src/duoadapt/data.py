@@ -59,6 +59,15 @@ class PdaTaskSpec:
             raise ValueError(f"unknown input_kind {self.input_kind!r}")
         if self.dim < 1:
             raise ValueError(f"task.dim must be at least 1, got {self.dim}")
+        if self.source_classes > self.dim:
+            # every kind of input draws one orthogonal mean direction per class
+            raise ValueError(
+                f"task.source_classes={self.source_classes} needs task.dim of at "
+                f"least {self.source_classes}, got {self.dim}")
+        if len(self.mean_offset) > self.dim:
+            raise ValueError(
+                f"task.mean_offset has {len(self.mean_offset)} values, more than "
+                f"task.dim={self.dim}")
 
 
 @dataclass

@@ -269,8 +269,7 @@ def ensemble_predict(ms: DomainWiseModel, mt: DomainWiseModel,
 
 
 def build_models(n_classes: int, extractor_s: Module, extractor_t: Module,
-                 seed: int, rda_hidden: Sequence[int] = (256, 128, 256),
-                 clf_hidden: Sequence[int] = (128, 64),
+                 seed: int, rda_hidden: Sequence[int], clf_hidden: Sequence[int],
                  dropout_p: float = 0.1) -> Tuple[DomainWiseModel, DomainWiseModel]:
     """Construct the source and target models around shared extractors."""
     dim = extractor_s.feature_dim

@@ -98,8 +98,8 @@ STEP_MAP: Dict[StepId, Tuple[str, str]] = {
 SOURCE_CE_STEPS = (StepId.S1_train_Cs, StepId.S5_source_Ct)
 ALIGN_STEPS = (StepId.S2_align_Fs, StepId.S4_align_Ft)
 
-TRACE_COLUMNS = ("epoch", "V", "L_s_s", "MMD_s", "L_t_t", "MMD_t",
-                 "L_t_s", "L_st_t", "checkpoint_id", "target_accuracy")
+TRACE_COLUMNS = ("epoch", "V", *(column for column, _ in STEP_MAP.values()),
+                 "checkpoint_id", "target_accuracy")
 
 
 @dataclass
@@ -134,7 +134,7 @@ class RewardTrace:
         w.writerow(TRACE_COLUMNS)
         for r in self.rows:
             w.writerow([r.epoch, repr(r.V)]
-                       + [repr(r.losses[c]) for c in TRACE_COLUMNS[2:8]]
+                       + [repr(r.losses[c]) for c, _ in STEP_MAP.values()]
                        + [r.checkpoint_id, _fmt(r.target_accuracy)])
         return buf.getvalue()
 

@@ -1,6 +1,9 @@
+import configparser
 import csv
 import hashlib
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from duoadapt import cli, model, train
 from duoadapt.autodiff import Adam, Tensor
 from duoadapt.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
                           ConfigError, load_config, main, metrics_report)
-from duoadapt.data import Dataset, load_dataset, save_dataset
+from duoadapt.data import Dataset, PdaTaskSpec, load_dataset, save_dataset
+from duoadapt.train import ModelConfig, TrainConfig
 
 FAST_OVERRIDES = [
     "task.samples_per_class=12",
@@ -94,6 +98,94 @@ def test_output_root_env(monkeypatch, tmp_path):
     assert cfg_abs.output_dir == tmp_path / "abs"
 
 
+def _config_keys():
+    """Every key a config may set, as section.key."""
+    return ({f"{sec}.{f.name}" for sec, cls in (("task", PdaTaskSpec),
+                                                ("train", TrainConfig),
+                                                ("model", ModelConfig))
+             for f in fields(cls)}
+            | {"output.dir", "study.n_seeds"})
+
+
+def test_spellings_of_one_config_hash_alike():
+    default = load_config(None, []).config_hash
+    for overrides in (["train.learning_rate=0.001"], ["train.soft_pseudo=yes"],
+                      ["train.soft_pseudo=ON"], ["task.target_classes=1,0"],
+                      ["task.target_classes=0,1,1"], ["task.class_separation=3"],
+                      ["model.rda_hidden=32, 16, 32"], ["model.mlp_hidden=64,"]):
+        assert load_config(None, overrides).config_hash == default, overrides
+
+
+# another valid value for every key; the extractor and the input kind are
+# only valid together
+OTHER_VALUES = [
+    ["task.source_classes=3"], ["task.target_classes=0"],
+    ["task.samples_per_class=100"], ["task.dim=9"],
+    ["task.class_separation=2.5"], ["task.mean_offset=1.0"],
+    ["task.rotation_angle=0.1"], ["task.scale=1.5"], ["task.noise_sigma=0.2"],
+    ["task.seed=1"], ["train.pretrain_epochs=5"], ["train.temperature=0.7"],
+    ["train.epochs=11"], ["train.iters_per_step=5"], ["train.learning_rate=1e-2"],
+    ["train.batch_size=32"], ["train.desired_reward=0.9"], ["train.seed=1"],
+    ["train.soft_pseudo=false"], ["model.feature_dim=16"],
+    ["model.mlp_hidden=64,32"], ["model.proj_dim=8"], ["model.rda_hidden=32,32"],
+    ["model.clf_hidden=32"], ["model.dropout_p=0.2"], ["output.dir=runs/other"],
+    ["study.n_seeds=3"], ["task.input_kind=image", "model.extractor=conv_stack"],
+]
+
+
+def test_every_key_changes_the_hash():
+    assert {ov.split("=")[0] for ovs in OTHER_VALUES for ov in ovs} == _config_keys()
+    hashes = [load_config(None, ovs).config_hash for ovs in OTHER_VALUES]
+    assert load_config(None, []).config_hash not in hashes
+    assert len(set(hashes)) == len(hashes)
+
+
+def test_readme_config_block_lists_every_key_and_hashes_like_no_file(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    ini = tmp_path / "readme.ini"
+    ini.write_text("".join(line.split(";", 1)[0].rstrip() + "\n"
+                           for line in block.splitlines()))
+    parser = configparser.ConfigParser()
+    parser.read(ini)
+    assert {f"{sec}.{key}" for sec in parser.sections()
+            for key in parser[sec]} == _config_keys()
+    assert load_config(str(ini), []).config_hash == load_config(None, []).config_hash
+
+
+@pytest.mark.parametrize("override", [
+    "train.epochs=abc", "task.dim=8.0", "train.soft_pseudo=maybe",
+    "model.rda_hidden=32,x,32", "task.target_classes=0;1",
+    "train.learning_rate=nan", "task.scale=inf", "task.mean_offset=1,-inf"])
+def test_a_value_that_does_not_parse_exits_2_naming_the_key(tmp_path, capsys,
+                                                             override):
+    args = ["--set", override, "--set", f"output.dir={tmp_path}"]
+    assert main(args + ["gen-data"]) == EXIT_CONFIG
+    key = override.split("=")[0]
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["epochs = 3\n",
+                                  "[train]\nepochs = 3\nepochs = 4\n"])
+def test_a_malformed_config_file_exits_2_naming_the_file(tmp_path, capsys, text):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    args = ["-c", str(ini), "--set", f"output.dir={tmp_path / 'out'}"]
+    assert main(args + ["gen-data"]) == EXIT_CONFIG
+    assert f"config error: {ini}: " in capsys.readouterr().err
+
+
+def test_a_class_per_dimension_and_a_full_offset_generate(tmp_path):
+    # the generator draws one orthogonal mean direction per class and adds
+    # the offset to the leading coordinates: both may use every dimension
+    args = [a for ov in ("task.source_classes=3", "task.dim=3",
+                         "task.samples_per_class=2", "task.mean_offset=1,2,3",
+                         f"output.dir={tmp_path}") for a in ("--set", ov)]
+    assert main(args + ["gen-data"]) == EXIT_OK
+    assert load_dataset(tmp_path / "source.ds").labels == [0, 0, 1, 1, 2, 2]
+
+
 # -- metrics ------------------------------------------------------------------
 
 def test_metrics_report_per_class_and_weighted_overall():
@@ -128,6 +220,13 @@ def test_exit_codes_for_bad_config_and_missing_data(tmp_path, capsys):
                            (["model.feature_dim=0"], "model.feature_dim"),
                            (["model.proj_dim=0"], "model.proj_dim"),
                            (["task.dim=0"], "task.dim"),
+                           (["task.mean_offset=1,2,3,4,5,6,7,8,9"],
+                            "task.mean_offset has 9 values, more than task.dim=8"),
+                           (["task.source_classes=10"],
+                            "task.source_classes=10 needs task.dim"),
+                           (["task.source_classes=10", "task.input_kind=image",
+                             "model.extractor=conv_stack"],
+                            "task.source_classes=10 needs task.dim"),
                            (["study.n_seeds=0"], "study.n_seeds"),
                            (["study.n_seeds=-3"], "study.n_seeds")):
         args = [a for ov in overrides for a in ("--set", ov)]
