@@ -237,11 +237,6 @@ def _load_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, Dataset]:
 
 def cmd_train(cfg: ExperimentConfig) -> int:
     source, target, eval_target = _load_datasets(cfg)
-    if np.array_equal(eval_target.inputs.data, target.inputs.data):
-        # gen-data writes the target rows to both files: share one tensor so
-        # that training extracts them once
-        eval_target = Dataset(target.inputs, eval_target.labels,
-                              eval_target.domain)
     t0 = time.monotonic()
     result = train_interactive(source, target, cfg.train, cfg.model,
                                eval_target=eval_target,
@@ -251,7 +246,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     save_checkpoint(cfg.output_dir / "best.ckpt", result.best)
     # training extracted the eval rows already: score their features
     preds = fused_logits(result.ms, result.mt, result.eval_z.inputs).argmax(axis=1)
-    report = metrics_report(preds, np.asarray(eval_target.labels),
+    report = metrics_report(preds, np.asarray(result.eval_z.labels),
                             final_reward=result.best.reward,
                             chosen_epoch=result.best.epoch, seconds=seconds,
                             config_hash=cfg.config_hash)

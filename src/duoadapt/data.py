@@ -6,9 +6,10 @@ source label space. The trainer-facing target view never carries labels.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -16,6 +17,8 @@ from .autodiff import Tensor
 
 _DATASET_MAGIC = b"DADS"
 _DATASET_VERSION = 1
+
+T = TypeVar("T")
 
 
 class DatasetFormatError(ValueError):
@@ -39,13 +42,15 @@ class PdaTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.source_classes < 1 or self.samples_per_class < 1:
-            raise ValueError("class and sample counts must be positive")
+        for key in ("source_classes", "samples_per_class"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"task.{key} must be at least 1, "
+                                 f"got {getattr(self, key)}")
         tc = tuple(sorted(set(int(c) for c in self.target_classes)))
         if not tc or any(c < 0 or c >= self.source_classes for c in tc):
             raise ValueError(
-                f"target_classes {self.target_classes} not a nonempty subset "
-                f"of [0, {self.source_classes})")
+                f"task.target_classes {self.target_classes} is not a nonempty "
+                f"subset of [0, task.source_classes={self.source_classes})")
         self.target_classes = tc
         for domain, n_classes in (("source", self.source_classes),
                                   ("target", len(tc))):
@@ -55,16 +60,27 @@ class PdaTaskSpec:
                     f"task.samples_per_class={self.samples_per_class} gives the "
                     f"{domain} domain {self.samples_per_class * n_classes} row; "
                     f"each domain needs at least 2")
-        if self.input_kind not in ("vector", "image"):
-            raise ValueError(f"unknown input_kind {self.input_kind!r}")
-        if self.dim < 1:
+        if self.input_kind == "image":
+            carriers = [("source", c, _carrier(c)) for c in range(self.source_classes)]
+            carriers += [("target", c, _carrier(c, self.rotation_angle)) for c in tc]
+            for domain, c, f in carriers:
+                if not 0.0 < f < 0.5:  # a tone must lie below the Nyquist rate
+                    raise ValueError(
+                        f"task.source_classes={self.source_classes}, "
+                        f"task.rotation_angle={self.rotation_angle}: image {domain} "
+                        f"class {c} gets a tone carrier of {f:g} cycles per "
+                        f"sample, outside (0, 0.5)")
+        elif self.input_kind != "vector":
+            raise ValueError(f"task.input_kind must be vector or image, "
+                             f"got {self.input_kind!r}")
+        elif self.dim < 1:
             raise ValueError(f"task.dim must be at least 1, got {self.dim}")
-        if self.source_classes > self.dim:
-            # every kind of input draws one orthogonal mean direction per class
+        elif self.source_classes > self.dim:
+            # a vector task draws one orthogonal mean direction per class
             raise ValueError(
                 f"task.source_classes={self.source_classes} needs task.dim of at "
                 f"least {self.source_classes}, got {self.dim}")
-        if len(self.mean_offset) > self.dim:
+        elif len(self.mean_offset) > self.dim:
             raise ValueError(
                 f"task.mean_offset has {len(self.mean_offset)} values, more than "
                 f"task.dim={self.dim}")
@@ -106,11 +122,17 @@ def _class_means(spec: PdaTaskSpec, rng: np.random.Generator) -> np.ndarray:
     return dirs * spec.class_separation
 
 
+def _carrier(label: int, angle: float = 0.0) -> float:
+    """Class ``label``'s tone frequency in cycles per sample; a target's is
+    detuned by 0.01 per radian of its rotation angle."""
+    return 0.04 + 0.06 * label + 0.01 * angle
+
+
 def _tone_burst(label: int, n_signals: int, length: int,
-                rng: np.random.Generator, f_shift: float = 0.0) -> np.ndarray:
+                rng: np.random.Generator, angle: float = 0.0) -> np.ndarray:
     """Per-class tone bursts: class k gets a distinct carrier frequency."""
     t = np.arange(length)
-    base = 0.04 + 0.06 * label + f_shift
+    base = _carrier(label, angle)
     sig = np.sin(2 * np.pi * base * t)[None, :] * np.ones((n_signals, 1))
     sig *= 1.0 + 0.2 * rng.standard_normal((n_signals, 1))
     sig += 0.1 * rng.standard_normal((n_signals, length))
@@ -121,47 +143,39 @@ def gen_synthetic_pda(spec: PdaTaskSpec) -> Tuple[Dataset, Dataset, Dataset]:
     """Build (source, trainer-facing target, labeled eval-target) datasets.
 
     Source covers all classes; the target draws only the declared subset and
-    is pushed through the declared shift. Deterministic per seed.
+    is pushed through the declared shift. Deterministic per seed. A vector
+    task draws Gaussian rows around class means; an image task draws tone
+    bursts from its own stream and reads nothing of the vector draws.
     """
-    rng = np.random.default_rng(spec.seed)
-    means = _class_means(spec, np.random.default_rng(spec.seed + 7919))
-
-    def draw(classes: Sequence[int]) -> Tuple[np.ndarray, List[int]]:
-        xs, ys = [], []
-        for c in classes:
-            xs.append(means[c] + rng.standard_normal((spec.samples_per_class, spec.dim)))
-            ys.extend([c] * spec.samples_per_class)
-        return np.concatenate(xs, axis=0), ys
-
-    src_x, src_y = draw(range(spec.source_classes))
-    tgt_x, tgt_y = draw(spec.target_classes)
-
-    rot = _rotation_matrix(spec.dim, spec.rotation_angle)
-    offset = np.zeros(spec.dim)
-    if spec.mean_offset:
-        off = np.asarray(spec.mean_offset, dtype=np.float64)
-        offset[: len(off)] = off
-    tgt_x = (spec.scale * tgt_x) @ rot.T + offset
-    if spec.noise_sigma > 0:
-        tgt_x = tgt_x + spec.noise_sigma * rng.standard_normal(tgt_x.shape)
-
+    n = spec.samples_per_class
+    src_classes, tgt_classes = range(spec.source_classes), spec.target_classes
     if spec.input_kind == "image":
         sig_rng = np.random.default_rng(spec.seed + 104729)
-        src_sig = np.concatenate([
-            _tone_burst(c, spec.samples_per_class, 1024, sig_rng)
-            for c in range(spec.source_classes)])
+        src_sig = np.concatenate([_tone_burst(c, n, 1024, sig_rng) for c in src_classes])
         # shift realized as a carrier detune plus additive noise
-        tgt_sig = np.concatenate([
-            _tone_burst(c, spec.samples_per_class, 1024, sig_rng,
-                        f_shift=0.01 * spec.rotation_angle)
-            for c in spec.target_classes])
+        tgt_sig = np.concatenate([_tone_burst(c, n, 1024, sig_rng, spec.rotation_angle)
+                                  for c in tgt_classes])
         if spec.noise_sigma > 0:
             tgt_sig = tgt_sig + spec.noise_sigma * sig_rng.standard_normal(tgt_sig.shape)
         src_x = spectrogram_ingest(Tensor(src_sig), window=64, hop=16).data
         tgt_x = spectrogram_ingest(Tensor(tgt_sig), window=64, hop=16).data
+    else:
+        rng = np.random.default_rng(spec.seed)
+        means = _class_means(spec, np.random.default_rng(spec.seed + 7919))
+        # source rows first, then target rows, from the one stream
+        src_x, tgt_x = (np.concatenate([means[c] + rng.standard_normal((n, spec.dim))
+                                        for c in classes])
+                        for classes in (src_classes, tgt_classes))
+        rot = _rotation_matrix(spec.dim, spec.rotation_angle)
+        offset = np.zeros(spec.dim)
+        offset[: len(spec.mean_offset)] = spec.mean_offset
+        tgt_x = (spec.scale * tgt_x) @ rot.T + offset
+        if spec.noise_sigma > 0:
+            tgt_x = tgt_x + spec.noise_sigma * rng.standard_normal(tgt_x.shape)
 
-    source = Dataset(Tensor(src_x), src_y, "source")
-    eval_target = Dataset(Tensor(tgt_x), tgt_y, "target")
+    source = Dataset(Tensor(src_x), [c for c in src_classes for _ in range(n)], "source")
+    eval_target = Dataset(Tensor(tgt_x), [c for c in tgt_classes for _ in range(n)],
+                          "target")
     return source, eval_target.without_labels(), eval_target
 
 
@@ -246,48 +260,83 @@ def save_dataset(path, ds: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    def parse(cur: Cursor) -> Dataset:
+        has_labels, ndim = cur.fields("BB")
+        if ndim < 1:
+            cur.fail("a dataset needs a row dimension")
+        shape = cur.fields(f"{ndim}I")
+        domain = cur.text()
+        row_len = math.prod(shape[1:])
+        # a bad cell is named by its row and its column in the flattened row
+        inputs = cur.floats(shape, lambda i: "row %d, column %d" % divmod(i, row_len))
+        labels = list(cur.fields(f"{shape[0]}q")) if has_labels else None
+        if labels and min(labels) < 0:
+            row = next(i for i, y in enumerate(labels) if y < 0)
+            cur.fail(f"negative label {labels[row]} in row {row}")
+        return Dataset(Tensor(inputs), labels, domain)
+    return read_container(path, _DATASET_MAGIC, _DATASET_VERSION, "dataset",
+                          DatasetFormatError, parse)
+
+
+# -- the container reader -----------------------------------------------------
+# Datasets and checkpoints share one framing: a 4-byte magic, a u16 version,
+# then parts of little-endian struct fields, u16-length utf-8 texts and f64
+# arrays, each value finite, with no byte after the last part.
+
+class Cursor:
+    """Reads a container's parts in order; a fault raises ``error`` naming
+    the file."""
+
+    def __init__(self, raw: bytes, path, error: Type[ValueError]):
+        self.raw, self.path, self.error, self.offset = raw, path, error, 0
+
+    def fail(self, message: str) -> NoReturn:
+        raise self.error(f"{self.path}: {message}")
+
+    def _take(self, n: int) -> int:
+        """The offset of the next ``n`` bytes, which the cursor moves past."""
+        start, self.offset = self.offset, self.offset + n
+        if self.offset > len(self.raw):
+            self.fail(f"truncated file: a part ends at byte {self.offset}, "
+                      f"the file has {len(self.raw)} bytes")
+        return start
+
+    def fields(self, fmt: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack_from(fmt, self.raw, self._take(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        start = self._take(self.fields("H")[0])
+        try:
+            return self.raw[start:self.offset].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            self.fail(f"a text is not utf-8 ({exc})")
+
+    def floats(self, shape: Tuple[int, ...], where: Callable[[int], str]) -> np.ndarray:
+        """An f64 array of ``shape``, each value finite; ``where(i)`` names the
+        i-th value in row-major order."""
+        count = math.prod(shape)
+        out = np.frombuffer(self.raw, "<f8", count, self._take(8 * count))
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            self.fail(f"non-finite value {out[bad[0]]} in {where(int(bad[0]))}")
+        return out.reshape(shape)
+
+
+def read_container(path, magic: bytes, version: int, kind: str,
+                   error: Type[ValueError], parse: Callable[[Cursor], T]) -> T:
+    """``parse`` of the parts after the magic and the version of the ``kind``
+    file at ``path``, which must end where ``parse`` stops."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _DATASET_MAGIC:
-        raise DatasetFormatError(f"{path}: not a dataset container")
-    version, has_labels, ndim = struct.unpack_from("<HBB", raw, 4)
-    if version != _DATASET_VERSION:
-        raise DatasetFormatError(
-            f"{path}: unsupported container version {version} "
-            f"(expected {_DATASET_VERSION})")
-    try:
-        return _parse_dataset(raw, has_labels, ndim, path)
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
-        if isinstance(exc, DatasetFormatError):
-            raise
-        raise DatasetFormatError(f"{path}: corrupt container ({exc})") from exc
-
-
-def _parse_dataset(raw: bytes, has_labels: int, ndim: int, path) -> Dataset:
-    off = 8
-    shape = struct.unpack_from(f"<{ndim}I", raw, off)
-    off += 4 * ndim
-    (tag_len,) = struct.unpack_from("<H", raw, off)
-    off += 2
-    domain = raw[off:off + tag_len].decode("utf-8")
-    off += tag_len
-    count = int(np.prod(shape))
-    payload = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-    off += 8 * count
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(raw, dtype="<i8", count=shape[0], offset=off).tolist()
-        off += 8 * shape[0]
-    if off != len(raw):
-        raise DatasetFormatError(f"{path}: trailing or truncated payload")
-    if labels and min(labels) < 0:
-        row = next(i for i, y in enumerate(labels) if y < 0)
-        raise DatasetFormatError(f"{path}: negative label {labels[row]} in row {row}")
-    finite = np.isfinite(payload)
-    if not finite.all():
-        # the first bad cell, by its row and its column in the flattened row
-        bad = int(np.argmin(finite))
-        row, col = divmod(bad, count // shape[0] if shape else 1)
-        raise DatasetFormatError(f"{path}: non-finite value {payload[bad]} "
-                                 f"in row {row}, column {col}")
-    return Dataset(Tensor(payload.reshape(shape)), labels, domain)
+        cur = Cursor(f.read(), path, error)
+    if cur.raw[:len(magic)] != magic:
+        cur.fail(f"not a {kind} file")
+    cur.offset = len(magic)
+    found = cur.fields("H")[0]
+    if found != version:
+        cur.fail(f"unsupported {kind} version {found} (expected {version})")
+    out = parse(cur)
+    if cur.offset != len(cur.raw):
+        cur.fail(f"trailing or truncated payload ({len(cur.raw) - cur.offset} "
+                 f"bytes after the last part)")
+    return out

@@ -15,6 +15,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 import numpy as np
 
 from .autodiff import Tensor, conv_stack, dense_stack, linear
+from .data import Cursor, read_container
 
 _CKPT_MAGIC = b"DACK"
 _CKPT_VERSION = 1
@@ -203,7 +204,7 @@ class RdaBlock(DenseStack):
     zero_init_out = True
 
     def __init__(self, dim: int, own_domain: str, rng: np.random.Generator,
-                 hidden: Sequence[int] = (256, 128, 256), dropout_p: float = 0.1):
+                 hidden: Sequence[int], dropout_p: float = 0.1):
         if own_domain not in ("source", "target"):
             raise ValueError(f"bad domain {own_domain!r}")
         super().__init__(dim, dim, rng, hidden, dropout_p)
@@ -224,7 +225,7 @@ class DomainClassifier(DenseStack):
     """Three-layer FC head emitting raw logits over the source label space."""
 
     def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
-                 hidden: Sequence[int] = (128, 64), dropout_p: float = 0.1):
+                 hidden: Sequence[int], dropout_p: float = 0.1):
         super().__init__(dim, n_classes, rng, hidden, dropout_p)
 
 
@@ -313,6 +314,15 @@ def named_buffers(ms: DomainWiseModel, mt: DomainWiseModel) -> Dict[str, np.ndar
 
 # -- checkpoints --------------------------------------------------------------
 
+def _state(ms: DomainWiseModel, mt: DomainWiseModel) -> Dict[str, np.ndarray]:
+    """The pair's parameter and buffer arrays by checkpoint name, buffers
+    under ``buffer:``; what a checkpoint captures and restores."""
+    state = {name: t.data for group in parameter_groups(ms, mt).values()
+             for name, t in group.items()}
+    state.update(("buffer:" + name, b) for name, b in named_buffers(ms, mt).items())
+    return state
+
+
 @dataclass
 class Checkpoint:
     """Immutable snapshot of all parameters and BN buffers."""
@@ -325,21 +335,14 @@ class Checkpoint:
     @classmethod
     def capture(cls, ms: DomainWiseModel, mt: DomainWiseModel, epoch: int,
                 reward: float, config_hash: str = "") -> "Checkpoint":
-        arrays = {name: t.data.copy()
-                  for group in parameter_groups(ms, mt).values()
-                  for name, t in group.items()}
-        for name, buf in named_buffers(ms, mt).items():
-            arrays["buffer:" + name] = buf.copy()
+        arrays = {name: a.copy() for name, a in _state(ms, mt).items()}
         return cls(epoch=epoch, reward=reward, config_hash=config_hash,
                    arrays=arrays)
 
     def restore(self, ms: DomainWiseModel, mt: DomainWiseModel) -> None:
         """Load every tensor into the pair; the names and shapes must match
         the pair's exactly, or nothing is loaded."""
-        targets = {name: t.data for group in parameter_groups(ms, mt).values()
-                   for name, t in group.items()}
-        targets.update(("buffer:" + name, b)
-                       for name, b in named_buffers(ms, mt).items())
+        targets = _state(ms, mt)
         unmatched = sorted(set(targets) ^ set(self.arrays))
         if unmatched:
             name = unmatched[0]
@@ -375,46 +378,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _CKPT_MAGIC:
-        raise CheckpointFormatError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != _CKPT_VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    off = 6
-    try:
-        return _parse_checkpoint(raw, off, path)
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
-        if isinstance(exc, CheckpointFormatError):
-            raise
-        raise CheckpointFormatError(f"{path}: corrupt checkpoint ({exc})") from exc
-
-
-def _parse_checkpoint(raw: bytes, off: int, path) -> "Checkpoint":
-    (hlen,) = struct.unpack_from("<H", raw, off)
-    off += 2
-    config_hash = raw[off:off + hlen].decode("utf-8")
-    off += hlen
-    epoch, reward = struct.unpack_from("<Id", raw, off)
-    off += 12
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    arrays: Dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arrays[name] = np.frombuffer(raw, dtype="<f8", count=n,
-                                     offset=off).reshape(shape).copy()
-        off += 8 * n
-    if off != len(raw):
-        raise CheckpointFormatError(f"{path}: trailing or truncated payload")
-    return Checkpoint(epoch=epoch, reward=reward, config_hash=config_hash,
-                      arrays=arrays)
+    def parse(cur: Cursor) -> Checkpoint:
+        config_hash = cur.text()
+        (epoch,) = cur.fields("I")
+        reward = float(cur.floats((), lambda i: "the reward"))
+        arrays: Dict[str, np.ndarray] = {}
+        for _ in range(cur.fields("I")[0]):
+            name = cur.text()
+            (ndim,) = cur.fields("B")
+            shape = cur.fields(f"{ndim}I")
+            arrays[name] = cur.floats(shape, lambda i: f"tensor {name!r}").copy()
+        return Checkpoint(epoch=epoch, reward=reward, config_hash=config_hash,
+                          arrays=arrays)
+    return read_container(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint",
+                          CheckpointFormatError, parse)

@@ -41,15 +41,18 @@ class TrainConfig:
     soft_pseudo: bool = True    # soft teacher targets vs hard pseudo-labels
 
     def __post_init__(self):
-        if min(self.pretrain_epochs, self.epochs, self.iters_per_step) < 1:
-            raise ValueError("all counts must be positive")
-        if self.batch_size < 2:
-            # batch norm needs two rows, and pretraining skips smaller batches
-            raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
+        # batch norm needs two rows, and pretraining skips smaller batches
+        for key, low in (("pretrain_epochs", 1), ("epochs", 1),
+                         ("iters_per_step", 1), ("batch_size", 2)):
+            if getattr(self, key) < low:
+                raise ValueError(f"train.{key} must be at least {low}, "
+                                 f"got {getattr(self, key)}")
+        for key in ("learning_rate", "temperature"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"train.{key} must be positive, got {getattr(self, key)}")
         if not 0.0 < self.desired_reward <= 1.0:
-            raise ValueError("desired_reward must be in (0, 1]")
-        if self.learning_rate <= 0 or self.temperature <= 0:
-            raise ValueError("learning_rate and temperature must be positive")
+            raise ValueError(f"train.desired_reward must be in (0, 1], "
+                             f"got {self.desired_reward}")
 
 
 @dataclass
@@ -408,8 +411,9 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
                            cfg.batch_size, np.random.default_rng(cfg.seed + 19))
     if eval_target is None:
         eval_z = None
-    elif eval_target.inputs is target.inputs:
-        # gen_synthetic_pda hands out one input tensor for both target sets
+    elif np.array_equal(eval_target.inputs.data, target.inputs.data):
+        # gen_synthetic_pda and gen-data's files give both target sets the
+        # same rows: reuse their features
         eval_z = Dataset(sampler.target.inputs, eval_target.labels,
                          eval_target.domain)
     else:

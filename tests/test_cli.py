@@ -166,6 +166,17 @@ def test_a_value_that_does_not_parse_exits_2_naming_the_key(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("override", [
+    "train.epochs=0", "task.samples_per_class=0", "train.learning_rate=-1",
+    "task.input_kind=audio", "train.desired_reward=2"])
+def test_a_value_out_of_range_exits_2_naming_the_key(tmp_path, capsys, override):
+    args = ["--set", override, "--set", f"output.dir={tmp_path}"]
+    assert main(args + ["gen-data"]) == EXIT_CONFIG
+    key = override.split("=")[0]
+    assert f"config error: {key} " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("text", ["epochs = 3\n",
                                   "[train]\nepochs = 3\nepochs = 4\n"])
 def test_a_malformed_config_file_exits_2_naming_the_file(tmp_path, capsys, text):
@@ -226,7 +237,8 @@ def test_exit_codes_for_bad_config_and_missing_data(tmp_path, capsys):
                             "task.source_classes=10 needs task.dim"),
                            (["task.source_classes=10", "task.input_kind=image",
                              "model.extractor=conv_stack"],
-                            "task.source_classes=10 needs task.dim"),
+                            "task.source_classes=10, task.rotation_angle=0.0: "
+                            "image source class 8"),
                            (["study.n_seeds=0"], "study.n_seeds"),
                            (["study.n_seeds=-3"], "study.n_seeds")):
         args = [a for ov in overrides for a in ("--set", ov)]
@@ -337,13 +349,13 @@ def test_train_extracts_the_target_rows_once(tmp_path, monkeypatch, capsys):
     assert calls == ["source", "target"]
     shared = json.loads((out / "metrics.json").read_text())
 
-    # the eval rows in a tensor of their own are extracted separately, with
-    # the same metrics
+    # the eval rows in another order are extracted separately, with the same
+    # metrics
     train_interactive = cli.train_interactive
 
     def separate(source, target, cfg, model_cfg, eval_target, **kwargs):
-        copy = Dataset(Tensor(eval_target.inputs.data.copy()), eval_target.labels,
-                       eval_target.domain)
+        copy = Dataset(Tensor(eval_target.inputs.data[::-1].copy()),
+                       eval_target.labels[::-1], eval_target.domain)
         return train_interactive(source, target, cfg, model_cfg,
                                  eval_target=copy, **kwargs)
     monkeypatch.setattr(cli, "train_interactive", separate)
@@ -508,3 +520,36 @@ def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
     code = main(_fast_args(tmp_path) + ["eval", str(bad), str(ds)])
     assert code == EXIT_DATA
     assert "not a checkpoint" in capsys.readouterr().err
+
+
+def test_train_and_eval_exit_3_naming_a_file_cut_after_its_magic(tmp_path, capsys):
+    # the version used to be read before the parser's error translation, so
+    # a file cut after its magic exited 4 with a bare struct message
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    capsys.readouterr()
+    ckpt, ds = out / "best.ckpt", out / "eval_target.ds"
+    for cut in (ds, ckpt):
+        cut.write_bytes(cut.read_bytes()[:4])
+        assert main(_fast_args(out) + ["eval", str(ckpt), str(ds)]) == EXIT_DATA
+        assert f"data error: {cut}: " in capsys.readouterr().err
+    assert main(_fast_args(out) + ["train"]) == EXIT_DATA
+    assert f"data error: {ds}: " in capsys.readouterr().err
+
+
+def test_eval_rejects_a_nan_checkpoint_value_naming_the_tensor(tmp_path, capsys):
+    # a NaN weight used to load, and eval exited 0 with an accuracy
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    capsys.readouterr()
+    path = out / "best.ckpt"
+    ckpt = model.load_checkpoint(path)
+    ckpt.arrays["Ms.Cs.out.weight"][1, 0] = np.nan
+    model.save_checkpoint(path, ckpt)
+    code = main(_fast_args(out) + ["eval", str(path), str(out / "eval_target.ds")])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: non-finite value nan in tensor 'Ms.Cs.out.weight'" in captured.err

@@ -108,6 +108,32 @@ def test_image_mode_produces_normalized_spectrogram_batches():
     assert source.inputs.data.max() <= 1.0
 
 
+def test_image_task_ignores_the_vector_keys():
+    # an image task draws only tone bursts: task.dim, task.mean_offset,
+    # task.scale and the vector stream neither bound nor change it
+    base = dict(source_classes=3, target_classes=(0, 2), samples_per_class=2,
+                input_kind="image", seed=4)
+    plain = gen_synthetic_pda(PdaTaskSpec(**base))
+    other = gen_synthetic_pda(PdaTaskSpec(dim=1, mean_offset=(1.0, 2.0), scale=3.0,
+                                          class_separation=9.0, **base))
+    for a, b in zip(plain, other):
+        assert a.inputs.data.tobytes() == b.inputs.data.tobytes()
+        assert a.labels == b.labels
+
+
+@pytest.mark.parametrize("changes, domain, label", [
+    (dict(source_classes=9), "source", 8),
+    (dict(target_classes=(0, 7), rotation_angle=4.5), "target", 7),
+    (dict(rotation_angle=-4.5), "target", 0)])
+def test_image_task_carriers_stay_below_half_a_cycle_per_sample(changes, domain,
+                                                                 label):
+    base = dict(source_classes=8, samples_per_class=2, input_kind="image")
+    PdaTaskSpec(**base)
+    with pytest.raises(ValueError, match=f"^task.source_classes=.*: image {domain} "
+                                         f"class {label} gets a tone carrier"):
+        PdaTaskSpec(**{**base, **changes})
+
+
 # -- spectrogram ingest -------------------------------------------------------
 
 def test_spectrogram_output_range_and_shape():
@@ -210,12 +236,15 @@ def test_load_dataset_rejects_bad_magic(tmp_path):
 
 
 def test_load_dataset_rejects_truncation(tmp_path):
-    ds = Dataset(Tensor(np.ones((4, 3))), None, "source")
+    # every proper prefix, those that end inside the version included
+    ds = Dataset(Tensor(np.ones((4, 3))), [0, 2, 1, 0], "source")
     path = tmp_path / "t.ds"
     save_dataset(path, ds)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(DatasetFormatError):
-        load_dataset(path)
+    raw = path.read_bytes()
+    for end in range(len(raw)):
+        path.write_bytes(raw[:end])
+        with pytest.raises(DatasetFormatError, match=f"^{path}: "):
+            load_dataset(path)
 
 
 def test_load_dataset_rejects_trailing_bytes(tmp_path):
@@ -224,6 +253,14 @@ def test_load_dataset_rejects_trailing_bytes(tmp_path):
     save_dataset(path, ds)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(DatasetFormatError, match="trailing or truncated"):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_a_domain_tag_that_is_not_utf8(tmp_path):
+    path = tmp_path / "u.ds"
+    save_dataset(path, Dataset(Tensor(np.ones((2, 2))), None, "source"))
+    path.write_bytes(path.read_bytes().replace(b"source", b"\xffource"))
+    with pytest.raises(DatasetFormatError, match=f"^{path}: .*utf-8"):
         load_dataset(path)
 
 

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_rda_rejects_wrong_feature_dim():
 
 def test_rda_rejects_bad_domain():
     with pytest.raises(ValueError, match="domain"):
-        RdaBlock(5, "both", np.random.default_rng(0))
+        RdaBlock(5, "both", np.random.default_rng(0), hidden=(8,))
 
 
 def test_extract_requires_pretraining():
@@ -287,11 +288,33 @@ def test_load_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_load_checkpoint_rejects_truncation(tmp_path):
-    ms, mt = _small_models()
+    # every proper prefix, those that end inside the version included
+    arrays = {"Ms.Cs.out.bias": np.ones(3), "buffer:x": np.zeros((2, 1))}
     path = tmp_path / "t.ckpt"
-    save_checkpoint(path, Checkpoint.capture(ms, mt, epoch=0, reward=0.0))
-    path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(CheckpointFormatError):
+    save_checkpoint(path, Checkpoint(epoch=0, reward=0.0, config_hash="abc",
+                                     arrays=arrays))
+    raw = path.read_bytes()
+    for end in range(len(raw)):
+        path.write_bytes(raw[:end])
+        with pytest.raises(CheckpointFormatError, match=f"^{path}: "):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, value, where", [
+    ("Ms.Cs.out.weight", np.nan, "tensor 'Ms.Cs.out.weight'"),
+    ("buffer:Mt.Ft.bns0.running_var", np.inf, "tensor 'buffer:Mt.Ft.bns0.running_var'"),
+    (None, -np.inf, "the reward")])
+def test_load_checkpoint_rejects_a_non_finite_value_naming_it(tmp_path, name,
+                                                               value, where):
+    ckpt = Checkpoint.capture(*_small_models(), epoch=0, reward=0.5)
+    if name is None:
+        ckpt.reward = value
+    else:
+        ckpt.arrays[name].flat[0] = value
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(CheckpointFormatError,
+                       match=re.escape(f"{path}: non-finite value {value} in {where}")):
         load_checkpoint(path)
 
 

@@ -397,14 +397,31 @@ def test_train_interactive_extracts_shared_target_inputs_once(monkeypatch):
     monkeypatch.setattr(train_module, "extract", counting)
     shared = train_interactive(source, target, FAST, SMALL, eval_target)
     assert calls == ["source", "target"]
-    # a separate copy of the same inputs is extracted on its own, with the
+    # the same rows in another order are extracted on their own, with the
     # same features and therefore the same trace
     calls.clear()
-    copy = Dataset(Tensor(eval_target.inputs.data.copy()), eval_target.labels,
-                   eval_target.domain)
+    copy = Dataset(Tensor(eval_target.inputs.data[::-1].copy()),
+                   eval_target.labels[::-1], eval_target.domain)
     separate = train_interactive(source, target, FAST, SMALL, copy)
     assert calls == ["source", "target", "target"]
     assert shared.trace.to_csv() == separate.trace.to_csv()
+
+
+def test_train_interactive_extracts_equal_target_rows_once(monkeypatch):
+    # target.ds and eval_target.ds load as two tensors with equal rows
+    source, target, eval_target = _task(seed=6)
+    copy = Dataset(Tensor(eval_target.inputs.data.copy()), eval_target.labels,
+                   eval_target.domain)
+    calls = []
+    original = train_module.extract
+
+    def counting(model, x, domain_of_x):
+        calls.append(domain_of_x)
+        return original(model, x, domain_of_x)
+    monkeypatch.setattr(train_module, "extract", counting)
+    result = train_interactive(source, target, FAST, SMALL, copy)
+    assert calls == ["source", "target"]
+    assert result.eval_z.labels == eval_target.labels
 
 
 def test_train_interactive_stops_at_desired_reward():
