@@ -326,9 +326,15 @@ class Cursor:
 def read_container(path, magic: bytes, version: int, kind: str,
                    error: Type[ValueError], parse: Callable[[Cursor], T]) -> T:
     """``parse`` of the parts after the magic and the version of the ``kind``
-    file at ``path``, which must end where ``parse`` stops."""
-    with open(path, "rb") as f:
-        cur = Cursor(f.read(), path, error)
+    file at ``path``, which must end where ``parse`` stops. A path that
+    cannot be opened or read (missing, a directory, no permission) raises
+    ``error`` too."""
+    try:
+        with open(path, "rb") as f:
+            cur = Cursor(f.read(), path, error)
+    except OSError as exc:
+        raise error(f"{path}: cannot read the {kind} file "
+                    f"({exc.strerror or exc})") from exc
     if cur.raw[:len(magic)] != magic:
         cur.fail(f"not a {kind} file")
     cur.offset = len(magic)

@@ -20,6 +20,11 @@ from .data import Cursor, read_container
 _CKPT_MAGIC = b"DACK"
 _CKPT_VERSION = 1
 
+# rows per ``conv_stack`` call in a frozen ``ConvExtractor.features`` pass:
+# at the default channels one call over 32 rows peaks near 42 MiB, and a
+# whole-set call grows by about 1.3 MiB per row
+EXTRACT_CHUNK = 32
+
 
 class ExtractorNotPretrained(RuntimeError):
     pass
@@ -143,13 +148,22 @@ class MlpExtractor(Extractor):
 
 
 class ConvExtractor(Extractor):
-    """Three conv/BN/maxpool/ReLU blocks over 1x32x32 images, then FC; a
-    ``features`` call is one ``conv_stack`` node and one ``linear`` node.
+    """Three conv/BN/maxpool/ReLU blocks over 1x32x32 images, then FC.
 
     The batch norms use batch statistics until the extractor is pretrained
     and their running statistics after. Pooling before the ReLU is exact:
     ReLU is monotone, so the first maximum of each window is the same cell
     either way, and the ReLU runs on a quarter of the values.
+
+    A ``features`` call that records a graph (before pretraining, or when
+    the input or a block's parameter requires a gradient) is one
+    ``conv_stack`` node and one ``linear`` node over the whole batch. A
+    frozen pass records none: it runs ``conv_stack`` over chunks of
+    ``EXTRACT_CHUNK`` rows, so its transient memory does not grow with the
+    batch, and then the FC once over all the rows. Eval-mode batch norm
+    reads only the running statistics, so each row's ``conv_stack`` output
+    does not depend on the rows beside it; the FC's matrix product can
+    differ in the last bit for fewer than 16 rows, so it is not chunked.
     """
 
     def __init__(self, rng: np.random.Generator, channels: Sequence[int] = (32, 64, 128),
@@ -164,8 +178,15 @@ class ConvExtractor(Extractor):
         self.feature_dim = feature_dim
 
     def features(self, x: Tensor) -> Tensor:
-        mode = "eval" if self.pretrained else "train"
-        return self.fc(conv_stack(x, zip(self.convs, self.bns), mode))
+        blocks = list(zip(self.convs, self.bns))
+        if not self.pretrained or x.requires_grad or any(
+                t.requires_grad for conv, bn in blocks
+                for t in (conv.weight, bn.gamma, bn.beta)):
+            mode = "eval" if self.pretrained else "train"
+            return self.fc(conv_stack(x, blocks, mode))
+        chunks = [conv_stack(Tensor(x.data[i:i + EXTRACT_CHUNK]), blocks, "eval").data
+                  for i in range(0, len(x.data), EXTRACT_CHUNK)]
+        return self.fc(Tensor(np.concatenate(chunks)))
 
 
 # -- adaptation block and classifier -----------------------------------------
@@ -241,7 +262,11 @@ class DomainWiseModel(Module):
 
 
 def extract(model: DomainWiseModel, x: Tensor, domain_of_x: str) -> Tensor:
-    """Frozen per-domain feature extraction; constant w.r.t. the tape."""
+    """Frozen per-domain feature extraction; constant w.r.t. the tape.
+
+    A conv extractor runs its blocks over ``EXTRACT_CHUNK`` rows at a time
+    and its FC over the whole set, so the features equal a whole-set pass
+    bit for bit while the transient memory stays that of one chunk."""
     ext = model.extractor_s if domain_of_x == "source" else model.extractor_t
     if not getattr(ext, "pretrained", False):
         raise ExtractorNotPretrained(

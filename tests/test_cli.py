@@ -538,6 +538,23 @@ def test_train_and_eval_exit_3_naming_a_file_cut_after_its_magic(tmp_path, capsy
     assert f"data error: {ds}: " in capsys.readouterr().err
 
 
+def test_train_and_eval_exit_3_naming_a_path_that_is_a_directory(tmp_path, capsys):
+    # opening a directory raised IsADirectoryError, which exited 4
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    capsys.readouterr()
+    source = out / "source.ds"
+    source.unlink()
+    source.mkdir()
+    assert main(_fast_args(out) + ["train"]) == EXIT_DATA
+    assert (f"data error: {source}: cannot read the dataset file"
+            in capsys.readouterr().err)
+    code = main(_fast_args(out) + ["eval", str(tmp_path), str(out / "target.ds")])
+    assert code == EXIT_DATA
+    assert (f"data error: {tmp_path}: cannot read the checkpoint file"
+            in capsys.readouterr().err)
+
+
 def test_eval_rejects_a_nan_checkpoint_value_naming_the_tensor(tmp_path, capsys):
     # a NaN weight used to load, and eval exited 0 with an accuracy
     out = tmp_path / "run"

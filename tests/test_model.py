@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duoadapt.autodiff import Adam, Tensor
+from duoadapt.autodiff import Adam, Tensor, conv_stack
+from duoadapt.data import Dataset
 from duoadapt.losses import cross_entropy_hard
 from duoadapt.model import (Checkpoint, CheckpointFormatError, ConvExtractor,
                             DomainClassifier, DomainWiseModel,
@@ -14,6 +15,7 @@ from duoadapt.model import (Checkpoint, CheckpointFormatError, ConvExtractor,
                             build_models, classifier_logits, ensemble_predict,
                             extract, load_checkpoint, named_buffers,
                             parameter_groups, rda_forward, save_checkpoint)
+from duoadapt.train import TrainConfig, pretrain_contrastive
 
 
 def _small_models(seed=0, n_classes=3, in_dim=6, feature_dim=8,
@@ -120,6 +122,50 @@ def test_extract_of_rows_equals_rows_of_whole_set_extraction(kind, data):
     rows = data.draw(st.lists(st.integers(0, len(x) - 1), min_size=2,
                               max_size=len(x), unique=True))
     assert np.array_equal(g.features(Tensor(x[rows])).data, whole[rows])
+
+
+@lru_cache(maxsize=None)
+def _pretrained_conv_extractor():
+    """A default ``ConvExtractor(feature_dim=32)`` after one pretraining
+    step, and 80 images."""
+    rng = np.random.default_rng(7)
+    g = ConvExtractor(rng, feature_dim=32)
+    x = rng.random((80, 1, 32, 32))
+    pretrain_contrastive(g, Dataset(Tensor(x[:32]), None, "source"),
+                         TrainConfig(pretrain_epochs=1, batch_size=32))
+    return g, x
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 65, 80])
+def test_frozen_conv_features_equal_one_whole_set_pass(n):
+    """A frozen pass runs conv_stack over chunks of rows and the FC once
+    over all of them; the features equal one unchunked pass bit for bit,
+    for sets within one chunk, of whole chunks and with a short last one."""
+    g, x = _pretrained_conv_extractor()
+    whole = g.fc(conv_stack(Tensor(x[:n]), zip(g.convs, g.bns), "eval")).data
+    out = g.features(Tensor(x[:n]))
+    assert not out.requires_grad
+    assert np.array_equal(out.data, whole)
+
+
+@pytest.mark.parametrize("leaf", ["input", "conv weight"])
+def test_pretrained_conv_features_record_the_graph_to_a_leaf_that_requires_grad(leaf):
+    g, x = _pretrained_conv_extractor()
+    frozen = g.features(Tensor(x[:33])).data
+    xt = Tensor(x[:33], requires_grad=leaf == "input")
+    w = g.convs[0].weight
+    w.requires_grad = leaf == "conv weight"
+    try:
+        out = g.features(xt)
+        # one conv_stack node over the whole input, not chunks cut off the graph
+        assert out._op == "linear" and out._parents[0]._op == "conv_stack"
+        assert out._parents[0]._parents[0] is xt
+        assert np.array_equal(out.data, frozen)
+        out.sum().backward()
+        grad = xt.grad if leaf == "input" else w.grad
+        assert grad is not None and np.any(grad != 0.0)
+    finally:
+        w.requires_grad, w.grad = False, None
 
 
 def test_extract_routes_by_input_domain():
