@@ -27,8 +27,8 @@ import numpy as np
 
 from .data import (Dataset, DatasetFormatError, PdaTaskSpec, gen_synthetic_pda,
                    load_dataset, save_dataset)
-from .model import (CheckpointFormatError, ensemble_predict, fused_logits,
-                    load_checkpoint, save_checkpoint)
+from .model import (CONV_INPUT_SHAPE, CheckpointFormatError, ensemble_predict,
+                    fused_logits, load_checkpoint, save_checkpoint)
 from .train import (ModelConfig, TrainConfig, build_pair, selection_study,
                     train_interactive)
 
@@ -205,13 +205,21 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _load_checked(path, n_classes: Optional[int]) -> Dataset:
-    """A non-empty dataset; with ``n_classes``, one whose rows all carry a
-    label below it (the configured ``task.source_classes``)."""
+def _load_checked(path, extractor: str, n_classes: Optional[int]) -> Dataset:
+    """A non-empty dataset whose rows ``extractor`` reads: 1-D rows for
+    ``mlp``, ``CONV_INPUT_SHAPE`` images for ``conv_stack``. With
+    ``n_classes``, every row carries a label below it (the configured
+    ``task.source_classes``)."""
     ds = load_dataset(path)
     if len(ds) == 0 or (n_classes is not None and ds.labels is None):
         what = "is empty" if len(ds) == 0 else "has no labels"
         raise DatasetFormatError(f"{path}: dataset {what}")
+    rows = ds.inputs.shape[1:]
+    conv = extractor == "conv_stack"
+    if (rows != CONV_INPUT_SHAPE) if conv else (len(rows) != 1):
+        needs = f"rows of shape {CONV_INPUT_SHAPE}" if conv else "1-D rows"
+        raise DatasetFormatError(f"{path}: rows of shape {rows}, but "
+                                 f"model.extractor={extractor} reads {needs}")
     if n_classes is not None and max(ds.labels) >= n_classes:
         row = next(i for i, y in enumerate(ds.labels) if y >= n_classes)
         raise DatasetFormatError(f"{path}: label {ds.labels[row]} in row {row} "
@@ -225,8 +233,13 @@ def _load_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, Dataset]:
         if not p.exists():
             raise FileNotFoundError(f"missing dataset file {p}; run gen-data first")
     n_classes = cfg.task.source_classes
-    datasets = tuple(_load_checked(p, classes)
+    datasets = tuple(_load_checked(p, cfg.model.extractor, classes)
                      for p, classes in zip(paths, (n_classes, None, n_classes)))
+    rows = datasets[0].inputs.shape[1:]
+    for p, ds in zip(paths[1:], datasets[1:]):
+        if ds.inputs.shape[1:] != rows:
+            raise DatasetFormatError(f"{p}: rows of shape {ds.inputs.shape[1:]}, "
+                                     f"but {paths[0].name} has rows of shape {rows}")
     for p, ds in zip(paths[:2], datasets):
         if len(ds) < 2:
             # pretraining and train-mode batch norm need two rows
@@ -260,7 +273,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
              dataset_path: str) -> int:
     ckpt = load_checkpoint(checkpoint_path)
-    ds = _load_checked(dataset_path, cfg.task.source_classes)
+    ds = _load_checked(dataset_path, cfg.model.extractor, cfg.task.source_classes)
     if ckpt.config_hash and ckpt.config_hash != cfg.config_hash:
         print(f"warning: checkpoint hash {ckpt.config_hash} != "
               f"config hash {cfg.config_hash}", file=sys.stderr)

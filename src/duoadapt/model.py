@@ -20,6 +20,9 @@ from .data import Cursor, read_container
 _CKPT_MAGIC = b"DACK"
 _CKPT_VERSION = 1
 
+# the (channels, height, width) of one image a ``ConvExtractor`` reads
+CONV_INPUT_SHAPE = (1, 32, 32)
+
 # rows per ``conv_stack`` call in a frozen ``ConvExtractor.features`` pass:
 # at the default channels one call over 32 rows peaks near 42 MiB, and a
 # whole-set call grows by about 1.3 MiB per row
@@ -133,8 +136,7 @@ class MlpExtractor(Extractor):
     """Fully connected extractor for vector-valued inputs."""
 
     def __init__(self, in_dim: int, rng: np.random.Generator,
-                 hidden: Sequence[int] = (64,), feature_dim: int = 32,
-                 proj_dim: int = 16):
+                 hidden: Sequence[int], feature_dim: int, proj_dim: int):
         dims = [in_dim, *hidden, feature_dim]
         self.layers = [Linear(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
         self.proj1 = Linear(feature_dim, feature_dim, rng)
@@ -148,7 +150,7 @@ class MlpExtractor(Extractor):
 
 
 class ConvExtractor(Extractor):
-    """Three conv/BN/maxpool/ReLU blocks over 1x32x32 images, then FC.
+    """Three conv/BN/maxpool/ReLU blocks over ``CONV_INPUT_SHAPE`` images, then FC.
 
     The batch norms use batch statistics until the extractor is pretrained
     and their running statistics after. Pooling before the ReLU is exact:
@@ -167,11 +169,13 @@ class ConvExtractor(Extractor):
     """
 
     def __init__(self, rng: np.random.Generator, channels: Sequence[int] = (32, 64, 128),
-                 feature_dim: int = 512, proj_dim: int = 64):
-        chain = [1, *channels]
+                 *, feature_dim: int, proj_dim: int):
+        in_ch, h, w = CONV_INPUT_SHAPE
+        chain = [in_ch, *channels]
         self.convs = [Conv(a, b, 3, rng) for a, b in zip(chain[:-1], chain[1:])]
         self.bns = [BatchNorm(c) for c in channels]
-        flat = channels[-1] * (32 // 2 ** len(channels)) ** 2
+        pool = 2 ** len(channels)
+        flat = channels[-1] * (h // pool) * (w // pool)
         self.fc = Linear(flat, feature_dim, rng)
         self.proj1 = Linear(feature_dim, feature_dim, rng)
         self.proj2 = Linear(feature_dim, proj_dim, rng)

@@ -14,7 +14,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -213,9 +213,21 @@ def extract_dataset(model: DomainWiseModel, ds: Dataset, domain: str) -> Dataset
     return Dataset(extract(model, ds.inputs, domain), ds.labels, ds.domain)
 
 
+def _update(loss: Tensor, tensors: Iterable[Tensor], opt: Adam, where: str) -> float:
+    """Clear the gradients of ``tensors``, backpropagate ``loss``, step ``opt``
+    and return the loss; a failed update is re-raised naming ``where``."""
+    for t in tensors:
+        t.zero_grad()
+    try:
+        loss.backward()
+        opt.step()
+    except (FloatingPointError, GradError) as e:
+        raise type(e)(f"{where}: {e}") from e
+    return loss.item()
+
+
 def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
-                         rng: Optional[np.random.Generator] = None
-                         ) -> List[float]:
+                         rng: np.random.Generator) -> List[float]:
     """Train an extractor on original/augmented pairs, then freeze it.
 
     Returns the per-epoch mean contrastive loss; the projection head is
@@ -224,7 +236,6 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
     if len(data) < 2:
         # one row makes no contrastive pair and no batch-norm statistics
         raise ValueError(f"pretraining needs at least 2 rows, got {len(data)}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     params = extractor.named_parameters("G")
     opt = Adam(params, cfg.learning_rate)
     n = len(data)
@@ -241,17 +252,14 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
             batch = ContrastiveBatch(originals=extractor.project(x),
                                      augmented=extractor.project(view),
                                      temperature=cfg.temperature)
+            where = f"pretraining epoch {epoch}, batch {b}"
             try:
                 loss = nt_xent(batch)
             except ValueError as e:
                 # a zero-norm projection row is reported, not clamped: a
                 # clamped norm would send a 1/eps-scaled gradient upstream
-                raise ValueError(f"pretraining epoch {epoch}, batch {b}: {e}") from e
-            for t in params.values():
-                t.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
+                raise ValueError(f"{where}: {e}") from e
+            losses.append(_update(loss, params.values(), opt, where))
             # drop this step's graph before the next forward builds its own
             del x, view, batch, loss
         history.append(float(np.mean(losses)))
@@ -303,18 +311,11 @@ def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
     saved = [t.requires_grad for t in frozen]
     for t in frozen:
         t.requires_grad = False
-    losses = []
+    where = f"step {step.name}, group {group}"
     try:
-        for _ in range(cfg.iters_per_step):
-            loss = _step_loss(step, model, other, sampler, cfg)
-            for t in tensors:
-                t.zero_grad()
-            loss.backward()
-            try:
-                opt.step()
-            except (FloatingPointError, GradError) as e:
-                raise type(e)(f"step {step.name}, group {group}: {e}") from e
-            losses.append(loss.item())
+        losses = [_update(_step_loss(step, model, other, sampler, cfg),
+                          tensors, opt, where)
+                  for _ in range(cfg.iters_per_step)]
     finally:
         for t, flag in zip(frozen, saved):
             t.requires_grad = flag
@@ -460,14 +461,11 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
     srng = np.random.default_rng(cfg.seed + 29)
     n = len(source)
     z = g.features(source.inputs).data
-    for _ in range(cfg.epochs * 6 * cfg.iters_per_step):
+    for i in range(1, cfg.epochs * 6 * cfg.iters_per_step + 1):
         idx = srng.choice(n, size=min(cfg.batch_size, n), replace=False)
-        ys = [source.labels[i] for i in idx]
+        ys = [source.labels[j] for j in idx]
         loss = cross_entropy_hard(clf(Tensor(z[idx]), "train"), ys)
-        for t in params.values():
-            t.zero_grad()
-        loss.backward()
-        opt.step()
+        _update(loss, params.values(), opt, f"baseline iteration {i}")
     acc = None
     if eval_target is not None and eval_target.labels is not None:
         preds = clf(g.features(eval_target.inputs), "eval").data.argmax(axis=1)

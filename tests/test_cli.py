@@ -555,6 +555,43 @@ def test_train_and_eval_exit_3_naming_a_path_that_is_a_directory(tmp_path, capsy
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("name", ["target.ds", "eval_target.ds"])
+def test_train_rejects_rows_unlike_the_source_rows_naming_both_shapes(
+        tmp_path, capsys, name):
+    # the 6-column rows reached a linear layer, which exited 4 naming no file
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    capsys.readouterr()
+    path = out / name
+    ds = load_dataset(path)
+    save_dataset(path, Dataset(Tensor(ds.inputs.data[:, :6]), ds.labels, ds.domain))
+    assert main(_fast_args(out) + ["train"]) == EXIT_DATA
+    assert (f"data error: {path}: rows of shape (6,), but source.ds has rows "
+            "of shape (8,)" in capsys.readouterr().err)
+
+
+def test_rows_the_extractor_cannot_read_exit_3_naming_the_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    capsys.readouterr()
+    ckpt = str(out / "best.ckpt")
+    vectors = out / "eval_target.ds"
+    conv = _fast_args(out, ["task.input_kind=image", "model.extractor=conv_stack"])
+    assert main(conv + ["eval", ckpt, str(vectors)]) == EXIT_DATA
+    assert (f"data error: {vectors}: rows of shape (8,), but model.extractor="
+            "conv_stack reads rows of shape (1, 32, 32)" in capsys.readouterr().err)
+    # images under the mlp extractor
+    source = out / "source.ds"
+    ds = load_dataset(source)
+    save_dataset(source, Dataset(Tensor(np.zeros((len(ds), 1, 32, 32))),
+                                 ds.labels, ds.domain))
+    for command in (["train"], ["eval", ckpt, str(source)]):
+        assert main(_fast_args(out) + command) == EXIT_DATA, command
+        assert (f"data error: {source}: rows of shape (1, 32, 32), but "
+                "model.extractor=mlp reads 1-D rows" in capsys.readouterr().err)
+
+
 def test_eval_rejects_a_nan_checkpoint_value_naming_the_tensor(tmp_path, capsys):
     # a NaN weight used to load, and eval exited 0 with an accuracy
     out = tmp_path / "run"

@@ -802,7 +802,7 @@ def test_recorded_conv_forwards_keep_no_im2col_matrix_or_pre_pool_output():
     # 29 MiB and the pre-pool batch-norm outputs to 14 MiB; the backward
     # rebuilds both, so a recorded forward keeps neither
     rng = np.random.default_rng(0)
-    ext = ConvExtractor(rng)
+    ext = ConvExtractor(rng, feature_dim=512, proj_dim=64)
     x = Tensor(rng.standard_normal((32, 1, 32, 32)))
     out, kept = _kept_bytes(lambda: conv_stack(x, zip(ext.convs, ext.bns), "train"))
     assert out._op == "conv_stack"
@@ -828,12 +828,12 @@ def test_a_conv_pretraining_step_peaks_below_110_mib(monkeypatch):
 
     monkeypatch.setattr(train, "Adam", PeakAfterSetUp)
     rng = np.random.default_rng(0)
-    ext = ConvExtractor(rng)
+    ext = ConvExtractor(rng, feature_dim=512, proj_dim=64)
     data = Dataset(Tensor(rng.random((32, 1, 32, 32))), None, "source")
     cfg = train.TrainConfig(pretrain_epochs=1, batch_size=32)
     tracemalloc.start()
     try:
-        train.pretrain_contrastive(ext, data, cfg)
+        train.pretrain_contrastive(ext, data, cfg, rng=np.random.default_rng(cfg.seed))
         peak = tracemalloc.get_traced_memory()[1] - start[0]
     finally:
         tracemalloc.stop()
@@ -856,7 +856,7 @@ def test_frozen_conv_extraction_peak_does_not_grow_with_the_set():
     # 169 MiB for 128; a chunked pass adds only the 16 KiB of flattened
     # features per image
     rng = np.random.default_rng(0)
-    ext = ConvExtractor(rng, feature_dim=32)
+    ext = ConvExtractor(rng, feature_dim=32, proj_dim=64)
     ext.mark_pretrained()
     peaks = {}
     for n in (32, 128):

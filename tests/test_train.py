@@ -123,7 +123,8 @@ def test_pretraining_rejects_fewer_than_two_rows():
     source, _, _ = _task()
     one = Dataset(Tensor(source.inputs.data[:1]), source.labels[:1], source.domain)
     with pytest.raises(ValueError, match="at least 2 rows, got 1"):
-        pretrain_contrastive(build_extractor(SMALL, 8, 0), one, FAST)
+        pretrain_contrastive(build_extractor(SMALL, 8, 0), one, FAST,
+                             rng=np.random.default_rng(FAST.seed))
 
 
 def test_pretraining_zero_norm_row_names_epoch_and_batch():
@@ -288,6 +289,34 @@ def test_missing_gradient_names_epoch_step_group_and_parameter(monkeypatch):
         run_epoch(ms, mt, sampler, FAST, optimizers, RewardTrace(), 2)
     assert str(info.value) == ("epoch 2: step S1_train_Cs, group theta_s: "
                                f"missing gradient for parameter '{first}'")
+
+
+@pytest.mark.parametrize("prefix, after, error, where", [
+    ("G.", 2, FloatingPointError, "pretraining epoch 2, batch 1"),
+    ("Mt.Ft.", 1, FloatingPointError, "epoch 1: step S4_align_Ft, group phi_t"),
+    ("C.", 2, GradError, "baseline iteration 3"),
+])
+def test_a_failed_update_names_where_it_happened(monkeypatch, prefix, after,
+                                                 error, where):
+    # a stub raises, since the suite turns a real overflow into a
+    # RuntimeWarning before the optimizer's finiteness check sees it
+    class Failing(Adam):
+        """Adam over tensors named ``prefix...`` that fails its update
+        after ``after`` good ones."""
+
+        def step(self):
+            if self._t == after and next(iter(self.params)).startswith(prefix):
+                raise error("bad update")
+            super().step()
+
+    monkeypatch.setattr(train_module, "Adam", Failing)
+    source, target, _ = _task()
+    with pytest.raises(error) as info:
+        if prefix == "C.":
+            train_source_only_baseline(source, FAST, SMALL)
+        else:
+            train_interactive(source, target, FAST, SMALL)
+    assert str(info.value) == f"{where}: bad update"
 
 
 def test_compute_reward_agreement():
@@ -574,7 +603,7 @@ def test_pretraining_graph_nodes_per_backward_stay_small(monkeypatch):
 
     monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting_from_op))
     monkeypatch.setattr(Tensor, "backward", counting_backward)
-    pretrain_contrastive(extractor, source,
-                         TrainConfig(pretrain_epochs=1, batch_size=32))
+    cfg = TrainConfig(pretrain_epochs=1, batch_size=32)
+    pretrain_contrastive(extractor, source, cfg, rng=np.random.default_rng(cfg.seed))
     assert counts["backward"] == 3
     assert counts["nodes"] / counts["backward"] <= 13, counts
