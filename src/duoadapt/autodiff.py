@@ -352,9 +352,10 @@ def _window_spans(x_shape: Tuple[int, ...], k: int, pad: int) -> tuple:
 
 
 def _swap01(a: np.ndarray) -> np.ndarray:
-    """A contiguous copy of a 4-D array with its first two axes swapped:
-    NCHW to channels-first (C, N, H, W), and back."""
-    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+    """A contiguous copy of ``a`` with its first two axes swapped: NCHW to
+    channels-first (C, N, H, W), an (N, F) batch to its (F, N) rows, and
+    back."""
+    return np.ascontiguousarray(a.swapaxes(0, 1))
 
 
 def _conv_out_hw(x_shape: Tuple[int, ...], w_shape: Tuple[int, ...],
@@ -455,122 +456,94 @@ def _batch_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                     ) -> Tuple[np.ndarray, tuple]:
     """Normalized, scaled and shifted ``x``, and the cache its backward reads.
 
-    ``x`` is an (N, F) batch, normalized per column, or a channels-first
-    (C, N, H, W) batch, worked as (C, N*H*W) channel rows: each channel's
-    variance is one row dot product, with no squared copy of the batch. The
-    output has ``x``'s shape.
+    ``x`` is a channels-first (C, N, ...) batch, worked as (C, N*...)
+    channel rows: each channel's variance is one row dot product, with no
+    squared copy of the batch. The output has ``x``'s shape.
     """
-    if x.ndim == 2:
-        axis, shape = 0, (1, -1)
-        rows = x
-    elif x.ndim == 4:
-        axis, shape = 1, (-1, 1)
-        rows = x.reshape(x.shape[0], -1)
-    else:
-        raise ShapeMismatch("batch_norm", x.shape, gamma.shape)
+    rows = x.reshape(x.shape[0], -1)
     batch_stats = mode != "eval"
-    out = None
     if batch_stats:
-        if x.shape[axis] < 2:
+        if x.shape[1] < 2:
             raise ValueError(f"batch_norm: {mode} mode needs batch size >= 2")
-        inv_n = 1.0 / rows.shape[axis]
-        mu = rows.sum(axis=axis, keepdims=True) * inv_n
+        inv_n = 1.0 / rows.shape[1]
+        mu = rows.sum(axis=1, keepdims=True) * inv_n
         xn = rows - mu
-        if axis == 0:
-            # the squared array's buffer takes the output below
-            out = xn ** 2
-            var = out.sum(axis=0, keepdims=True) * inv_n
-        else:
-            var = np.einsum("ij,ij->i", xn, xn).reshape(shape) * inv_n
+        var = np.einsum("ij,ij->i", xn, xn)[:, None] * inv_n
         if mode == "train":
             running_mean[...] = momentum * running_mean + (1 - momentum) * mu.reshape(-1)
             running_var[...] = momentum * running_var + (1 - momentum) * var.reshape(-1)
         std = np.sqrt(var + eps)
     else:
-        xn = rows - running_mean.reshape(shape)
-        std = np.sqrt(running_var.reshape(shape) + eps)
+        xn = rows - running_mean[:, None]
+        std = np.sqrt(running_var[:, None] + eps)
     xn /= std
-    cache = (x.shape, batch_stats, xn, gamma.reshape(shape), std)
-    return _batch_norm_out(cache, beta, out), cache
+    cache = (x.shape, batch_stats, xn, gamma[:, None], std)
+    return _batch_norm_out(cache, beta), cache
 
 
-def _batch_norm_out(cache: tuple, beta: np.ndarray,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
+def _batch_norm_out(cache: tuple, beta: np.ndarray) -> np.ndarray:
     """The output of ``_batch_norm_fwd`` from its cache, in the operation
-    order of ``xn * scale + beta``, into ``out`` when given. The forward
-    and ``conv_stack``'s backward both call it, so a rebuilt output equals
-    the forward's bit for bit."""
+    order of ``xn * scale + beta``. The forward and ``conv_stack``'s
+    backward both call it, so a rebuilt output equals the forward's bit for
+    bit."""
     shape, _, xn, scale, _ = cache
-    out = np.multiply(xn, scale, out=out)
-    out += beta.reshape(scale.shape)
+    out = xn * scale
+    out += beta[:, None]
     return out.reshape(shape)
 
 
 def _batch_norm_bwd(g: np.ndarray, cache: tuple, need) -> tuple:
     """Closed-form gradients (Ioffe & Szegedy 2015) for (x, gamma, beta).
 
-    Over the (C, N*H*W) channel rows of a 4-D batch, the input gradient is
+    Over the (C, N*...) channel rows, the input gradient is
     ``gamma/std * (g - sum(g)/N - xn * sum(g*xn)/N)``, whose two sums are
-    ``dbeta`` and ``dgamma``, one pass over the rows each. An (N, F) batch
-    keeps the operation order written below.
+    ``dbeta`` and ``dgamma``, one pass over the rows each.
     """
     shape, batch_stats, xn, scale, std = cache
     need_x, need_gamma, need_beta = need
-    if len(shape) == 4:
-        g = g.reshape(xn.shape)
-        sums = need_x and batch_stats
-        dgamma = np.einsum("ij,ij->i", g, xn) if need_gamma or sums else None
-        dbeta = g.sum(axis=1) if need_beta or sums else None
-        dx = None
-        if need_x:
-            if batch_stats:
-                inv_n = 1.0 / xn.shape[1]
-                dx = np.multiply(xn, (dgamma * inv_n)[:, None])
-                np.subtract(g, dx, out=dx)
-                dx -= (dbeta * inv_n)[:, None]
-                dx *= scale / std
-            else:
-                dx = g * (scale / std)
-            dx = dx.reshape(shape)
-        return dx, dgamma if need_gamma else None, dbeta if need_beta else None
+    g = g.reshape(xn.shape)
+    sums = need_x and batch_stats
+    dgamma = np.einsum("ij,ij->i", g, xn) if need_gamma or sums else None
+    dbeta = g.sum(axis=1) if need_beta or sums else None
     dx = None
     if need_x:
-        dx = g * scale
         if batch_stats:
-            # the batch statistics depend on x too: in place, in the
-            # operation order of ``(dxn - mean(dxn)) - xn * mean(dxn * xn)``
-            mean = dx.mean(axis=0, keepdims=True)
-            t = dx * xn
-            np.multiply(xn, t.mean(axis=0, keepdims=True), out=t)
-            dx -= mean
-            dx -= t
-        dx /= std
-    return (dx,
-            (g * xn).sum(axis=0) if need_gamma else None,
-            g.sum(axis=0) if need_beta else None)
+            inv_n = 1.0 / xn.shape[1]
+            dx = np.multiply(xn, (dgamma * inv_n)[:, None])
+            np.subtract(g, dx, out=dx)
+            dx -= (dbeta * inv_n)[:, None]
+            dx *= scale / std
+        else:
+            dx = g * (scale / std)
+        dx = dx.reshape(shape)
+    return dx, dgamma if need_gamma else None, dbeta if need_beta else None
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                mode: str, momentum: float = 0.9, eps: float = 1e-5) -> Tensor:
-    """Batch normalization over (N,) or (N,H,W) slices per feature/channel.
+    """Batch normalization of an (N, F) or (N, C, H, W) batch per feature
+    or channel.
 
     ``mode`` is one of ``MODES``. "train" and "teacher" normalize by batch
     statistics (biased variance) and only "train" folds them into the
     running buffers with the given momentum; "eval" normalizes by the
-    running buffers. One graph node with the closed-form backward; a 4-D
-    batch runs channels first, as in ``conv_stack``.
+    running buffers. One graph node with the closed-form backward; the
+    batch runs channels first, as its contiguous (F, N) or (C, N, H, W)
+    copy, so it takes the same channel-row sums as in ``dense_stack`` and
+    ``conv_stack``.
     """
     _check_mode("batch_norm", mode)
-    swap = _swap01 if x.ndim == 4 else (lambda a: a)
-    out, cache = _batch_norm_fwd(swap(x.data), gamma.data, beta.data,
+    if x.ndim not in (2, 4):
+        raise ShapeMismatch("batch_norm", x.shape, gamma.shape)
+    out, cache = _batch_norm_fwd(_swap01(x.data), gamma.data, beta.data,
                                  running_mean, running_var, mode, momentum, eps)
 
     def back(g):
         dx, dgamma, dbeta = _batch_norm_bwd(
-            swap(g), cache, (x.requires_grad, gamma.requires_grad, beta.requires_grad))
-        _accum_each((x, gamma, beta), (None if dx is None else swap(dx), dgamma, dbeta))
-    return Tensor._from_op(swap(out), (x, gamma, beta), "batch_norm", back)
+            _swap01(g), cache, (x.requires_grad, gamma.requires_grad, beta.requires_grad))
+        _accum_each((x, gamma, beta), (None if dx is None else _swap01(dx), dgamma, dbeta))
+    return Tensor._from_op(_swap01(out), (x, gamma, beta), "batch_norm", back)
 
 
 # the four cells of a 2x2 window in argmax order: the first maximum wins
@@ -638,7 +611,10 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
     ``mode`` is one of ``MODES`` and means what it means to ``batch_norm``;
     dropout with probability ``p`` runs only in "train", its masks drawn
     layer by layer from ``rng``. Every layer runs the same array helpers, in
-    the same order, as the one-layer ``linear`` and ``batch_norm``. The
+    the same order, as the one-layer ``linear`` and ``batch_norm``: the
+    linear layers stay row-major, and each batch norm, like ``batch_norm``,
+    gets its (N, F) batch as the contiguous (F, N) feature rows and hands
+    its output and input gradient back transposed. The
     backward runs the layers' gradients in reverse over the cached arrays,
     only for the parents that require one, and stops below the lowest layer
     with such a parent.
@@ -649,9 +625,10 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
     for fc, bn in hidden:
         _check_linear(h.shape, fc.weight, fc.bias)
         a = _linear_fwd(h, fc.weight.data, fc.bias.data)
-        y, bn_cache = _batch_norm_fwd(a, bn.gamma.data, bn.beta.data,
+        y, bn_cache = _batch_norm_fwd(_swap01(a), bn.gamma.data, bn.beta.data,
                                       bn.running_mean, bn.running_var,
                                       mode, bn.momentum, bn.eps)
+        y = _swap01(y)
         relu_mask = y > 0.0
         r = y * relu_mask
         drop_mask = _dropout_mask(r.shape, p, rng, mode == "train")
@@ -685,12 +662,13 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
                 dh = dh * drop_mask
             dh = dh * relu_mask
             da, dgamma, dbeta = _batch_norm_bwd(
-                dh, bn_cache, (below[i] or w.requires_grad or b.requires_grad,
-                               gamma.requires_grad, beta.requires_grad))
+                _swap01(dh), bn_cache,
+                (below[i] or w.requires_grad or b.requires_grad,
+                 gamma.requires_grad, beta.requires_grad))
             _accum_each((gamma, beta), (dgamma, dbeta))
             if da is None:
                 return
-            dh, dw, db = _linear_bwd(da, h_in, w.data,
+            dh, dw, db = _linear_bwd(_swap01(da), h_in, w.data,
                                      (below[i], w.requires_grad, b.requires_grad))
             _accum_each((w, b), (dw, db))
         if dh is not None:

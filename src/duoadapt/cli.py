@@ -245,6 +245,12 @@ def _load_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, Dataset]:
             # pretraining and train-mode batch norm need two rows
             raise DatasetFormatError(f"{p}: training needs at least 2 rows, "
                                      f"got {len(ds)}")
+    top = max(datasets[0].labels)
+    if top < n_classes - 1:
+        # training sizes the heads from source.ds's labels, eval from the key
+        raise DatasetFormatError(f"{paths[0]}: highest label {top}, but "
+                                 f"task.source_classes={n_classes} needs "
+                                 f"label {n_classes - 1}")
     return datasets  # type: ignore[return-value]
 
 
@@ -281,7 +287,12 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
                         ds.inputs.shape[-1], cfg.train.seed)
     ms.extractor_s.mark_pretrained()
     ms.extractor_t.mark_pretrained()
-    ckpt.restore(ms, mt)
+    try:
+        ckpt.restore(ms, mt)
+    except CheckpointFormatError as e:
+        raise CheckpointFormatError(f"{checkpoint_path} does not fit the model "
+                                    f"built from the config and {dataset_path}: "
+                                    f"{e}") from e
     t0 = time.monotonic()
     preds = ensemble_predict(ms, mt, ds.inputs)
     report = metrics_report(preds, np.asarray(ds.labels), ckpt.reward,

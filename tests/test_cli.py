@@ -477,6 +477,26 @@ def test_labels_outside_the_source_classes_exit_3_naming_the_file(tmp_path, caps
             f"task.source_classes={classes}") in captured.err, captured.err
 
 
+def test_a_source_without_its_highest_class_exits_3_naming_the_file(
+        tmp_path, capsys):
+    # train sized the heads from source.ds's labels and wrote a best.ckpt
+    # that its own eval, which sizes them from task.source_classes, rejected
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    capsys.readouterr()
+    classes = load_config(None, FAST_OVERRIDES).task.source_classes
+    source = out / "source.ds"
+    ds = load_dataset(source)
+    keep = [i for i, y in enumerate(ds.labels) if y < classes - 1]
+    save_dataset(source, Dataset(Tensor(ds.inputs.data[keep]),
+                                 [ds.labels[i] for i in keep], ds.domain))
+    assert main(_fast_args(out) + ["train"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"data error: {source}: highest label {classes - 2}, but "
+            f"task.source_classes={classes} needs label {classes - 1}") in err, err
+    assert not (out / "best.ckpt").exists()
+
+
 def _with_input(ds, row, col, value):
     inputs = ds.inputs.data.copy()
     inputs[row, col] = value
@@ -607,3 +627,21 @@ def test_eval_rejects_a_nan_checkpoint_value_naming_the_tensor(tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{path}: non-finite value nan in tensor 'Ms.Cs.out.weight'" in captured.err
+
+
+def test_eval_of_a_checkpoint_unlike_the_dataset_names_both_files(tmp_path, capsys):
+    # eval builds the model from the dataset's row width, so rows of another
+    # width used to exit 3 naming only the tensor, as if the checkpoint were bad
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    six = tmp_path / "six"
+    assert main(_fast_args(six, ["task.dim=6"]) + ["gen-data"]) == EXIT_OK
+    capsys.readouterr()
+    ckpt, ds = out / "best.ckpt", six / "eval_target.ds"
+    assert main(_fast_args(out) + ["eval", str(ckpt), str(ds)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"data error: {ckpt} does not fit the model built from the config "
+            f"and {ds}: tensor 'Gs.layers0.weight': checkpoint shape (8, 16) != "
+            "model shape (6, 16)" in captured.err), captured.err

@@ -18,8 +18,11 @@ for bit in values, gradients, running buffers and the dropout generator's
 next draw. ``conv_stack`` is compared with ``_conv_stack_ref``, the
 per-block composition of ``conv2d``, ``batch_norm``, ``maxpool2x2`` and a
 ReLU, bit for bit in values, gradients and running buffers in every mode:
-the one-layer ops run the same array helpers, with a 4-D batch norm
-channels first as in the stack, so every sum runs in the same order.
+the one-layer ops run the same array helpers, and every batch norm, 2-D or
+4-D, one-layer or in a stack, runs on channels-first rows, so every sum
+runs in the same order. A ``batch_norm`` of an (N, F) batch must equal one
+of the same values shaped (N, F, 1, 1) bit for bit, since both run one body
+over the same (F, N) rows.
 The median-heuristic bandwidths are compared with ``np.median`` over the
 upper triangle, bit for bit. The memory guards count, with tracemalloc, the
 bytes a recorded ``conv_stack`` or ``conv2d`` forward keeps for its backward
@@ -424,6 +427,38 @@ def test_batch_norm_matches_composition_at_a_conv_shape(mode):
     # Hypothesis test above reaches N <= 81
     rng = np.random.default_rng(5)
     _batch_norm_agrees(rng.standard_normal((32, 8, 16, 16)) * 2.0 + 3.0, mode, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 6), st.sampled_from(MODES),
+       st.integers(0, 2 ** 32 - 1))
+def test_batch_norm_of_a_2d_batch_equals_it_as_1x1_images(n, f, mode, seed):
+    # one body: an (N, F) batch and the same values as (N, F, 1, 1) run the
+    # same (F, N) channel rows
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, f)) * rng.uniform(0.5, 3.0) + rng.uniform(-2, 2)
+    gamma, beta = rng.uniform(0.5, 2.0, f), rng.standard_normal(f)
+    stats = (rng.standard_normal(f), rng.uniform(0.5, 2.0, f))
+    weights = rng.standard_normal((n, f))
+    results = []
+    for shape in ((n, f), (n, f, 1, 1)):
+        xt = Tensor(x.reshape(shape), requires_grad=True)
+        gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+        rm, rv = (s.copy() for s in stats)
+        out = batch_norm(xt, gt, bt, rm, rv, mode)
+        (out * Tensor(weights.reshape(shape))).sum().backward()
+        results.append([out.data.reshape(n, f), xt.grad.reshape(n, f),
+                        gt.grad, bt.grad, rm, rv])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 3, 2)])
+@pytest.mark.parametrize("mode", MODES)
+def test_batch_norm_rejects_1d_and_3d_input(shape, mode):
+    with pytest.raises(ShapeMismatch, match="batch_norm"):
+        batch_norm(Tensor(np.zeros(shape)), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                   np.zeros(3), np.ones(3), mode)
 
 
 def test_batch_norm_constant_input_gets_no_grad():
