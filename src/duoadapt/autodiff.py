@@ -388,33 +388,28 @@ def _im2col(x: np.ndarray, k: int, padding: int) -> np.ndarray:
     return cols.reshape(c * k * k, n * oh * ow)
 
 
-def _conv_fwd(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
-    """Stride-1 cross-correlation of a (c, n, h, w) array with OCKK kernels,
-    as an (o, n*oh*ow) array. The im2col matrix is dropped after the
-    product; the backward rebuilds it from ``x``."""
-    return w.reshape(w.shape[0], -1) @ _im2col(x, w.shape[-1], padding)
+def _conv_fwd(cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-1 cross-correlation with OCKK kernels from the input's
+    ``_im2col`` matrix, as an (o, n*oh*ow) array. ``conv_stack``'s backward
+    rebuilds its forward's product with it, bit for bit."""
+    return w.reshape(w.shape[0], -1) @ cols
 
 
-def _conv_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, padding: int,
-              need) -> tuple:
-    """Gradients for (x, w) of ``_conv_fwd`` from its (o, n*oh*ow) output
-    gradient and its (c, n, h, w) input ``x``; the input gradient has
-    ``x``'s shape. Only the kernel gradient rebuilds the im2col matrix, and
-    it is dropped before col2im allocates its own."""
-    need_x, need_w = need
+def _col2im(g: np.ndarray, w: np.ndarray, x_shape: Tuple[int, ...],
+            padding: int) -> np.ndarray:
+    """The input gradient, of shape ``x_shape`` (c, n, h, w), of a stride-1
+    conv from its (o, n*oh*ow) output gradient: one matrix product over o,
+    then k*k slice-adds of the in-image part of each window cell. The
+    kernel gradient is ``g @ cols.T`` over the im2col matrix, which each
+    caller drops before this allocates its own."""
     o, c, k, _ = w.shape
-    dw = (g @ _im2col(x, k, padding).T).reshape(w.shape) if need_w else None
-    if not need_x:
-        return None, dw
-    # col2im: one matrix product over o, then k*k slice-adds of the
-    # in-image part of each window cell
-    row_spans, col_spans, oh, ow = _window_spans(x.shape, k, padding)
-    dcols = (w.reshape(o, c * k * k).T @ g).reshape(c, k, k, x.shape[1], oh, ow)
-    dx = np.zeros(x.shape, dtype=np.float64)
+    row_spans, col_spans, oh, ow = _window_spans(x_shape, k, padding)
+    dcols = (w.reshape(o, c * k * k).T @ g).reshape(c, k, k, x_shape[1], oh, ow)
+    dx = np.zeros(x_shape, dtype=np.float64)
     for i, (po, pi) in enumerate(row_spans):
         for j, (qo, qi) in enumerate(col_spans):
             dx[:, :, pi, qi] += dcols[:, i, j, :, po, qo]
-    return dx, dw
+    return dx
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -422,21 +417,23 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
 
     The channels-first array helpers shared with ``conv_stack`` read the
     input as a (c, n, h, w) view; the output is transposed back to NCHW.
-    The node keeps that view, not the im2col matrix. Only stride 1 is
+    The node keeps that view, not the im2col matrix: the kernel gradient
+    rebuilds the matrix and drops it before col2im runs. Only stride 1 is
     supported; ``stride`` stays in the signature for callers that pass it
     positionally before ``padding``.
     """
     if stride != 1:
         raise ValueError(f"conv2d supports stride 1 only, got {stride}")
     oh, ow = _conv_out_hw(x.shape, w.shape, padding, "conv2d")
-    n, o = x.shape[0], w.shape[0]
+    n, o, k = x.shape[0], w.shape[0], w.shape[-1]
     xc = x.data.transpose(1, 0, 2, 3)
-    out = _conv_fwd(xc, w.data, padding)
+    out = _conv_fwd(_im2col(xc, k, padding), w.data)
 
     def back(g):
-        dx, dw = _conv_bwd(_swap01(g).reshape(o, n * oh * ow), xc, w.data,
-                           padding, (x.requires_grad, w.requires_grad))
-        _accum_each((x, w), (None if dx is None else _swap01(dx), dw))
+        g = _swap01(g).reshape(o, n * oh * ow)
+        dw = (g @ _im2col(xc, k, padding).T).reshape(w.shape) if w.requires_grad else None
+        dx = _swap01(_col2im(g, w.data, xc.shape, padding)) if x.requires_grad else None
+        _accum_each((x, w), (dx, dw))
     return Tensor._from_op(_swap01(out.reshape(o, n, oh, ow)), (x, w), "conv2d", back)
 
 
@@ -450,54 +447,67 @@ def _check_mode(op: str, mode: str) -> None:
         raise ValueError(f"{op}: unknown mode {mode!r}, expected one of {MODES}")
 
 
+def _normalize(x: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
+               mode: str, momentum: float, eps: float) -> tuple:
+    """The normalized (C, N*...) channel rows of a channels-first (C, N, ...)
+    batch ``x``, with the (C, 1) centring vector and std they used.
+
+    Each channel's variance is one row dot product, with no squared copy of
+    the batch. In "eval" the centring vector is a view of
+    ``running_mean``. ``xn = (rows - centre) / std`` is taken in that
+    order, so ``conv_stack``'s backward rebuilds it bit for bit from the
+    centring vector and std alone.
+    """
+    rows = x.reshape(x.shape[0], -1)
+    if mode != "eval":
+        if x.shape[1] < 2:
+            raise ValueError(f"batch_norm: {mode} mode needs batch size >= 2")
+        inv_n = 1.0 / rows.shape[1]
+        centre = rows.sum(axis=1, keepdims=True) * inv_n
+        xn = rows - centre
+        var = np.einsum("ij,ij->i", xn, xn)[:, None] * inv_n
+        if mode == "train":
+            running_mean[...] = momentum * running_mean + (1 - momentum) * centre.reshape(-1)
+            running_var[...] = momentum * running_var + (1 - momentum) * var.reshape(-1)
+        std = np.sqrt(var + eps)
+    else:
+        centre = running_mean[:, None]
+        xn = rows - centre
+        std = np.sqrt(running_var[:, None] + eps)
+    xn /= std
+    return xn, centre, std
+
+
+def _affine(xn: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``xn * gamma + beta`` over (C, M) channel rows, in that operation
+    order, into ``out`` when given: ``conv_stack``'s forward writes it over
+    ``xn``, which it does not keep."""
+    out = np.multiply(xn, gamma[:, None], out=out)
+    out += beta[:, None]
+    return out
+
+
 def _batch_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                     running_mean: np.ndarray, running_var: np.ndarray,
                     mode: str, momentum: float, eps: float
                     ) -> Tuple[np.ndarray, tuple]:
-    """Normalized, scaled and shifted ``x``, and the cache its backward reads.
-
-    ``x`` is a channels-first (C, N, ...) batch, worked as (C, N*...)
-    channel rows: each channel's variance is one row dot product, with no
-    squared copy of the batch. The output has ``x``'s shape.
-    """
-    rows = x.reshape(x.shape[0], -1)
-    batch_stats = mode != "eval"
-    if batch_stats:
-        if x.shape[1] < 2:
-            raise ValueError(f"batch_norm: {mode} mode needs batch size >= 2")
-        inv_n = 1.0 / rows.shape[1]
-        mu = rows.sum(axis=1, keepdims=True) * inv_n
-        xn = rows - mu
-        var = np.einsum("ij,ij->i", xn, xn)[:, None] * inv_n
-        if mode == "train":
-            running_mean[...] = momentum * running_mean + (1 - momentum) * mu.reshape(-1)
-            running_var[...] = momentum * running_var + (1 - momentum) * var.reshape(-1)
-        std = np.sqrt(var + eps)
-    else:
-        xn = rows - running_mean[:, None]
-        std = np.sqrt(running_var[:, None] + eps)
-    xn /= std
-    cache = (x.shape, batch_stats, xn, gamma[:, None], std)
-    return _batch_norm_out(cache, beta), cache
+    """Normalized, scaled and shifted channels-first ``x``, in ``x``'s
+    shape, and the cache its backward reads."""
+    xn, _, std = _normalize(x, running_mean, running_var, mode, momentum, eps)
+    cache = (x.shape, mode != "eval", xn, gamma[:, None], std)
+    return _affine(xn, gamma, beta).reshape(x.shape), cache
 
 
-def _batch_norm_out(cache: tuple, beta: np.ndarray) -> np.ndarray:
-    """The output of ``_batch_norm_fwd`` from its cache, in the operation
-    order of ``xn * scale + beta``. The forward and ``conv_stack``'s
-    backward both call it, so a rebuilt output equals the forward's bit for
-    bit."""
-    shape, _, xn, scale, _ = cache
-    out = xn * scale
-    out += beta[:, None]
-    return out.reshape(shape)
-
-
-def _batch_norm_bwd(g: np.ndarray, cache: tuple, need) -> tuple:
+def _batch_norm_bwd(g: np.ndarray, cache: tuple, need,
+                    scratch: bool = False) -> tuple:
     """Closed-form gradients (Ioffe & Szegedy 2015) for (x, gamma, beta).
 
     Over the (C, N*...) channel rows, the input gradient is
     ``gamma/std * (g - sum(g)/N - xn * sum(g*xn)/N)``, whose two sums are
-    ``dbeta`` and ``dgamma``, one pass over the rows each.
+    ``dbeta`` and ``dgamma``, one pass over the rows each. With
+    ``scratch`` it is written over ``xn`` or ``g``, which the caller no
+    longer needs.
     """
     shape, batch_stats, xn, scale, std = cache
     need_x, need_gamma, need_beta = need
@@ -509,12 +519,12 @@ def _batch_norm_bwd(g: np.ndarray, cache: tuple, need) -> tuple:
     if need_x:
         if batch_stats:
             inv_n = 1.0 / xn.shape[1]
-            dx = np.multiply(xn, (dgamma * inv_n)[:, None])
+            dx = np.multiply(xn, (dgamma * inv_n)[:, None], out=xn if scratch else None)
             np.subtract(g, dx, out=dx)
             dx -= (dbeta * inv_n)[:, None]
             dx *= scale / std
         else:
-            dx = g * (scale / std)
+            dx = np.multiply(g, scale / std, out=g if scratch else None)
         dx = dx.reshape(shape)
     return dx, dgamma if need_gamma else None, dbeta if need_beta else None
 
@@ -565,11 +575,15 @@ def _pool_fwd(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pool_bwd(g: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _pool_bwd(g: np.ndarray, x: np.ndarray, out: np.ndarray,
+              dx: Optional[np.ndarray] = None) -> np.ndarray:
     """Each window's gradient, sent to the first of its cells, in
     ``_POOL_CELLS`` order, that equals the pooled ``out``; the other cells
-    get ``g * False``, a zero with the sign of ``g``."""
-    dx = np.empty(x.shape, dtype=np.float64)
+    get ``g * False``, a zero with the sign of ``g``. The gradient goes into
+    ``dx`` when given, which may be ``x`` itself: each cell is read before
+    it is written."""
+    if dx is None:
+        dx = np.empty(x.shape, dtype=np.float64)
     free = np.ones(out.shape, dtype=bool)
     for i, j in _POOL_CELLS:
         hit = x[..., i::2, j::2] == out
@@ -688,16 +702,22 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
     batch norm reduces along contiguous channel rows and the next im2col
     reads it as it is; one transpose returns the last block's output to
     NCHW. Every layer runs the same array helpers as the one-layer
-    ``conv2d``, ``batch_norm`` and ``maxpool2x2``.
+    ``conv2d``, ``batch_norm`` and ``maxpool2x2``, and each batch norm
+    writes its output over its normalized activations.
 
-    Each recorded block keeps its input, its normalized activations, its
-    pooled output and its ReLU mask; a forward that records no graph keeps
-    nothing. The backward rebuilds the im2col matrix from the input when
-    the kernel needs a gradient, and the pre-pool batch-norm output from
-    the normalized activations, bit for bit, so it can send each window's
-    gradient to its first maximum by comparing the cells with the pooled
-    output. It stops below the lowest block with a parent that requires a
-    gradient.
+    A recorded block keeps only its input (a view of ``x``, or the
+    previous block's output), its batch-norm centring vector (the batch
+    mean, or in "eval" a copy of the running mean) and its per-channel
+    std: nothing of the size of its activations. A forward that records
+    no graph keeps nothing. The backward walks the blocks in reverse. For
+    each it builds the im2col matrix of the block input once, recomputes
+    the conv product and the normalized activations from it with the
+    forward's own operations in the forward's order, and so rebuilds the
+    pre-pool output, the pooled output and the ReLU mask bit for bit. Each
+    window's gradient goes to its first maximum, the kernel gradient reads
+    the same im2col matrix, and the block's record is dropped, so the node
+    takes one backward. It stops below the lowest block with a parent that
+    requires a gradient.
     """
     _check_mode("conv_stack", mode)
     blocks = list(blocks)
@@ -715,42 +735,59 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
         oh, ow = _conv_out_hw((n, c) + h.shape[2:], w.shape, conv.padding,
                               "conv_stack")
         _check_pool((n, w.shape[0], oh, ow), "conv_stack")
-        y, bn_cache = _batch_norm_fwd(
-            _conv_fwd(h, w.data, conv.padding).reshape(-1, n, oh, ow),
-            bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var,
-            mode, bn.momentum, bn.eps)
-        p = _pool_fwd(y)
-        relu_mask = p > 0.0
+        xn, centre, std = _normalize(
+            _conv_fwd(_im2col(h, w.shape[-1], conv.padding), w.data).reshape(-1, n, oh, ow),
+            bn.running_mean, bn.running_var, mode, bn.momentum, bn.eps)
+        p = _pool_fwd(_affine(xn, bn.gamma.data, bn.beta.data, out=xn).reshape(-1, n, oh, ow))
+        del xn
         if record:
-            layers.append(((w, bn.gamma, bn.beta), conv.padding, h, bn_cache,
-                           p, relu_mask))
-        h = p * relu_mask
+            # a copy, so an "eval" centre does not follow the running mean
+            layers.append(((w, bn.gamma, bn.beta), conv.padding, h, centre.copy(), std))
+        h = np.multiply(p, p > 0.0, out=p)  # the ReLU, over the pooled output
     out_shape = h.shape
     data = _swap01(h).reshape(h.shape[1], -1)
+    batch_stats = mode != "eval"
 
     def back(g):
+        nonlocal layers
+        if layers is None:
+            raise GradError("conv_stack: a second backward through one node; "
+                            "the first dropped its block records")
         # below[i]: the input of block i or a parent under it needs a
         # gradient, so the backward must go on below block i
         below = [x.requires_grad]
         for ws, *_ in layers:
             below.append(below[-1] or any(t.requires_grad for t in ws))
+        records, layers = layers, None
         c, n, hh, ww = out_shape
         d = _swap01(g.reshape(n, c, hh, ww))
-        for i in range(len(layers) - 1, -1, -1):
-            (w, gamma, beta), padding, h_in, bn_cache, p, relu_mask = layers[i]
-            dy = _pool_bwd(d * relu_mask, _batch_norm_out(bn_cache, beta.data), p)
+        for i in range(len(records) - 1, -1, -1):
+            (w, gamma, beta), padding, h_in, centre, std = records.pop()
+            cols = _im2col(h_in, w.shape[-1], padding)
+            xn = _conv_fwd(cols, w.data)
+            xn -= centre
+            xn /= std
+            # the pre-pool output: twice the height and width of ``d``'s
+            y = _affine(xn, gamma.data, beta.data).reshape(
+                d.shape[:2] + (2 * d.shape[2], 2 * d.shape[3]))
+            p = _pool_fwd(y)
+            dy = _pool_bwd(d * (p > 0.0), y, p, dx=y)
+            del y, p
             da, dgamma, dbeta = _batch_norm_bwd(
-                dy, bn_cache, (below[i] or w.requires_grad,
-                               gamma.requires_grad, beta.requires_grad))
-            del dy  # dead before the conv backward allocates its own arrays
+                dy, (dy.shape, batch_stats, xn, gamma.data[:, None], std),
+                (below[i] or w.requires_grad, gamma.requires_grad, beta.requires_grad),
+                scratch=True)
+            del dy, xn  # the one that is not ``da`` dies before the conv backward
             _accum_each((gamma, beta), (dgamma, dbeta))
             if da is None:
                 return
-            d, dw = _conv_bwd(da.reshape(da.shape[0], -1), h_in, w.data,
-                              padding, (below[i], w.requires_grad))
-            _accum_each((w,), (dw,))
-            if d is None:
+            da = da.reshape(da.shape[0], -1)
+            if w.requires_grad:
+                w._accum((da @ cols.T).reshape(w.shape))
+            del cols
+            if not below[i]:
                 return
+            d = _col2im(da, w.data, h_in.shape, padding)
         x._accum(_swap01(d))
     return Tensor._from_op(data, parents, "conv_stack", back)
 

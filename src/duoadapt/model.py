@@ -24,8 +24,8 @@ _CKPT_VERSION = 1
 CONV_INPUT_SHAPE = (1, 32, 32)
 
 # rows per ``conv_stack`` call in a frozen ``ConvExtractor.features`` pass:
-# at the default channels one call over 32 rows peaks near 42 MiB, and a
-# whole-set call grows by about 1.3 MiB per row
+# at the default channels one call over 32 rows peaks near 24 MiB, and a
+# whole-set call grows by about 0.75 MiB per row
 EXTRACT_CHUNK = 32
 
 

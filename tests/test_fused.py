@@ -27,7 +27,10 @@ The median-heuristic bandwidths are compared with ``np.median`` over the
 upper triangle, bit for bit. The memory guards count, with tracemalloc, the
 bytes a recorded ``conv_stack`` or ``conv2d`` forward keeps for its backward
 and the peak of one conv pretraining step: neither op may keep an im2col
-matrix or a pre-pool batch-norm output.
+matrix, and a ``conv_stack`` block keeps only its input and two channel
+vectors, not its normalized map, pre-pool output, pooled output or ReLU
+mask, which its backward recomputes. That backward must read the statistics
+its forward used, not the running buffers as they are when it runs.
 """
 import tracemalloc
 
@@ -815,6 +818,44 @@ def test_conv_stack_rejects_an_unknown_mode_and_a_batch_of_one():
         conv_stack(Tensor(np.zeros((1, 1, 4, 4))), blocks, "train")
 
 
+def test_an_eval_conv_backward_reads_the_statistics_its_forward_used():
+    # the backward recomputes each block's normalized activations; moving
+    # the running buffers between the forward and the backward must not
+    # move a gradient
+    results = []
+    for overwrite in (False, True):
+        rng = np.random.default_rng(5)
+        ext = ConvExtractor(rng, feature_dim=32, proj_dim=16)
+        for bn in ext.bns:
+            bn.running_mean[...] = rng.standard_normal(bn.running_mean.shape)
+            bn.running_var[...] = rng.uniform(0.5, 2.0, bn.running_var.shape)
+        ext.mark_pretrained()
+        leaves = [t for conv, bn in zip(ext.convs, ext.bns)
+                  for t in (conv.weight, bn.gamma, bn.beta)]
+        for t in leaves:
+            t.requires_grad = True
+        x = Tensor(rng.standard_normal((4, 1, 32, 32)), requires_grad=True)
+        out = ext.features(x)
+        assert out._parents[0]._op == "conv_stack"
+        if overwrite:
+            for bn in ext.bns:
+                bn.running_mean[...] = 3.0
+                bn.running_var[...] = 0.01
+        (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
+        results.append([x.grad] + [t.grad for t in leaves])
+    for i, (want, got) in enumerate(zip(*results)):
+        assert np.array_equal(got, want), i
+
+
+def test_a_second_conv_stack_backward_raises():
+    # the first backward drops the block records it recomputes from
+    blocks, _ = _conv_blocks(0, (1, 2), (3,), (1,), requires=[True, True, True])
+    loss = conv_stack(Tensor(np.ones((2, 1, 4, 4))), blocks, "train").sum()
+    loss.backward()
+    with pytest.raises(GradError, match="second backward"):
+        loss.backward()
+
+
 # -- memory kept for the conv backward ------------------------------------------
 
 MIB = 2 ** 20
@@ -830,6 +871,21 @@ def _kept_bytes(fn):
         return result, tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
+
+
+def test_a_recorded_conv_stack_keeps_only_its_output_and_block_inputs():
+    # every block's normalized map, pooled output and ReLU mask came to
+    # 21 MiB at batch 32; the backward recomputes them from each block's
+    # input and its per-channel centring vector and std
+    rng = np.random.default_rng(0)
+    ext = ConvExtractor(rng, feature_dim=512, proj_dim=64)
+    n = 32
+    x = Tensor(rng.standard_normal((n, 1, 32, 32)))
+    out, kept = _kept_bytes(lambda: conv_stack(x, zip(ext.convs, ext.bns), "train"))
+    assert out._op == "conv_stack"
+    inputs = sum(n * conv.weight.shape[1] * (32 >> i) ** 2 * 8
+                 for i, conv in enumerate(ext.convs))
+    assert kept <= out.data.nbytes + inputs + MIB, kept / MIB
 
 
 def test_recorded_conv_forwards_keep_no_im2col_matrix_or_pre_pool_output():
@@ -849,7 +905,9 @@ def test_recorded_conv_forwards_keep_no_im2col_matrix_or_pre_pool_output():
     assert kept <= out.data.nbytes + MIB, kept / MIB
 
 
-def test_a_conv_pretraining_step_peaks_below_110_mib(monkeypatch):
+def _pretraining_step_peak(monkeypatch):
+    """The tracemalloc peak of one conv pretraining step over 32 images,
+    from the end of its set-up (the optimizer's construction)."""
     start = []
 
     class PeakAfterSetUp(Adam):
@@ -872,7 +930,19 @@ def test_a_conv_pretraining_step_peaks_below_110_mib(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start[0]
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_a_conv_pretraining_step_peaks_below_110_mib(monkeypatch):
+    peak = _pretraining_step_peak(monkeypatch)
     assert peak <= 110 * MIB, peak / MIB
+
+
+def test_a_conv_pretraining_step_keeps_no_activation_map_for_its_backward(monkeypatch):
+    # keeping each block's normalized map, pooled output and ReLU mask
+    # made the step peak at 83 MiB
+    peak = _pretraining_step_peak(monkeypatch)
+    assert peak <= 64 * MIB, peak / MIB
 
 
 def _peak_bytes(fn):
@@ -887,8 +957,8 @@ def _peak_bytes(fn):
 
 
 def test_frozen_conv_extraction_peak_does_not_grow_with_the_set():
-    # one whole-set conv_stack pass peaked at 42 MiB for 32 images and
-    # 169 MiB for 128; a chunked pass adds only the 16 KiB of flattened
+    # one whole-set conv_stack pass peaks at 24 MiB for 32 images and
+    # 96 MiB for 128; a chunked pass adds only the 16 KiB of flattened
     # features per image
     rng = np.random.default_rng(0)
     ext = ConvExtractor(rng, feature_dim=32, proj_dim=64)
