@@ -293,8 +293,9 @@ def as_tensor(x) -> Tensor:
 # -- structured layer primitives ---------------------------------------------
 #
 # Each layer's array math lives in a plain-array forward and backward helper;
-# the one-layer ops below and ``dense_stack`` call the same helpers. A
-# backward helper takes the flags (one per input, in parameter order) of the
+# the one-layer ops below and the two stacks call the same helpers, except
+# for ``dense_stack``'s feature-major hidden linear layers. A backward
+# helper takes the flags (one per input, in parameter order) of the
 # gradients it must compute and returns None for the others.
 
 def _accum_each(tensors: Sequence[Tensor], grads: Sequence) -> None:
@@ -352,9 +353,13 @@ def _window_spans(x_shape: Tuple[int, ...], k: int, pad: int) -> tuple:
 
 
 def _swap01(a: np.ndarray) -> np.ndarray:
-    """A contiguous copy of ``a`` with its first two axes swapped: NCHW to
+    """``a`` with its first two axes swapped, C-contiguous: NCHW to
     channels-first (C, N, H, W), an (N, F) batch to its (F, N) rows, and
-    back."""
+    back. It is a copy unless the swapped layout is already contiguous, as
+    when either axis has length 1, so no caller writes into it. The
+    one-layer ``conv2d`` and ``batch_norm`` and the ends of ``conv_stack``
+    use it; ``dense_stack`` keeps its activations as (F, N) rows throughout
+    and copies none."""
     return np.ascontiguousarray(a.swapaxes(0, 1))
 
 
@@ -453,7 +458,9 @@ def _normalize(x: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
     batch ``x``, with the (C, 1) centring vector and std they used.
 
     Each channel's variance is one row dot product, with no squared copy of
-    the batch. In "eval" the centring vector is a view of
+    the batch. "train" folds the batch mean and variance into the running
+    buffers in place, ``buffer * momentum + (1 - momentum) * stat`` in that
+    operation order. In "eval" the centring vector is a view of
     ``running_mean``. ``xn = (rows - centre) / std`` is taken in that
     order, so ``conv_stack``'s backward rebuilds it bit for bit from the
     centring vector and std alone.
@@ -467,8 +474,10 @@ def _normalize(x: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
         xn = rows - centre
         var = np.einsum("ij,ij->i", xn, xn)[:, None] * inv_n
         if mode == "train":
-            running_mean[...] = momentum * running_mean + (1 - momentum) * centre.reshape(-1)
-            running_var[...] = momentum * running_var + (1 - momentum) * var.reshape(-1)
+            running_mean *= momentum
+            running_mean += (1 - momentum) * centre.reshape(-1)
+            running_var *= momentum
+            running_var += (1 - momentum) * var.reshape(-1)
         std = np.sqrt(var + eps)
     else:
         centre = running_mean[:, None]
@@ -540,8 +549,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     running buffers with the given momentum; "eval" normalizes by the
     running buffers. One graph node with the closed-form backward; the
     batch runs channels first, as its contiguous (F, N) or (C, N, H, W)
-    copy, so it takes the same channel-row sums as in ``dense_stack`` and
-    ``conv_stack``.
+    copy, through the one batch-norm body that ``dense_stack`` and
+    ``conv_stack`` run; ``dense_stack`` hands that body its feature-major
+    rows as they are, with no copy.
     """
     _check_mode("batch_norm", mode)
     if x.ndim not in (2, 4):
@@ -624,36 +634,43 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
     ``beta``, ``running_mean``, ``running_var``, ``momentum`` and ``eps``.
     ``mode`` is one of ``MODES`` and means what it means to ``batch_norm``;
     dropout with probability ``p`` runs only in "train", its masks drawn
-    layer by layer from ``rng``. Every layer runs the same array helpers, in
-    the same order, as the one-layer ``linear`` and ``batch_norm``: the
-    linear layers stay row-major, and each batch norm, like ``batch_norm``,
-    gets its (N, F) batch as the contiguous (F, N) feature rows and hands
-    its output and input gradient back transposed. The
-    backward runs the layers' gradients in reverse over the cached arrays,
-    only for the parents that require one, and stops below the lowest layer
-    with such a parent.
+    layer by layer from ``rng`` as (N, F) arrays, as the one-layer
+    composition draws them.
+
+    The activations run feature-major, as contiguous (F, N) rows, from the
+    input's transposed view to the output layer: a hidden layer computes
+    ``W.T @ h + b``, hands it to the batch-norm body as its channel rows,
+    and multiplies the output by one keep mask, the ReLU mask times the
+    transposed dropout mask; the output layer reads ``h.T`` as an (N, F)
+    batch. So no activation or gradient is copied into a transpose, and the
+    values equal the one-layer composition up to the summation order of
+    the matrix products. The backward mirrors the forward over the cached
+    arrays, ``dW = h @ da.T``, ``db = da.sum(axis=1)`` and ``dh = W @ da``,
+    only for the parents that require one, and stops below the lowest
+    layer with such a parent.
     """
     _check_mode("dense_stack", mode)
     layers = []
-    h = x.data
+    h = x.data.T
     for fc, bn in hidden:
-        _check_linear(h.shape, fc.weight, fc.bias)
-        a = _linear_fwd(h, fc.weight.data, fc.bias.data)
-        y, bn_cache = _batch_norm_fwd(_swap01(a), bn.gamma.data, bn.beta.data,
+        w, b = fc.weight, fc.bias
+        _check_linear(h.shape[::-1], w, b)
+        a = w.data.T @ h
+        a += b.data[:, None]
+        y, bn_cache = _batch_norm_fwd(a, bn.gamma.data, bn.beta.data,
                                       bn.running_mean, bn.running_var,
                                       mode, bn.momentum, bn.eps)
-        y = _swap01(y)
-        relu_mask = y > 0.0
-        r = y * relu_mask
-        drop_mask = _dropout_mask(r.shape, p, rng, mode == "train")
-        layers.append(((fc.weight, fc.bias, bn.gamma, bn.beta),
-                       h, bn_cache, relu_mask, drop_mask))
-        h = r if drop_mask is None else r * drop_mask
-    _check_linear(h.shape, out.weight, out.bias)
-    data = _linear_fwd(h, out.weight.data, out.bias.data)
-    if residual:
-        data = x.data + data
+        keep = y > 0.0
+        drop_mask = _dropout_mask(y.shape[::-1], p, rng, mode == "train")
+        if drop_mask is not None:
+            keep = keep * drop_mask.T
+        layers.append(((w, b, bn.gamma, bn.beta), h, bn_cache, keep))
+        h = np.multiply(y, keep, out=y)
     top = (out.weight, out.bias)
+    _check_linear(h.shape[::-1], *top)
+    data = _linear_fwd(h.T, out.weight.data, out.bias.data)
+    if residual:
+        data += x.data
     parents = (x,) + tuple(t for ws, *_ in layers for t in ws) + top
 
     def back(g):
@@ -664,29 +681,27 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
         below = [x.requires_grad]
         for ws, *_ in layers:
             below.append(below[-1] or any(t.requires_grad for t in ws))
-        w, b = top
-        grads = _linear_bwd(g, h, w.data, (below[-1], w.requires_grad, b.requires_grad))
-        _accum_each(top, grads[1:])
-        dh = grads[0]
-        for i in range(len(layers) - 1, -1, -1):
-            if dh is None:
+        # the output layer's gradient, feature-major like the hidden layers'
+        (w, b), h_in, da = top, h, g.T
+        for i in range(len(layers), -1, -1):
+            if w.requires_grad:
+                w._accum(h_in @ da.T)
+            if b.requires_grad:
+                b._accum(da.sum(axis=1))
+            if not below[i]:
                 return
-            (w, b, gamma, beta), h_in, bn_cache, relu_mask, drop_mask = layers[i]
-            if drop_mask is not None:
-                dh = dh * drop_mask
-            dh = dh * relu_mask
+            dh = w.data @ da
+            if i == 0:
+                x._accum(dh.T)
+                return
+            (w, b, gamma, beta), h_in, bn_cache, keep = layers[i - 1]
+            dh *= keep
             da, dgamma, dbeta = _batch_norm_bwd(
-                _swap01(dh), bn_cache,
-                (below[i] or w.requires_grad or b.requires_grad,
-                 gamma.requires_grad, beta.requires_grad))
+                dh, bn_cache, (below[i - 1] or w.requires_grad or b.requires_grad,
+                               gamma.requires_grad, beta.requires_grad))
             _accum_each((gamma, beta), (dgamma, dbeta))
             if da is None:
                 return
-            dh, dw, db = _linear_bwd(_swap01(da), h_in, w.data,
-                                     (below[i], w.requires_grad, b.requires_grad))
-            _accum_each((w, b), (dw, db))
-        if dh is not None:
-            x._accum(dh)
     return Tensor._from_op(data, parents, "dense_stack", back)
 
 

@@ -26,6 +26,19 @@ def _upper_pairs(n: int) -> np.ndarray:
     return rows * n + cols
 
 
+@lru_cache(maxsize=16)
+def _block_weights(n: int, m: int) -> np.ndarray:
+    """The (n + m) x (n + m) weights of the pooled kernel matrix of n rows
+    of one sample over m of another: 1/n^2 and 1/m^2 on the diagonal
+    blocks, -1/nm off them. Built once per (n, m), as ``_upper_pairs`` is,
+    and read-only, since every call shares it."""
+    weights = np.full((n + m, n + m), -1.0 / (n * m))
+    weights[:n, :n] = 1.0 / (n * n)
+    weights[n:, n:] = 1.0 / (m * m)
+    weights.flags.writeable = False
+    return weights
+
+
 def _median(values: np.ndarray) -> float:
     """``np.median`` of a finite 1-d array from one partition: the middle
     value, or for an even count the mean of it and the largest value below
@@ -156,22 +169,29 @@ def mmd_squared(a: Tensor, b: Tensor, kernel: Optional[KernelSpec] = None) -> Te
         raise ValueError("mmd_squared needs at least 2 samples per side")
     x = np.concatenate([a.data, b.data], axis=0)
     sq = np.sum(x ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * x @ x.T
+    d2 = sq[:, None] + sq[None, :]
+    d2 -= 2.0 * x @ x.T
     bws = kernel.resolve(d2)
 
-    weights = np.full((n + m, n + m), -1.0 / (n * m))
-    weights[:n, :n] = 1.0 / (n * n)
-    weights[n:, n:] = 1.0 / (m * m)
+    weights = _block_weights(n, m)
     needs_grad = a.requires_grad or b.requires_grad
-    ksum = np.zeros_like(d2)
-    dk = np.zeros_like(d2) if needs_grad else None   # d(sum_bw k)/dD
+    # every bandwidth's kernel goes through the one buffer ``k``; the first
+    # starts the sums ``ksum`` and ``dk`` = d(sum_bw k)/dD as copies of it
+    k = np.empty_like(d2)
+    ksum = dk = None
     for bw in bws:
         scale = -0.5 / bw
-        k = np.exp(d2 * scale)
-        ksum += k
+        np.exp(np.multiply(d2, scale, out=k), out=k)
+        if ksum is None:
+            ksum = k.copy()
+        else:
+            ksum += k
         if needs_grad:
             k *= scale
-            dk += k
+            if dk is None:
+                dk = k.copy()
+            else:
+                dk += k
     value = np.sum(weights * ksum)
 
     def back(g):

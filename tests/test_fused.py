@@ -13,24 +13,31 @@ that order. Every op is also checked against central finite differences.
 per-tensor loop with state per parameter name, bit for bit, step by step and
 through a whole ``train_interactive``. ``dense_stack`` is compared with
 ``_dense_stack_ref``, the per-layer composition of ``linear``,
-``batch_norm``, ReLU, a ``_dropout_mask`` product and the residual add, bit
-for bit in values, gradients, running buffers and the dropout generator's
-next draw. ``conv_stack`` is compared with ``_conv_stack_ref``, the
+``batch_norm``, ReLU, a ``_dropout_mask`` product and the residual add: to
+1e-10 in values, gradients and running buffers, since the stack's
+feature-major matrix products (``W.T @ h`` over (F, N) rows) sum in another
+order than the composition's row-major ones, and exactly in the dropout
+generator's next draw. With ``_swap01`` made to raise, a dense stack must
+still run forward and backward: its activations stay (F, N) rows with no
+transposed copy. It is also checked against finite differences in all
+three modes. ``conv_stack`` is compared with ``_conv_stack_ref``, the
 per-block composition of ``conv2d``, ``batch_norm``, ``maxpool2x2`` and a
 ReLU, bit for bit in values, gradients and running buffers in every mode:
-the one-layer ops run the same array helpers, and every batch norm, 2-D or
-4-D, one-layer or in a stack, runs on channels-first rows, so every sum
-runs in the same order. A ``batch_norm`` of an (N, F) batch must equal one
-of the same values shaped (N, F, 1, 1) bit for bit, since both run one body
+the one-layer ops run the same array helpers, and every 4-D batch norm,
+one-layer or in the stack, runs on channels-first rows, so every sum runs
+in the same order. A ``batch_norm`` of an (N, F) batch must equal one of
+the same values shaped (N, F, 1, 1) bit for bit, since both run one body
 over the same (F, N) rows.
 The median-heuristic bandwidths are compared with ``np.median`` over the
-upper triangle, bit for bit. The memory guards count, with tracemalloc, the
-bytes a recorded ``conv_stack`` or ``conv2d`` forward keeps for its backward
-and the peak of one conv pretraining step: neither op may keep an im2col
-matrix, and a ``conv_stack`` block keeps only its input and two channel
-vectors, not its normalized map, pre-pool output, pooled output or ReLU
-mask, which its backward recomputes. That backward must read the statistics
-its forward used, not the running buffers as they are when it runs.
+upper triangle, bit for bit, and the MMD's cached block weights must be
+read-only and give every batch pair the value a fresh build gives. The
+memory guards count, with tracemalloc, the bytes a recorded ``conv_stack``
+or ``conv2d`` forward keeps for its backward and the peak of one conv
+pretraining step: neither op may keep an im2col matrix, and a
+``conv_stack`` block keeps only its input and two channel vectors, not its
+normalized map, pre-pool output, pooled output or ReLU mask, which its
+backward recomputes. That backward must read the statistics its forward
+used, not the running buffers as they are when it runs.
 """
 import tracemalloc
 
@@ -39,14 +46,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from duoadapt import train
+from duoadapt import autodiff, train
 from duoadapt.autodiff import (MODES, Adam, GradError, ShapeMismatch, Tensor,
                                _dropout_mask, batch_norm, conv2d, conv_stack,
                                grad_check, linear, maxpool2x2)
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
 from duoadapt.losses import (MEDIAN_SCALES, ContrastiveBatch, KernelSpec,
-                             cross_entropy_hard, cross_entropy_soft,
-                             mmd_squared, nt_xent)
+                             _block_weights, cross_entropy_hard,
+                             cross_entropy_soft, mmd_squared, nt_xent)
 from duoadapt.model import BatchNorm, Conv, ConvExtractor, DenseStack
 
 TOL = 1e-10
@@ -580,6 +587,30 @@ def test_mmd_rejects_nonpositive_bandwidths():
         mmd_squared(Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), kernel)
 
 
+def test_mmd_block_weights_are_one_read_only_matrix_per_batch_pair():
+    weights = _block_weights(3, 5)
+    assert _block_weights(3, 5) is weights
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0, 0] = 0.0
+    # (3, 5) and (5, 3) pool as many rows with other weights, so a matrix
+    # cached under the wrong pair changes the value
+    rng = np.random.default_rng(12)
+    pairs = [(3, 5), (5, 3), (4, 4), (3, 5), (5, 3)]
+    samples = {nm: (rng.standard_normal((nm[0], 4)),
+                    rng.standard_normal((nm[1], 4)) + 0.5) for nm in pairs}
+    kernel = KernelSpec(bandwidths=[0.5, 2.0], bandwidth_rule="fixed")
+
+    def value(nm):
+        a, b = samples[nm]
+        return mmd_squared(Tensor(a), Tensor(b), kernel).item()
+    cached = [value(nm) for nm in pairs]
+    fresh = []
+    for nm in pairs:
+        _block_weights.cache_clear()
+        fresh.append(value(nm))
+    assert cached == fresh
+
+
 def test_grad_check_mmd_one_sided():
     rng = np.random.default_rng(7)
     a = Tensor(rng.standard_normal((4, 3)))
@@ -661,21 +692,16 @@ def test_dense_stack_matches_composition(depth, widths, n, mode, p, residual,
     (got, got_grads, got_bufs, got_draw), (want, want_grads, want_bufs, want_draw) = results
     if got._backward is not None:
         assert got._op == "dense_stack"
-    assert np.array_equal(got.data, want.data)
+    assert _close(got.data, want.data)
     for i, (g, w) in enumerate(zip(got_grads, want_grads)):
         assert (g is None) == (w is None), i
-        assert g is None or np.array_equal(g, w), i
+        assert g is None or _close(g, w), i
     for g, w in zip(got_bufs, want_bufs):
-        assert np.array_equal(g, w)
+        assert _close(g, w)
     assert got_draw == want_draw
 
 
-@pytest.mark.parametrize("residual", [False, True])
-@pytest.mark.parametrize("batch_stats", [True, False])
-def test_grad_check_dense_stack(residual, batch_stats):
-    # "teacher" normalizes by batch statistics like "train" but leaves the
-    # running buffers alone over the check's many forwards
-    mode = "teacher" if batch_stats else "eval"
+def _grad_check_dense_stack(mode, residual):
     rng = np.random.default_rng(11)
     stack = DenseStack(4, 4, rng, (5, 3), dropout_p=0.0)
     x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
@@ -683,11 +709,44 @@ def test_grad_check_dense_stack(residual, batch_stats):
     # a bias in front of a batch-statistics batch norm has an exactly zero
     # gradient, which central differences see only as rounding noise
     params = {"x": x, **{name: t for name, t in stack.named_parameters().items()
-                         if not (batch_stats and name.startswith("fcs")
+                         if not (mode != "eval" and name.startswith("fcs")
                                  and name.endswith("bias"))}}
     report = grad_check(lambda: (stack(x, mode, residual=residual) * weights).sum(),
                         params, tolerance=1e-6)
     assert report.passed, report.failures()
+
+
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("batch_stats", [True, False])
+def test_grad_check_dense_stack(residual, batch_stats):
+    # "teacher" normalizes by batch statistics like "train" but leaves the
+    # running buffers alone over the check's many forwards
+    _grad_check_dense_stack("teacher" if batch_stats else "eval", residual)
+
+
+@pytest.mark.parametrize("residual", [False, True])
+def test_grad_check_dense_stack_in_train_mode(residual):
+    # with p = 0 a "train" forward draws no dropout mask; its running-buffer
+    # updates do not feed its batch-statistics output
+    _grad_check_dense_stack("train", residual)
+
+
+def test_dense_stack_runs_feature_major_with_no_transposed_copy(monkeypatch):
+    # the activations stay (F, N) rows from the input's transposed view to
+    # the output layer, so no array is copied into its transpose
+    def copy_transposed(a):
+        raise AssertionError(f"a {a.shape} array was copied into its transpose")
+    monkeypatch.setattr(autodiff, "_swap01", copy_transposed)
+    rng = np.random.default_rng(13)
+    stack = DenseStack(6, 6, rng, (8, 5, 8), dropout_p=0.3)
+    x = Tensor(rng.standard_normal((16, 6)), requires_grad=True)
+    out = stack(x, "train", residual=True)
+    (out * Tensor(rng.standard_normal((16, 6)))).sum().backward()
+    assert out.shape == (16, 6) and out.data.flags.c_contiguous
+    assert x.grad.shape == (16, 6)
+    assert all(t.grad is not None for t in stack.named_parameters().values())
+    out = stack(Tensor(rng.standard_normal((300, 6))), "eval")
+    assert out.shape == (300, 6) and out.data.flags.c_contiguous
 
 
 def test_dense_stack_rejects_an_unknown_mode():
