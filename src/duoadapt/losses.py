@@ -182,16 +182,10 @@ def mmd_squared(a: Tensor, b: Tensor, kernel: Optional[KernelSpec] = None) -> Te
     for bw in bws:
         scale = -0.5 / bw
         np.exp(np.multiply(d2, scale, out=k), out=k)
-        if ksum is None:
-            ksum = k.copy()
-        else:
-            ksum += k
+        ksum = k.copy() if ksum is None else np.add(ksum, k, out=ksum)
         if needs_grad:
             k *= scale
-            if dk is None:
-                dk = k.copy()
-            else:
-                dk += k
+            dk = k.copy() if dk is None else np.add(dk, k, out=dk)
     value = np.sum(weights * ksum)
 
     def back(g):
