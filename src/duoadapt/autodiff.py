@@ -16,7 +16,6 @@ import numpy as np
 class ShapeMismatch(ValueError):
     def __init__(self, op: str, a, b):
         super().__init__(f"{op}: incompatible shapes {tuple(a)} and {tuple(b)}")
-        self.op = op
 
 
 class GradError(RuntimeError):
@@ -138,9 +137,6 @@ class Tensor:
                 other._accum(-g)
         return Tensor._from_op(data, (self, other), "sub", back)
 
-    def __rsub__(self, other):
-        return as_tensor(other) - self
-
     def __mul__(self, other):
         other = as_tensor(other)
         try:
@@ -170,9 +166,6 @@ class Tensor:
             if other.requires_grad:
                 other._accum(-g * self.data / (other.data ** 2))
         return Tensor._from_op(data, (self, other), "div", back)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
 
     def __pow__(self, p: float):
         p = float(p)
@@ -292,11 +285,11 @@ def as_tensor(x) -> Tensor:
 
 # -- structured layer primitives ---------------------------------------------
 #
-# Each layer's array math lives in a plain-array forward and backward helper;
-# the one-layer ops below and the two stacks call the same helpers, except
-# for ``dense_stack``'s feature-major hidden linear layers. A backward
-# helper takes the flags (one per input, in parameter order) of the
-# gradients it must compute and returns None for the others.
+# Each layer's array math lives in plain-array helpers that the one-layer
+# ops below and the two stacks share; ``dense_stack`` runs its hidden linear
+# layers feature-major instead. A backward helper takes the flags (one per
+# input, in parameter order) of the gradients it must compute and returns
+# None for the others.
 
 def _accum_each(tensors: Sequence[Tensor], grads: Sequence) -> None:
     for t, g in zip(tensors, grads):
@@ -316,21 +309,18 @@ def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return data
 
 
-def _linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, need) -> tuple:
-    need_x, need_w, need_b = need
-    return (g @ w.T if need_x else None,
-            x.T @ g if need_w else None,
-            g.sum(axis=0) if need_b else None)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of an (N, I) batch as one graph node."""
     _check_linear(x.shape, w, b)
     data = _linear_fwd(x.data, w.data, b.data)
 
     def back(g):
-        _accum_each((x, w, b), _linear_bwd(
-            g, x.data, w.data, (x.requires_grad, w.requires_grad, b.requires_grad)))
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))
     return Tensor._from_op(data, (x, w, b), "linear", back)
 
 
@@ -356,10 +346,7 @@ def _swap01(a: np.ndarray) -> np.ndarray:
     """``a`` with its first two axes swapped, C-contiguous: NCHW to
     channels-first (C, N, H, W), an (N, F) batch to its (F, N) rows, and
     back. It is a copy unless the swapped layout is already contiguous, as
-    when either axis has length 1, so no caller writes into it. The
-    one-layer ``conv2d`` and ``batch_norm`` and the ends of ``conv_stack``
-    use it; ``dense_stack`` keeps its activations as (F, N) rows throughout
-    and copies none."""
+    when either axis has length 1, so no caller writes into it."""
     return np.ascontiguousarray(a.swapaxes(0, 1))
 
 
@@ -549,9 +536,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     running buffers with the given momentum; "eval" normalizes by the
     running buffers. One graph node with the closed-form backward; the
     batch runs channels first, as its contiguous (F, N) or (C, N, H, W)
-    copy, through the one batch-norm body that ``dense_stack`` and
-    ``conv_stack`` run; ``dense_stack`` hands that body its feature-major
-    rows as they are, with no copy.
+    copy, through the one batch-norm body that the two stacks share.
     """
     _check_mode("batch_norm", mode)
     if x.ndim not in (2, 4):

@@ -38,7 +38,6 @@ class PdaTaskSpec:
     mean_offset: Tuple[float, ...] = ()
     rotation_angle: float = 0.0
     scale: float = 1.0
-    noise_sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -152,11 +151,9 @@ def gen_synthetic_pda(spec: PdaTaskSpec) -> Tuple[Dataset, Dataset, Dataset]:
     if spec.input_kind == "image":
         sig_rng = np.random.default_rng(spec.seed + 104729)
         src_sig = np.concatenate([_tone_burst(c, n, 1024, sig_rng) for c in src_classes])
-        # shift realized as a carrier detune plus additive noise
+        # shift realized as a carrier detune
         tgt_sig = np.concatenate([_tone_burst(c, n, 1024, sig_rng, spec.rotation_angle)
                                   for c in tgt_classes])
-        if spec.noise_sigma > 0:
-            tgt_sig = tgt_sig + spec.noise_sigma * sig_rng.standard_normal(tgt_sig.shape)
         src_x = spectrogram_ingest(Tensor(src_sig), window=64, hop=16).data
         tgt_x = spectrogram_ingest(Tensor(tgt_sig), window=64, hop=16).data
     else:
@@ -170,8 +167,6 @@ def gen_synthetic_pda(spec: PdaTaskSpec) -> Tuple[Dataset, Dataset, Dataset]:
         offset = np.zeros(spec.dim)
         offset[: len(spec.mean_offset)] = spec.mean_offset
         tgt_x = (spec.scale * tgt_x) @ rot.T + offset
-        if spec.noise_sigma > 0:
-            tgt_x = tgt_x + spec.noise_sigma * rng.standard_normal(tgt_x.shape)
 
     source = Dataset(Tensor(src_x), [c for c in src_classes for _ in range(n)], "source")
     eval_target = Dataset(Tensor(tgt_x), [c for c in tgt_classes for _ in range(n)],

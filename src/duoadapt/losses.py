@@ -174,7 +174,6 @@ def mmd_squared(a: Tensor, b: Tensor, kernel: Optional[KernelSpec] = None) -> Te
     bws = kernel.resolve(d2)
 
     weights = _block_weights(n, m)
-    needs_grad = a.requires_grad or b.requires_grad
     # every bandwidth's kernel goes through the one buffer ``k``; the first
     # starts the sums ``ksum`` and ``dk`` = d(sum_bw k)/dD as copies of it
     k = np.empty_like(d2)
@@ -183,9 +182,8 @@ def mmd_squared(a: Tensor, b: Tensor, kernel: Optional[KernelSpec] = None) -> Te
         scale = -0.5 / bw
         np.exp(np.multiply(d2, scale, out=k), out=k)
         ksum = k.copy() if ksum is None else np.add(ksum, k, out=ksum)
-        if needs_grad:
-            k *= scale
-            dk = k.copy() if dk is None else np.add(dk, k, out=dk)
+        k *= scale
+        dk = k.copy() if dk is None else np.add(dk, k, out=dk)
     value = np.sum(weights * ksum)
 
     def back(g):

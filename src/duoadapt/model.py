@@ -266,11 +266,7 @@ class DomainWiseModel(Module):
 
 
 def extract(model: DomainWiseModel, x: Tensor, domain_of_x: str) -> Tensor:
-    """Frozen per-domain feature extraction; constant w.r.t. the tape.
-
-    A conv extractor runs its blocks over ``EXTRACT_CHUNK`` rows at a time
-    and its FC over the whole set, so the features equal a whole-set pass
-    bit for bit while the transient memory stays that of one chunk."""
+    """Frozen per-domain feature extraction; constant w.r.t. the tape."""
     ext = model.extractor_s if domain_of_x == "source" else model.extractor_t
     if not getattr(ext, "pretrained", False):
         raise ExtractorNotPretrained(
@@ -354,7 +350,12 @@ def _state(ms: DomainWiseModel, mt: DomainWiseModel) -> Dict[str, np.ndarray]:
 
 @dataclass
 class Checkpoint:
-    """Immutable snapshot of all parameters and BN buffers."""
+    """Immutable snapshot of all parameters and BN buffers.
+
+    ``reward`` is the V measured right after S1 of ``epoch``; the snapshot
+    is taken at the end of the epoch, after S6, so the agreement of the
+    saved weights can differ from it.
+    """
 
     epoch: int
     reward: float

@@ -2,6 +2,7 @@ import configparser
 import csv
 import hashlib
 import json
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -122,7 +123,7 @@ OTHER_VALUES = [
     ["task.source_classes=3"], ["task.target_classes=0"],
     ["task.samples_per_class=100"], ["task.dim=9"],
     ["task.class_separation=2.5"], ["task.mean_offset=1.0"],
-    ["task.rotation_angle=0.1"], ["task.scale=1.5"], ["task.noise_sigma=0.2"],
+    ["task.rotation_angle=0.1"], ["task.scale=1.5"],
     ["task.seed=1"], ["train.pretrain_epochs=5"], ["train.temperature=0.7"],
     ["train.epochs=11"], ["train.iters_per_step=5"], ["train.learning_rate=1e-2"],
     ["train.batch_size=32"], ["train.desired_reward=0.9"], ["train.seed=1"],
@@ -300,6 +301,27 @@ def test_full_pipeline_train_then_eval(tmp_path, capsys):
     # scoring the saved checkpoint reproduces the training-time metrics
     assert report["overall_accuracy"] == metrics["overall_accuracy"]
     assert report["final_reward"] == metrics["final_reward"]
+
+
+def test_image_session_trains_a_conv_stack_that_eval_scores_alike(tmp_path, capsys):
+    out = tmp_path / "image"
+    args = []
+    for ov in ("task.input_kind=image", "model.extractor=conv_stack",
+               "task.source_classes=2", "task.samples_per_class=3",
+               "train.pretrain_epochs=1", "train.epochs=1",
+               "train.iters_per_step=1", "train.batch_size=4",
+               f"output.dir={out}"):
+        args += ["--set", ov]
+    assert main(args + ["gen-data"]) == EXIT_OK
+    assert main(args + ["train"]) == EXIT_OK
+    capsys.readouterr()
+    assert any(name.startswith("Gs.convs") for name in
+               model.load_checkpoint(out / "best.ckpt").arrays)
+    metrics = json.loads((out / "metrics.json").read_text())
+    code = main(args + ["eval", str(out / "best.ckpt"), str(out / "eval_target.ds")])
+    assert code == EXIT_OK
+    assert (json.loads(capsys.readouterr().out)["overall_accuracy"]
+            == metrics["overall_accuracy"])
 
 
 def _first_row(ds):
@@ -556,6 +578,34 @@ def test_train_and_eval_exit_3_naming_a_file_cut_after_its_magic(tmp_path, capsy
         assert f"data error: {cut}: " in capsys.readouterr().err
     assert main(_fast_args(out) + ["train"]) == EXIT_DATA
     assert f"data error: {ds}: " in capsys.readouterr().err
+
+
+def test_train_and_eval_exit_3_naming_a_file_of_another_version_or_no_rows(
+        tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    capsys.readouterr()
+    ckpt, ds = out / "best.ckpt", out / "eval_target.ds"
+    good_ds, good_ckpt = ds.read_bytes(), ckpt.read_bytes()
+
+    def version_2(raw):
+        return raw[:4] + struct.pack("<H", 2) + raw[6:]
+
+    # byte 7 is a dataset's ndim
+    for raw, message in ((version_2(good_ds), "unsupported dataset version 2"),
+                         (good_ds[:7] + b"\0" + good_ds[8:],
+                          "a dataset needs a row dimension")):
+        ds.write_bytes(raw)
+        assert main(_fast_args(out) + ["eval", str(ckpt), str(ds)]) == EXIT_DATA
+        assert f"data error: {ds}: {message}" in capsys.readouterr().err
+        assert main(_fast_args(out) + ["train"]) == EXIT_DATA
+        assert f"data error: {ds}: {message}" in capsys.readouterr().err
+    ds.write_bytes(good_ds)
+    ckpt.write_bytes(version_2(good_ckpt))
+    assert main(_fast_args(out) + ["eval", str(ckpt), str(ds)]) == EXIT_DATA
+    assert (f"data error: {ckpt}: unsupported checkpoint version 2"
+            in capsys.readouterr().err)
 
 
 def test_train_and_eval_exit_3_naming_a_path_that_is_a_directory(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,7 +50,7 @@ def test_generation_is_deterministic_per_seed():
 def test_class_means_are_separated():
     spec = PdaTaskSpec(source_classes=4, target_classes=(0,),
                        samples_per_class=50, dim=8, class_separation=3.0,
-                       noise_sigma=0.0, seed=1)
+                       seed=1)
     source, _, _ = gen_synthetic_pda(spec)
     x = source.inputs.data
     y = np.asarray(source.labels)
@@ -269,6 +272,25 @@ def test_load_dataset_rejects_negative_labels(tmp_path):
     save_dataset(path, Dataset(Tensor(np.ones((3, 2))), [0, -2, 1], "source"))
     with pytest.raises(DatasetFormatError,
                        match=f"{path}: negative label -2 in row 1"):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_a_shape_with_no_row_dimension(tmp_path):
+    path = tmp_path / "z.ds"
+    # magic, version 1, no labels, ndim 0, then an empty domain tag
+    path.write_bytes(b"DADS" + struct.pack("<HBBH", 1, 0, 0, 0))
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"{path}: a dataset needs a row dimension")):
+        load_dataset(path)
+
+
+def test_load_dataset_rejects_another_version(tmp_path):
+    path = tmp_path / "v.ds"
+    save_dataset(path, Dataset(Tensor(np.ones((2, 2))), [0, 1], "source"))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<H", 2) + raw[6:])
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"{path}: unsupported dataset version 2 (expected 1)")):
         load_dataset(path)
 
 

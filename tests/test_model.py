@@ -1,4 +1,5 @@
 import re
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -350,6 +351,16 @@ def test_load_checkpoint_rejects_truncation(tmp_path):
         path.write_bytes(raw[:end])
         with pytest.raises(CheckpointFormatError, match=f"^{path}: "):
             load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_another_version(tmp_path):
+    path = tmp_path / "v.ckpt"
+    save_checkpoint(path, Checkpoint.capture(*_small_models(), epoch=0, reward=0.5))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<H", 2) + raw[6:])
+    with pytest.raises(CheckpointFormatError, match=re.escape(
+            f"{path}: unsupported checkpoint version 2 (expected 1)")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("name, value, where", [

@@ -118,6 +118,26 @@ def test_pretrain_reduces_loss_and_freezes():
     assert all(not t.requires_grad for t in g.named_parameters("G").values())
 
 
+def test_pretraining_skips_a_one_row_tail_batch(monkeypatch):
+    # 2 full batches and a one-row tail, which makes no contrastive pair:
+    # each epoch takes two updates, the count perfbench/tracer.py expects
+    source, _, _ = _task(samples_per_class=17)
+    rows = 2 * FAST.batch_size + 1
+    data = Dataset(Tensor(source.inputs.data[:rows]), source.labels[:rows],
+                   source.domain)
+    steps = []
+    step = Adam.step
+
+    def counting(opt):
+        steps.append(opt)
+        step(opt)
+    monkeypatch.setattr(Adam, "step", counting)
+    history = pretrain_contrastive(build_extractor(SMALL, 8, 0), data, FAST,
+                                   rng=np.random.default_rng(FAST.seed))
+    assert len(history) == FAST.pretrain_epochs
+    assert len(steps) == 2 * FAST.pretrain_epochs
+
+
 def test_pretraining_rejects_fewer_than_two_rows():
     # one row makes no contrastive pair and no batch statistics
     source, _, _ = _task()
