@@ -253,7 +253,10 @@ class Tensor:
 
     # -- backprop ------------------------------------------------------------
     def backward(self) -> None:
-        """Seed a scalar loss with gradient 1 and sweep the graph once."""
+        """Seed a scalar loss with gradient 1 and sweep the graph once.
+
+        The depth-first walk visits recorded nodes only: a leaf gets its
+        gradient from its consumers' closures and has nothing to run."""
         if self.size != 1:
             raise GradError(f"backward requires a scalar loss, got shape {self.shape}")
         if self._backward is None and not self.requires_grad:
@@ -271,7 +274,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
         for node in reversed(topo):
@@ -310,18 +313,61 @@ def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of an (N, I) batch as one graph node."""
-    _check_linear(x.shape, w, b)
-    data = _linear_fwd(x.data, w.data, b.data)
+    """Affine map ``x @ w + b`` of an (N, I) batch as one graph node: the
+    one-layer ``linear_chain``."""
+    return linear_chain(x, ((w, b, False),))
+
+
+def linear_chain(x: Tensor, layers: Iterable[tuple]) -> Tensor:
+    """Linear layers over an (N, I) batch, each followed by a ReLU where
+    its flag is set, as one graph node named "linear".
+
+    ``layers`` yields one (weight, bias, relu) triple per layer. Each layer
+    runs the operations of ``linear`` and ``Tensor.relu`` in their order,
+    ``a = h @ w``, ``a += b``, then ``a * (a > 0.0)`` written over ``a``,
+    so the values and gradients equal that composition bit for bit. A
+    recorded chain keeps each layer's input and ReLU mask; the backward
+    walks them in reverse, ``g = g * mask``, ``dW = h.T @ g``,
+    ``db = g.sum(axis=0)`` and ``dh = g @ W.T``, only for the parents that
+    require one, and stops below the lowest layer with such a parent.
+    """
+    layers = list(layers)
+    # from a list: CPython over-allocates a tuple built from a generator and
+    # shrinks it, and its tuple free lists then keep one more block after
+    # each call, up to 2,000 per tuple size
+    parents = (x, *[t for w, b, _ in layers for t in (w, b)])
+    record = _records(parents)
+    cache = []
+    h = x.data
+    for w, b, relu in layers:
+        _check_linear(h.shape, w, b)
+        a = _linear_fwd(h, w.data, b.data)
+        mask = a > 0.0 if relu else None
+        if record:
+            cache.append((h, mask))
+        if relu:
+            a *= mask
+        h = a
 
     def back(g):
-        if x.requires_grad:
-            x._accum(g @ w.data.T)
-        if w.requires_grad:
-            w._accum(x.data.T @ g)
-        if b.requires_grad:
-            b._accum(g.sum(axis=0))
-    return Tensor._from_op(data, (x, w, b), "linear", back)
+        # below[i]: the input of layer i or a parent under it needs a
+        # gradient, so the backward must go on below layer i
+        below = [x.requires_grad]
+        for w, b, _ in layers[:-1]:
+            below.append(below[-1] or w.requires_grad or b.requires_grad)
+        for i in range(len(layers) - 1, -1, -1):
+            (w, b, _), (h_in, mask) = layers[i], cache[i]
+            if mask is not None:
+                g = g * mask
+            if w.requires_grad:
+                w._accum(h_in.T @ g)
+            if b.requires_grad:
+                b._accum(g.sum(axis=0))
+            if not below[i]:
+                return
+            g = g @ w.data.T
+        x._accum(g)
+    return Tensor._from_op(h, parents, "linear", back)
 
 
 def _span(i: int, pad: int, size: int, out: int) -> Tuple[slice, slice]:

@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import Tensor, conv_stack, dense_stack, linear
+from .autodiff import Tensor, conv_stack, dense_stack, linear, linear_chain
 from .data import Cursor, read_container
 
 _CKPT_MAGIC = b"DACK"
@@ -118,13 +118,21 @@ class Extractor(Module):
     """Feature extractor with a two-layer projection head.
 
     The head is used only during contrastive pretraining; downstream
-    consumers call ``features``, which bypasses it.
+    consumers call ``features``, which bypasses it. ``project`` runs the
+    extractor's dense layers, ``proj1``, a ReLU and ``proj2`` as one
+    ``linear_chain`` node.
     """
 
     pretrained = False
 
+    def _dense_input(self, x: Tensor) -> Tuple[Tensor, list]:
+        """The tensor the extractor's dense layers read, and those layers as
+        a list of (Linear, relu) pairs."""
+        raise NotImplementedError
+
     def project(self, x: Tensor) -> Tensor:
-        return self.proj2(self.proj1(self.features(x)).relu())
+        h, layers = self._dense_input(x)
+        return _chain(h, layers + [(self.proj1, True), (self.proj2, False)])
 
     def mark_pretrained(self) -> None:
         """Freeze the weights and let ``extract`` use them."""
@@ -132,8 +140,14 @@ class Extractor(Module):
         self.pretrained = True
 
 
+def _chain(h: Tensor, layers: list) -> Tensor:
+    return linear_chain(h, [(fc.weight, fc.bias, relu) for fc, relu in layers])
+
+
 class MlpExtractor(Extractor):
-    """Fully connected extractor for vector-valued inputs."""
+    """Fully connected extractor for vector-valued inputs: Linear layers
+    with a ReLU after each but the last. ``features`` is one
+    ``linear_chain`` node, and so is ``project``."""
 
     def __init__(self, in_dim: int, rng: np.random.Generator,
                  hidden: Sequence[int], feature_dim: int, proj_dim: int):
@@ -143,10 +157,12 @@ class MlpExtractor(Extractor):
         self.proj2 = Linear(feature_dim, proj_dim, rng)
         self.feature_dim = feature_dim
 
+    def _dense_input(self, x: Tensor) -> Tuple[Tensor, list]:
+        last = len(self.layers) - 1
+        return x, [(layer, i < last) for i, layer in enumerate(self.layers)]
+
     def features(self, x: Tensor) -> Tensor:
-        for layer in self.layers[:-1]:
-            x = layer(x).relu()
-        return self.layers[-1](x)
+        return _chain(*self._dense_input(x))
 
 
 class ConvExtractor(Extractor):
@@ -159,8 +175,10 @@ class ConvExtractor(Extractor):
 
     A ``features`` call that records a graph (before pretraining, or when
     the input or a block's parameter requires a gradient) is one
-    ``conv_stack`` node and one ``linear`` node over the whole batch. A
-    frozen pass records none: it runs ``conv_stack`` over chunks of
+    ``conv_stack`` node and one ``linear`` node over the whole batch, and
+    a ``project`` call is the same ``conv_stack`` node and one
+    ``linear_chain`` node over the FC and the head. A frozen ``features``
+    pass records none: it runs ``conv_stack`` over chunks of
     ``EXTRACT_CHUNK`` rows, so its transient memory does not grow with the
     batch, and then the FC once over all the rows. Eval-mode batch norm
     reads only the running statistics, so each row's ``conv_stack`` output
@@ -181,13 +199,16 @@ class ConvExtractor(Extractor):
         self.proj2 = Linear(feature_dim, proj_dim, rng)
         self.feature_dim = feature_dim
 
+    def _dense_input(self, x: Tensor) -> Tuple[Tensor, list]:
+        mode = "eval" if self.pretrained else "train"
+        return conv_stack(x, zip(self.convs, self.bns), mode), [(self.fc, False)]
+
     def features(self, x: Tensor) -> Tensor:
         blocks = list(zip(self.convs, self.bns))
         if not self.pretrained or x.requires_grad or any(
                 t.requires_grad for conv, bn in blocks
                 for t in (conv.weight, bn.gamma, bn.beta)):
-            mode = "eval" if self.pretrained else "train"
-            return self.fc(conv_stack(x, blocks, mode))
+            return _chain(*self._dense_input(x))
         chunks = [conv_stack(Tensor(x.data[i:i + EXTRACT_CHUNK]), blocks, "eval").data
                   for i in range(0, len(x.data), EXTRACT_CHUNK)]
         return self.fc(Tensor(np.concatenate(chunks)))

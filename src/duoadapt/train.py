@@ -248,6 +248,9 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
             if len(idx) < 2:
                 continue
             x = Tensor(data.inputs.data[idx])
+            # the batch pairs the originals with the first view; the second
+            # is drawn only so that the generator's stream, and so every
+            # pretrained extractor, stays the same
             view, _ = augment_pair(x, rng)
             batch = ContrastiveBatch(originals=extractor.project(x),
                                      augmented=extractor.project(view),

@@ -215,6 +215,41 @@ def test_backward_rejects_detached():
         Tensor([1.0]).sum().backward()
 
 
+def test_backward_runs_each_closure_once_and_sums_a_shared_leaf_in_walk_order(
+        monkeypatch):
+    # the leaf ``a`` is read by three recorded nodes and the node ``m`` is
+    # reached along two paths, through ``p`` and through ``q``; the closures
+    # run in the order the walk gave them when it also pushed leaves, and
+    # ``a`` sums its contributions in the order they arrive
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.standard_normal(5), requires_grad=True)
+    c = Tensor(rng.standard_normal(5))
+    u, v, w = a * c, a.exp(), a ** 2.0
+    m = u + v
+    p, q = m.exp(), m * w
+    s = p + q
+    loss = s.sum()
+    ran, into_a = [], []
+    for name, t in dict(loss=loss, s=s, p=p, q=q, m=m, u=u, v=v, w=w).items():
+        def closure(g, name=name, back=t._backward):
+            ran.append(name)
+            back(g)
+        t._backward = closure
+    accum = Tensor._accum
+
+    def logging_accum(self, g):
+        if self is a:
+            # closures do not nest, so the last one to start is running
+            into_a.append((ran[-1], np.array(g)))
+        accum(self, g)
+    monkeypatch.setattr(Tensor, "_accum", logging_accum)
+    loss.backward()
+    assert ran == ["loss", "s", "p", "q", "m", "u", "v", "w"]
+    assert [name for name, _ in into_a] == ["u", "v", "w"]
+    (_, g1), (_, g2), (_, g3) = into_a
+    assert np.array_equal(a.grad, (g1 + g2) + g3)
+
+
 def test_mlp_cross_entropy_matches_finite_differences():
     rng = np.random.default_rng(10)
     w1 = Tensor(rng.standard_normal((5, 4)) * 0.5, requires_grad=True)

@@ -2,11 +2,15 @@
 
 Each fused op is compared with the unfused composition of elementary Tensor
 ops it replaces, written out below; values and gradients must agree to
-1e-10 (relative to the larger magnitude when that exceeds 1). ``conv2d`` is
-compared with an einsum + col2im node over a ``pad2d`` copy of the input,
-and ``maxpool2x2`` with a take/put-along-axis node, bit for bit. ``nt_xent``
-is compared with ``_nt_xent_ref``, its composition of row norms, matmuls,
-exp, masks, log and mean. Pooling before a ReLU must equal pooling after it
+1e-10 (relative to the larger magnitude when that exceeds 1).
+``linear_chain`` is compared with the composition of ``linear`` (or
+``_linear_ref``) and ``Tensor.relu`` layer by layer, bit for bit in its
+output and in every leaf's gradient, with frozen layers and a constant
+input among the cases. ``conv2d`` is compared with an einsum + col2im node
+over a ``pad2d`` copy of the input, and ``maxpool2x2`` with a
+take/put-along-axis node, bit for bit. ``nt_xent`` is compared with
+``_nt_xent_ref``, its composition of row norms, matmuls, exp, masks, log
+and mean. Pooling before a ReLU must equal pooling after it
 bit for bit, in values and input gradient, since the extractors rely on
 that order. Every op is also checked against central finite differences.
 ``Adam``'s one update over a flat buffer is compared with ``_adam_ref``, the
@@ -49,7 +53,7 @@ from hypothesis import strategies as st
 from duoadapt import autodiff, train
 from duoadapt.autodiff import (MODES, Adam, GradError, ShapeMismatch, Tensor,
                                _dropout_mask, batch_norm, conv2d, conv_stack,
-                               grad_check, linear, maxpool2x2)
+                               grad_check, linear, linear_chain, maxpool2x2)
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
 from duoadapt.losses import (MEDIAN_SCALES, ContrastiveBatch, KernelSpec,
                              _block_weights, cross_entropy_hard,
@@ -339,6 +343,79 @@ def test_grad_check_linear():
     b = Tensor(rng.standard_normal(3), requires_grad=True)
     report = grad_check(lambda: (linear(x, w, b) ** 2).mean(),
                         {"x": x, "w": w, "b": b}, tolerance=1e-6)
+    assert report.passed, report.failures()
+
+
+def _linear_chain_ref(x, layers, dense):
+    """``linear_chain``'s layers one node each: ``dense`` (``linear`` or
+    ``_linear_ref``), then ``Tensor.relu`` where the layer's flag is set."""
+    for w, b, relu in layers:
+        x = dense(x, w, b)
+        if relu:
+            x = x.relu()
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 6),
+       st.lists(st.tuples(st.integers(1, 6), st.booleans(), st.booleans()),
+                min_size=1, max_size=4),
+       st.booleans(), st.sampled_from([linear, _linear_ref]),
+       st.integers(0, 2 ** 32 - 1))
+def test_linear_chain_matches_composition_bit_for_bit(n, in_dim, spec, x_grad,
+                                                      dense, seed):
+    # spec: (width, relu, frozen) per layer
+    rng = np.random.default_rng(seed)
+    dims = [in_dim] + [width for width, _, _ in spec]
+    x0 = rng.standard_normal((n, in_dim))
+    arrays = [(rng.standard_normal((a, b)), rng.standard_normal(b))
+              for a, b in zip(dims[:-1], dims[1:])]
+    g = rng.standard_normal((n, dims[-1]))
+    results = []
+    for build in ("chain", "composition"):
+        x = Tensor(x0.copy(), requires_grad=x_grad)
+        layers = [(Tensor(w.copy(), requires_grad=not frozen),
+                   Tensor(b.copy(), requires_grad=not frozen), relu)
+                  for (w, b), (_, relu, frozen) in zip(arrays, spec)]
+        if build == "chain":
+            out = linear_chain(x, layers)
+            if out.requires_grad:
+                assert out._op == "linear"
+                assert out._parents == (x,) + tuple(t for w, b, _ in layers
+                                                    for t in (w, b))
+        else:
+            out = _linear_chain_ref(x, layers, dense)
+        if out.requires_grad:
+            (out * Tensor(g)).sum().backward()
+        leaves = [x] + [t for w, b, _ in layers for t in (w, b)]
+        results.append((out, [t.grad for t in leaves]))
+    (chain, chain_grads), (ref, ref_grads) = results
+    assert np.array_equal(chain.data, ref.data)
+    assert chain.requires_grad == ref.requires_grad
+    for i, (cg, rg) in enumerate(zip(chain_grads, ref_grads)):
+        assert (cg is None) == (rg is None), i
+        assert cg is None or np.array_equal(cg, rg), i
+
+
+def test_a_frozen_linear_chain_over_a_constant_input_records_no_node():
+    rng = np.random.default_rng(2)
+    layers = [(Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal(3)), True),
+              (Tensor(rng.standard_normal((3, 2))), Tensor(rng.standard_normal(2)), False)]
+    out = linear_chain(Tensor(rng.standard_normal((5, 4))), layers)
+    assert out._backward is None and out._parents == () and not out.requires_grad
+
+
+def test_grad_check_linear_chain():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    params = {}
+    layers = []
+    for i, (a, b, relu) in enumerate(((4, 5, True), (5, 3, True), (3, 2, False))):
+        params[f"w{i}"] = Tensor(rng.standard_normal((a, b)), requires_grad=True)
+        params[f"b{i}"] = Tensor(rng.standard_normal(b), requires_grad=True)
+        layers.append((params[f"w{i}"], params[f"b{i}"], relu))
+    report = grad_check(lambda: (linear_chain(x, layers) ** 2).mean(),
+                        {"x": x, **params}, tolerance=1e-6)
     assert report.passed, report.failures()
 
 

@@ -95,6 +95,32 @@ def test_conv_features_are_two_graph_nodes_under_unchanged_names():
             for name in ("gamma", "beta", "running_mean", "running_var")} <= names
 
 
+@pytest.mark.parametrize("kind", ["mlp", "conv_stack"])
+def test_a_projection_is_one_linear_node_over_the_extractor(kind):
+    # an MLP projection is one "linear" node over the input; a conv
+    # projection is one over the conv_stack node (the FC, proj1, its ReLU
+    # and proj2); either equals the one-node-per-layer composition
+    rng = np.random.default_rng(4)
+    if kind == "mlp":
+        g = MlpExtractor(6, rng, hidden=(16,), feature_dim=8, proj_dim=4)
+        x = Tensor(rng.standard_normal((5, 6)))
+    else:
+        g = ConvExtractor(rng, channels=(2, 3, 4), feature_dim=5, proj_dim=2)
+        x = Tensor(rng.standard_normal((3, 1, 32, 32)))
+    out = g.project(x)
+    ops, pending = [], [out]
+    while pending:
+        t = pending.pop()
+        if t._backward is not None:
+            ops.append(t._op)
+            pending.extend(t._parents)
+    assert ops == (["linear"] if kind == "mlp" else ["linear", "conv_stack"])
+    assert out._parents[-4:] == (g.proj1.weight, g.proj1.bias,
+                                 g.proj2.weight, g.proj2.bias)
+    layered = g.proj2(g.proj1(g.features(x)).relu())
+    assert np.array_equal(out.data, layered.data)
+
+
 @lru_cache(maxsize=None)
 def _extractor_and_features(kind):
     """A pretrained-marked extractor, a whole dataset and its features."""
