@@ -35,12 +35,6 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _records(parents: Sequence["Tensor"]) -> bool:
-    """Whether an op over ``parents`` records a graph node: some parent
-    requires a gradient or was recorded itself."""
-    return any(p.requires_grad or p._backward is not None for p in parents)
-
-
 class Tensor:
     """Dense n-d float64 array with an optional gradient slot."""
 
@@ -90,10 +84,12 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
                  op: str, backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """Record a node. A node requires grad exactly when it records a
-        backward, so closures test ``requires_grad`` alone to skip the
-        parents (constants, frozen weights) that need no gradient."""
-        requires = _records(parents)
+        """Record a node when some parent requires a gradient or was
+        recorded itself, else drop ``backward`` and all its closure keeps. A
+        node requires grad exactly when it records a backward, so closures
+        test ``requires_grad`` alone to skip the parents (constants, frozen
+        weights) that need no gradient."""
+        requires = any(p.requires_grad or p._backward is not None for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -292,12 +288,24 @@ def as_tensor(x) -> Tensor:
 # ops below and the two stacks share; ``dense_stack`` runs its hidden linear
 # layers feature-major instead. A backward helper takes the flags (one per
 # input, in parameter order) of the gradients it must compute and returns
-# None for the others.
+# None for the others. The stacks build their parent tuples from lists:
+# CPython over-allocates a tuple built from a generator and shrinks it, and
+# its tuple free lists then keep one more block after each call.
 
 def _accum_each(tensors: Sequence[Tensor], grads: Sequence) -> None:
     for t, g in zip(tensors, grads):
         if g is not None:
             t._accum(g)
+
+
+def _goes_below(x: Tensor, params: Iterable[Sequence[Tensor]]) -> List[bool]:
+    """Per layer of a stack, from each layer's parameter tensors: whether the
+    backward goes on below it (``x`` or a layer under it needs a gradient)."""
+    below, go = [], x.requires_grad
+    for ws in params:
+        below.append(go)
+        go = go or any(t.requires_grad for t in ws)
+    return below
 
 
 def _check_linear(x_shape: Tuple[int, ...], w: Tensor, b: Tensor) -> None:
@@ -325,36 +333,28 @@ def linear_chain(x: Tensor, layers: Iterable[tuple]) -> Tensor:
     ``layers`` yields one (weight, bias, relu) triple per layer. Each layer
     runs the operations of ``linear`` and ``Tensor.relu`` in their order,
     ``a = h @ w``, ``a += b``, then ``a * (a > 0.0)`` written over ``a``,
-    so the values and gradients equal that composition bit for bit. A
-    recorded chain keeps each layer's input and ReLU mask; the backward
-    walks them in reverse, ``g = g * mask``, ``dW = h.T @ g``,
-    ``db = g.sum(axis=0)`` and ``dh = g @ W.T``, only for the parents that
-    require one, and stops below the lowest layer with such a parent.
+    so the values and gradients equal that composition bit for bit. The
+    chain keeps each layer's input and ReLU mask, dropped when it records
+    no node; the backward walks them in reverse, ``g = g * mask``,
+    ``dW = h.T @ g``, ``db = g.sum(axis=0)`` and ``dh = g @ W.T``, only for
+    the parents that require one, and stops below the lowest layer with
+    such a parent.
     """
     layers = list(layers)
-    # from a list: CPython over-allocates a tuple built from a generator and
-    # shrinks it, and its tuple free lists then keep one more block after
-    # each call, up to 2,000 per tuple size
     parents = (x, *[t for w, b, _ in layers for t in (w, b)])
-    record = _records(parents)
     cache = []
     h = x.data
     for w, b, relu in layers:
         _check_linear(h.shape, w, b)
         a = _linear_fwd(h, w.data, b.data)
         mask = a > 0.0 if relu else None
-        if record:
-            cache.append((h, mask))
+        cache.append((h, mask))
         if relu:
             a *= mask
         h = a
 
     def back(g):
-        # below[i]: the input of layer i or a parent under it needs a
-        # gradient, so the backward must go on below layer i
-        below = [x.requires_grad]
-        for w, b, _ in layers[:-1]:
-            below.append(below[-1] or w.requires_grad or b.requires_grad)
+        below = _goes_below(x, [(w, b) for w, b, _ in layers])
         for i in range(len(layers) - 1, -1, -1):
             (w, b, _), (h_in, mask) = layers[i], cache[i]
             if mask is not None:
@@ -702,16 +702,12 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
     data = _linear_fwd(h.T, out.weight.data, out.bias.data)
     if residual:
         data += x.data
-    parents = (x,) + tuple(t for ws, *_ in layers for t in ws) + top
+    parents = (x, *[t for ws, *_ in layers for t in ws], *top)
 
     def back(g):
         if residual and x.requires_grad:
             x._accum(g)
-        # below[i]: the input of hidden layer i or a parent under it needs a
-        # gradient, so the backward must go on below layer i
-        below = [x.requires_grad]
-        for ws, *_ in layers:
-            below.append(below[-1] or any(t.requires_grad for t in ws))
+        below = _goes_below(x, [ws for ws, *_ in layers] + [top])
         # the output layer's gradient, feature-major like the hidden layers'
         (w, b), h_in, da = top, h, g.T
         for i in range(len(layers), -1, -1):
@@ -751,28 +747,27 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
     ``conv2d``, ``batch_norm`` and ``maxpool2x2``, and each batch norm
     writes its output over its normalized activations.
 
-    A recorded block keeps only its input (a view of ``x``, or the
-    previous block's output), its batch-norm centring vector (the batch
-    mean, or in "eval" a copy of the running mean) and its per-channel
-    std: nothing of the size of its activations. A forward that records
-    no graph keeps nothing. The backward walks the blocks in reverse. For
-    each it builds the im2col matrix of the block input once, recomputes
-    the conv product and the normalized activations from it with the
-    forward's own operations in the forward's order, and so rebuilds the
-    pre-pool output, the pooled output and the ReLU mask bit for bit. Each
-    window's gradient goes to its first maximum, the kernel gradient reads
-    the same im2col matrix, and the block's record is dropped, so the node
-    takes one backward. It stops below the lowest block with a parent that
-    requires a gradient.
+    A block keeps only its input (a view of ``x``, or the previous block's
+    output), its batch-norm centring vector (the batch mean, or in "eval"
+    a copy of the running mean) and its per-channel std: nothing of the
+    size of its activations. A forward that records no graph drops its
+    block records when it returns. The backward walks the blocks in
+    reverse. For each it builds the im2col matrix of the block input once,
+    recomputes the conv product and the normalized activations from it
+    with the forward's own operations in the forward's order, and so
+    rebuilds the pre-pool output, the pooled output and the ReLU mask bit
+    for bit. Each window's gradient goes to its first maximum, the kernel
+    gradient reads the same im2col matrix, and the block's record is
+    dropped, so the node takes one backward. It stops below the lowest
+    block with a parent that requires a gradient.
     """
     _check_mode("conv_stack", mode)
     blocks = list(blocks)
     if x.ndim != 4:
         raise ShapeMismatch("conv_stack", x.shape,
                             blocks[0][0].weight.shape if blocks else ())
-    parents = (x,) + tuple(t for conv, bn in blocks
-                           for t in (conv.weight, bn.gamma, bn.beta))
-    record = _records(parents)
+    parents = (x, *[t for conv, bn in blocks
+                    for t in (conv.weight, bn.gamma, bn.beta)])
     layers = []
     h = x.data.transpose(1, 0, 2, 3)
     for conv, bn in blocks:
@@ -786,9 +781,8 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
             bn.running_mean, bn.running_var, mode, bn.momentum, bn.eps)
         p = _pool_fwd(_affine(xn, bn.gamma.data, bn.beta.data, out=xn).reshape(-1, n, oh, ow))
         del xn
-        if record:
-            # a copy, so an "eval" centre does not follow the running mean
-            layers.append(((w, bn.gamma, bn.beta), conv.padding, h, centre.copy(), std))
+        # a copy, so an "eval" centre does not follow the running mean
+        layers.append(((w, bn.gamma, bn.beta), conv.padding, h, centre.copy(), std))
         h = np.multiply(p, p > 0.0, out=p)  # the ReLU, over the pooled output
     out_shape = h.shape
     data = _swap01(h).reshape(h.shape[1], -1)
@@ -799,11 +793,7 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
         if layers is None:
             raise GradError("conv_stack: a second backward through one node; "
                             "the first dropped its block records")
-        # below[i]: the input of block i or a parent under it needs a
-        # gradient, so the backward must go on below block i
-        below = [x.requires_grad]
-        for ws, *_ in layers:
-            below.append(below[-1] or any(t.requires_grad for t in ws))
+        below = _goes_below(x, [ws for ws, *_ in layers])
         records, layers = layers, None
         c, n, hh, ww = out_shape
         d = _swap01(g.reshape(n, c, hh, ww))

@@ -175,47 +175,46 @@ def gen_synthetic_pda(spec: PdaTaskSpec) -> Tuple[Dataset, Dataset, Dataset]:
 
 
 def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = img.shape
+    """Resize each (h, w) image of an (n, h, w) batch to (out_h, out_w)."""
+    h, w = img.shape[1:]
     ys = np.linspace(0, h - 1, out_h)
     xs = np.linspace(0, w - 1, out_w)
-    y0 = np.floor(ys).astype(int)
+    y0 = np.floor(ys).astype(int)[:, None]
     x0 = np.floor(xs).astype(int)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
+    wy = ys[:, None] - y0
     wx = (xs - x0)[None, :]
-    return (img[np.ix_(y0, x0)] * (1 - wy) * (1 - wx)
-            + img[np.ix_(y1, x0)] * wy * (1 - wx)
-            + img[np.ix_(y0, x1)] * (1 - wy) * wx
-            + img[np.ix_(y1, x1)] * wy * wx)
+    return (img[:, y0, x0] * (1 - wy) * (1 - wx)
+            + img[:, y1, x0] * wy * (1 - wx)
+            + img[:, y0, x1] * (1 - wy) * wx
+            + img[:, y1, x1] * wy * wx)
 
 
 def spectrogram_ingest(signals: Tensor, window: int, hop: int,
                        out_size: int = 32) -> Tensor:
     """Log-magnitude short-time spectrum images, resized and [0,1]-normalized.
 
-    Returns an n x 1 x 32 x 32 batch; values are per-sample min-max scaled
-    with an all-zero guard.
+    Returns an n x 1 x 32 x 32 batch; values are per-sample min-max scaled,
+    and a flat image is all zeros. The whole batch is framed, transformed
+    and resized at once; each row equals its signal ingested alone.
     """
     x = signals.data
     if x.ndim != 2:
         raise ValueError(f"expected n x L signals, got shape {x.shape}")
-    n, length = x.shape
+    length = x.shape[1]
     if not (length >= window >= hop >= 1):
         raise ValueError(f"need L >= window >= hop >= 1, got L={length}, "
                          f"window={window}, hop={hop}")
     n_frames = (length - window) // hop + 1
-    han = np.hanning(window)
-    images = np.empty((n, 1, out_size, out_size))
     idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
-    for i in range(n):
-        frames = x[i][idx] * han
-        spec = np.abs(np.fft.rfft(frames, axis=1)).T  # freq x time
-        spec = np.log1p(spec)
-        img = _bilinear_resize(spec, out_size, out_size)
-        lo, hi = img.min(), img.max()
-        images[i, 0] = (img - lo) / (hi - lo) if hi > lo else np.zeros_like(img)
-    return Tensor(images)
+    frames = x[:, idx] * np.hanning(window)
+    spec = np.log1p(np.abs(np.fft.rfft(frames, axis=-1)).transpose(0, 2, 1))  # freq x time
+    img = _bilinear_resize(spec, out_size, out_size)
+    lo = img.min(axis=(1, 2), keepdims=True)
+    span = img.max(axis=(1, 2), keepdims=True) - lo
+    # a flat image is already all zeros after the shift
+    return Tensor(((img - lo) / np.where(span > 0, span, 1.0))[:, None])
 
 
 def augment_pair(x: Tensor, rng: np.random.Generator) -> Tuple[Tensor, Tensor]:

@@ -154,6 +154,21 @@ def test_spectrogram_all_zero_signal_guard():
     assert np.array_equal(out.data, np.zeros((2, 1, 32, 32)))
 
 
+def test_spectrogram_batch_rows_equal_each_signal_ingested_alone():
+    # the all-zero row needs the per-sample flat-image guard inside a batch
+    # whose other rows are scaled
+    t = np.arange(512)
+    rng = np.random.default_rng(3)
+    sig = np.stack([np.sin(2 * np.pi * 0.1 * t), np.zeros(512),
+                    rng.standard_normal(512)])
+    out = spectrogram_ingest(Tensor(sig), window=64, hop=16).data
+    assert np.array_equal(out[1], np.zeros((1, 32, 32)))
+    assert out[0].max() == 1.0
+    for i in range(len(sig)):
+        alone = spectrogram_ingest(Tensor(sig[i:i + 1]), window=64, hop=16).data
+        assert np.array_equal(out[i], alone[0])
+
+
 def test_spectrogram_tone_peak_frequency_ordering():
     # Higher-frequency carriers should put their energy in higher image rows.
     t = np.arange(1024)

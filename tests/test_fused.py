@@ -6,9 +6,11 @@ ops it replaces, written out below; values and gradients must agree to
 ``linear_chain`` is compared with the composition of ``linear`` (or
 ``_linear_ref``) and ``Tensor.relu`` layer by layer, bit for bit in its
 output and in every leaf's gradient, with frozen layers and a constant
-input among the cases. ``conv2d`` is compared with an einsum + col2im node
-over a ``pad2d`` copy of the input, and ``maxpool2x2`` with a
-take/put-along-axis node, bit for bit. ``nt_xent`` is compared with
+input among the cases. ``linear_chain``, ``dense_stack`` and ``conv_stack``
+over frozen parameters and a constant input must record no node.
+``conv2d`` is compared with an einsum + col2im node over a ``pad2d`` copy
+of the input, and ``maxpool2x2`` with a take/put-along-axis node, bit for
+bit. ``nt_xent`` is compared with
 ``_nt_xent_ref``, its composition of row norms, matmuls, exp, masks, log
 and mean. Pooling before a ReLU must equal pooling after it
 bit for bit, in values and input gradient, since the extractors rely on
@@ -397,11 +399,34 @@ def test_linear_chain_matches_composition_bit_for_bit(n, in_dim, spec, x_grad,
         assert cg is None or np.array_equal(cg, rg), i
 
 
-def test_a_frozen_linear_chain_over_a_constant_input_records_no_node():
-    rng = np.random.default_rng(2)
+def _frozen_linear_chain(rng):
     layers = [(Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal(3)), True),
               (Tensor(rng.standard_normal((3, 2))), Tensor(rng.standard_normal(2)), False)]
-    out = linear_chain(Tensor(rng.standard_normal((5, 4))), layers)
+    return linear_chain(Tensor(rng.standard_normal((5, 4))), layers)
+
+
+def _frozen_dense_stack(mode):
+    def run(rng):
+        stack = DenseStack(4, 4, rng, (5, 3), dropout_p=0.3)
+        stack.freeze()
+        return stack(Tensor(rng.standard_normal((6, 4))), mode, residual=True)
+    return run
+
+
+def _frozen_conv_stack(rng):
+    blocks, _ = _conv_blocks(2, (1, 2, 3), (3, 3), (1, 1),
+                             requires=[False] * 6)
+    return conv_stack(Tensor(rng.standard_normal((2, 1, 8, 8))), blocks, "eval")
+
+
+# the stacks build their per-layer records on every forward, so this rests
+# on ``Tensor._from_op`` dropping the closure of a node that records nothing
+@pytest.mark.parametrize("run", [_frozen_linear_chain, _frozen_dense_stack("eval"),
+                                 _frozen_dense_stack("teacher"), _frozen_conv_stack],
+                         ids=["linear_chain", "dense_stack-eval",
+                              "dense_stack-teacher", "conv_stack-eval"])
+def test_a_frozen_stack_over_a_constant_input_records_no_node(run):
+    out = run(np.random.default_rng(2))
     assert out._backward is None and out._parents == () and not out.requires_grad
 
 
