@@ -84,12 +84,12 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
                  op: str, backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """Record a node when some parent requires a gradient or was
-        recorded itself, else drop ``backward`` and all its closure keeps. A
-        node requires grad exactly when it records a backward, so closures
-        test ``requires_grad`` alone to skip the parents (constants, frozen
-        weights) that need no gradient."""
-        requires = any(p.requires_grad or p._backward is not None for p in parents)
+        """Record a node when some parent requires a gradient, else drop
+        ``backward`` and all its closure keeps. A node requires grad exactly
+        when it records a backward, so this test and the closures read
+        ``requires_grad`` alone: it is True for a recorded parent and False
+        for one (a constant, a frozen weight) that needs no gradient."""
+        requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
@@ -255,7 +255,7 @@ class Tensor:
         gradient from its consumers' closures and has nothing to run."""
         if self.size != 1:
             raise GradError(f"backward requires a scalar loss, got shape {self.shape}")
-        if self._backward is None and not self.requires_grad:
+        if not self.requires_grad:
             raise GradError("loss is detached from the computation graph")
         topo: List[Tensor] = []
         seen = set()

@@ -25,10 +25,10 @@ from typing import (Dict, List, Optional, Tuple, get_args, get_origin,
 
 import numpy as np
 
-from .data import (Dataset, DatasetFormatError, PdaTaskSpec, gen_synthetic_pda,
-                   load_dataset, save_dataset)
-from .model import (CONV_INPUT_SHAPE, CheckpointFormatError, ensemble_predict,
-                    fused_logits, load_checkpoint, save_checkpoint)
+from .data import (CONV_INPUT_SHAPE, Dataset, DatasetFormatError, PdaTaskSpec,
+                   gen_synthetic_pda, load_dataset, save_dataset)
+from .model import (CheckpointFormatError, ensemble_predict, fused_logits,
+                    load_checkpoint, save_checkpoint)
 from .train import (ModelConfig, TrainConfig, build_pair, selection_study,
                     train_interactive)
 
@@ -147,38 +147,26 @@ def load_config(path: Optional[str], overrides: List[str]) -> ExperimentConfig:
                             config_hash=config_hash)
 
 
-@dataclass
-class MetricsReport:
-    per_class_accuracy: Dict[int, float]
-    per_class_counts: Dict[int, int]
-    overall_accuracy: float
-    final_reward: float
-    chosen_epoch: int
-    wall_clock_seconds: float
-    config_hash: str
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["per_class_accuracy"] = {str(k): v for k, v in self.per_class_accuracy.items()}
-        d["per_class_counts"] = {str(k): v for k, v in self.per_class_counts.items()}
-        return json.dumps(d, indent=2, sort_keys=True)
-
-
 def metrics_report(preds: np.ndarray, labels: np.ndarray, final_reward: float,
                    chosen_epoch: int, seconds: float,
-                   config_hash: str) -> MetricsReport:
-    per_class: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for c in sorted(set(labels.tolist())):
-        mask = labels == c
-        counts[c] = int(mask.sum())
-        per_class[c] = float(np.mean(preds[mask] == c))
-    overall = float(sum(per_class[c] * counts[c] for c in counts)
-                    / sum(counts.values()))
-    return MetricsReport(per_class_accuracy=per_class, per_class_counts=counts,
-                         overall_accuracy=overall, final_reward=final_reward,
-                         chosen_epoch=chosen_epoch, wall_clock_seconds=seconds,
-                         config_hash=config_hash)
+                   config_hash: str) -> Dict[str, object]:
+    """The ``metrics.json`` dict. ``overall_accuracy`` is the mean that
+    ``train`` takes for each epoch's ``target_accuracy``, the same float."""
+    classes, counts = np.unique(labels, return_counts=True)
+    return {
+        "per_class_accuracy": {str(c): float(np.mean(preds[labels == c] == c))
+                               for c in classes},
+        "per_class_counts": {str(c): int(n) for c, n in zip(classes, counts)},
+        "overall_accuracy": float(np.mean(preds == labels)),
+        "final_reward": final_reward,
+        "chosen_epoch": chosen_epoch,
+        "wall_clock_seconds": seconds,
+        "config_hash": config_hash,
+    }
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 # -- dataset file handling ----------------------------------------------------
@@ -199,8 +187,7 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
         "config_hash": cfg.config_hash,
         "files": {name: _sha256(cfg.output_dir / name) for name in _DATA_FILES},
     }
-    (cfg.output_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                             sort_keys=True))
+    (cfg.output_dir / "manifest.json").write_text(_json(manifest))
     print(f"wrote {len(_DATA_FILES)} dataset files to {cfg.output_dir}")
     return EXIT_OK
 
@@ -269,9 +256,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
                             final_reward=result.best.reward,
                             chosen_epoch=result.best.epoch, seconds=seconds,
                             config_hash=cfg.config_hash)
-    (cfg.output_dir / "metrics.json").write_text(report.to_json())
+    (cfg.output_dir / "metrics.json").write_text(_json(report))
     print(f"finished: best epoch {result.best.epoch} "
-          f"(V={result.best.reward:.3f}, accuracy={report.overall_accuracy:.3f}, "
+          f"(V={result.best.reward:.3f}, accuracy={report['overall_accuracy']:.3f}, "
           f"{seconds:.1f}s)")
     return EXIT_OK
 
@@ -297,7 +284,7 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
     preds = ensemble_predict(ms, mt, ds.inputs)
     report = metrics_report(preds, np.asarray(ds.labels), ckpt.reward,
                             ckpt.epoch, time.monotonic() - t0, cfg.config_hash)
-    print(report.to_json())
+    print(_json(report))
     return EXIT_OK
 
 

@@ -18,6 +18,10 @@ from .autodiff import Tensor
 _DATASET_MAGIC = b"DADS"
 _DATASET_VERSION = 1
 
+# the (channels, height, width) of one image ``spectrogram_ingest`` makes and
+# a ``ConvExtractor`` reads
+CONV_INPUT_SHAPE = (1, 32, 32)
+
 T = TypeVar("T")
 
 
@@ -191,13 +195,12 @@ def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
             + img[:, y1, x1] * wy * wx)
 
 
-def spectrogram_ingest(signals: Tensor, window: int, hop: int,
-                       out_size: int = 32) -> Tensor:
+def spectrogram_ingest(signals: Tensor, window: int, hop: int) -> Tensor:
     """Log-magnitude short-time spectrum images, resized and [0,1]-normalized.
 
-    Returns an n x 1 x 32 x 32 batch; values are per-sample min-max scaled,
-    and a flat image is all zeros. The whole batch is framed, transformed
-    and resized at once; each row equals its signal ingested alone.
+    Returns an n x ``CONV_INPUT_SHAPE`` batch, each sample min-max scaled (a
+    flat image is all zeros). The whole batch is framed, transformed and
+    resized at once; each row equals its signal ingested alone.
     """
     x = signals.data
     if x.ndim != 2:
@@ -210,7 +213,7 @@ def spectrogram_ingest(signals: Tensor, window: int, hop: int,
     idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = x[:, idx] * np.hanning(window)
     spec = np.log1p(np.abs(np.fft.rfft(frames, axis=-1)).transpose(0, 2, 1))  # freq x time
-    img = _bilinear_resize(spec, out_size, out_size)
+    img = _bilinear_resize(spec, *CONV_INPUT_SHAPE[1:])
     lo = img.min(axis=(1, 2), keepdims=True)
     span = img.max(axis=(1, 2), keepdims=True) - lo
     # a flat image is already all zeros after the shift

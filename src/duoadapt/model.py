@@ -15,13 +15,10 @@ from typing import Dict, Iterator, Sequence, Tuple
 import numpy as np
 
 from .autodiff import Tensor, conv_stack, dense_stack, linear, linear_chain
-from .data import Cursor, read_container
+from .data import CONV_INPUT_SHAPE, Cursor, read_container
 
 _CKPT_MAGIC = b"DACK"
 _CKPT_VERSION = 1
-
-# the (channels, height, width) of one image a ``ConvExtractor`` reads
-CONV_INPUT_SHAPE = (1, 32, 32)
 
 # rows per ``conv_stack`` call in a frozen ``ConvExtractor.features`` pass:
 # at the default channels one call over 32 rows peaks near 24 MiB, and a
@@ -166,7 +163,7 @@ class MlpExtractor(Extractor):
 
 
 class ConvExtractor(Extractor):
-    """Three conv/BN/maxpool/ReLU blocks over ``CONV_INPUT_SHAPE`` images, then FC.
+    """Three conv/BN/maxpool/ReLU blocks over ``data.CONV_INPUT_SHAPE`` images, then FC.
 
     The batch norms use batch statistics until the extractor is pretrained
     and their running statistics after. Pooling before the ReLU is exact:

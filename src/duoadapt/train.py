@@ -370,11 +370,16 @@ def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
     return row
 
 
+def _by_v(row: TraceRow) -> Tuple[float, int]:
+    """The V rule's sort key: the highest V, and of equal V the earliest epoch."""
+    return row.V, -row.epoch
+
+
 def stopping_check(trace: RewardTrace, cfg: TrainConfig) -> Tuple[str, str]:
     """('stop'|'continue', best checkpoint id). Best = max V, earliest tie."""
     if not trace.rows:
         raise ValueError("empty trace")
-    best = max(trace.rows, key=lambda r: (r.V, -r.epoch))
+    best = max(trace.rows, key=_by_v)
     latest = trace.rows[-1]
     done = latest.V >= cfg.desired_reward or len(trace.rows) >= cfg.epochs
     return ("stop" if done else "continue"), best.checkpoint_id
@@ -487,7 +492,7 @@ def selection_study(trace: RewardTrace) -> Dict[str, float]:
     rows = trace.rows
     if not rows or any(r.target_accuracy is None for r in rows):
         raise ValueError("selection_study needs per-epoch target accuracies")
-    by_v = max(rows, key=lambda r: (r.V, -r.epoch))
+    by_v = max(rows, key=_by_v)
     by_loss = min(rows, key=lambda r: (sum(r.losses.values()), r.epoch))
     best = max(rows, key=lambda r: (r.target_accuracy, -r.epoch))
     return {

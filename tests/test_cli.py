@@ -200,17 +200,28 @@ def test_a_class_per_dimension_and_a_full_offset_generate(tmp_path):
 
 # -- metrics ------------------------------------------------------------------
 
-def test_metrics_report_per_class_and_weighted_overall():
+def test_metrics_report_per_class_and_overall():
     preds = np.array([0, 0, 1, 1, 1, 1])
     labels = np.array([0, 0, 0, 1, 1, 1])
     rep = metrics_report(preds, labels, final_reward=0.9, chosen_epoch=2,
                          seconds=1.0, config_hash="h")
-    assert rep.per_class_accuracy == {0: 2 / 3, 1: 1.0}
-    assert rep.per_class_counts == {0: 3, 1: 3}
-    assert abs(rep.overall_accuracy - 5 / 6) <= 1e-12
-    parsed = json.loads(rep.to_json())
+    assert rep["per_class_accuracy"] == {"0": 2 / 3, "1": 1.0}
+    assert rep["per_class_counts"] == {"0": 3, "1": 3}
+    assert abs(rep["overall_accuracy"] - 5 / 6) <= 1e-12
+    parsed = json.loads(cli._json(rep))
     assert parsed["per_class_accuracy"]["0"] == 2 / 3
     assert parsed["final_reward"] == 0.9
+
+
+def test_metrics_report_overall_accuracy_is_the_mean_train_takes():
+    # 200 rows per class, 1 and 14 correct: the count-weighted sum of the
+    # per-class accuracies reads 0.037500000000000006, the mean 0.0375
+    labels = np.repeat([0, 1], 200)
+    preds = 1 - labels
+    preds[[0, *range(200, 214)]] = [0, *[1] * 14]
+    rep = metrics_report(preds, labels, final_reward=0.5, chosen_epoch=1,
+                         seconds=0.0, config_hash="h")
+    assert rep["overall_accuracy"] == float(np.mean(preds == labels)) == 0.0375
 
 
 # -- commands -----------------------------------------------------------------
@@ -293,6 +304,10 @@ def test_full_pipeline_train_then_eval(tmp_path, capsys):
     assert trace_lines[0].startswith("# config_hash=")
     metrics = json.loads((out / "metrics.json").read_text())
     assert 0.0 <= metrics["overall_accuracy"] <= 1.0
+    # the chosen epoch's accuracy, as trace.csv holds it, bit for bit
+    rows = list(csv.DictReader(trace_lines[2:]))
+    chosen = next(r for r in rows if int(r["epoch"]) == metrics["chosen_epoch"])
+    assert metrics["overall_accuracy"] == float(chosen["target_accuracy"])
 
     code = main(_fast_args(out) + ["eval", str(out / "best.ckpt"),
                                    str(out / "eval_target.ds")])
