@@ -86,22 +86,21 @@ class StepId(Enum):
     S6_feedback_Fs = 6
 
 
-# step -> (trace column, trainable group); a group ending in _s belongs to
-# the source model, one ending in _t to the target model
-STEP_MAP: Dict[StepId, Tuple[str, str]] = {
-    StepId.S1_train_Cs: ("L_s_s", "theta_s"),
-    StepId.S2_align_Fs: ("MMD_s", "phi_s"),
-    StepId.S3_guide_Ct: ("L_t_t", "theta_t"),
-    StepId.S4_align_Ft: ("MMD_t", "phi_t"),
-    StepId.S5_source_Ct: ("L_t_s", "theta_t"),
-    StepId.S6_feedback_Fs: ("L_st_t", "phi_s"),
+# step -> (trace column, trainable group, loss); a group ending in _s
+# belongs to the source model, one ending in _t to the target model. A
+# "source" loss is cross-entropy on source labels, "align" the MMD of the
+# RDA outputs on both domains; "guide" and "feedback" follow the other
+# model's soft target predictions, or "guide" its argmax with soft_pseudo off
+STEP_MAP: Dict[StepId, Tuple[str, str, str]] = {
+    StepId.S1_train_Cs: ("L_s_s", "theta_s", "source"),
+    StepId.S2_align_Fs: ("MMD_s", "phi_s", "align"),
+    StepId.S3_guide_Ct: ("L_t_t", "theta_t", "guide"),
+    StepId.S4_align_Ft: ("MMD_t", "phi_t", "align"),
+    StepId.S5_source_Ct: ("L_t_s", "theta_t", "source"),
+    StepId.S6_feedback_Fs: ("L_st_t", "phi_s", "feedback"),
 }
 
-# the three mirrored pairs; the remaining steps (S3, S6) are teacher -> student
-SOURCE_CE_STEPS = (StepId.S1_train_Cs, StepId.S5_source_Ct)
-ALIGN_STEPS = (StepId.S2_align_Fs, StepId.S4_align_Ft)
-
-TRACE_COLUMNS = ("epoch", "V", *(column for column, _ in STEP_MAP.values()),
+TRACE_COLUMNS = ("epoch", "V", *(column for column, _, _ in STEP_MAP.values()),
                  "checkpoint_id", "target_accuracy")
 
 
@@ -137,7 +136,7 @@ class RewardTrace:
         w.writerow(TRACE_COLUMNS)
         for r in self.rows:
             w.writerow([r.epoch, repr(r.V)]
-                       + [repr(r.losses[c]) for c, _ in STEP_MAP.values()]
+                       + [repr(r.losses[c]) for c, _, _ in STEP_MAP.values()]
                        + [r.checkpoint_id, _fmt(r.target_accuracy)])
         return buf.getvalue()
 
@@ -274,14 +273,15 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
 
 def _step_loss(step: StepId, model: DomainWiseModel, other: DomainWiseModel,
                sampler: BatchSampler, cfg: TrainConfig) -> Tensor:
-    """One iteration's loss for ``model``, the one ``step`` trains. In S3
-    and S6 ``other`` is the teacher: batch statistics, but no running-buffer
-    update and no dropout. It records no graph because ``run_step`` freezes
-    every group but the trained one."""
-    if step in SOURCE_CE_STEPS:
+    """One iteration of the loss ``step``'s row names, for ``model``, the
+    one it trains. In "guide" and "feedback" ``other`` is the teacher: batch
+    statistics, no running-buffer update, no dropout, and no graph, because
+    ``run_step`` freezes every group but the trained one."""
+    _, _, loss = STEP_MAP[step]
+    if loss == "source":
         zs, ys = sampler.source_batch()
         return cross_entropy_hard(classifier_logits(model, zs, "source", "train"), ys)
-    if step in ALIGN_STEPS:
+    if loss == "align":
         zs, _ = sampler.source_batch()
         zt = sampler.target_batch()
         return mmd_squared(rda_forward(model.rda, zs, "source", "train"),
@@ -289,9 +289,7 @@ def _step_loss(step: StepId, model: DomainWiseModel, other: DomainWiseModel,
     zt = sampler.target_batch()
     teacher = classifier_logits(other, zt, "target", "teacher")
     student = classifier_logits(model, zt, "target", "train")
-    # hard pseudo-labels are an option of the guidance step S3 only; the
-    # feedback step S6 always follows the target model's soft predictions
-    if cfg.soft_pseudo or step is StepId.S6_feedback_Fs:
+    if cfg.soft_pseudo or loss == "feedback":
         return cross_entropy_soft(student, teacher)
     return cross_entropy_hard(student, teacher.data.argmax(axis=1))
 
@@ -305,7 +303,7 @@ def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
     reaches only the trained group's tensors and the backward computes no
     other gradient. Their ``requires_grad`` flags are restored afterwards,
     also when the step raises."""
-    _, group = STEP_MAP[step]
+    _, group, _ = STEP_MAP[step]
     opt = optimizers[group]
     model, other = (ms, mt) if group.endswith("_s") else (mt, ms)
     tensors = [t for o in optimizers.values() for t in o.params.values()]
@@ -355,7 +353,7 @@ def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
     losses: Dict[str, float] = {}
     reward = None
     for step in StepId:
-        column, _ = STEP_MAP[step]
+        column, _, _ = STEP_MAP[step]
         try:
             losses[column] = run_step(step, ms, mt, sampler, cfg, optimizers)
         except (FloatingPointError, GradError) as e:
@@ -414,7 +412,7 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
         ms.extractor_t, target, cfg, np.random.default_rng(cfg.seed + 13))[-1]
 
     groups = parameter_groups(ms, mt)
-    optimizers = {g: Adam(groups[g], cfg.learning_rate) for _, g in STEP_MAP.values()}
+    optimizers = {g: Adam(groups[g], cfg.learning_rate) for _, g, _ in STEP_MAP.values()}
     sampler = BatchSampler(extract_dataset(ms, source, "source"),
                            extract_dataset(ms, target, "target"),
                            cfg.batch_size, np.random.default_rng(cfg.seed + 19))

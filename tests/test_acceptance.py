@@ -215,7 +215,7 @@ def test_criterion_4_schedule_isolation():
     checks = 0
     for epoch in range(3):
         for step in StepId:
-            _, group = STEP_MAP[step]
+            _, group, _ = STEP_MAP[step]
             before = {n: t.data.tobytes() for n, t in entries.items()}
             run_step(step, ms, mt, sampler, cfg, optimizers)
             member = groups[group]

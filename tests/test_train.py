@@ -4,9 +4,10 @@ import pytest
 from duoadapt import train as train_module
 from duoadapt.autodiff import Adam, GradError, Tensor
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
-from duoadapt.losses import cross_entropy_hard, cross_entropy_soft
+from duoadapt.losses import cross_entropy_hard, cross_entropy_soft, mmd_squared
 from duoadapt.model import (Checkpoint, build_models, classifier_logits,
-                            extract, named_buffers, parameter_groups)
+                            extract, named_buffers, parameter_groups,
+                            rda_forward)
 from duoadapt.train import (STEP_MAP, TRACE_COLUMNS, BatchSampler, ModelConfig,
                             RewardTrace, StepId, TraceRow, TrainConfig,
                             build_extractor, build_pair, compute_reward,
@@ -61,14 +62,14 @@ def test_train_config_validation():
 
 
 def test_step_map_schedule():
-    assert STEP_MAP[StepId.S1_train_Cs] == ("L_s_s", "theta_s")
-    assert STEP_MAP[StepId.S2_align_Fs] == ("MMD_s", "phi_s")
-    assert STEP_MAP[StepId.S3_guide_Ct] == ("L_t_t", "theta_t")
-    assert STEP_MAP[StepId.S4_align_Ft] == ("MMD_t", "phi_t")
-    assert STEP_MAP[StepId.S5_source_Ct] == ("L_t_s", "theta_t")
-    assert STEP_MAP[StepId.S6_feedback_Fs] == ("L_st_t", "phi_s")
+    assert STEP_MAP[StepId.S1_train_Cs] == ("L_s_s", "theta_s", "source")
+    assert STEP_MAP[StepId.S2_align_Fs] == ("MMD_s", "phi_s", "align")
+    assert STEP_MAP[StepId.S3_guide_Ct] == ("L_t_t", "theta_t", "guide")
+    assert STEP_MAP[StepId.S4_align_Ft] == ("MMD_t", "phi_t", "align")
+    assert STEP_MAP[StepId.S5_source_Ct] == ("L_t_s", "theta_t", "source")
+    assert STEP_MAP[StepId.S6_feedback_Fs] == ("L_st_t", "phi_s", "feedback")
     # frozen extractor groups are never scheduled
-    scheduled = {g for _, g in STEP_MAP.values()}
+    scheduled = {g for _, g, _ in STEP_MAP.values()}
     assert scheduled == {"theta_s", "theta_t", "phi_s", "phi_t"}
 
 
@@ -171,7 +172,7 @@ def test_run_step_touches_only_its_group():
     entries = {n: t for g in groups.values() for n, t in g.items()}
     sampler = _feature_sampler(ms, source, target, 16, 8)
     for step in StepId:
-        _, group = STEP_MAP[step]
+        _, group, _ = STEP_MAP[step]
         before = {n: t.data.tobytes() for n, t in entries.items()}
         run_step(step, ms, mt, sampler, FAST, optimizers)
         for name, t in entries.items():
@@ -203,7 +204,7 @@ def test_run_step_leaves_gradients_only_on_its_group():
                   for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
     sampler = _feature_sampler(ms, source, target, 16, 8)
     for step in StepId:
-        _, group = STEP_MAP[step]
+        _, group, _ = STEP_MAP[step]
         seen.clear()
         run_step(step, ms, mt, sampler, FAST, optimizers)
         for name, t in entries.items():
@@ -255,31 +256,49 @@ def test_run_step_updates_running_stats_of_its_students_only():
 
 
 def test_hard_pseudo_labels_apply_to_the_guidance_step_only():
-    # with soft_pseudo off, S3 trains on the teacher's argmax; S6 still
-    # follows the target model's soft predictions. Each step's loss is
-    # recomputed from the same batch: the sampler is re-seeded and the
-    # dropout streams are rewound
+    # every step's loss, recomputed from the same batch: the sampler is
+    # re-seeded and the dropout streams are rewound. S1 and S5 take the
+    # student's cross-entropy on source labels, S2 and S4 the MMD of its RDA
+    # outputs on both domains; with soft_pseudo off, S3 trains on the
+    # teacher's argmax, while S6 still follows the target model's soft
+    # predictions
     source, target, _ = _task(seed=2, source_classes=3, samples_per_class=24)
     ms, mt = _pretrained_pair(source, target)
     sampler = _feature_sampler(ms, source, target, 16, 0)
     cfg = TrainConfig(pretrain_epochs=2, epochs=2, iters_per_step=2,
                       batch_size=16, soft_pseudo=False)
     streams = {id(s.rng): s.rng for m in (ms, mt) for s in (m.rda, m.classifier)}
-    for step, student, teacher in ((StepId.S3_guide_Ct, mt, ms),
-                                   (StepId.S6_feedback_Fs, ms, mt)):
+    losses = {StepId.S1_train_Cs: (ms, mt, "source"),
+              StepId.S2_align_Fs: (ms, mt, "align"),
+              StepId.S3_guide_Ct: (mt, ms, "hard"),
+              StepId.S4_align_Ft: (mt, ms, "align"),
+              StepId.S5_source_Ct: (mt, ms, "source"),
+              StepId.S6_feedback_Fs: (ms, mt, "soft")}
+    for step, (student, teacher, kind) in losses.items():
         states = {k: g.bit_generator.state for k, g in streams.items()}
         sampler.rng = np.random.default_rng(5)
         loss = train_module._step_loss(step, student, teacher, sampler, cfg).item()
         for k, g in streams.items():
             g.bit_generator.state = states[k]
         sampler.rng = np.random.default_rng(5)
-        zt = sampler.target_batch()
-        t = classifier_logits(teacher, zt, "target", "teacher")
-        s = classifier_logits(student, zt, "target", "train")
-        hard = cross_entropy_hard(s, t.data.argmax(axis=1)).item()
-        soft = cross_entropy_soft(s, t).item()
-        assert hard != soft
-        assert loss == (hard if step is StepId.S3_guide_Ct else soft), step.name
+        if kind == "source":
+            zs, ys = sampler.source_batch()
+            s = classifier_logits(student, zs, "source", "train")
+            expected = cross_entropy_hard(s, ys).item()
+        elif kind == "align":
+            zs, _ = sampler.source_batch()
+            zt = sampler.target_batch()
+            expected = mmd_squared(rda_forward(student.rda, zs, "source", "train"),
+                                   rda_forward(student.rda, zt, "target", "train")).item()
+        else:
+            zt = sampler.target_batch()
+            t = classifier_logits(teacher, zt, "target", "teacher")
+            s = classifier_logits(student, zt, "target", "train")
+            hard = cross_entropy_hard(s, t.data.argmax(axis=1)).item()
+            soft = cross_entropy_soft(s, t).item()
+            assert hard != soft
+            expected = hard if kind == "hard" else soft
+        assert loss == expected, step.name
 
 
 def test_eval_passes_leave_buffers_and_dropout_stream_untouched():
