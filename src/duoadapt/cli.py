@@ -29,8 +29,8 @@ from .data import (CONV_INPUT_SHAPE, Dataset, DatasetFormatError, PdaTaskSpec,
                    gen_synthetic_pda, load_dataset, save_dataset)
 from .model import (CheckpointFormatError, ensemble_predict, fused_logits,
                     load_checkpoint, save_checkpoint)
-from .train import (ModelConfig, TrainConfig, build_pair, selection_study,
-                    train_interactive)
+from .train import (EXTRACTOR_INPUT, ModelConfig, TrainConfig, build_pair,
+                    selection_study, train_interactive)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,9 +38,6 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 OUTPUT_ROOT_ENV = "DUOADAPT_OUTPUT_ROOT"
-
-# extractor kind -> the task.input_kind it reads
-_EXTRACTOR_INPUT = {"mlp": "vector", "conv_stack": "image"}
 
 # config section -> the dataclass whose fields are its keys, with their
 # types and defaults
@@ -72,9 +69,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_seeds < 1:
             raise ConfigError(f"study.n_seeds must be at least 1, got {self.n_seeds}")
-        needs = _EXTRACTOR_INPUT.get(self.model.extractor)
-        if needs is None:
-            raise ConfigError(f"unknown model.extractor {self.model.extractor!r}")
+        needs = EXTRACTOR_INPUT[self.model.extractor]
         if self.task.input_kind != needs:
             raise ConfigError(f"model.extractor={self.model.extractor} needs "
                               f"task.input_kind={needs}, got {self.task.input_kind}")

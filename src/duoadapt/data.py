@@ -45,9 +45,10 @@ class PdaTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("source_classes", "samples_per_class"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"task.{key} must be at least 1, "
+        for key, low in (("source_classes", 1), ("samples_per_class", 1),
+                         ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"task.{key} must be at least {low}, "
                                  f"got {getattr(self, key)}")
         tc = tuple(sorted(set(int(c) for c in self.target_classes)))
         if not tc or any(c < 0 or c >= self.source_classes for c in tc):

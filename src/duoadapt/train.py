@@ -14,7 +14,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class TrainConfig:
     def __post_init__(self):
         # batch norm needs two rows, and pretraining skips smaller batches
         for key, low in (("pretrain_epochs", 1), ("epochs", 1),
-                         ("iters_per_step", 1), ("batch_size", 2)):
+                         ("iters_per_step", 1), ("batch_size", 2), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"train.{key} must be at least {low}, "
                                  f"got {getattr(self, key)}")
@@ -55,9 +55,13 @@ class TrainConfig:
                              f"got {self.desired_reward}")
 
 
+# model.extractor -> the task.input_kind it reads
+EXTRACTOR_INPUT = {"mlp": "vector", "conv_stack": "image"}
+
+
 @dataclass
 class ModelConfig:
-    extractor: str = "mlp"              # mlp | conv_stack
+    extractor: str = "mlp"              # a key of EXTRACTOR_INPUT
     feature_dim: int = 32
     mlp_hidden: Tuple[int, ...] = (64,)
     proj_dim: int = 16
@@ -66,6 +70,9 @@ class ModelConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
+        if self.extractor not in EXTRACTOR_INPUT:
+            raise ValueError(f"model.extractor must be one of "
+                             f"{', '.join(EXTRACTOR_INPUT)}, got {self.extractor!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"model.dropout_p must be in [0, 1), got {self.dropout_p}")
         for key in ("feature_dim", "proj_dim"):
@@ -185,10 +192,8 @@ def build_extractor(model_cfg: ModelConfig, in_dim: int, seed: int):
         return MlpExtractor(in_dim, rng, hidden=model_cfg.mlp_hidden,
                             feature_dim=model_cfg.feature_dim,
                             proj_dim=model_cfg.proj_dim)
-    if model_cfg.extractor == "conv_stack":
-        return ConvExtractor(rng, feature_dim=model_cfg.feature_dim,
-                             proj_dim=model_cfg.proj_dim)
-    raise ValueError(f"unknown extractor kind {model_cfg.extractor!r}")
+    return ConvExtractor(rng, feature_dim=model_cfg.feature_dim,
+                         proj_dim=model_cfg.proj_dim)
 
 
 def build_pair(model_cfg: ModelConfig, n_classes: int, in_dim: int,
@@ -212,10 +217,10 @@ def extract_dataset(model: DomainWiseModel, ds: Dataset, domain: str) -> Dataset
     return Dataset(extract(model, ds.inputs, domain), ds.labels, ds.domain)
 
 
-def _update(loss: Tensor, tensors: Iterable[Tensor], opt: Adam, where: str) -> float:
-    """Clear the gradients of ``tensors``, backpropagate ``loss``, step ``opt``
-    and return the loss; a failed update is re-raised naming ``where``."""
-    for t in tensors:
+def _update(loss: Tensor, opt: Adam, where: str) -> float:
+    """Clear ``opt``'s gradients, backpropagate ``loss``, step ``opt`` and
+    return the loss; a failed update is re-raised naming ``where``."""
+    for t in opt.params.values():
         t.zero_grad()
     try:
         loss.backward()
@@ -235,8 +240,7 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
     if len(data) < 2:
         # one row makes no contrastive pair and no batch-norm statistics
         raise ValueError(f"pretraining needs at least 2 rows, got {len(data)}")
-    params = extractor.named_parameters("G")
-    opt = Adam(params, cfg.learning_rate)
+    opt = Adam(extractor.named_parameters("G"), cfg.learning_rate)
     n = len(data)
     history: List[float] = []
     for epoch in range(1, cfg.pretrain_epochs + 1):
@@ -261,7 +265,7 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
                 # a zero-norm projection row is reported, not clamped: a
                 # clamped norm would send a 1/eps-scaled gradient upstream
                 raise ValueError(f"{where}: {e}") from e
-            losses.append(_update(loss, params.values(), opt, where))
+            losses.append(_update(loss, opt, where))
             # drop this step's graph before the next forward builds its own
             del x, view, batch, loss
         history.append(float(np.mean(losses)))
@@ -306,7 +310,6 @@ def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
     _, group, _ = STEP_MAP[step]
     opt = optimizers[group]
     model, other = (ms, mt) if group.endswith("_s") else (mt, ms)
-    tensors = [t for o in optimizers.values() for t in o.params.values()]
     frozen = [t for o in optimizers.values() if o is not opt
               for t in o.params.values()]
     saved = [t.requires_grad for t in frozen]
@@ -314,8 +317,7 @@ def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
         t.requires_grad = False
     where = f"step {step.name}, group {group}"
     try:
-        losses = [_update(_step_loss(step, model, other, sampler, cfg),
-                          tensors, opt, where)
+        losses = [_update(_step_loss(step, model, other, sampler, cfg), opt, where)
                   for _ in range(cfg.iters_per_step)]
     finally:
         for t, flag in zip(frozen, saved):
@@ -462,8 +464,7 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
     clf = DomainClassifier(g.feature_dim, n_classes, rng,
                            hidden=model_cfg.clf_hidden,
                            dropout_p=model_cfg.dropout_p)
-    params = clf.named_parameters("C")
-    opt = Adam(params, cfg.learning_rate)
+    opt = Adam(clf.named_parameters("C"), cfg.learning_rate)
     srng = np.random.default_rng(cfg.seed + 29)
     n = len(source)
     z = g.features(source.inputs).data
@@ -471,7 +472,7 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
         idx = srng.choice(n, size=min(cfg.batch_size, n), replace=False)
         ys = [source.labels[j] for j in idx]
         loss = cross_entropy_hard(clf(Tensor(z[idx]), "train"), ys)
-        _update(loss, params.values(), opt, f"baseline iteration {i}")
+        _update(loss, opt, f"baseline iteration {i}")
     acc = None
     if eval_target is not None and eval_target.labels is not None:
         preds = clf(g.features(eval_target.inputs), "eval").data.argmax(axis=1)

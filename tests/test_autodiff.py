@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from duoadapt.autodiff import (MODES, Adam, GradError, ShapeMismatch, Tensor,
                                _dropout_mask, batch_norm, conv2d, grad_check,
                                log_softmax_array, maxpool2x2)
 from duoadapt.losses import cross_entropy_hard
+from duoadapt.model import DenseStack
 
 
 def test_add_scalar_values():
@@ -36,6 +39,29 @@ def test_shape_mismatch_names_shapes():
         Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeMismatch, match="add"):
         Tensor(np.zeros((2, 3))) + Tensor(np.zeros((4, 5)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Tensor(np.zeros((2, 3))) - Tensor(np.zeros((4, 5))), ShapeMismatch,
+     "sub: incompatible shapes (2, 3) and (4, 5)"),
+    (lambda: Tensor(np.zeros((2, 3))) * Tensor(np.zeros((4, 5))), ShapeMismatch,
+     "mul: incompatible shapes (2, 3) and (4, 5)"),
+    (lambda: Tensor(np.zeros((2, 3))) / Tensor(np.zeros((4, 5))), ShapeMismatch,
+     "div: incompatible shapes (2, 3) and (4, 5)"),
+    (lambda: Tensor(np.zeros((2, 3, 4))).T, ShapeMismatch,
+     "transpose: incompatible shapes (2, 3, 4)"),
+    (lambda: conv2d(Tensor(np.zeros((1, 5, 5))), Tensor(np.zeros((1, 1, 3, 3)))),
+     ShapeMismatch, "conv2d: incompatible shapes (1, 5, 5) and (1, 1, 3, 3)"),
+    (lambda: DenseStack(3, 2, np.random.default_rng(0), (4,), 1.0)(
+        Tensor(np.zeros((2, 3))), "train"),
+     ValueError, "dropout probability must be in [0, 1), got 1.0"),
+    (lambda: Adam({"w": Tensor([1.0], requires_grad=True)}, 0.0), ValueError,
+     "learning_rate must be positive"),
+], ids=["sub", "mul", "div", "transpose-3d", "conv2d-3d", "dropout-p-1",
+        "adam-zero-learning-rate"])
+def test_bad_operands_raise_naming_the_op(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 # -- conv / pool --------------------------------------------------------------

@@ -232,6 +232,8 @@ def test_exit_codes_for_bad_config_and_missing_data(tmp_path, capsys):
     for overrides, key in ((["task.input_kind=image"], "task.input_kind"),
                            (["model.extractor=conv_stack"], "task.input_kind"),
                            (["model.extractor=resnet"], "model.extractor"),
+                           (["train.seed=-1"], "train.seed must be at least 0"),
+                           (["task.seed=-1"], "task.seed must be at least 0"),
                            (["train.batch_size=1"], "batch_size"),
                            (["task.samples_per_class=1", "task.target_classes=0"],
                             "task.samples_per_class"),

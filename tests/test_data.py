@@ -19,6 +19,16 @@ def test_spec_rejects_bad_target_subset():
         PdaTaskSpec(source_classes=3, target_classes=())
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: PdaTaskSpec(seed=-1), "task.seed must be at least 0, got -1"),
+    (lambda: Dataset(Tensor(np.zeros((2, 3))), [0, 1, 0], "source"),
+     "labels length does not match inputs"),
+], ids=["negative-task-seed", "one-label-too-many"])
+def test_out_of_range_values_raise(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_spec_sorts_and_dedupes_target_classes():
     spec = PdaTaskSpec(source_classes=4, target_classes=(2, 0, 2))
     assert spec.target_classes == (0, 2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,22 @@ def test_cross_entropy_hard_matches_loop_oracle():
 def test_cross_entropy_hard_rejects_bad_labels():
     with pytest.raises(ValueError, match="out of range"):
         cross_entropy_hard(Tensor(np.zeros((2, 3))), [0, 3])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: KernelSpec(bandwidth_rule="fixed").resolve(np.zeros((2, 2))),
+     ValueError, "fixed bandwidth rule requires explicit bandwidths"),
+    (lambda: KernelSpec(bandwidth_rule="silverman").resolve(np.zeros((2, 2))),
+     ValueError, "unknown bandwidth rule 'silverman'"),
+    (lambda: cross_entropy_hard(Tensor(np.zeros((3, 2))), [0, 1]), ShapeMismatch,
+     "cross_entropy_hard: incompatible shapes (3, 2) and (2,)"),
+    (lambda: cross_entropy_soft(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4)))),
+     ShapeMismatch, "cross_entropy_soft: incompatible shapes (3, 2) and (3, 4)"),
+], ids=["fixed-without-bandwidths", "unknown-rule", "hard-label-count",
+        "soft-shapes"])
+def test_bad_loss_arguments_raise(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_cross_entropy_soft_teacher_equals_student():

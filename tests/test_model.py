@@ -412,3 +412,10 @@ def test_build_models_deterministic():
     b = Checkpoint.capture(*_small_models(seed=11), epoch=0, reward=0.0)
     for name in a.arrays:
         assert a.arrays[name].tobytes() == b.arrays[name].tobytes()
+
+
+def test_build_models_rejects_extractors_of_different_feature_dims():
+    gs, gt = (MlpExtractor(6, np.random.default_rng(0), hidden=(16,),
+                           feature_dim=dim, proj_dim=4) for dim in (8, 9))
+    with pytest.raises(ValueError, match="extractor feature dims differ"):
+        build_models(3, gs, gt, seed=1, rda_hidden=(12,), clf_hidden=(10,))

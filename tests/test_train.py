@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,24 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(batch_size=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TrainConfig(seed=-1), "train.seed must be at least 0, got -1"),
+    (lambda: ModelConfig(extractor="resnet"),
+     "model.extractor must be one of mlp, conv_stack, got 'resnet'"),
+    (lambda: BatchSampler(Dataset(Tensor(np.zeros((0, 2))), [], "source"),
+                          Dataset(Tensor(np.zeros((2, 2))), None, "target"),
+                          2, np.random.default_rng(0)),
+     "empty dataset"),
+    (lambda: stopping_check(RewardTrace(), FAST), "empty trace"),
+    (lambda: train_source_only_baseline(_task()[0].without_labels(), FAST, SMALL),
+     "source dataset must be labeled"),
+], ids=["negative-train-seed", "unknown-extractor", "empty-sampler-source",
+        "empty-trace", "unlabeled-baseline-source"])
+def test_bad_inputs_raise_naming_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_step_map_schedule():
@@ -206,6 +226,10 @@ def test_run_step_leaves_gradients_only_on_its_group():
     for step in StepId:
         _, group, _ = STEP_MAP[step]
         seen.clear()
+        # an update clears only its own group's gradients, so the groups
+        # stepped before keep theirs: start every step from none
+        for t in entries.values():
+            t.zero_grad()
         run_step(step, ms, mt, sampler, FAST, optimizers)
         for name, t in entries.items():
             if name not in groups[group]:
