@@ -91,6 +91,17 @@ def test_config_hash_stability_and_sensitivity(tmp_path):
     assert load_config(str(ini), []).config_hash == a.config_hash
 
 
+@pytest.mark.parametrize("overrides, expected", [
+    ([], "f342cfbe3a83d151"),
+    (["output.dir=runs/other", "study.n_seeds=3"], "83e0e3393c0091cb"),
+    (["task.input_kind=image", "model.extractor=conv_stack"], "2e50bc6976aeb76b"),
+])
+def test_config_hashes_are_pinned(overrides, expected):
+    # every file a run writes carries the hash: a change to how the config
+    # is tabled or resolved must not move it
+    assert load_config(None, overrides).config_hash == expected
+
+
 def test_output_root_env(monkeypatch, tmp_path):
     monkeypatch.setenv("DUOADAPT_OUTPUT_ROOT", str(tmp_path))
     cfg = load_config(None, ["output.dir=runs/x"])
