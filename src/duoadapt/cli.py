@@ -39,16 +39,28 @@ EXIT_RUNTIME = 4
 
 OUTPUT_ROOT_ENV = "DUOADAPT_OUTPUT_ROOT"
 
+
+@dataclass
+class OutputConfig:
+    dir: str = "runs/experiment"
+
+
+@dataclass
+class StudyConfig:
+    n_seeds: int = 5                    # compare-stopping's seed count
+
+    def __post_init__(self):
+        if self.n_seeds < 1:
+            raise ValueError(f"study.n_seeds must be at least 1, got {self.n_seeds}")
+
+
 # config section -> the dataclass whose fields are its keys, with their
 # types and defaults
-_SECTIONS = {"task": PdaTaskSpec, "train": TrainConfig, "model": ModelConfig}
-# the keys no dataclass holds; each default's type is its key's type
-_EXTRA_DEFAULTS = {"output": {"dir": "runs/experiment"}, "study": {"n_seeds": 5}}
+_SECTIONS = {"task": PdaTaskSpec, "train": TrainConfig, "model": ModelConfig,
+             "output": OutputConfig, "study": StudyConfig}
 # section -> key -> type, for every key a config may set
 _KEY_TYPES = {sec: {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
               for sec, cls in _SECTIONS.items()}
-_KEY_TYPES.update({sec: {key: type(default) for key, default in keys.items()}
-                   for sec, keys in _EXTRA_DEFAULTS.items()})
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
           **dict.fromkeys(("0", "false", "no", "off"), False)}
 
@@ -62,13 +74,12 @@ class ExperimentConfig:
     task: PdaTaskSpec
     train: TrainConfig
     model: ModelConfig
-    output_dir: Path
-    n_seeds: int
+    output: OutputConfig
+    study: StudyConfig
+    output_dir: Path      # output.dir, under $DUOADAPT_OUTPUT_ROOT if relative
     config_hash: str
 
     def __post_init__(self):
-        if self.n_seeds < 1:
-            raise ConfigError(f"study.n_seeds must be at least 1, got {self.n_seeds}")
         needs = EXTRACTOR_INPUT[self.model.extractor]
         if self.task.input_kind != needs:
             raise ConfigError(f"model.extractor={self.model.extractor} needs "
@@ -127,19 +138,16 @@ def load_config(path: Optional[str], overrides: List[str]) -> ExperimentConfig:
         built = {sec: cls(**values[sec]) for sec, cls in _SECTIONS.items()}
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    extra = {sec: {**keys, **values[sec]} for sec, keys in _EXTRA_DEFAULTS.items()}
     # the resolved values, so every spelling of one config hashes alike
-    resolved = {**{sec: asdict(obj) for sec, obj in built.items()}, **extra}
+    resolved = {sec: asdict(obj) for sec, obj in built.items()}
     canonical = json.dumps(resolved, sort_keys=True)
     config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
-    out = Path(extra["output"]["dir"])
+    out = Path(built["output"].dir)
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not out.is_absolute():
         out = Path(root) / out
-    return ExperimentConfig(**built, output_dir=out,
-                            n_seeds=extra["study"]["n_seeds"],
-                            config_hash=config_hash)
+    return ExperimentConfig(**built, output_dir=out, config_hash=config_hash)
 
 
 def metrics_report(preds: np.ndarray, labels: np.ndarray, final_reward: float,
@@ -202,10 +210,12 @@ def _load_checked(path, extractor: str, n_classes: Optional[int]) -> Dataset:
         needs = f"rows of shape {CONV_INPUT_SHAPE}" if conv else "1-D rows"
         raise DatasetFormatError(f"{path}: rows of shape {rows}, but "
                                  f"model.extractor={extractor} reads {needs}")
-    if n_classes is not None and max(ds.labels) >= n_classes:
-        row = next(i for i, y in enumerate(ds.labels) if y >= n_classes)
-        raise DatasetFormatError(f"{path}: label {ds.labels[row]} in row {row} "
-                                 f"is not below task.source_classes={n_classes}")
+    if n_classes is not None:
+        bad = np.flatnonzero(ds.labels >= n_classes)
+        if bad.size:
+            raise DatasetFormatError(f"{path}: label {ds.labels[bad[0]]} in row "
+                                     f"{bad[0]} is not below "
+                                     f"task.source_classes={n_classes}")
     return ds
 
 
@@ -227,7 +237,7 @@ def _load_datasets(cfg: ExperimentConfig) -> Tuple[Dataset, Dataset, Dataset]:
             # pretraining and train-mode batch norm need two rows
             raise DatasetFormatError(f"{p}: training needs at least 2 rows, "
                                      f"got {len(ds)}")
-    top = max(datasets[0].labels)
+    top = int(datasets[0].labels.max())
     if top < n_classes - 1:
         # training sizes the heads from source.ds's labels, eval from the key
         raise DatasetFormatError(f"{paths[0]}: highest label {top}, but "
@@ -247,7 +257,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     save_checkpoint(cfg.output_dir / "best.ckpt", result.best)
     # training extracted the eval rows already: score their features
     preds = fused_logits(result.ms, result.mt, result.eval_z.inputs).argmax(axis=1)
-    report = metrics_report(preds, np.asarray(result.eval_z.labels),
+    report = metrics_report(preds, result.eval_z.labels,
                             final_reward=result.best.reward,
                             chosen_epoch=result.best.epoch, seconds=seconds,
                             config_hash=cfg.config_hash)
@@ -277,7 +287,7 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
                                     f"{e}") from e
     t0 = time.monotonic()
     preds = ensemble_predict(ms, mt, ds.inputs)
-    report = metrics_report(preds, np.asarray(ds.labels), ckpt.reward,
+    report = metrics_report(preds, ds.labels, ckpt.reward,
                             ckpt.epoch, time.monotonic() - t0, cfg.config_hash)
     print(_json(report))
     return EXIT_OK
@@ -288,7 +298,7 @@ def cmd_compare_stopping(cfg: ExperimentConfig) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     epoch_rows: List[Dict[str, object]] = []
     summary_rows: List[Dict[str, object]] = []
-    for k in range(cfg.n_seeds):
+    for k in range(cfg.study.n_seeds):
         task = replace(cfg.task, seed=cfg.task.seed + k)
         source, target, eval_target = gen_synthetic_pda(task)
         train_cfg = replace(cfg.train, seed=cfg.train.seed + k,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, List, NoReturn, Optional, Tuple, Type, TypeVar
+from typing import Callable, NoReturn, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -92,15 +92,19 @@ class PdaTaskSpec:
 
 @dataclass
 class Dataset:
-    """Inputs plus an optional label list and a domain tag."""
+    """Inputs, their labels (None, or an int64 array with one label per row,
+    to which any integer sequence converts here) and a domain tag."""
 
     inputs: Tensor
-    labels: Optional[List[int]]
+    labels: Optional[np.ndarray]
     domain: str
 
     def __post_init__(self):
-        if self.labels is not None and len(self.labels) != self.inputs.shape[0]:
-            raise ValueError("labels length does not match inputs")
+        if self.labels is not None:
+            self.labels = np.asarray(self.labels, dtype=np.int64)
+            if self.labels.shape != (len(self),):
+                raise ValueError(f"labels length does not match inputs: {len(self)} "
+                                 f"rows, labels of shape {self.labels.shape}")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -173,9 +177,8 @@ def gen_synthetic_pda(spec: PdaTaskSpec) -> Tuple[Dataset, Dataset, Dataset]:
         offset[: len(spec.mean_offset)] = spec.mean_offset
         tgt_x = (spec.scale * tgt_x) @ rot.T + offset
 
-    source = Dataset(Tensor(src_x), [c for c in src_classes for _ in range(n)], "source")
-    eval_target = Dataset(Tensor(tgt_x), [c for c in tgt_classes for _ in range(n)],
-                          "target")
+    source = Dataset(Tensor(src_x), np.repeat(src_classes, n), "source")
+    eval_target = Dataset(Tensor(tgt_x), np.repeat(tgt_classes, n), "target")
     return source, eval_target.without_labels(), eval_target
 
 
@@ -254,7 +257,7 @@ def save_dataset(path, ds: Dataset) -> None:
         f.write(tag)
         f.write(np.ascontiguousarray(ds.inputs.data, dtype="<f8").tobytes())
         if ds.labels is not None:
-            f.write(np.asarray(ds.labels, dtype="<i8").tobytes())
+            f.write(ds.labels.astype("<i8", copy=False).tobytes())
 
 
 def load_dataset(path) -> Dataset:
@@ -267,10 +270,12 @@ def load_dataset(path) -> Dataset:
         row_len = math.prod(shape[1:])
         # a bad cell is named by its row and its column in the flattened row
         inputs = cur.floats(shape, lambda i: "row %d, column %d" % divmod(i, row_len))
-        labels = list(cur.fields(f"{shape[0]}q")) if has_labels else None
-        if labels and min(labels) < 0:
-            row = next(i for i, y in enumerate(labels) if y < 0)
-            cur.fail(f"negative label {labels[row]} in row {row}")
+        labels = None
+        if has_labels:
+            labels = np.frombuffer(cur.raw, "<i8", shape[0], cur._take(8 * shape[0]))
+            bad = np.flatnonzero(labels < 0)
+            if bad.size:
+                cur.fail(f"negative label {labels[bad[0]]} in row {bad[0]}")
         return Dataset(Tensor(inputs), labels, domain)
     return read_container(path, _DATASET_MAGIC, _DATASET_VERSION, "dataset",
                           DatasetFormatError, parse)

@@ -170,12 +170,11 @@ class BatchSampler:
         self.batch_size = batch_size
         self.rng = rng
 
-    def source_batch(self) -> Tuple[Tensor, List[int]]:
+    def source_batch(self) -> Tuple[Tensor, np.ndarray]:
         idx = self.rng.choice(len(self.source),
                               size=min(self.batch_size, len(self.source)),
                               replace=False)
-        x = Tensor(self.source.inputs.data[idx])
-        return x, [self.source.labels[i] for i in idx]
+        return Tensor(self.source.inputs.data[idx]), self.source.labels[idx]
 
     def target_batch(self) -> Tensor:
         idx = self.rng.choice(len(self.target),
@@ -337,7 +336,7 @@ def compute_reward(ms: DomainWiseModel, mt: DomainWiseModel, z_t: Tensor) -> flo
 def _accuracy(ms: DomainWiseModel, mt: DomainWiseModel, eval_z: Dataset) -> float:
     """Logit-fusion accuracy on labeled target features."""
     preds = fused_logits(ms, mt, eval_z.inputs).argmax(axis=1)
-    return float(np.mean(preds == np.asarray(eval_z.labels)))
+    return float(np.mean(preds == eval_z.labels))
 
 
 def ensemble_accuracy(ms: DomainWiseModel, mt: DomainWiseModel,
@@ -405,7 +404,7 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
     model_cfg = model_cfg or ModelConfig()
     if source.labels is None:
         raise ValueError("source dataset must be labeled")
-    n_classes = max(source.labels) + 1
+    n_classes = int(source.labels.max()) + 1
     ms, mt = build_pair(model_cfg, n_classes, source.inputs.shape[-1], cfg.seed)
     trace = RewardTrace(config_hash=config_hash)
     trace.pretrain_loss_s = pretrain_contrastive(
@@ -457,7 +456,7 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
     model_cfg = model_cfg or ModelConfig()
     if source.labels is None:
         raise ValueError("source dataset must be labeled")
-    n_classes = max(source.labels) + 1
+    n_classes = int(source.labels.max()) + 1
     g = build_extractor(model_cfg, source.inputs.shape[-1], cfg.seed)
     pretrain_contrastive(g, source, cfg, np.random.default_rng(cfg.seed + 11))
     rng = np.random.default_rng(cfg.seed + 23)
@@ -470,13 +469,12 @@ def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
     z = g.features(source.inputs).data
     for i in range(1, cfg.epochs * 6 * cfg.iters_per_step + 1):
         idx = srng.choice(n, size=min(cfg.batch_size, n), replace=False)
-        ys = [source.labels[j] for j in idx]
-        loss = cross_entropy_hard(clf(Tensor(z[idx]), "train"), ys)
+        loss = cross_entropy_hard(clf(Tensor(z[idx]), "train"), source.labels[idx])
         _update(loss, opt, f"baseline iteration {i}")
     acc = None
     if eval_target is not None and eval_target.labels is not None:
         preds = clf(g.features(eval_target.inputs), "eval").data.argmax(axis=1)
-        acc = float(np.mean(preds == np.asarray(eval_target.labels)))
+        acc = float(np.mean(preds == eval_target.labels))
     return BaselineResult(extractor=g, classifier=clf, target_accuracy=acc)
 
 

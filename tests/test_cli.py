@@ -48,7 +48,7 @@ def test_defaults_without_config_file():
     assert cfg.task.target_classes == (0, 1)
     assert cfg.train.epochs == 10
     assert cfg.model.extractor == "mlp"
-    assert cfg.n_seeds == 5
+    assert cfg.study.n_seeds == 5
     assert len(cfg.config_hash) == 16
 
 
@@ -206,7 +206,8 @@ def test_a_class_per_dimension_and_a_full_offset_generate(tmp_path):
                          "task.samples_per_class=2", "task.mean_offset=1,2,3",
                          f"output.dir={tmp_path}") for a in ("--set", ov)]
     assert main(args + ["gen-data"]) == EXIT_OK
-    assert load_dataset(tmp_path / "source.ds").labels == [0, 0, 1, 1, 2, 2]
+    assert np.array_equal(load_dataset(tmp_path / "source.ds").labels,
+                          [0, 0, 1, 1, 2, 2])
 
 
 # -- metrics ------------------------------------------------------------------

@@ -23,10 +23,27 @@ def test_spec_rejects_bad_target_subset():
     (lambda: PdaTaskSpec(seed=-1), "task.seed must be at least 0, got -1"),
     (lambda: Dataset(Tensor(np.zeros((2, 3))), [0, 1, 0], "source"),
      "labels length does not match inputs"),
-], ids=["negative-task-seed", "one-label-too-many"])
+    (lambda: Dataset(Tensor(np.zeros((2, 3))), [[0], [1]], "source"),
+     "2 rows, labels of shape (2, 1)"),
+], ids=["negative-task-seed", "one-label-too-many", "two-d-labels"])
 def test_out_of_range_values_raise(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_labels_are_one_int64_array_wherever_they_come_from(tmp_path):
+    listed = Dataset(Tensor(np.zeros((3, 2))), [2, 0, 1], "source")
+    source, target, eval_target = gen_synthetic_pda(
+        PdaTaskSpec(samples_per_class=3, dim=4))
+    save_dataset(tmp_path / "s.ds", source)
+    loaded = load_dataset(tmp_path / "s.ds")
+    for ds in (listed, source, eval_target, loaded):
+        assert isinstance(ds.labels, np.ndarray) and ds.labels.dtype == np.int64
+    assert np.array_equal(listed.labels, [2, 0, 1])
+    assert np.array_equal(loaded.labels, source.labels)
+    assert target.labels is None
+    # an int64 array is kept, not copied
+    assert Dataset(source.inputs, source.labels, "source").labels is source.labels
 
 
 def test_spec_sorts_and_dedupes_target_classes():
@@ -131,7 +148,7 @@ def test_image_task_ignores_the_vector_keys():
                                           class_separation=9.0, **base))
     for a, b in zip(plain, other):
         assert a.inputs.data.tobytes() == b.inputs.data.tobytes()
-        assert a.labels == b.labels
+        assert np.array_equal(a.labels, b.labels)
 
 
 @pytest.mark.parametrize("changes, domain, label", [
@@ -238,7 +255,7 @@ def test_dataset_roundtrip_byte_exact(tmp_path):
     save_dataset(path, ds)
     loaded = load_dataset(path)
     assert loaded.inputs.data.tobytes() == ds.inputs.data.tobytes()
-    assert loaded.labels == ds.labels
+    assert np.array_equal(loaded.labels, ds.labels)
     assert loaded.domain == "source"
     path2 = tmp_path / "d2.ds"
     save_dataset(path2, loaded)
@@ -331,4 +348,4 @@ def test_roundtrip_property(tmp_path_factory, seed, labeled):
     save_dataset(path, ds)
     loaded = load_dataset(path)
     assert loaded.inputs.data.tobytes() == ds.inputs.data.tobytes()
-    assert loaded.labels == ds.labels
+    assert np.array_equal(loaded.labels, ds.labels)

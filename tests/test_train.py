@@ -116,7 +116,7 @@ def test_batch_sampler_shapes_and_determinism():
     x1, y1 = s1.source_batch()
     x2, y2 = s2.source_batch()
     assert x1.shape == (8, 8) and len(y1) == 8
-    assert np.array_equal(x1.data, x2.data) and y1 == y2
+    assert np.array_equal(x1.data, x2.data) and np.array_equal(y1, y2)
     t1 = s1.target_batch()
     assert t1.shape == (8, 8)
     # batch is capped at the dataset size
@@ -124,6 +124,21 @@ def test_batch_sampler_shapes_and_determinism():
     s3 = BatchSampler(tiny, target, 8, np.random.default_rng(6))
     xb, yb = s3.source_batch()
     assert xb.shape[0] == 3 and sorted(yb) == [0, 0, 1]
+
+
+def test_batch_sampler_gives_each_row_its_own_label():
+    # each row's first feature is its label, so a batch whose labels were
+    # gathered in another order than its rows fails
+    labels = np.arange(40) * 7 % 11
+    x = np.random.default_rng(0).standard_normal((40, 3))
+    x[:, 0] = labels
+    source = Dataset(Tensor(x), labels, "source")
+    sampler = BatchSampler(source, source.without_labels(), 8,
+                           np.random.default_rng(1))
+    for _ in range(5):
+        xb, yb = sampler.source_batch()
+        assert yb.dtype == np.int64
+        assert np.array_equal(xb.data[:, 0], yb)
 
 
 def test_pretrain_reduces_loss_and_freezes():
@@ -513,7 +528,7 @@ def test_train_interactive_extracts_equal_target_rows_once(monkeypatch):
     monkeypatch.setattr(train_module, "extract", counting)
     result = train_interactive(source, target, FAST, SMALL, copy)
     assert calls == ["source", "target"]
-    assert result.eval_z.labels == eval_target.labels
+    assert np.array_equal(result.eval_z.labels, eval_target.labels)
 
 
 def test_train_interactive_stops_at_desired_reward():
