@@ -18,8 +18,7 @@ from .model import (Checkpoint, DomainClassifier, DomainWiseModel, RdaBlock,
                     save_checkpoint)
 from .train import (ModelConfig, RewardTrace, StepId, TrainConfig,
                     build_pair, compute_reward, ensemble_accuracy,
-                    pretrain_contrastive, run_epoch, run_step,
-                    selection_study, stopping_check, train_interactive,
-                    train_source_only_baseline)
+                    pretrain_contrastive, run_step, selection_study,
+                    train_interactive, train_source_only_baseline)
 
 __version__ = "0.1.0"

@@ -310,7 +310,7 @@ def cmd_compare_stopping(cfg: ExperimentConfig) -> int:
             epoch_rows.append({
                 "seed": train_cfg.seed, "epoch": r.epoch,
                 "accuracy": r.target_accuracy, "V": r.V,
-                "train_loss": sum(r.losses.values())})
+                "train_loss": r.train_loss})
         study = selection_study(result.trace)
         summary_rows.append({"seed": train_cfg.seed, **study})
 

@@ -93,7 +93,8 @@ class PdaTaskSpec:
 @dataclass
 class Dataset:
     """Inputs, their labels (None, or an int64 array with one label per row,
-    to which any integer sequence converts here) and a domain tag."""
+    to which any integer sequence converts here; floats, bools and strings
+    are rejected, not truncated) and a domain tag."""
 
     inputs: Tensor
     labels: Optional[np.ndarray]
@@ -101,10 +102,14 @@ class Dataset:
 
     def __post_init__(self):
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (len(self),):
+            labels = np.asarray(self.labels)
+            if labels.shape != (len(self),):
                 raise ValueError(f"labels length does not match inputs: {len(self)} "
-                                 f"rows, labels of shape {self.labels.shape}")
+                                 f"rows, labels of shape {labels.shape}")
+            if len(labels) and labels.dtype.kind not in "iu":
+                raise ValueError(f"labels must be integers, got dtype {labels.dtype}; "
+                                 f"row 0 holds {labels[:1].tolist()[0]!r}")
+            self.labels = labels.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]

@@ -116,8 +116,16 @@ class TraceRow:
     epoch: int
     V: float
     losses: Dict[str, float]
-    checkpoint_id: str
     target_accuracy: Optional[float] = None
+
+    @property
+    def checkpoint_id(self) -> str:
+        return f"epoch_{self.epoch}"
+
+    @property
+    def train_loss(self) -> float:
+        """The loss rule's key: the sum of the epoch's step losses."""
+        return sum(self.losses.values())
 
 
 @dataclass
@@ -345,43 +353,9 @@ def ensemble_accuracy(ms: DomainWiseModel, mt: DomainWiseModel,
     return _accuracy(ms, mt, extract_dataset(ms, eval_target, "target"))
 
 
-def run_epoch(ms: DomainWiseModel, mt: DomainWiseModel, sampler: BatchSampler,
-              cfg: TrainConfig, optimizers: Dict[str, Adam],
-              trace: RewardTrace, epoch: int,
-              eval_target: Optional[Dataset] = None) -> TraceRow:
-    """One pass of S1..S6; the reward is measured right after S1. The
-    sampler and ``eval_target`` hold features."""
-    losses: Dict[str, float] = {}
-    reward = None
-    for step in StepId:
-        column, _, _ = STEP_MAP[step]
-        try:
-            losses[column] = run_step(step, ms, mt, sampler, cfg, optimizers)
-        except (FloatingPointError, GradError) as e:
-            raise type(e)(f"epoch {epoch}: {e}") from e
-        if step is StepId.S1_train_Cs:
-            reward = compute_reward(ms, mt, sampler.target.inputs)
-    acc = None
-    if eval_target is not None and eval_target.labels is not None:
-        acc = _accuracy(ms, mt, eval_target)
-    row = TraceRow(epoch, reward, losses, f"epoch_{epoch}", acc)
-    trace.append(row)
-    return row
-
-
 def _by_v(row: TraceRow) -> Tuple[float, int]:
     """The V rule's sort key: the highest V, and of equal V the earliest epoch."""
     return row.V, -row.epoch
-
-
-def stopping_check(trace: RewardTrace, cfg: TrainConfig) -> Tuple[str, str]:
-    """('stop'|'continue', best checkpoint id). Best = max V, earliest tie."""
-    if not trace.rows:
-        raise ValueError("empty trace")
-    best = max(trace.rows, key=_by_v)
-    latest = trace.rows[-1]
-    done = latest.V >= cfg.desired_reward or len(trace.rows) >= cfg.epochs
-    return ("stop" if done else "continue"), best.checkpoint_id
 
 
 @dataclass
@@ -390,8 +364,11 @@ class TrainResult:
     mt: DomainWiseModel
     trace: RewardTrace
     best: Checkpoint
-    best_checkpoint_id: str
     eval_z: Optional[Dataset]    # the eval target's features, if one was given
+
+    @property
+    def best_checkpoint_id(self) -> str:
+        return f"epoch_{self.best.epoch}"
 
 
 def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
@@ -400,7 +377,10 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
                       config_hash: str = "") -> TrainResult:
     """Full pipeline: pretrain both extractors, extract each dataset once,
     then interactive epochs until the reward threshold or the epoch budget
-    is hit. The returned models are restored to the best checkpoint."""
+    is hit. Each epoch runs S1..S6, measuring ``V`` right after S1, and
+    records the fused accuracy when ``eval_target`` has labels. An epoch is
+    captured when its ``V`` is a new best (of equal ``V`` the earliest
+    wins), and the returned models are restored to the best checkpoint."""
     model_cfg = model_cfg or ModelConfig()
     if source.labels is None:
         raise ValueError("source dataset must be labeled")
@@ -427,15 +407,26 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
     else:
         eval_z = extract_dataset(ms, eval_target, "target")
     for epoch in range(1, cfg.epochs + 1):
-        row = run_epoch(ms, mt, sampler, cfg, optimizers, trace, epoch, eval_z)
-        verdict, best_id = stopping_check(trace, cfg)
-        if best_id == row.checkpoint_id:
+        losses: Dict[str, float] = {}
+        for step in StepId:
+            column, _, _ = STEP_MAP[step]
+            try:
+                losses[column] = run_step(step, ms, mt, sampler, cfg, optimizers)
+            except (FloatingPointError, GradError) as e:
+                raise type(e)(f"epoch {epoch}: {e}") from e
+            if step is StepId.S1_train_Cs:
+                reward = compute_reward(ms, mt, sampler.target.inputs)
+        acc = None
+        if eval_z is not None and eval_z.labels is not None:
+            acc = _accuracy(ms, mt, eval_z)
+        row = TraceRow(epoch, reward, losses, acc)
+        trace.append(row)
+        if max(trace.rows, key=_by_v) is row:
             best = Checkpoint.capture(ms, mt, epoch, row.V, config_hash)
-        if verdict == "stop":
+        if row.V >= cfg.desired_reward:
             break
     best.restore(ms, mt)
-    return TrainResult(ms=ms, mt=mt, trace=trace, best=best,
-                       best_checkpoint_id=best_id, eval_z=eval_z)
+    return TrainResult(ms=ms, mt=mt, trace=trace, best=best, eval_z=eval_z)
 
 
 # -- source-only baseline -----------------------------------------------------
@@ -490,7 +481,7 @@ def selection_study(trace: RewardTrace) -> Dict[str, float]:
     if not rows or any(r.target_accuracy is None for r in rows):
         raise ValueError("selection_study needs per-epoch target accuracies")
     by_v = max(rows, key=_by_v)
-    by_loss = min(rows, key=lambda r: (sum(r.losses.values()), r.epoch))
+    by_loss = min(rows, key=lambda r: (r.train_loss, r.epoch))
     best = max(rows, key=lambda r: (r.target_accuracy, -r.epoch))
     return {
         "accuracy_at_argmax_V": by_v.target_accuracy,

@@ -46,6 +46,21 @@ def test_labels_are_one_int64_array_wherever_they_come_from(tmp_path):
     assert Dataset(source.inputs, source.labels, "source").labels is source.labels
 
 
+def test_labels_must_be_integers():
+    # floats, bools and strings are rejected rather than truncated to int64
+    x = Tensor(np.zeros((2, 3)))
+    for labels, dtype in (([0.5, 1.7], "float64"), ([True, False], "bool"),
+                          (["0", "1"], "<U1")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels must be integers, got dtype {dtype}; row 0 holds {labels[0]!r}")):
+            Dataset(x, labels, "source")
+    for labels in ([1, 0], np.array([1, 0], dtype=np.int32),
+                   np.array([1, 0], dtype=np.uint8)):
+        ds = Dataset(x, labels, "source")
+        assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, [1, 0])
+    assert Dataset(Tensor(np.zeros((0, 3))), [], "source").labels.dtype == np.int64
+
+
 def test_spec_sorts_and_dedupes_target_classes():
     spec = PdaTaskSpec(source_classes=4, target_classes=(2, 0, 2))
     assert spec.target_classes == (0, 2)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from duoadapt.train import (STEP_MAP, TRACE_COLUMNS, BatchSampler, ModelConfig,
                             RewardTrace, StepId, TraceRow, TrainConfig,
                             build_extractor, build_pair, compute_reward,
                             ensemble_accuracy, extract_dataset,
-                            pretrain_contrastive, run_epoch,
-                            run_step, selection_study, stopping_check,
+                            pretrain_contrastive, run_step, selection_study,
                             train_interactive, train_source_only_baseline)
 
 FAST = TrainConfig(pretrain_epochs=2, epochs=2, iters_per_step=2,
@@ -71,11 +71,10 @@ def test_train_config_validation():
                           Dataset(Tensor(np.zeros((2, 2))), None, "target"),
                           2, np.random.default_rng(0)),
      "empty dataset"),
-    (lambda: stopping_check(RewardTrace(), FAST), "empty trace"),
     (lambda: train_source_only_baseline(_task()[0].without_labels(), FAST, SMALL),
      "source dataset must be labeled"),
 ], ids=["negative-train-seed", "unknown-extractor", "empty-sampler-source",
-        "empty-trace", "unlabeled-baseline-source"])
+        "unlabeled-baseline-source"])
 def test_bad_inputs_raise_naming_what_is_wrong(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -96,16 +95,17 @@ def test_step_map_schedule():
 def test_reward_trace_validation_and_csv():
     trace = RewardTrace(config_hash="deadbeef")
     losses = {c: 0.5 for c in TRACE_COLUMNS[2:8]}
-    trace.append(TraceRow(1, 0.25, losses, "epoch_1", 0.5))
+    trace.append(TraceRow(1, 0.25, losses, 0.5))
     with pytest.raises(ValueError, match="out of"):
-        trace.append(TraceRow(2, 1.5, losses, "epoch_2"))
+        trace.append(TraceRow(2, 1.5, losses))
     with pytest.raises(ValueError, match="strictly increase"):
-        trace.append(TraceRow(1, 0.5, losses, "epoch_1b"))
-    trace.append(TraceRow(2, 0.75, losses, "epoch_2"))
+        trace.append(TraceRow(1, 0.5, losses))
+    trace.append(TraceRow(2, 0.75, losses))
     csv_text = trace.to_csv()
     lines = csv_text.splitlines()
     assert lines[0] == "# config_hash=deadbeef"
     assert lines[2] == ",".join(TRACE_COLUMNS)
+    assert lines[3].endswith(",epoch_1,0.5") and lines[4].endswith(",epoch_2,")
     assert len(lines) == 5
 
 
@@ -355,17 +355,12 @@ def test_eval_passes_leave_buffers_and_dropout_stream_untouched():
 def test_missing_gradient_names_epoch_step_group_and_parameter(monkeypatch):
     # a loss that never reaches the trained group leaves it without gradients
     source, target, _ = _task(seed=1)
-    ms, mt = _pretrained_pair(source, target)
-    groups = parameter_groups(ms, mt)
-    optimizers = {g: Adam(groups[g], 1e-3)
-                  for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
-    sampler = _feature_sampler(ms, source, target, 16, 8)
     stray = Tensor([1.0], requires_grad=True)
     monkeypatch.setattr(train_module, "_step_loss", lambda *args: (stray * stray).sum())
-    first = next(iter(groups["theta_s"]))
+    first = next(iter(parameter_groups(*build_pair(SMALL, 2, 8, FAST.seed))["theta_s"]))
     with pytest.raises(GradError) as info:
-        run_epoch(ms, mt, sampler, FAST, optimizers, RewardTrace(), 2)
-    assert str(info.value) == ("epoch 2: step S1_train_Cs, group theta_s: "
+        train_interactive(source, target, replace(FAST, epochs=1), SMALL)
+    assert str(info.value) == ("epoch 1: step S1_train_Cs, group theta_s: "
                                f"missing gradient for parameter '{first}'")
 
 
@@ -409,38 +404,49 @@ def test_compute_reward_agreement():
         compute_reward(ms, mt, Tensor(np.zeros((0, 8))))
 
 
-def test_run_epoch_records_all_losses():
+def test_an_epoch_records_all_losses():
     source, target, eval_target = _task(seed=3)
-    ms, mt = _pretrained_pair(source, target)
-    groups = parameter_groups(ms, mt)
-    optimizers = {g: Adam(groups[g], 1e-3)
-                  for g in ("phi_s", "phi_t", "theta_s", "theta_t")}
-    sampler = _feature_sampler(ms, source, target, 16, 9)
-    trace = RewardTrace()
-    row = run_epoch(ms, mt, sampler, FAST, optimizers, trace, 1,
-                    eval_target=extract_dataset(ms, eval_target, "target"))
+    result = train_interactive(source, target, replace(FAST, epochs=1), SMALL,
+                               eval_target)
+    [row] = result.trace.rows
     assert set(row.losses) == set(TRACE_COLUMNS[2:8])
     assert all(np.isfinite(v) for v in row.losses.values())
+    assert row.train_loss == sum(row.losses.values())
     assert 0.0 <= row.V <= 1.0
-    assert row.checkpoint_id == "epoch_1"
+    assert row.checkpoint_id == result.best_checkpoint_id == "epoch_1"
     assert row.target_accuracy is not None
-    assert trace.rows == [row]
 
 
-def test_stopping_check_threshold_budget_and_tie_break():
-    losses = {c: 0.0 for c in TRACE_COLUMNS[2:8]}
-    cfg = TrainConfig(epochs=5, desired_reward=0.9)
-    trace = RewardTrace()
-    trace.append(TraceRow(1, 0.7, losses, "epoch_1"))
-    assert stopping_check(trace, cfg) == ("continue", "epoch_1")
-    trace.append(TraceRow(2, 0.95, losses, "epoch_2"))
-    assert stopping_check(trace, cfg) == ("stop", "epoch_2")
-    # ties go to the earliest epoch; budget exhaustion also stops
-    trace2 = RewardTrace()
-    for e in range(1, 6):
-        trace2.append(TraceRow(e, 0.8 if e in (2, 4) else 0.6, losses,
-                               f"epoch_{e}"))
-    assert stopping_check(trace2, cfg) == ("stop", "epoch_2")
+@pytest.mark.parametrize("rewards", [
+    # below desired_reward the budget ends the run; the tie at 4 is no new best
+    (0.6, 0.8, 0.6, 0.8, 0.6),
+    (0.7, 0.95),
+], ids=["tie-runs-the-budget", "desired-reward-stops"])
+def test_train_interactive_keeps_the_earliest_best_v_and_stops_at_desired_reward(
+        monkeypatch, rewards):
+    scripted = iter(rewards)
+    monkeypatch.setattr(train_module, "compute_reward", lambda *args: next(scripted))
+    epochs = []
+    original = Checkpoint.capture
+
+    def recording(ms, mt, epoch, *args):
+        epochs.append(epoch)
+        return original(ms, mt, epoch, *args)
+    monkeypatch.setattr(Checkpoint, "capture", recording)
+    source, target, _ = _task()
+    cfg = replace(FAST, epochs=5, desired_reward=0.9)
+    result = train_interactive(source, target, cfg, SMALL)
+    assert [r.V for r in result.trace.rows] == list(rewards)
+    assert epochs == [1, 2]
+    assert result.best.epoch == 2 and result.best_checkpoint_id == "epoch_2"
+
+
+def test_train_interactive_records_no_accuracy_without_eval_labels():
+    source, target, eval_target = _task()
+    result = train_interactive(source, target, FAST, SMALL,
+                               eval_target.without_labels())
+    assert len(result.trace.rows) == FAST.epochs
+    assert all(r.target_accuracy is None for r in result.trace.rows)
 
 
 def test_train_interactive_end_to_end_and_determinism():
@@ -568,7 +574,7 @@ def test_selection_study_regrets():
     for e, v, loss_val, acc in rows:
         l = dict(losses)
         l["L_s_s"] = loss_val
-        trace.append(TraceRow(e, v, l, f"epoch_{e}", acc))
+        trace.append(TraceRow(e, v, l, acc))
     out = selection_study(trace)
     assert out["epoch_argmax_V"] == 2.0
     assert out["epoch_argmin_loss"] == 3.0
