@@ -732,6 +732,12 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
     return Tensor._from_op(data, parents, "dense_stack", back)
 
 
+# rows per ``conv_stack`` call in an "eval" pass that records no node: at
+# the default channels one call over 32 rows peaks near 24 MiB, and a
+# whole-set call grows by about 0.75 MiB per row
+EXTRACT_CHUNK = 32
+
+
 def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
     """Conv -> BatchNorm -> 2x2 max pool -> ReLU blocks as one graph node,
     from an NCHW batch to its flattened (N, C*H*W) features.
@@ -745,21 +751,27 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
     reads it as it is; one transpose returns the last block's output to
     NCHW. Every layer runs the same array helpers as the one-layer
     ``conv2d``, ``batch_norm`` and ``maxpool2x2``, and each batch norm
-    writes its output over its normalized activations.
+    writes its output over its normalized activations. An "eval" pass whose
+    parents need no gradient runs over ``EXTRACT_CHUNK``-row slices and
+    concatenates their values, so its transient memory does not grow with
+    the batch: eval-mode batch norm reads only the running statistics, so
+    no row depends on another.
 
     A block keeps only its input (a view of ``x``, or the previous block's
     output), its batch-norm centring vector (the batch mean, or in "eval"
     a copy of the running mean) and its per-channel std: nothing of the
     size of its activations. A forward that records no graph drops its
     block records when it returns. The backward walks the blocks in
-    reverse. For each it builds the im2col matrix of the block input once,
-    recomputes the conv product and the normalized activations from it
-    with the forward's own operations in the forward's order, and so
-    rebuilds the pre-pool output, the pooled output and the ReLU mask bit
-    for bit. Each window's gradient goes to its first maximum, the kernel
-    gradient reads the same im2col matrix, and the block's record is
-    dropped, so the node takes one backward. It stops below the lowest
-    block with a parent that requires a gradient.
+    reverse. For each it builds the im2col matrix of the block input once
+    and rebuilds the pre-pool output from it bit for bit, with the
+    forward's own operations in the forward's order. The ReLU mask and the
+    pooled maxima come from the block's output, which the node keeps (the
+    next block's input, or a view of the node's value): where a maximum is
+    not above 0, the mask zeroes the window's gradient, so any matching
+    cell gets the same signed zero. Each window's gradient goes to its
+    first maximum, the kernel gradient reads the same im2col matrix, and
+    the block's record is dropped, so the node takes one backward. It
+    stops below the lowest block with a parent that requires a gradient.
     """
     _check_mode("conv_stack", mode)
     blocks = list(blocks)
@@ -768,24 +780,30 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
                             blocks[0][0].weight.shape if blocks else ())
     parents = (x, *[t for conv, bn in blocks
                     for t in (conv.weight, bn.gamma, bn.beta)])
+    if (mode == "eval" and len(x.data) > EXTRACT_CHUNK
+            and not any(t.requires_grad for t in parents)):
+        return Tensor(np.concatenate(
+            [conv_stack(Tensor(x.data[i:i + EXTRACT_CHUNK]), blocks, mode).data
+             for i in range(0, len(x.data), EXTRACT_CHUNK)]))
     layers = []
     h = x.data.transpose(1, 0, 2, 3)
     for conv, bn in blocks:
         c, n = h.shape[:2]
         w = conv.weight
+        o = w.shape[0]
         oh, ow = _conv_out_hw((n, c) + h.shape[2:], w.shape, conv.padding,
                               "conv_stack")
-        _check_pool((n, w.shape[0], oh, ow), "conv_stack")
+        _check_pool((n, o, oh, ow), "conv_stack")
         xn, centre, std = _normalize(
-            _conv_fwd(_im2col(h, w.shape[-1], conv.padding), w.data).reshape(-1, n, oh, ow),
+            _conv_fwd(_im2col(h, w.shape[-1], conv.padding), w.data).reshape(o, n, oh, ow),
             bn.running_mean, bn.running_var, mode, bn.momentum, bn.eps)
-        p = _pool_fwd(_affine(xn, bn.gamma.data, bn.beta.data, out=xn).reshape(-1, n, oh, ow))
+        p = _pool_fwd(_affine(xn, bn.gamma.data, bn.beta.data, out=xn).reshape(o, n, oh, ow))
         del xn
         # a copy, so an "eval" centre does not follow the running mean
         layers.append(((w, bn.gamma, bn.beta), conv.padding, h, centre.copy(), std))
         h = np.multiply(p, p > 0.0, out=p)  # the ReLU, over the pooled output
-    out_shape = h.shape
-    data = _swap01(h).reshape(h.shape[1], -1)
+    c, n, hh, ww = h.shape
+    data = _swap01(h).reshape(n, c * hh * ww)
     batch_stats = mode != "eval"
 
     def back(g):
@@ -795,20 +813,19 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
                             "the first dropped its block records")
         below = _goes_below(x, [ws for ws, *_ in layers])
         records, layers = layers, None
-        c, n, hh, ww = out_shape
         d = _swap01(g.reshape(n, c, hh, ww))
+        out = data.reshape(n, c, hh, ww).transpose(1, 0, 2, 3)
         for i in range(len(records) - 1, -1, -1):
             (w, gamma, beta), padding, h_in, centre, std = records.pop()
             cols = _im2col(h_in, w.shape[-1], padding)
             xn = _conv_fwd(cols, w.data)
             xn -= centre
             xn /= std
-            # the pre-pool output: twice the height and width of ``d``'s
+            # the pre-pool output: twice the height and width of ``out``'s
             y = _affine(xn, gamma.data, beta.data).reshape(
-                d.shape[:2] + (2 * d.shape[2], 2 * d.shape[3]))
-            p = _pool_fwd(y)
-            dy = _pool_bwd(d * (p > 0.0), y, p, dx=y)
-            del y, p
+                out.shape[:2] + (2 * out.shape[2], 2 * out.shape[3]))
+            dy = _pool_bwd(d * (out > 0.0), y, out, dx=y)
+            del y, out
             da, dgamma, dbeta = _batch_norm_bwd(
                 dy, (dy.shape, batch_stats, xn, gamma.data[:, None], std),
                 (below[i] or w.requires_grad, gamma.requires_grad, beta.requires_grad),
@@ -824,6 +841,7 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
             if not below[i]:
                 return
             d = _col2im(da, w.data, h_in.shape, padding)
+            out = h_in
         x._accum(_swap01(d))
     return Tensor._from_op(data, parents, "conv_stack", back)
 

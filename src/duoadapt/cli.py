@@ -205,7 +205,7 @@ def _load_checked(path, extractor: str, n_classes: Optional[int]) -> Dataset:
         what = "is empty" if len(ds) == 0 else "has no labels"
         raise DatasetFormatError(f"{path}: dataset {what}")
     rows = ds.inputs.shape[1:]
-    conv = extractor == "conv_stack"
+    conv = EXTRACTOR_INPUT[extractor] == "image"
     if (rows != CONV_INPUT_SHAPE) if conv else (len(rows) != 1):
         needs = f"rows of shape {CONV_INPUT_SHAPE}" if conv else "1-D rows"
         raise DatasetFormatError(f"{path}: rows of shape {rows}, but "

@@ -20,12 +20,6 @@ from .data import CONV_INPUT_SHAPE, Cursor, read_container
 _CKPT_MAGIC = b"DACK"
 _CKPT_VERSION = 1
 
-# rows per ``conv_stack`` call in a frozen ``ConvExtractor.features`` pass:
-# at the default channels one call over 32 rows peaks near 24 MiB, and a
-# whole-set call grows by about 0.75 MiB per row
-EXTRACT_CHUNK = 32
-
-
 class ExtractorNotPretrained(RuntimeError):
     pass
 
@@ -115,9 +109,9 @@ class Extractor(Module):
     """Feature extractor with a two-layer projection head.
 
     The head is used only during contrastive pretraining; downstream
-    consumers call ``features``, which bypasses it. ``project`` runs the
-    extractor's dense layers, ``proj1``, a ReLU and ``proj2`` as one
-    ``linear_chain`` node.
+    consumers call ``features``, which bypasses it and runs the extractor's
+    dense layers as one ``linear_chain`` node. ``project`` runs those
+    layers, ``proj1``, a ReLU and ``proj2`` as one ``linear_chain`` node.
     """
 
     pretrained = False
@@ -126,6 +120,9 @@ class Extractor(Module):
         """The tensor the extractor's dense layers read, and those layers as
         a list of (Linear, relu) pairs."""
         raise NotImplementedError
+
+    def features(self, x: Tensor) -> Tensor:
+        return _chain(*self._dense_input(x))
 
     def project(self, x: Tensor) -> Tensor:
         h, layers = self._dense_input(x)
@@ -158,9 +155,6 @@ class MlpExtractor(Extractor):
         last = len(self.layers) - 1
         return x, [(layer, i < last) for i, layer in enumerate(self.layers)]
 
-    def features(self, x: Tensor) -> Tensor:
-        return _chain(*self._dense_input(x))
-
 
 class ConvExtractor(Extractor):
     """Three conv/BN/maxpool/ReLU blocks over ``data.CONV_INPUT_SHAPE`` images, then FC.
@@ -175,11 +169,8 @@ class ConvExtractor(Extractor):
     ``conv_stack`` node and one ``linear`` node over the whole batch, and
     a ``project`` call is the same ``conv_stack`` node and one
     ``linear_chain`` node over the FC and the head. A frozen ``features``
-    pass records none: it runs ``conv_stack`` over chunks of
-    ``EXTRACT_CHUNK`` rows, so its transient memory does not grow with the
-    batch, and then the FC once over all the rows. Eval-mode batch norm
-    reads only the running statistics, so each row's ``conv_stack`` output
-    does not depend on the rows beside it; the FC's matrix product can
+    pass records none; ``conv_stack`` decides whether it runs over chunks
+    of rows, and the FC runs once over all of them: its matrix product can
     differ in the last bit for fewer than 16 rows, so it is not chunked.
     """
 
@@ -199,16 +190,6 @@ class ConvExtractor(Extractor):
     def _dense_input(self, x: Tensor) -> Tuple[Tensor, list]:
         mode = "eval" if self.pretrained else "train"
         return conv_stack(x, zip(self.convs, self.bns), mode), [(self.fc, False)]
-
-    def features(self, x: Tensor) -> Tensor:
-        blocks = list(zip(self.convs, self.bns))
-        if not self.pretrained or x.requires_grad or any(
-                t.requires_grad for conv, bn in blocks
-                for t in (conv.weight, bn.gamma, bn.beta)):
-            return _chain(*self._dense_input(x))
-        chunks = [conv_stack(Tensor(x.data[i:i + EXTRACT_CHUNK]), blocks, "eval").data
-                  for i in range(0, len(x.data), EXTRACT_CHUNK)]
-        return self.fc(Tensor(np.concatenate(chunks)))
 
 
 # -- adaptation block and classifier -----------------------------------------

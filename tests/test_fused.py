@@ -959,6 +959,64 @@ def test_conv_stack_sends_a_tied_window_gradient_to_its_first_cell():
         assert not x.grad[:, :, i::2, j::2].any()
 
 
+def _pooled_rows(monkeypatch):
+    """The row count of each (c, n, h, w) map ``_pool_fwd`` pools from here
+    on, in call order."""
+    rows, pool = [], autodiff._pool_fwd
+
+    def counted(x):
+        rows.append(x.shape[1])
+        return pool(x)
+    monkeypatch.setattr(autodiff, "_pool_fwd", counted)
+    return rows
+
+
+def test_a_recorded_conv_stack_pools_once_per_block(monkeypatch):
+    # the backward reads each block's ReLU mask and window maxima from the
+    # block output the node keeps instead of pooling the rebuilt map again
+    calls = _pooled_rows(monkeypatch)
+    blocks, tensors = _conv_blocks(3, (1, 2, 3, 2), (3, 3, 3), (1, 1, 1))
+    for t in tensors:
+        t.requires_grad = True
+    x = Tensor(np.random.default_rng(6).standard_normal((4, 1, 16, 16)),
+               requires_grad=True)
+    out = conv_stack(x, blocks, "train")
+    assert len(calls) == 3
+    out.sum().backward()
+    assert len(calls) == 3
+    assert x.grad is not None and all(t.grad is not None for t in tensors)
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
+def test_a_frozen_eval_conv_stack_runs_over_chunks_of_rows(n, monkeypatch):
+    # an "eval" pass that records no node pools no more than EXTRACT_CHUNK
+    # rows at a time and equals its slices' passes concatenated; a recorded
+    # one stays one node over all the rows, with the same values
+    assert autodiff.EXTRACT_CHUNK == 32
+    rows = _pooled_rows(monkeypatch)
+    blocks, _ = _conv_blocks(4, (1, 2, 3), (3, 3), (1, 1), requires=[False] * 6)
+    x = np.random.default_rng(n).standard_normal((n, 1, 8, 8))
+    out = conv_stack(Tensor(x), blocks, "eval")
+    assert out._backward is None and not out.requires_grad
+    assert max(rows) == min(n, 32) and sum(rows) == 2 * n
+    chunks = [conv_stack(Tensor(x[i:i + 32]), blocks, "eval").data
+              for i in range(0, n, 32)]
+    assert np.array_equal(out.data, np.concatenate(chunks))
+    xt = Tensor(x, requires_grad=True)
+    node = conv_stack(xt, blocks, "eval")
+    assert node._op == "conv_stack" and node._parents[0] is xt
+    assert np.array_equal(node.data, out.data)
+
+
+def test_an_eval_conv_stack_of_no_rows_is_an_empty_batch():
+    blocks, _ = _conv_blocks(0, (1, 2, 3), (3, 3), (1, 1))
+    out = conv_stack(Tensor(np.zeros((0, 1, 8, 8))), blocks, "eval")
+    assert out.shape == (0, 12)
+    for mode in ("train", "teacher"):
+        with pytest.raises(ValueError, match=f"{mode} mode needs batch size >= 2"):
+            conv_stack(Tensor(np.zeros((0, 1, 8, 8))), blocks, mode)
+
+
 @pytest.mark.parametrize("shape, chain, message", [
     ((2, 1, 5, 5), (1, 2), r"\(2, 2, 5, 5\) and \(2, 2, 2, 2\)"),
     ((2, 2, 4, 4), (1, 2), r"\(2, 2, 4, 4\) and \(2, 1, 3, 3\)"),

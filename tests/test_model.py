@@ -172,10 +172,12 @@ def _pretrained_conv_extractor():
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 65, 80])
 def test_frozen_conv_features_equal_one_whole_set_pass(n):
     """A frozen pass runs conv_stack over chunks of rows and the FC once
-    over all of them; the features equal one unchunked pass bit for bit,
-    for sets within one chunk, of whole chunks and with a short last one."""
+    over all of them; the features equal one unchunked pass (a recorded
+    node, which conv_stack does not chunk) bit for bit, for sets within one
+    chunk, of whole chunks and with a short last one."""
     g, x = _pretrained_conv_extractor()
-    whole = g.fc(conv_stack(Tensor(x[:n]), zip(g.convs, g.bns), "eval")).data
+    whole = g.fc(conv_stack(Tensor(x[:n], requires_grad=True),
+                            zip(g.convs, g.bns), "eval")).data
     out = g.features(Tensor(x[:n]))
     assert not out.requires_grad
     assert np.array_equal(out.data, whole)
@@ -199,6 +201,20 @@ def test_pretrained_conv_features_record_the_graph_to_a_leaf_that_requires_grad(
         assert grad is not None and np.any(grad != 0.0)
     finally:
         w.requires_grad, w.grad = False, None
+
+
+@pytest.mark.parametrize("kind", ["mlp", "conv_stack"])
+def test_frozen_features_of_no_rows_are_an_empty_batch(kind):
+    rng = np.random.default_rng(8)
+    if kind == "mlp":
+        g = MlpExtractor(6, rng, hidden=(16,), feature_dim=8, proj_dim=4)
+        x = Tensor(np.zeros((0, 6)))
+    else:
+        g = ConvExtractor(rng, channels=(2, 3, 4), feature_dim=8, proj_dim=4)
+        x = Tensor(np.zeros((0, 1, 32, 32)))
+    g.mark_pretrained()
+    out = g.features(x)
+    assert out.shape == (0, 8) and not out.requires_grad
 
 
 def test_extract_routes_by_input_domain():
