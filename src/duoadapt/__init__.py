@@ -16,9 +16,9 @@ from .model import (Checkpoint, DomainClassifier, DomainWiseModel, RdaBlock,
                     build_models, classifier_logits, ensemble_predict,
                     extract, load_checkpoint, parameter_groups, rda_forward,
                     save_checkpoint)
-from .train import (ModelConfig, RewardTrace, StepId, TrainConfig,
-                    build_pair, compute_reward, ensemble_accuracy,
-                    pretrain_contrastive, run_step, selection_study,
+from .train import (ModelConfig, Prepared, RewardTrace, StepId, TrainConfig,
+                    adapt, build_pair, compute_reward, ensemble_accuracy,
+                    prepare, pretrain_contrastive, run_step, selection_study,
                     train_interactive, train_source_only_baseline)
 
 __version__ = "0.1.0"

@@ -196,18 +196,19 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
 
 
 def _load_checked(path, extractor: str, n_classes: Optional[int]) -> Dataset:
-    """A non-empty dataset whose rows ``extractor`` reads: 1-D rows for
-    ``mlp``, ``CONV_INPUT_SHAPE`` images for ``conv_stack``. With
-    ``n_classes``, every row carries a label below it (the configured
-    ``task.source_classes``)."""
+    """A non-empty dataset whose rows ``extractor`` reads: 1-D rows of at
+    least one value for ``mlp``, ``CONV_INPUT_SHAPE`` images for
+    ``conv_stack``. With ``n_classes``, every row carries a label below it
+    (the configured ``task.source_classes``)."""
     ds = load_dataset(path)
     if len(ds) == 0 or (n_classes is not None and ds.labels is None):
         what = "is empty" if len(ds) == 0 else "has no labels"
         raise DatasetFormatError(f"{path}: dataset {what}")
     rows = ds.inputs.shape[1:]
     conv = EXTRACTOR_INPUT[extractor] == "image"
-    if (rows != CONV_INPUT_SHAPE) if conv else (len(rows) != 1):
-        needs = f"rows of shape {CONV_INPUT_SHAPE}" if conv else "1-D rows"
+    if (rows != CONV_INPUT_SHAPE) if conv else (len(rows) != 1 or rows[0] == 0):
+        needs = (f"rows of shape {CONV_INPUT_SHAPE}" if conv
+                 else "1-D rows of at least one value")
         raise DatasetFormatError(f"{path}: rows of shape {rows}, but "
                                  f"model.extractor={extractor} reads {needs}")
     if n_classes is not None:
@@ -256,8 +257,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     result.trace.save(cfg.output_dir / "trace.csv")
     save_checkpoint(cfg.output_dir / "best.ckpt", result.best)
     # training extracted the eval rows already: score their features
-    preds = fused_logits(result.ms, result.mt, result.eval_z.inputs).argmax(axis=1)
-    report = metrics_report(preds, result.eval_z.labels,
+    eval_z = result.prepared.eval_z
+    preds = fused_logits(result.ms, result.mt, eval_z.inputs).argmax(axis=1)
+    report = metrics_report(preds, eval_z.labels,
                             final_reward=result.best.reward,
                             chosen_epoch=result.best.epoch, seconds=seconds,
                             config_hash=cfg.config_hash)

@@ -268,6 +268,8 @@ def save_dataset(path, ds: Dataset) -> None:
 def load_dataset(path) -> Dataset:
     def parse(cur: Cursor) -> Dataset:
         has_labels, ndim = cur.fields("BB")
+        if has_labels not in (0, 1):
+            cur.fail(f"the labels flag (byte 6) is {has_labels}, not 0 or 1")
         if ndim < 1:
             cur.fail("a dataset needs a row dimension")
         shape = cur.fields(f"{ndim}I")

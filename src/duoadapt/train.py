@@ -6,7 +6,8 @@ over exactly one parameter group. The agreement reward (fraction of
 target samples on which the two models predict the same class) is
 measured once per epoch, right after step 1, and drives both stopping
 and best-model selection. The extractors are frozen once pretrained, so
-each dataset is extracted once and everything after reads feature rows.
+``prepare`` extracts each dataset once, and ``adapt`` and the baseline
+read only its feature rows.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .data import Dataset, augment_pair
 from .losses import (ContrastiveBatch, cross_entropy_hard, cross_entropy_soft,
                      mmd_squared, nt_xent)
 from .model import (Checkpoint, ConvExtractor, DomainClassifier,
-                    DomainWiseModel, MlpExtractor, build_models,
+                    DomainWiseModel, Extractor, MlpExtractor, build_models,
                     classifier_logits, extract, fused_logits,
                     parameter_groups, rda_forward)
 
@@ -205,21 +206,23 @@ def build_extractor(model_cfg: ModelConfig, in_dim: int, seed: int):
 
 def build_pair(model_cfg: ModelConfig, n_classes: int, in_dim: int,
                seed: int) -> Tuple[DomainWiseModel, DomainWiseModel]:
-    """The source and target models, extractors not yet pretrained.
+    """The source and target models around two extractors not yet
+    pretrained, both from ``seed``'s init, as ``prepare`` builds them."""
+    return build_heads(model_cfg, n_classes, build_extractor(model_cfg, in_dim, seed),
+                       build_extractor(model_cfg, in_dim, seed), seed)
 
-    Both extractors start from the same init (``seed``): with comparable
-    domains their feature spaces start close, which keeps the residual
-    corrections small. RDA blocks and heads draw from ``seed + 17``.
-    """
-    g_s = build_extractor(model_cfg, in_dim, seed)
-    g_t = build_extractor(model_cfg, in_dim, seed)
-    return build_models(n_classes, g_s, g_t, seed=seed + 17,
+
+def build_heads(model_cfg: ModelConfig, n_classes: int, extractor_s, extractor_t,
+                seed: int) -> Tuple[DomainWiseModel, DomainWiseModel]:
+    """The source and target models around two extractors; their RDA blocks
+    and heads draw from ``seed + 17``."""
+    return build_models(n_classes, extractor_s, extractor_t, seed=seed + 17,
                         rda_hidden=model_cfg.rda_hidden,
                         clf_hidden=model_cfg.clf_hidden,
                         dropout_p=model_cfg.dropout_p)
 
 
-def extract_dataset(model: DomainWiseModel, ds: Dataset, domain: str) -> Dataset:
+def extract_dataset(model, ds: Dataset, domain: str) -> Dataset:
     """``ds`` with its inputs replaced by ``domain``'s frozen features."""
     return Dataset(extract(model, ds.inputs, domain), ds.labels, ds.domain)
 
@@ -359,53 +362,74 @@ def _by_v(row: TraceRow) -> Tuple[float, int]:
 
 
 @dataclass
+class Prepared:
+    """The frozen extractors, named as in a model so that ``extract`` reads a
+    ``Prepared`` too, each dataset's features and the last pretraining losses."""
+    extractor_s: Extractor
+    extractor_t: Extractor
+    pretrain_loss_s: float
+    pretrain_loss_t: float
+    source: Optional[Dataset] = None    # source features, with their labels
+    target: Optional[Dataset] = None    # target features
+    eval_z: Optional[Dataset] = None    # the eval target's features, if one was given
+
+
+@dataclass
 class TrainResult:
     ms: DomainWiseModel
     mt: DomainWiseModel
     trace: RewardTrace
     best: Checkpoint
-    eval_z: Optional[Dataset]    # the eval target's features, if one was given
+    prepared: Prepared
 
     @property
     def best_checkpoint_id(self) -> str:
         return f"epoch_{self.best.epoch}"
 
 
-def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
-                      model_cfg: Optional[ModelConfig] = None,
-                      eval_target: Optional[Dataset] = None,
-                      config_hash: str = "") -> TrainResult:
-    """Full pipeline: pretrain both extractors, extract each dataset once,
-    then interactive epochs until the reward threshold or the epoch budget
-    is hit. Each epoch runs S1..S6, measuring ``V`` right after S1, and
-    records the fused accuracy when ``eval_target`` has labels. An epoch is
-    captured when its ``V`` is a new best (of equal ``V`` the earliest
-    wins), and the returned models are restored to the best checkpoint."""
+def prepare(source: Dataset, target: Dataset, cfg: TrainConfig,
+            model_cfg: Optional[ModelConfig] = None,
+            eval_target: Optional[Dataset] = None) -> Prepared:
+    """Pretrain both extractors, on the ``+ 11`` and ``+ 13`` streams, and
+    extract each dataset once. Both start from ``cfg.seed``'s init: with
+    comparable domains their feature spaces start close, which keeps the
+    residual corrections small."""
     model_cfg = model_cfg or ModelConfig()
     if source.labels is None:
         raise ValueError("source dataset must be labeled")
-    n_classes = int(source.labels.max()) + 1
-    ms, mt = build_pair(model_cfg, n_classes, source.inputs.shape[-1], cfg.seed)
-    trace = RewardTrace(config_hash=config_hash)
-    trace.pretrain_loss_s = pretrain_contrastive(
-        ms.extractor_s, source, cfg, np.random.default_rng(cfg.seed + 11))[-1]
-    trace.pretrain_loss_t = pretrain_contrastive(
-        ms.extractor_t, target, cfg, np.random.default_rng(cfg.seed + 13))[-1]
-
-    groups = parameter_groups(ms, mt)
-    optimizers = {g: Adam(groups[g], cfg.learning_rate) for _, g, _ in STEP_MAP.values()}
-    sampler = BatchSampler(extract_dataset(ms, source, "source"),
-                           extract_dataset(ms, target, "target"),
-                           cfg.batch_size, np.random.default_rng(cfg.seed + 19))
-    if eval_target is None:
-        eval_z = None
-    elif np.array_equal(eval_target.inputs.data, target.inputs.data):
+    g_s, g_t = (build_extractor(model_cfg, source.inputs.shape[-1], cfg.seed)
+                for _ in range(2))
+    losses = [pretrain_contrastive(g, ds, cfg, np.random.default_rng(cfg.seed + k))[-1]
+              for g, ds, k in ((g_s, source, 11), (g_t, target, 13))]
+    p = Prepared(g_s, g_t, *losses)
+    p.source = extract_dataset(p, source, "source")
+    p.target = extract_dataset(p, target, "target")
+    if eval_target is not None:
         # gen_synthetic_pda and gen-data's files give both target sets the
         # same rows: reuse their features
-        eval_z = Dataset(sampler.target.inputs, eval_target.labels,
-                         eval_target.domain)
-    else:
-        eval_z = extract_dataset(ms, eval_target, "target")
+        same = np.array_equal(eval_target.inputs.data, target.inputs.data)
+        p.eval_z = (Dataset(p.target.inputs, eval_target.labels, eval_target.domain)
+                    if same else extract_dataset(p, eval_target, "target"))
+    return p
+
+
+def adapt(prepared: Prepared, cfg: TrainConfig,
+          model_cfg: Optional[ModelConfig] = None,
+          config_hash: str = "") -> TrainResult:
+    """Interactive epochs on ``prepared``'s features, which it only reads,
+    until V reaches ``cfg.desired_reward`` or the epoch budget ends. Each
+    epoch runs S1..S6 (V right after S1) and scores labeled eval features;
+    the models end restored to the epoch of highest V, the earliest on a tie."""
+    ms, mt = build_heads(model_cfg or ModelConfig(),
+                         int(prepared.source.labels.max()) + 1,
+                         prepared.extractor_s, prepared.extractor_t, cfg.seed)
+    trace = RewardTrace(pretrain_loss_s=prepared.pretrain_loss_s,
+                        pretrain_loss_t=prepared.pretrain_loss_t,
+                        config_hash=config_hash)
+    groups = parameter_groups(ms, mt)
+    optimizers = {g: Adam(groups[g], cfg.learning_rate) for _, g, _ in STEP_MAP.values()}
+    sampler = BatchSampler(prepared.source, prepared.target, cfg.batch_size,
+                           np.random.default_rng(cfg.seed + 19))
     for epoch in range(1, cfg.epochs + 1):
         losses: Dict[str, float] = {}
         for step in StepId:
@@ -417,8 +441,8 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
             if step is StepId.S1_train_Cs:
                 reward = compute_reward(ms, mt, sampler.target.inputs)
         acc = None
-        if eval_z is not None and eval_z.labels is not None:
-            acc = _accuracy(ms, mt, eval_z)
+        if prepared.eval_z is not None and prepared.eval_z.labels is not None:
+            acc = _accuracy(ms, mt, prepared.eval_z)
         row = TraceRow(epoch, reward, losses, acc)
         trace.append(row)
         if max(trace.rows, key=_by_v) is row:
@@ -426,47 +450,50 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
         if row.V >= cfg.desired_reward:
             break
     best.restore(ms, mt)
-    return TrainResult(ms=ms, mt=mt, trace=trace, best=best, eval_z=eval_z)
+    return TrainResult(ms=ms, mt=mt, trace=trace, best=best, prepared=prepared)
+
+
+def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
+                      model_cfg: Optional[ModelConfig] = None,
+                      eval_target: Optional[Dataset] = None,
+                      config_hash: str = "") -> TrainResult:
+    """Full pipeline: ``adapt(prepare(...))``."""
+    return adapt(prepare(source, target, cfg, model_cfg, eval_target), cfg,
+                 model_cfg, config_hash)
 
 
 # -- source-only baseline -----------------------------------------------------
 
 @dataclass
 class BaselineResult:
-    extractor: object
     classifier: object
     target_accuracy: Optional[float]
 
 
-def train_source_only_baseline(source: Dataset, cfg: TrainConfig,
+def train_source_only_baseline(prepared: Prepared, cfg: TrainConfig,
                                model_cfg: Optional[ModelConfig] = None,
                                eval_target: Optional[Dataset] = None
                                ) -> BaselineResult:
-    """Reference point with no adaptation: one extractor pretrained on the
-    source, one classifier fit on source labels, applied to targets as-is."""
+    """Reference point with no adaptation: one classifier fit on the prepared
+    source features, applied to the eval target's source-extractor features."""
     model_cfg = model_cfg or ModelConfig()
-    if source.labels is None:
-        raise ValueError("source dataset must be labeled")
-    n_classes = int(source.labels.max()) + 1
-    g = build_extractor(model_cfg, source.inputs.shape[-1], cfg.seed)
-    pretrain_contrastive(g, source, cfg, np.random.default_rng(cfg.seed + 11))
-    rng = np.random.default_rng(cfg.seed + 23)
-    clf = DomainClassifier(g.feature_dim, n_classes, rng,
-                           hidden=model_cfg.clf_hidden,
-                           dropout_p=model_cfg.dropout_p)
+    n_classes = int(prepared.source.labels.max()) + 1
+    clf = DomainClassifier(prepared.extractor_s.feature_dim, n_classes,
+                           np.random.default_rng(cfg.seed + 23),
+                           hidden=model_cfg.clf_hidden, dropout_p=model_cfg.dropout_p)
     opt = Adam(clf.named_parameters("C"), cfg.learning_rate)
-    srng = np.random.default_rng(cfg.seed + 29)
-    n = len(source)
-    z = g.features(source.inputs).data
+    sampler = BatchSampler(prepared.source, prepared.target, cfg.batch_size,
+                           np.random.default_rng(cfg.seed + 29))
     for i in range(1, cfg.epochs * 6 * cfg.iters_per_step + 1):
-        idx = srng.choice(n, size=min(cfg.batch_size, n), replace=False)
-        loss = cross_entropy_hard(clf(Tensor(z[idx]), "train"), source.labels[idx])
+        zs, ys = sampler.source_batch()
+        loss = cross_entropy_hard(clf(zs, "train"), ys)
         _update(loss, opt, f"baseline iteration {i}")
     acc = None
     if eval_target is not None and eval_target.labels is not None:
-        preds = clf(g.features(eval_target.inputs), "eval").data.argmax(axis=1)
+        z = extract(prepared, eval_target.inputs, "source")
+        preds = clf(z, "eval").data.argmax(axis=1)
         acc = float(np.mean(preds == eval_target.labels))
-    return BaselineResult(extractor=g, classifier=clf, target_accuracy=acc)
+    return BaselineResult(classifier=clf, target_accuracy=acc)
 
 
 # -- stopping-criterion study -------------------------------------------------

@@ -45,7 +45,7 @@ def shifted_study():
         cfg = TrainConfig(epochs=10, iters_per_step=20, desired_reward=1.0,
                           seed=seed)
         result = train_interactive(source, target, cfg, eval_target=eval_target)
-        baseline = train_source_only_baseline(source, cfg,
+        baseline = train_source_only_baseline(result.prepared, cfg,
                                               eval_target=eval_target)
         best_row = next(r for r in result.trace.rows
                         if r.checkpoint_id == result.best_checkpoint_id)

@@ -621,8 +621,10 @@ def test_train_and_eval_exit_3_naming_a_file_of_another_version_or_no_rows(
     def version_2(raw):
         return raw[:4] + struct.pack("<H", 2) + raw[6:]
 
-    # byte 7 is a dataset's ndim
+    # byte 6 is a dataset's labels flag, byte 7 its ndim
     for raw, message in ((version_2(good_ds), "unsupported dataset version 2"),
+                         (good_ds[:6] + b"\2" + good_ds[7:],
+                          "the labels flag (byte 6) is 2, not 0 or 1"),
                          (good_ds[:7] + b"\0" + good_ds[8:],
                           "a dataset needs a row dimension")):
         ds.write_bytes(raw)
@@ -680,15 +682,18 @@ def test_rows_the_extractor_cannot_read_exit_3_naming_the_file(tmp_path, capsys)
     assert main(conv + ["eval", ckpt, str(vectors)]) == EXIT_DATA
     assert (f"data error: {vectors}: rows of shape (8,), but model.extractor="
             "conv_stack reads rows of shape (1, 32, 32)" in capsys.readouterr().err)
-    # images under the mlp extractor
+    # images under the mlp extractor, and rows of no values, which passed
+    # as 1-D rows and exited 4 with a float division by zero from a Linear
+    # layer's init
     source = out / "source.ds"
     ds = load_dataset(source)
-    save_dataset(source, Dataset(Tensor(np.zeros((len(ds), 1, 32, 32))),
-                                 ds.labels, ds.domain))
-    for command in (["train"], ["eval", ckpt, str(source)]):
-        assert main(_fast_args(out) + command) == EXIT_DATA, command
-        assert (f"data error: {source}: rows of shape (1, 32, 32), but "
-                "model.extractor=mlp reads 1-D rows" in capsys.readouterr().err)
+    for row in ((1, 32, 32), (0,)):
+        save_dataset(source, Dataset(Tensor(np.zeros((len(ds), *row))),
+                                     ds.labels, ds.domain))
+        for command in (["train"], ["eval", ckpt, str(source)]):
+            assert main(_fast_args(out) + command) == EXIT_DATA, command
+            assert (f"data error: {source}: rows of shape {row}, but "
+                    "model.extractor=mlp reads 1-D rows" in capsys.readouterr().err)
 
 
 def test_eval_rejects_a_nan_checkpoint_value_naming_the_tensor(tmp_path, capsys):

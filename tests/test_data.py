@@ -332,6 +332,18 @@ def test_load_dataset_rejects_negative_labels(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("flag", [2, 255])
+def test_load_dataset_rejects_a_labels_flag_other_than_0_or_1(tmp_path, flag):
+    # byte 6 is the labels flag; any nonzero value used to read as labeled
+    path = tmp_path / "f.ds"
+    save_dataset(path, Dataset(Tensor(np.ones((2, 2))), [0, 1], "source"))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:6] + bytes([flag]) + raw[7:])
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"{path}: the labels flag (byte 6) is {flag}, not 0 or 1")):
+        load_dataset(path)
+
+
 def test_load_dataset_rejects_a_shape_with_no_row_dimension(tmp_path):
     path = tmp_path / "z.ds"
     # magic, version 1, no labels, ndim 0, then an empty domain tag

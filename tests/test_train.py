@@ -12,11 +12,12 @@ from duoadapt.model import (Checkpoint, build_models, classifier_logits,
                             extract, named_buffers, parameter_groups,
                             rda_forward)
 from duoadapt.train import (STEP_MAP, TRACE_COLUMNS, BatchSampler, ModelConfig,
-                            RewardTrace, StepId, TraceRow, TrainConfig,
+                            RewardTrace, StepId, TraceRow, TrainConfig, adapt,
                             build_extractor, build_pair, compute_reward,
                             ensemble_accuracy, extract_dataset,
-                            pretrain_contrastive, run_step, selection_study,
-                            train_interactive, train_source_only_baseline)
+                            prepare, pretrain_contrastive, run_step,
+                            selection_study, train_interactive,
+                            train_source_only_baseline)
 
 FAST = TrainConfig(pretrain_epochs=2, epochs=2, iters_per_step=2,
                    batch_size=16, desired_reward=1.0)
@@ -71,7 +72,7 @@ def test_train_config_validation():
                           Dataset(Tensor(np.zeros((2, 2))), None, "target"),
                           2, np.random.default_rng(0)),
      "empty dataset"),
-    (lambda: train_source_only_baseline(_task()[0].without_labels(), FAST, SMALL),
+    (lambda: prepare(_task()[0].without_labels(), _task()[1], FAST, SMALL),
      "source dataset must be labeled"),
 ], ids=["negative-train-seed", "unknown-extractor", "empty-sampler-source",
         "unlabeled-baseline-source"])
@@ -386,7 +387,8 @@ def test_a_failed_update_names_where_it_happened(monkeypatch, prefix, after,
     source, target, _ = _task()
     with pytest.raises(error) as info:
         if prefix == "C.":
-            train_source_only_baseline(source, FAST, SMALL)
+            train_source_only_baseline(prepare(source, target, FAST, SMALL),
+                                       FAST, SMALL)
         else:
             train_interactive(source, target, FAST, SMALL)
     assert str(info.value) == f"{where}: bad update"
@@ -534,7 +536,7 @@ def test_train_interactive_extracts_equal_target_rows_once(monkeypatch):
     monkeypatch.setattr(train_module, "extract", counting)
     result = train_interactive(source, target, FAST, SMALL, copy)
     assert calls == ["source", "target"]
-    assert np.array_equal(result.eval_z.labels, eval_target.labels)
+    assert np.array_equal(result.prepared.eval_z.labels, eval_target.labels)
 
 
 def test_train_interactive_stops_at_desired_reward():
@@ -558,13 +560,89 @@ def test_train_interactive_requires_labels():
 def test_source_only_baseline_learns_source():
     spec = PdaTaskSpec(source_classes=2, target_classes=(0, 1),
                        samples_per_class=40, class_separation=5.0, seed=5)
-    source, _, eval_target = gen_synthetic_pda(spec)
+    source, target, eval_target = gen_synthetic_pda(spec)
     cfg = TrainConfig(pretrain_epochs=2, epochs=2, iters_per_step=10,
                       batch_size=32, seed=5)
-    result = train_source_only_baseline(source, cfg, SMALL, eval_target)
+    result = train_source_only_baseline(prepare(source, target, cfg, SMALL), cfg,
+                                        SMALL, eval_target)
     # zero shift: the source-only classifier transfers essentially intact
     assert result.target_accuracy is not None
     assert result.target_accuracy > 0.8
+
+
+def _extractor_arrays(extractor, prefix):
+    """An extractor's parameter and batch-norm buffer arrays by name."""
+    return {**{name: t.data for name, t in extractor.named_parameters(prefix).items()},
+            **extractor.named_buffers(prefix)}
+
+
+def _bits(arrays):
+    return {name: a.tobytes() for name, a in arrays.items()}
+
+
+def test_the_prepared_source_extractor_is_one_pretrained_on_its_own():
+    # the source-only baseline used to build and pretrain this extractor
+    # again, bit-equal to the prepared one; it now reads the prepared one
+    source, target, _ = _task(seed=3)
+    cfg = replace(FAST, seed=3)
+    prepared = prepare(source, target, cfg, SMALL)
+    alone = build_extractor(SMALL, source.inputs.shape[-1], cfg.seed)
+    pretrain_contrastive(alone, source, cfg, np.random.default_rng(cfg.seed + 11))
+    assert _bits(_extractor_arrays(alone, "G")) \
+        == _bits(_extractor_arrays(prepared.extractor_s, "G"))
+
+
+@pytest.mark.parametrize("spec, cfg, model_cfg, seeds", [
+    (dict(), FAST, SMALL, (0, 1)),
+    # conv_stack's image task as the CI session runs it: 36 source rows
+    # cross its 32-row eval chunk
+    (dict(source_classes=4, input_kind="image", samples_per_class=9),
+     TrainConfig(pretrain_epochs=1, epochs=1, iters_per_step=1, batch_size=8,
+                 desired_reward=1.0),
+     ModelConfig(extractor="conv_stack"), (0,)),
+], ids=["mlp", "conv_stack"])
+def test_one_prepared_set_serves_two_columns(monkeypatch, spec, cfg, model_cfg,
+                                             seeds):
+    # two soft_pseudo columns adapt from one prepared set per seed: each
+    # seed pretrains two extractors, not four, each column equals its own
+    # train_interactive run bit for bit, and adapting changes no feature,
+    # extractor parameter or batch-norm buffer of the prepared set
+    columns = [replace(cfg, soft_pseudo=soft) for soft in (True, False)]
+    calls = []
+    pretrain = train_module.pretrain_contrastive
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return pretrain(*args, **kwargs)
+    monkeypatch.setattr(train_module, "pretrain_contrastive", counting)
+    runs = []
+    for seed in seeds:
+        source, target, eval_target = _task(seed=seed, **spec)
+        prepared = prepare(source, target, replace(cfg, seed=seed), model_cfg,
+                           eval_target)
+
+        def frozen():
+            return _bits({**_extractor_arrays(prepared.extractor_s, "Gs"),
+                          **_extractor_arrays(prepared.extractor_t, "Gt"),
+                          **{name: getattr(prepared, name).inputs.data
+                             for name in ("source", "target", "eval_z")}})
+        before = frozen()
+        adapted = [adapt(prepared, replace(c, seed=seed), model_cfg)
+                   for c in columns]
+        assert frozen() == before
+        runs.append((source, target, eval_target, seed, adapted))
+    assert len(calls) == 2 * len(seeds)
+
+    monkeypatch.undo()
+    for source, target, eval_target, seed, adapted in runs:
+        assert adapted[0].trace.to_csv() != adapted[1].trace.to_csv()
+        for c, result in zip(columns, adapted):
+            alone = train_interactive(source, target, replace(c, seed=seed),
+                                      model_cfg, eval_target)
+            assert result.trace.to_csv() == alone.trace.to_csv()
+            assert _bits(result.best.arrays) == _bits(alone.best.arrays)
+            assert ensemble_accuracy(result.ms, result.mt, eval_target) \
+                == ensemble_accuracy(alone.ms, alone.mt, eval_target)
 
 
 def test_selection_study_regrets():
