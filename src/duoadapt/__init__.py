@@ -10,8 +10,8 @@ agreement-based stopping rule.
 from .autodiff import Adam, GradError, ShapeMismatch, Tensor, grad_check
 from .data import (Dataset, PdaTaskSpec, augment_pair, gen_synthetic_pda,
                    load_dataset, save_dataset, spectrogram_ingest)
-from .losses import (ContrastiveBatch, KernelSpec, cross_entropy_hard,
-                     cross_entropy_soft, mmd_squared, nt_xent)
+from .losses import (KernelSpec, cross_entropy_hard, cross_entropy_soft,
+                     mmd_squared, nt_xent)
 from .model import (Checkpoint, DomainClassifier, DomainWiseModel, RdaBlock,
                     build_models, classifier_logits, ensemble_predict,
                     extract, load_checkpoint, parameter_groups, rda_forward,

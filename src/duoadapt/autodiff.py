@@ -864,12 +864,12 @@ class Adam:
     parameter must write in place (``t.data[...] = ...``) to keep its view.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Mapping[str, Tensor], learning_rate: float):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.params: Dict[str, Tensor] = dict(params)
         sizes = [t.size for t in self.params.values()]
         self._ends = np.cumsum(sizes, dtype=np.int64)
@@ -939,12 +939,13 @@ class GradCheckReport:
 
 
 def grad_check(loss_fn: Callable[[], Tensor], params: Mapping[str, Tensor],
-               tolerance: float = 1e-4, h: float = 1e-5) -> GradCheckReport:
+               tolerance: float = 1e-4) -> GradCheckReport:
     """Compare backward gradients against central finite differences.
 
     ``loss_fn`` must rebuild its forward pass on every call and be
     deterministic (dropout disabled).
     """
+    h = 1e-5  # the central-difference step
     for t in params.values():
         t.zero_grad()
     loss = loss_fn()

@@ -108,10 +108,12 @@ def _parse(tp, text: str, key: str):
 def load_config(path: Optional[str], overrides: List[str]) -> ExperimentConfig:
     texts: Dict[str, Dict[str, str]] = {sec: {} for sec in _KEY_TYPES}
     if path is not None:
-        parser = configparser.ConfigParser()
+        # no header spells "", so a [DEFAULT] section is an unknown one
+        # rather than keys merged into every section
+        parser = configparser.ConfigParser(default_section="")
         try:
-            read = parser.read(path)
-        except configparser.Error as e:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: {e}") from e
         if not read:
             raise ConfigError(f"config file not found: {path}")

@@ -168,8 +168,8 @@ def gen_synthetic_pda(spec: PdaTaskSpec) -> Tuple[Dataset, Dataset, Dataset]:
         # shift realized as a carrier detune
         tgt_sig = np.concatenate([_tone_burst(c, n, 1024, sig_rng, spec.rotation_angle)
                                   for c in tgt_classes])
-        src_x = spectrogram_ingest(Tensor(src_sig), window=64, hop=16).data
-        tgt_x = spectrogram_ingest(Tensor(tgt_sig), window=64, hop=16).data
+        src_x = spectrogram_ingest(Tensor(src_sig)).data
+        tgt_x = spectrogram_ingest(Tensor(tgt_sig)).data
     else:
         rng = np.random.default_rng(spec.seed)
         means = _class_means(spec, np.random.default_rng(spec.seed + 7919))
@@ -204,20 +204,22 @@ def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
             + img[:, y1, x1] * wy * wx)
 
 
-def spectrogram_ingest(signals: Tensor, window: int, hop: int) -> Tensor:
+def spectrogram_ingest(signals: Tensor) -> Tensor:
     """Log-magnitude short-time spectrum images, resized and [0,1]-normalized.
 
-    Returns an n x ``CONV_INPUT_SHAPE`` batch, each sample min-max scaled (a
-    flat image is all zeros). The whole batch is framed, transformed and
-    resized at once; each row equals its signal ingested alone.
+    Frames of 64 samples, Hann-windowed, start every 16 samples. Returns an
+    n x ``CONV_INPUT_SHAPE`` batch, each sample min-max scaled (a flat image
+    is all zeros). The whole batch is framed, transformed and resized at
+    once; each row equals its signal ingested alone.
     """
+    window, hop = 64, 16
     x = signals.data
     if x.ndim != 2:
         raise ValueError(f"expected n x L signals, got shape {x.shape}")
     length = x.shape[1]
-    if not (length >= window >= hop >= 1):
-        raise ValueError(f"need L >= window >= hop >= 1, got L={length}, "
-                         f"window={window}, hop={hop}")
+    if length < window:
+        raise ValueError(f"signals of length {length} are shorter than the "
+                         f"{window}-sample window")
     n_frames = (length - window) // hop + 1
     idx = np.arange(window)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = x[:, idx] * np.hanning(window)

@@ -54,46 +54,24 @@ def _median(values: np.ndarray) -> float:
 class KernelSpec:
     """RBF kernel family for the two-sample discrepancy.
 
-    ``bandwidths`` are squared length scales; with ``median_heuristic_multi``
-    they are resolved per call as the median pairwise squared distance of the
-    pooled samples scaled by 0.25/0.5/1/2/4.
+    ``bandwidths`` are squared length scales. ``None`` resolves them per
+    call as the median pairwise squared distance of the pooled samples
+    scaled by 0.25/0.5/1/2/4; a list fixes them.
     """
 
     bandwidths: Optional[List[float]] = None
-    bandwidth_rule: str = "median_heuristic_multi"
 
     def resolve(self, d2: np.ndarray) -> List[float]:
         """Bandwidths for the pooled samples whose squared-distance matrix
-        is ``d2``; the fixed rule ignores it."""
-        if self.bandwidth_rule == "fixed":
-            if not self.bandwidths:
-                raise ValueError("fixed bandwidth rule requires explicit bandwidths")
-            bws = list(self.bandwidths)
-        elif self.bandwidth_rule == "median_heuristic_multi":
+        is ``d2``; fixed bandwidths ignore it."""
+        if self.bandwidths is None:
             med = _median(d2.take(_upper_pairs(len(d2))))
             if med <= 0.0:
                 med = 1.0
-            bws = [med * s for s in MEDIAN_SCALES]
-        else:
-            raise ValueError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
-        if not bws or any(w <= 0 for w in bws):
+            return [med * s for s in MEDIAN_SCALES]
+        if not self.bandwidths or any(w <= 0 for w in self.bandwidths):
             raise ValueError("bandwidths must be positive and nonempty")
-        return bws
-
-
-@dataclass
-class ContrastiveBatch:
-    """Row-aligned original/augmented projection pairs for the NT-Xent loss."""
-
-    originals: Tensor
-    augmented: Tensor
-    temperature: float = 0.5
-
-    def __post_init__(self):
-        if self.originals.shape != self.augmented.shape:
-            raise ShapeMismatch("nt_xent", self.originals.shape, self.augmented.shape)
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        return list(self.bandwidths)
 
 
 def _through_row_norm(x_hat: np.ndarray, norm: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -103,19 +81,24 @@ def _through_row_norm(x_hat: np.ndarray, norm: np.ndarray, d: np.ndarray) -> np.
     return d / norm
 
 
-def nt_xent(batch: ContrastiveBatch) -> Tensor:
+def nt_xent(originals: Tensor, augmented: Tensor, temperature: float) -> Tensor:
     """Normalized temperature-scaled cross-entropy over augmented anchors.
 
-    Each augmented row is an anchor whose positive is the same-index
-    original; the 2N-2 remaining rows of both sets are its negatives.
-    Similarity is exp(cosine / temperature). One graph node over the
-    normalised rows o^, a^ and E_ao = exp(a^ o^T / t), E_aa = exp(a^ a^T / t).
+    ``originals`` and ``augmented`` are row-aligned projection pairs. Each
+    augmented row is an anchor whose positive is the same-index original;
+    the 2N-2 remaining rows of both sets are its negatives. Similarity is
+    exp(cosine / temperature). One graph node over the normalised rows
+    o^, a^ and E_ao = exp(a^ o^T / t), E_aa = exp(a^ a^T / t).
     With r = (g/n) / denom per anchor, G_ao = (E_ao r - (g/n) I) / t and
     G_aa = E_aa r / t with a zero diagonal; then da^ = G_ao o^ + (G_aa + G_aa^T) a^,
     do^ = G_ao^T a^, and each row normalisation maps dx^ to
     (dx^ - x^ (x^ . dx^)) / |x| (Chen et al. 2020).
     """
-    o, a = batch.originals, batch.augmented
+    o, a = originals, augmented
+    if o.shape != a.shape:
+        raise ShapeMismatch("nt_xent", o.shape, a.shape)
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
     n = o.shape[0]
     if n < 2:
         raise ValueError("nt_xent needs at least 2 pairs (no negatives otherwise)")
@@ -124,7 +107,7 @@ def nt_xent(batch: ContrastiveBatch) -> Tensor:
     if np.any(norm_o < 1e-12) or np.any(norm_a < 1e-12):
         raise ValueError("nt_xent: zero-norm row, cosine similarity undefined")
     o_hat, a_hat = o.data / norm_o, a.data / norm_a
-    inv_t = 1.0 / batch.temperature
+    inv_t = 1.0 / temperature
     # contiguous transposes, as ``Tensor.T`` makes them, keep the value bit
     # equal to the composition of Tensor ops; a transposed view takes another
     # BLAS path

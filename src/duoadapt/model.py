@@ -85,13 +85,13 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    def __init__(self, dim: int, momentum: float = 0.9, eps: float = 1e-5):
+    momentum, eps = 0.9, 1e-5
+
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
 
 
 class Conv(Module):
@@ -414,6 +414,8 @@ def load_checkpoint(path) -> Checkpoint:
         arrays: Dict[str, np.ndarray] = {}
         for _ in range(cur.fields("I")[0]):
             name = cur.text()
+            if name in arrays:
+                cur.fail(f"tensor {name!r} appears more than once")
             (ndim,) = cur.fields("B")
             shape = cur.fields(f"{ndim}I")
             arrays[name] = cur.floats(shape, lambda i: f"tensor {name!r}").copy()

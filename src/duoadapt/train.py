@@ -21,8 +21,7 @@ import numpy as np
 
 from .autodiff import Adam, GradError, Tensor
 from .data import Dataset, augment_pair
-from .losses import (ContrastiveBatch, cross_entropy_hard, cross_entropy_soft,
-                     mmd_squared, nt_xent)
+from .losses import cross_entropy_hard, cross_entropy_soft, mmd_squared, nt_xent
 from .model import (Checkpoint, ConvExtractor, DomainClassifier,
                     DomainWiseModel, Extractor, MlpExtractor, build_models,
                     classifier_logits, extract, fused_logits,
@@ -265,19 +264,17 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
             # is drawn only so that the generator's stream, and so every
             # pretrained extractor, stays the same
             view, _ = augment_pair(x, rng)
-            batch = ContrastiveBatch(originals=extractor.project(x),
-                                     augmented=extractor.project(view),
-                                     temperature=cfg.temperature)
+            originals, augmented = extractor.project(x), extractor.project(view)
             where = f"pretraining epoch {epoch}, batch {b}"
             try:
-                loss = nt_xent(batch)
+                loss = nt_xent(originals, augmented, cfg.temperature)
             except ValueError as e:
                 # a zero-norm projection row is reported, not clamped: a
                 # clamped norm would send a 1/eps-scaled gradient upstream
                 raise ValueError(f"{where}: {e}") from e
             losses.append(_update(loss, opt, where))
             # drop this step's graph before the next forward builds its own
-            del x, view, batch, loss
+            del x, view, originals, augmented, loss
         history.append(float(np.mean(losses)))
     extractor.mark_pretrained()
     return history

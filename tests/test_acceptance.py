@@ -11,8 +11,8 @@ import pytest
 
 from duoadapt.autodiff import (Adam, Tensor, conv2d, grad_check, maxpool2x2)
 from duoadapt.data import (PdaTaskSpec, _class_means, gen_synthetic_pda)
-from duoadapt.losses import (ContrastiveBatch, KernelSpec, cross_entropy_hard,
-                             cross_entropy_soft, mmd_squared, nt_xent)
+from duoadapt.losses import (KernelSpec, cross_entropy_hard, cross_entropy_soft,
+                             mmd_squared, nt_xent)
 from duoadapt.model import (MlpExtractor, RdaBlock, build_models,
                             classifier_logits, extract, load_checkpoint,
                             parameter_groups, rda_forward, save_checkpoint)
@@ -80,13 +80,13 @@ def test_criterion_1_gradient_fidelity():
     # every loss
     o = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    rep = grad_check(lambda: nt_xent(ContrastiveBatch(o, a, 0.7)),
+    rep = grad_check(lambda: nt_xent(o, a, 0.7),
                      {"o": o, "a": a}, tolerance=1e-4)
     assert rep.passed, rep.failures()
 
     ma = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     mb = Tensor(rng.standard_normal((4, 3)) + 0.5, requires_grad=True)
-    kernel = KernelSpec(bandwidths=[1.0, 4.0], bandwidth_rule="fixed")
+    kernel = KernelSpec(bandwidths=[1.0, 4.0])
     rep = grad_check(lambda: mmd_squared(ma, mb, kernel), {"a": ma, "b": mb},
                      tolerance=1e-4)
     assert rep.passed, rep.failures()
@@ -135,7 +135,7 @@ def test_criterion_2_loss_oracles():
         o = rng.standard_normal((n, d))
         a = rng.standard_normal((n, d))
         temp = float(rng.uniform(0.2, 2.0))
-        got = nt_xent(ContrastiveBatch(Tensor(o), Tensor(a), temp)).item()
+        got = nt_xent(Tensor(o), Tensor(a), temp).item()
         on = o / np.linalg.norm(o, axis=1, keepdims=True)
         an = a / np.linalg.norm(a, axis=1, keepdims=True)
         total = 0.0
@@ -157,7 +157,7 @@ def test_criterion_2_loss_oracles():
         xa = rng.standard_normal((na, d))
         xb = rng.standard_normal((nb, d)) + rng.uniform(-1, 1)
         bws = rng.uniform(0.3, 5.0, int(rng.integers(1, 4))).tolist()
-        kernel = KernelSpec(bandwidths=bws, bandwidth_rule="fixed")
+        kernel = KernelSpec(bandwidths=bws)
         got = mmd_squared(Tensor(xa), Tensor(xb), kernel).item()
         expected = 0.0
         for bw in bws:

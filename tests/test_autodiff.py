@@ -290,7 +290,7 @@ def test_mlp_cross_entropy_matches_finite_differences():
         return cross_entropy_hard(h @ w2 + b2, labels)
 
     report = grad_check(loss_fn, {"w1": w1, "b1": b1, "w2": w2, "b2": b2},
-                        tolerance=1e-4, h=1e-5)
+                        tolerance=1e-4)
     assert report.passed, report.failures()
 
 

@@ -199,6 +199,30 @@ def test_a_malformed_config_file_exits_2_naming_the_file(tmp_path, capsys, text)
     assert f"config error: {ini}: " in capsys.readouterr().err
 
 
+def test_a_config_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes("[output]\ndir = caf\u00e9\n".encode("latin-1"))
+    args = ["-c", str(ini), "--set", f"output.dir={tmp_path / 'out'}"]
+    assert main(args + ["gen-data"]) == EXIT_CONFIG
+    assert f"config error: {ini}: 'utf-8' codec can't decode byte 0xe9" \
+        in capsys.readouterr().err
+    # the same value written as UTF-8 reads whatever the locale
+    ini.write_bytes("[output]\ndir = caf\u00e9\n".encode("utf-8"))
+    assert load_config(str(ini), []).output.dir == "caf\u00e9"
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n",
+                                  "[DEFAULT]\nfoo = 1\n[task]\nseed = 1\n"],
+                         ids=["seed", "unknown-key"])
+def test_a_default_section_exits_2_as_an_unknown_section(tmp_path, capsys, text):
+    ini = tmp_path / "default.ini"
+    ini.write_text(text)
+    args = ["-c", str(ini), "--set", f"output.dir={tmp_path / 'out'}"]
+    assert main(args + ["gen-data"]) == EXIT_CONFIG
+    assert "config error: unknown config section [DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_class_per_dimension_and_a_full_offset_generate(tmp_path):
     # the generator draws one orthogonal mean direction per class and adds
     # the offset to the leading coordinates: both may use every dimension

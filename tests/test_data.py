@@ -184,7 +184,7 @@ def test_image_task_carriers_stay_below_half_a_cycle_per_sample(changes, domain,
 def test_spectrogram_output_range_and_shape():
     rng = np.random.default_rng(7)
     sig = rng.standard_normal((4, 512))
-    out = spectrogram_ingest(Tensor(sig), window=64, hop=16)
+    out = spectrogram_ingest(Tensor(sig))
     assert out.shape == (4, 1, 32, 32)
     for i in range(4):
         assert out.data[i].min() == 0.0
@@ -192,7 +192,7 @@ def test_spectrogram_output_range_and_shape():
 
 
 def test_spectrogram_all_zero_signal_guard():
-    out = spectrogram_ingest(Tensor(np.zeros((2, 256))), window=64, hop=16)
+    out = spectrogram_ingest(Tensor(np.zeros((2, 256))))
     assert np.array_equal(out.data, np.zeros((2, 1, 32, 32)))
 
 
@@ -203,11 +203,11 @@ def test_spectrogram_batch_rows_equal_each_signal_ingested_alone():
     rng = np.random.default_rng(3)
     sig = np.stack([np.sin(2 * np.pi * 0.1 * t), np.zeros(512),
                     rng.standard_normal(512)])
-    out = spectrogram_ingest(Tensor(sig), window=64, hop=16).data
+    out = spectrogram_ingest(Tensor(sig)).data
     assert np.array_equal(out[1], np.zeros((1, 32, 32)))
     assert out[0].max() == 1.0
     for i in range(len(sig)):
-        alone = spectrogram_ingest(Tensor(sig[i:i + 1]), window=64, hop=16).data
+        alone = spectrogram_ingest(Tensor(sig[i:i + 1])).data
         assert np.array_equal(out[i], alone[0])
 
 
@@ -216,17 +216,17 @@ def test_spectrogram_tone_peak_frequency_ordering():
     t = np.arange(1024)
     lo = np.sin(2 * np.pi * 0.05 * t)
     hi = np.sin(2 * np.pi * 0.30 * t)
-    out = spectrogram_ingest(Tensor(np.stack([lo, hi])), window=64, hop=16).data
+    out = spectrogram_ingest(Tensor(np.stack([lo, hi]))).data
     row_lo = out[0, 0].sum(axis=1).argmax()
     row_hi = out[1, 0].sum(axis=1).argmax()
     assert row_hi > row_lo
 
 
 def test_spectrogram_rejects_bad_args():
-    with pytest.raises(ValueError):
-        spectrogram_ingest(Tensor(np.zeros((2, 16))), window=64, hop=16)
-    with pytest.raises(ValueError):
-        spectrogram_ingest(Tensor(np.zeros(64)), window=16, hop=4)
+    with pytest.raises(ValueError, match="length 16 are shorter than the 64-sample"):
+        spectrogram_ingest(Tensor(np.zeros((2, 16))))
+    with pytest.raises(ValueError, match="expected n x L signals"):
+        spectrogram_ingest(Tensor(np.zeros(64)))
 
 
 # -- augmentation -------------------------------------------------------------

@@ -57,9 +57,9 @@ from duoadapt.autodiff import (MODES, Adam, GradError, ShapeMismatch, Tensor,
                                _dropout_mask, batch_norm, conv2d, conv_stack,
                                grad_check, linear, linear_chain, maxpool2x2)
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
-from duoadapt.losses import (MEDIAN_SCALES, ContrastiveBatch, KernelSpec,
-                             _block_weights, cross_entropy_hard,
-                             cross_entropy_soft, mmd_squared, nt_xent)
+from duoadapt.losses import (MEDIAN_SCALES, KernelSpec, _block_weights,
+                             cross_entropy_hard, cross_entropy_soft,
+                             mmd_squared, nt_xent)
 from duoadapt.model import BatchNorm, Conv, ConvExtractor, DenseStack
 
 TOL = 1e-10
@@ -657,7 +657,7 @@ def test_mmd_matches_composition(n, m, d, seed, rule, grads):
     b = rng.standard_normal((m, d)) + rng.uniform(-1, 1)
     if rule == "fixed":
         bws = rng.uniform(0.3, 5.0, int(rng.integers(1, 4))).tolist()
-        kernel = KernelSpec(bandwidths=bws, bandwidth_rule="fixed")
+        kernel = KernelSpec(bandwidths=bws)
     else:
         bws = _median_bandwidths(a, b)
         kernel = KernelSpec()
@@ -684,7 +684,7 @@ def test_mmd_resolve_reads_the_pooled_distances():
 
 
 def test_mmd_rejects_nonpositive_bandwidths():
-    kernel = KernelSpec(bandwidths=[1.0, 0.0], bandwidth_rule="fixed")
+    kernel = KernelSpec(bandwidths=[1.0, 0.0])
     with pytest.raises(ValueError, match="positive"):
         mmd_squared(Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), kernel)
 
@@ -700,7 +700,7 @@ def test_mmd_block_weights_are_one_read_only_matrix_per_batch_pair():
     pairs = [(3, 5), (5, 3), (4, 4), (3, 5), (5, 3)]
     samples = {nm: (rng.standard_normal((nm[0], 4)),
                     rng.standard_normal((nm[1], 4)) + 0.5) for nm in pairs}
-    kernel = KernelSpec(bandwidths=[0.5, 2.0], bandwidth_rule="fixed")
+    kernel = KernelSpec(bandwidths=[0.5, 2.0])
 
     def value(nm):
         a, b = samples[nm]
@@ -717,7 +717,7 @@ def test_grad_check_mmd_one_sided():
     rng = np.random.default_rng(7)
     a = Tensor(rng.standard_normal((4, 3)))
     b = Tensor(rng.standard_normal((5, 3)) + 0.5, requires_grad=True)
-    kernel = KernelSpec(bandwidths=[0.5, 2.0], bandwidth_rule="fixed")
+    kernel = KernelSpec(bandwidths=[0.5, 2.0])
     report = grad_check(lambda: mmd_squared(a, b, kernel), {"b": b},
                         tolerance=1e-6)
     assert report.passed, report.failures()
@@ -732,7 +732,7 @@ def test_grad_check_mmd_one_sided():
        st.sampled_from([(True, True), (True, False), (False, True)]))
 def test_nt_xent_matches_composition(n, d, temperature, seed, grads):
     rng = np.random.default_rng(seed)
-    _agree(lambda o, a: nt_xent(ContrastiveBatch(o, a, temperature)),
+    _agree(lambda o, a: nt_xent(o, a, temperature),
            lambda o, a: _nt_xent_ref(o, a, temperature),
            [rng.standard_normal((n, d)), rng.standard_normal((n, d))],
            list(grads))
@@ -742,7 +742,7 @@ def test_grad_check_nt_xent():
     rng = np.random.default_rng(10)
     o = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    report = grad_check(lambda: nt_xent(ContrastiveBatch(o, a, 0.3)),
+    report = grad_check(lambda: nt_xent(o, a, 0.3),
                         {"originals": o, "augmented": a}, tolerance=1e-6)
     assert report.passed, report.failures()
 

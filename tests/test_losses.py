@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duoadapt.autodiff import ShapeMismatch, Tensor, grad_check
-from duoadapt.losses import (ContrastiveBatch, KernelSpec, cross_entropy_hard,
-                             cross_entropy_soft, mmd_squared, nt_xent)
+from duoadapt.losses import (KernelSpec, cross_entropy_hard, cross_entropy_soft,
+                             mmd_squared, nt_xent)
 
 
 def _nt_xent_oracle(o, a, temp):
@@ -33,7 +33,7 @@ def test_nt_xent_orthogonal_pair_is_ln3():
     # are exp(0) except the self terms, so each anchor sees pos=1, denom=3.
     o = Tensor(np.eye(4)[:2])
     a = Tensor(np.eye(4)[2:])
-    loss = nt_xent(ContrastiveBatch(o, a, temperature=0.5))
+    loss = nt_xent(o, a, 0.5)
     assert abs(loss.data - math.log(3.0)) <= 1e-10
 
 
@@ -44,35 +44,37 @@ def test_nt_xent_matches_double_loop_oracle():
         o = rng.standard_normal((n, 6))
         a = rng.standard_normal((n, 6))
         temp = float(rng.uniform(0.2, 1.5))
-        loss = nt_xent(ContrastiveBatch(Tensor(o), Tensor(a), temp))
+        loss = nt_xent(Tensor(o), Tensor(a), temp)
         assert abs(loss.data - _nt_xent_oracle(o, a, temp)) <= 1e-10
 
 
 def test_nt_xent_rewards_aligned_pairs():
     rng = np.random.default_rng(1)
     o = rng.standard_normal((8, 5))
-    aligned = nt_xent(ContrastiveBatch(Tensor(o), Tensor(o * 1.3)))
-    shuffled = nt_xent(ContrastiveBatch(Tensor(o), Tensor(o[::-1].copy())))
+    aligned = nt_xent(Tensor(o), Tensor(o * 1.3), 0.5)
+    shuffled = nt_xent(Tensor(o), Tensor(o[::-1].copy()), 0.5)
     assert aligned.data < shuffled.data
 
 
 def test_nt_xent_rejects_single_pair():
     with pytest.raises(ValueError, match="at least 2"):
-        nt_xent(ContrastiveBatch(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3)))))
+        nt_xent(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))), 0.5)
 
 
 def test_nt_xent_rejects_zero_norm_row():
     o = np.ones((3, 4))
     o[1] = 0.0
     with pytest.raises(ValueError, match="zero-norm"):
-        nt_xent(ContrastiveBatch(Tensor(o), Tensor(np.ones((3, 4)))))
+        nt_xent(Tensor(o), Tensor(np.ones((3, 4))), 0.5)
 
 
-def test_contrastive_batch_validation():
-    with pytest.raises(ShapeMismatch):
-        ContrastiveBatch(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 3))))
-    with pytest.raises(ValueError, match="temperature"):
-        ContrastiveBatch(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), 0.0)
+def test_nt_xent_rejects_mismatched_shapes_and_nonpositive_temperature():
+    with pytest.raises(ShapeMismatch, match=re.escape("nt_xent: incompatible "
+                                                      "shapes (3, 4) and (4, 3)")):
+        nt_xent(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 3))), 0.5)
+    for temperature in (0.0, -0.5):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            nt_xent(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), temperature)
 
 
 def test_nt_xent_gradient_vs_finite_differences():
@@ -81,7 +83,7 @@ def test_nt_xent_gradient_vs_finite_differences():
     a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
 
     def loss_fn():
-        return nt_xent(ContrastiveBatch(o, a, temperature=0.7))
+        return nt_xent(o, a, 0.7)
 
     report = grad_check(loss_fn, {"o": o, "a": a}, tolerance=1e-4)
     assert report.passed, report.failures()
@@ -104,7 +106,7 @@ def _mmd_oracle(a, b, bws):
 def test_mmd_closed_form_two_points():
     # a = {0}, b = {1} in 1-D with unit bandwidth: k(a,a)=k(b,b)=1 and
     # k(a,b)=exp(-1/2), so the squared discrepancy is 2 - 2 exp(-1/2).
-    kernel = KernelSpec(bandwidths=[1.0], bandwidth_rule="fixed")
+    kernel = KernelSpec(bandwidths=[1.0])
     a = Tensor(np.array([[0.0], [0.0]]))
     b = Tensor(np.array([[1.0], [1.0]]))
     out = mmd_squared(a, b, kernel)
@@ -123,7 +125,7 @@ def test_mmd_matches_double_loop_oracle():
     a = rng.standard_normal((7, 3))
     b = rng.standard_normal((5, 3)) + 1.0
     bws = [0.5, 2.0]
-    kernel = KernelSpec(bandwidths=bws, bandwidth_rule="fixed")
+    kernel = KernelSpec(bandwidths=bws)
     out = mmd_squared(Tensor(a), Tensor(b), kernel)
     assert abs(out.data - _mmd_oracle(a, b, bws)) <= 1e-10
 
@@ -164,7 +166,7 @@ def test_mmd_gradient_vs_finite_differences():
     rng = np.random.default_rng(6)
     a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal((4, 3)) + 0.5, requires_grad=True)
-    kernel = KernelSpec(bandwidths=[1.0, 4.0], bandwidth_rule="fixed")
+    kernel = KernelSpec(bandwidths=[1.0, 4.0])
 
     def loss_fn():
         return mmd_squared(a, b, kernel)
@@ -201,16 +203,13 @@ def test_cross_entropy_hard_rejects_bad_labels():
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: KernelSpec(bandwidth_rule="fixed").resolve(np.zeros((2, 2))),
-     ValueError, "fixed bandwidth rule requires explicit bandwidths"),
-    (lambda: KernelSpec(bandwidth_rule="silverman").resolve(np.zeros((2, 2))),
-     ValueError, "unknown bandwidth rule 'silverman'"),
+    (lambda: KernelSpec(bandwidths=[]).resolve(np.zeros((2, 2))),
+     ValueError, "bandwidths must be positive and nonempty"),
     (lambda: cross_entropy_hard(Tensor(np.zeros((3, 2))), [0, 1]), ShapeMismatch,
      "cross_entropy_hard: incompatible shapes (3, 2) and (2,)"),
     (lambda: cross_entropy_soft(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4)))),
      ShapeMismatch, "cross_entropy_soft: incompatible shapes (3, 2) and (3, 4)"),
-], ids=["fixed-without-bandwidths", "unknown-rule", "hard-label-count",
-        "soft-shapes"])
+], ids=["empty-bandwidths", "hard-label-count", "soft-shapes"])
 def test_bad_loss_arguments_raise(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

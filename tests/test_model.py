@@ -405,6 +405,19 @@ def test_load_checkpoint_rejects_another_version(tmp_path):
         load_checkpoint(path)
 
 
+def test_load_checkpoint_rejects_a_repeated_tensor_naming_it(tmp_path):
+    # two names of one length, the second renamed in the file to the first:
+    # a well-formed container whose last copy would otherwise win
+    arrays = {"Ms.Cs.out.bias": np.ones(3), "Ms.Cs.out.biaz": np.full(3, 2.0)}
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(path, Checkpoint(epoch=0, reward=0.0, config_hash="abc",
+                                     arrays=arrays))
+    path.write_bytes(path.read_bytes().replace(b"Ms.Cs.out.biaz", b"Ms.Cs.out.bias"))
+    with pytest.raises(CheckpointFormatError, match=re.escape(
+            f"{path}: tensor 'Ms.Cs.out.bias' appears more than once")):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("name, value, where", [
     ("Ms.Cs.out.weight", np.nan, "tensor 'Ms.Cs.out.weight'"),
     ("buffer:Mt.Ft.bns0.running_var", np.inf, "tensor 'buffer:Mt.Ft.bns0.running_var'"),
