@@ -12,13 +12,13 @@ from .data import (Dataset, PdaTaskSpec, augment_pair, gen_synthetic_pda,
                    load_dataset, save_dataset, spectrogram_ingest)
 from .losses import (KernelSpec, cross_entropy_hard, cross_entropy_soft,
                      mmd_squared, nt_xent)
-from .model import (Checkpoint, DomainClassifier, DomainWiseModel, RdaBlock,
-                    build_models, classifier_logits, ensemble_predict,
-                    extract, load_checkpoint, parameter_groups, rda_forward,
-                    save_checkpoint)
-from .train import (ModelConfig, Prepared, RewardTrace, StepId, TrainConfig,
-                    adapt, build_pair, compute_reward, ensemble_accuracy,
-                    prepare, pretrain_contrastive, run_step, selection_study,
+from .model import (Checkpoint, DomainWiseModel, ModelConfig, RdaBlock,
+                    build_extractor, build_models, classifier_logits,
+                    ensemble_predict, extract, load_checkpoint,
+                    parameter_groups, rda_forward, save_checkpoint)
+from .train import (Prepared, RewardTrace, StepId, TrainConfig, adapt,
+                    compute_reward, ensemble_accuracy, prepare,
+                    pretrain_contrastive, run_step, selection_study,
                     train_interactive, train_source_only_baseline)
 
 __version__ = "0.1.0"

@@ -27,10 +27,10 @@ import numpy as np
 
 from .data import (CONV_INPUT_SHAPE, Dataset, DatasetFormatError, PdaTaskSpec,
                    gen_synthetic_pda, load_dataset, save_dataset)
-from .model import (CheckpointFormatError, ensemble_predict, fused_logits,
-                    load_checkpoint, save_checkpoint)
-from .train import (EXTRACTOR_INPUT, ModelConfig, TrainConfig, build_pair,
-                    selection_study, train_interactive)
+from .model import (EXTRACTOR_INPUT, CheckpointFormatError, ModelConfig,
+                    build_extractor, build_models, ensemble_predict,
+                    fused_logits, load_checkpoint, save_checkpoint)
+from .train import TrainConfig, selection_study, train_interactive
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,11 +112,17 @@ def load_config(path: Optional[str], overrides: List[str]) -> ExperimentConfig:
         # rather than keys merged into every section
         parser = configparser.ConfigParser(default_section="")
         try:
-            read = parser.read(path, encoding="utf-8")
+            with open(path, encoding="utf-8") as f:
+                parser.read_file(f)
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as e:
+            # ConfigParser.read would skip a path it cannot open, which
+            # reads as missing: a directory or an unreadable file says so
+            raise ConfigError(f"{path}: cannot read the config file "
+                              f"({e.strerror})") from e
         except (configparser.Error, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: {e}") from e
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
         for sec in parser.sections():
             if sec not in texts:
                 raise ConfigError(f"unknown config section [{sec}]")
@@ -279,10 +285,11 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
     if ckpt.config_hash and ckpt.config_hash != cfg.config_hash:
         print(f"warning: checkpoint hash {ckpt.config_hash} != "
               f"config hash {cfg.config_hash}", file=sys.stderr)
-    ms, mt = build_pair(cfg.model, cfg.task.source_classes,
-                        ds.inputs.shape[-1], cfg.train.seed)
-    ms.extractor_s.mark_pretrained()
-    ms.extractor_t.mark_pretrained()
+    extractors = [build_extractor(cfg.model, ds.inputs.shape[-1], 0) for _ in range(2)]
+    for g in extractors:
+        g.mark_pretrained()
+    # any seed: restore overwrites all six groups and their BN buffers; eval draws no dropout
+    ms, mt = build_models(cfg.model, cfg.task.source_classes, *extractors, 0)
     try:
         ckpt.restore(ms, mt)
     except CheckpointFormatError as e:

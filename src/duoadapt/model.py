@@ -5,6 +5,8 @@ a residual adaptation block (identity for own-domain features, learned
 residual correction for cross-domain features), and a classification
 head over the full source label space. Final predictions fuse the two
 models by summing their logits. Everything after ``extract`` reads features.
+``ModelConfig`` holds the shapes of all of it; ``EXTRACTOR_INPUT`` names
+the input kind each extractor reads.
 """
 from __future__ import annotations
 
@@ -192,6 +194,45 @@ class ConvExtractor(Extractor):
         return conv_stack(x, zip(self.convs, self.bns), mode), [(self.fc, False)]
 
 
+# model.extractor -> the task.input_kind it reads
+EXTRACTOR_INPUT = {"mlp": "vector", "conv_stack": "image"}
+
+
+@dataclass
+class ModelConfig:
+    extractor: str = "mlp"              # a key of EXTRACTOR_INPUT
+    feature_dim: int = 32
+    mlp_hidden: Tuple[int, ...] = (64,)
+    proj_dim: int = 16
+    rda_hidden: Tuple[int, ...] = (32, 16, 32)
+    clf_hidden: Tuple[int, ...] = (32, 16)
+    dropout_p: float = 0.1
+
+    def __post_init__(self):
+        if self.extractor not in EXTRACTOR_INPUT:
+            raise ValueError(f"model.extractor must be one of "
+                             f"{', '.join(EXTRACTOR_INPUT)}, got {self.extractor!r}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError(f"model.dropout_p must be in [0, 1), got {self.dropout_p}")
+        for key in ("feature_dim", "proj_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"model.{key} must be at least 1, got {getattr(self, key)}")
+        for key in ("mlp_hidden", "rda_hidden", "clf_hidden"):
+            if any(w < 1 for w in getattr(self, key)):
+                raise ValueError(f"model.{key} widths must be at least 1, "
+                                 f"got {getattr(self, key)}")
+
+
+def build_extractor(model_cfg: ModelConfig, in_dim: int, seed: int) -> Extractor:
+    rng = np.random.default_rng(seed)
+    if model_cfg.extractor == "mlp":
+        return MlpExtractor(in_dim, rng, hidden=model_cfg.mlp_hidden,
+                            feature_dim=model_cfg.feature_dim,
+                            proj_dim=model_cfg.proj_dim)
+    return ConvExtractor(rng, feature_dim=model_cfg.feature_dim,
+                         proj_dim=model_cfg.proj_dim)
+
+
 # -- adaptation block and classifier -----------------------------------------
 
 class DenseStack(Module):
@@ -228,7 +269,7 @@ class RdaBlock(DenseStack):
     zero_init_out = True
 
     def __init__(self, dim: int, own_domain: str, rng: np.random.Generator,
-                 hidden: Sequence[int], dropout_p: float = 0.1):
+                 hidden: Sequence[int], dropout_p: float):
         if own_domain not in ("source", "target"):
             raise ValueError(f"bad domain {own_domain!r}")
         super().__init__(dim, dim, rng, hidden, dropout_p)
@@ -245,19 +286,12 @@ def rda_forward(block: RdaBlock, z: Tensor, domain_of_z: str, mode: str) -> Tens
     return block(z, mode, residual=True)
 
 
-class DomainClassifier(DenseStack):
-    """Three-layer FC head emitting raw logits over the source label space."""
-
-    def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
-                 hidden: Sequence[int], dropout_p: float = 0.1):
-        super().__init__(dim, n_classes, rng, hidden, dropout_p)
-
-
 class DomainWiseModel(Module):
-    """One domain's classifier: shared frozen extractors + own RDA + head."""
+    """One domain's classifier: shared frozen extractors + own RDA + a
+    ``DenseStack`` head emitting raw logits over the source label space."""
 
-    def __init__(self, extractor_s: Module, extractor_t: Module,
-                 rda: RdaBlock, classifier: DomainClassifier):
+    def __init__(self, extractor_s: Extractor, extractor_t: Extractor,
+                 rda: RdaBlock, classifier: DenseStack):
         self.extractor_s = extractor_s
         self.extractor_t = extractor_t
         self.rda = rda
@@ -293,19 +327,20 @@ def ensemble_predict(ms: DomainWiseModel, mt: DomainWiseModel,
     return fused_logits(ms, mt, extract(ms, x_t, "target")).argmax(axis=1)
 
 
-def build_models(n_classes: int, extractor_s: Module, extractor_t: Module,
-                 seed: int, rda_hidden: Sequence[int], clf_hidden: Sequence[int],
-                 dropout_p: float = 0.1) -> Tuple[DomainWiseModel, DomainWiseModel]:
-    """Construct the source and target models around shared extractors."""
+def build_models(model_cfg: ModelConfig, n_classes: int, extractor_s: Extractor,
+                 extractor_t: Extractor, seed: int
+                 ) -> Tuple[DomainWiseModel, DomainWiseModel]:
+    """The source and target models around shared extractors, their RDA
+    blocks and heads shaped by ``model_cfg``."""
     dim = extractor_s.feature_dim
     if extractor_t.feature_dim != dim:
         raise ValueError("extractor feature dims differ")
     rng = np.random.default_rng(seed)
+    p = model_cfg.dropout_p
     # built in order, source first: both draw from the one stream
     ms, mt = (DomainWiseModel(extractor_s, extractor_t,
-                              RdaBlock(dim, domain, rng, rda_hidden, dropout_p),
-                              DomainClassifier(dim, n_classes, rng, clf_hidden,
-                                               dropout_p))
+                              RdaBlock(dim, domain, rng, model_cfg.rda_hidden, p),
+                              DenseStack(dim, n_classes, rng, model_cfg.clf_hidden, p))
               for domain in ("source", "target"))
     return ms, mt
 

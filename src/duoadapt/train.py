@@ -22,8 +22,8 @@ import numpy as np
 from .autodiff import Adam, GradError, Tensor
 from .data import Dataset, augment_pair
 from .losses import cross_entropy_hard, cross_entropy_soft, mmd_squared, nt_xent
-from .model import (Checkpoint, ConvExtractor, DomainClassifier,
-                    DomainWiseModel, Extractor, MlpExtractor, build_models,
+from .model import (Checkpoint, DenseStack, DomainWiseModel, Extractor,
+                    ModelConfig, build_extractor, build_models,
                     classifier_logits, extract, fused_logits,
                     parameter_groups, rda_forward)
 
@@ -53,35 +53,6 @@ class TrainConfig:
         if not 0.0 < self.desired_reward <= 1.0:
             raise ValueError(f"train.desired_reward must be in (0, 1], "
                              f"got {self.desired_reward}")
-
-
-# model.extractor -> the task.input_kind it reads
-EXTRACTOR_INPUT = {"mlp": "vector", "conv_stack": "image"}
-
-
-@dataclass
-class ModelConfig:
-    extractor: str = "mlp"              # a key of EXTRACTOR_INPUT
-    feature_dim: int = 32
-    mlp_hidden: Tuple[int, ...] = (64,)
-    proj_dim: int = 16
-    rda_hidden: Tuple[int, ...] = (32, 16, 32)
-    clf_hidden: Tuple[int, ...] = (32, 16)
-    dropout_p: float = 0.1
-
-    def __post_init__(self):
-        if self.extractor not in EXTRACTOR_INPUT:
-            raise ValueError(f"model.extractor must be one of "
-                             f"{', '.join(EXTRACTOR_INPUT)}, got {self.extractor!r}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"model.dropout_p must be in [0, 1), got {self.dropout_p}")
-        for key in ("feature_dim", "proj_dim"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"model.{key} must be at least 1, got {getattr(self, key)}")
-        for key in ("mlp_hidden", "rda_hidden", "clf_hidden"):
-            if any(w < 1 for w in getattr(self, key)):
-                raise ValueError(f"model.{key} widths must be at least 1, "
-                                 f"got {getattr(self, key)}")
 
 
 class StepId(Enum):
@@ -192,34 +163,6 @@ class BatchSampler:
 
 
 # -- contrastive pretraining --------------------------------------------------
-
-def build_extractor(model_cfg: ModelConfig, in_dim: int, seed: int):
-    rng = np.random.default_rng(seed)
-    if model_cfg.extractor == "mlp":
-        return MlpExtractor(in_dim, rng, hidden=model_cfg.mlp_hidden,
-                            feature_dim=model_cfg.feature_dim,
-                            proj_dim=model_cfg.proj_dim)
-    return ConvExtractor(rng, feature_dim=model_cfg.feature_dim,
-                         proj_dim=model_cfg.proj_dim)
-
-
-def build_pair(model_cfg: ModelConfig, n_classes: int, in_dim: int,
-               seed: int) -> Tuple[DomainWiseModel, DomainWiseModel]:
-    """The source and target models around two extractors not yet
-    pretrained, both from ``seed``'s init, as ``prepare`` builds them."""
-    return build_heads(model_cfg, n_classes, build_extractor(model_cfg, in_dim, seed),
-                       build_extractor(model_cfg, in_dim, seed), seed)
-
-
-def build_heads(model_cfg: ModelConfig, n_classes: int, extractor_s, extractor_t,
-                seed: int) -> Tuple[DomainWiseModel, DomainWiseModel]:
-    """The source and target models around two extractors; their RDA blocks
-    and heads draw from ``seed + 17``."""
-    return build_models(n_classes, extractor_s, extractor_t, seed=seed + 17,
-                        rda_hidden=model_cfg.rda_hidden,
-                        clf_hidden=model_cfg.clf_hidden,
-                        dropout_p=model_cfg.dropout_p)
-
 
 def extract_dataset(model, ds: Dataset, domain: str) -> Dataset:
     """``ds`` with its inputs replaced by ``domain``'s frozen features."""
@@ -414,12 +357,14 @@ def adapt(prepared: Prepared, cfg: TrainConfig,
           model_cfg: Optional[ModelConfig] = None,
           config_hash: str = "") -> TrainResult:
     """Interactive epochs on ``prepared``'s features, which it only reads,
-    until V reaches ``cfg.desired_reward`` or the epoch budget ends. Each
-    epoch runs S1..S6 (V right after S1) and scores labeled eval features;
-    the models end restored to the epoch of highest V, the earliest on a tie."""
-    ms, mt = build_heads(model_cfg or ModelConfig(),
-                         int(prepared.source.labels.max()) + 1,
-                         prepared.extractor_s, prepared.extractor_t, cfg.seed)
+    until V reaches ``cfg.desired_reward`` or the epoch budget ends. The RDA
+    blocks and heads draw from the ``+ 17`` stream, the batches from ``+ 19``.
+    Each epoch runs S1..S6 (V right after S1) and scores labeled eval
+    features; the models end restored to the epoch of highest V, the
+    earliest on a tie."""
+    ms, mt = build_models(model_cfg or ModelConfig(),
+                          int(prepared.source.labels.max()) + 1,
+                          prepared.extractor_s, prepared.extractor_t, cfg.seed + 17)
     trace = RewardTrace(pretrain_loss_s=prepared.pretrain_loss_s,
                         pretrain_loss_t=prepared.pretrain_loss_t,
                         config_hash=config_hash)
@@ -463,7 +408,7 @@ def train_interactive(source: Dataset, target: Dataset, cfg: TrainConfig,
 
 @dataclass
 class BaselineResult:
-    classifier: object
+    classifier: DenseStack
     target_accuracy: Optional[float]
 
 
@@ -475,9 +420,9 @@ def train_source_only_baseline(prepared: Prepared, cfg: TrainConfig,
     source features, applied to the eval target's source-extractor features."""
     model_cfg = model_cfg or ModelConfig()
     n_classes = int(prepared.source.labels.max()) + 1
-    clf = DomainClassifier(prepared.extractor_s.feature_dim, n_classes,
-                           np.random.default_rng(cfg.seed + 23),
-                           hidden=model_cfg.clf_hidden, dropout_p=model_cfg.dropout_p)
+    clf = DenseStack(prepared.extractor_s.feature_dim, n_classes,
+                     np.random.default_rng(cfg.seed + 23), model_cfg.clf_hidden,
+                     model_cfg.dropout_p)
     opt = Adam(clf.named_parameters("C"), cfg.learning_rate)
     sampler = BatchSampler(prepared.source, prepared.target, cfg.batch_size,
                            np.random.default_rng(cfg.seed + 29))

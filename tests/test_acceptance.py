@@ -111,8 +111,8 @@ def test_criterion_1_gradient_fidelity():
     for g in (gs, gt):
         g.freeze()
         g.pretrained = True
-    ms, mt = build_models(3, gs, gt, seed=2, rda_hidden=(6, 6, 6),
-                          clf_hidden=(6,), dropout_p=0.0)
+    ms, mt = build_models(ModelConfig(rda_hidden=(6, 6, 6), clf_hidden=(6,),
+                                      dropout_p=0.0), 3, gs, gt, 2)
     zt = extract(ms, Tensor(rng.standard_normal((6, 5))), "target")
     ys = rng.integers(0, 3, 6)
     groups = parameter_groups(ms, mt)
@@ -179,7 +179,8 @@ def test_criterion_3_identity_channel_exactness():
     for trial in range(100):
         dim = int(rng.integers(2, 12))
         block = RdaBlock(dim, "source" if trial % 2 == 0 else "target",
-                         np.random.default_rng(trial), hidden=(8, 8))
+                         np.random.default_rng(trial), hidden=(8, 8),
+                         dropout_p=0.1)
         z = Tensor(rng.standard_normal((int(rng.integers(2, 9)), dim)),
                    requires_grad=True)
         out = rda_forward(block, z, block.own_domain, "train")
@@ -202,9 +203,7 @@ def test_criterion_4_schedule_isolation():
     g_t = build_extractor(model_cfg, 8, cfg.seed)
     pretrain_contrastive(g_s, source, cfg, rng=np.random.default_rng(11))
     pretrain_contrastive(g_t, target, cfg, rng=np.random.default_rng(13))
-    ms, mt = build_models(3, g_s, g_t, seed=17,
-                          rda_hidden=model_cfg.rda_hidden,
-                          clf_hidden=model_cfg.clf_hidden)
+    ms, mt = build_models(model_cfg, 3, g_s, g_t, 17)
     groups = parameter_groups(ms, mt)
     optimizers = {g: Adam(groups[g], 1e-3)
                   for g in ("phi_s", "phi_t", "theta_s", "theta_t")}

@@ -79,6 +79,16 @@ def test_config_rejects_missing_file():
         load_config("/nonexistent/exp.ini", [])
 
 
+def test_a_config_path_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys):
+    # a directory exists, so it is not reported as missing
+    args = ["-c", str(tmp_path), "--set", f"output.dir={tmp_path / 'out'}"]
+    assert main(args + ["gen-data"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {tmp_path}: cannot read the config file (" in err
+    assert "not found" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_stability_and_sensitivity(tmp_path):
     a = load_config(None, [])
     b = load_config(None, [])
@@ -452,6 +462,21 @@ def test_eval_warns_on_config_hash_mismatch(tmp_path, capsys):
     assert main(changed + ["eval", str(out / "best.ckpt"),
                            str(out / "eval_target.ds")]) == EXIT_OK
     assert "warning" in capsys.readouterr().err
+    # the checkpoint sets every tensor, so the seed eval builds from is moot:
+    # another train.seed scores the same, naming its own config hash
+    reports = []
+    for extra in ([], ["train.seed=7"]):
+        assert main(_fast_args(out, extra) + ["eval", str(out / "best.ckpt"),
+                                              str(out / "eval_target.ds")]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert ("warning" in captured.err) == bool(extra)
+        reports.append(json.loads(captured.out))
+    reseeded = load_config(None, FAST_OVERRIDES + [f"output.dir={out}", "train.seed=7"])
+    assert reports[1].pop("config_hash") == reseeded.config_hash
+    del reports[0]["config_hash"]
+    for report in reports:
+        del report["wall_clock_seconds"]
+    assert reports[0] == reports[1]
 
 
 def test_compare_stopping_outputs(tmp_path, capsys):

@@ -11,9 +11,9 @@ from duoadapt.autodiff import Adam, Tensor, conv_stack
 from duoadapt.data import Dataset
 from duoadapt.losses import cross_entropy_hard
 from duoadapt.model import (Checkpoint, CheckpointFormatError, ConvExtractor,
-                            DomainClassifier, DomainWiseModel,
-                            ExtractorNotPretrained, MlpExtractor, RdaBlock,
-                            build_models, classifier_logits, ensemble_predict,
+                            DenseStack, DomainWiseModel,
+                            ExtractorNotPretrained, MlpExtractor, ModelConfig,
+                            RdaBlock, build_models, classifier_logits, ensemble_predict,
                             extract, load_checkpoint, named_buffers,
                             parameter_groups, rda_forward, save_checkpoint)
 from duoadapt.train import TrainConfig, pretrain_contrastive
@@ -28,12 +28,12 @@ def _small_models(seed=0, n_classes=3, in_dim=6, feature_dim=8,
     for g in (gs, gt):
         g.freeze()
         g.pretrained = True
-    return build_models(n_classes, gs, gt, seed=seed + 1,
-                        rda_hidden=rda_hidden, clf_hidden=(10, 8))
+    return build_models(ModelConfig(rda_hidden=rda_hidden, clf_hidden=(10, 8)),
+                        n_classes, gs, gt, seed + 1)
 
 
 def test_rda_identity_channel_returns_same_object():
-    block = RdaBlock(5, "source", np.random.default_rng(0), hidden=(8, 8, 8))
+    block = RdaBlock(5, "source", np.random.default_rng(0), hidden=(8, 8, 8), dropout_p=0.1)
     z = Tensor(np.random.default_rng(1).standard_normal((4, 5)))
     assert rda_forward(block, z, "source", "train") is z
 
@@ -41,7 +41,7 @@ def test_rda_identity_channel_returns_same_object():
 def test_rda_cross_domain_is_identity_at_init():
     # The residual path ends in a zero-initialized linear layer, so a fresh
     # block maps cross-domain features through unchanged (values, not object).
-    block = RdaBlock(5, "source", np.random.default_rng(0), hidden=(8, 8, 8))
+    block = RdaBlock(5, "source", np.random.default_rng(0), hidden=(8, 8, 8), dropout_p=0.1)
     z = Tensor(np.random.default_rng(1).standard_normal((4, 5)))
     out = rda_forward(block, z, "target", "eval")
     assert out is not z
@@ -49,14 +49,14 @@ def test_rda_cross_domain_is_identity_at_init():
 
 
 def test_rda_rejects_wrong_feature_dim():
-    block = RdaBlock(5, "source", np.random.default_rng(0), hidden=(8,))
+    block = RdaBlock(5, "source", np.random.default_rng(0), hidden=(8,), dropout_p=0.1)
     with pytest.raises(ValueError, match="feature dim"):
         rda_forward(block, Tensor(np.zeros((2, 6))), "target", "eval")
 
 
 def test_rda_rejects_bad_domain():
     with pytest.raises(ValueError, match="domain"):
-        RdaBlock(5, "both", np.random.default_rng(0), hidden=(8,))
+        RdaBlock(5, "both", np.random.default_rng(0), hidden=(8,), dropout_p=0.1)
 
 
 def test_extract_requires_pretraining():
@@ -64,7 +64,7 @@ def test_extract_requires_pretraining():
                       proj_dim=4)
     gt = MlpExtractor(6, np.random.default_rng(0), hidden=(8,), feature_dim=8,
                       proj_dim=4)
-    ms, _ = build_models(2, gs, gt, seed=0, rda_hidden=(8,), clf_hidden=(8,))
+    ms, _ = build_models(ModelConfig(rda_hidden=(8,), clf_hidden=(8,)), 2, gs, gt, 0)
     with pytest.raises(ExtractorNotPretrained):
         extract(ms, Tensor(np.zeros((2, 6))), "source")
 
@@ -277,7 +277,7 @@ def test_frozen_extractor_parameters_do_not_require_grad():
 
 
 def test_classifier_emits_raw_logits():
-    clf = DomainClassifier(4, 3, np.random.default_rng(5), hidden=(8,))
+    clf = DenseStack(4, 3, np.random.default_rng(5), (8,), 0.1)
     out = clf(Tensor(np.random.default_rng(6).standard_normal((10, 4)) * 5), "eval")
     # raw logits: not constrained to the simplex
     assert not np.allclose(out.data.sum(axis=1), 1.0)
@@ -447,4 +447,4 @@ def test_build_models_rejects_extractors_of_different_feature_dims():
     gs, gt = (MlpExtractor(6, np.random.default_rng(0), hidden=(16,),
                            feature_dim=dim, proj_dim=4) for dim in (8, 9))
     with pytest.raises(ValueError, match="extractor feature dims differ"):
-        build_models(3, gs, gt, seed=1, rda_hidden=(12,), clf_hidden=(10,))
+        build_models(ModelConfig(rda_hidden=(12,), clf_hidden=(10,)), 3, gs, gt, 1)

@@ -13,7 +13,7 @@ from duoadapt.model import (Checkpoint, build_models, classifier_logits,
                             rda_forward)
 from duoadapt.train import (STEP_MAP, TRACE_COLUMNS, BatchSampler, ModelConfig,
                             RewardTrace, StepId, TraceRow, TrainConfig, adapt,
-                            build_extractor, build_pair, compute_reward,
+                            build_extractor, compute_reward,
                             ensemble_accuracy, extract_dataset,
                             prepare, pretrain_contrastive, run_step,
                             selection_study, train_interactive,
@@ -39,9 +39,14 @@ def _pretrained_pair(source, target, cfg=FAST, model_cfg=SMALL):
     pretrain_contrastive(g_s, source, cfg, rng=np.random.default_rng(1))
     pretrain_contrastive(g_t, target, cfg, rng=np.random.default_rng(2))
     n_classes = max(source.labels) + 1
-    return build_models(n_classes, g_s, g_t, seed=3,
-                        rda_hidden=model_cfg.rda_hidden,
-                        clf_hidden=model_cfg.clf_hidden)
+    return build_models(model_cfg, n_classes, g_s, g_t, 3)
+
+
+def _fresh_pair(model_cfg, n_classes, in_dim, seed):
+    """The source and target models around two extractors not yet
+    pretrained, from ``seed``'s init as ``prepare`` and ``adapt`` build them."""
+    return build_models(model_cfg, n_classes, build_extractor(model_cfg, in_dim, seed),
+                        build_extractor(model_cfg, in_dim, seed), seed + 17)
 
 
 def _feature_sampler(ms, source, target, batch_size, seed):
@@ -358,7 +363,7 @@ def test_missing_gradient_names_epoch_step_group_and_parameter(monkeypatch):
     source, target, _ = _task(seed=1)
     stray = Tensor([1.0], requires_grad=True)
     monkeypatch.setattr(train_module, "_step_loss", lambda *args: (stray * stray).sum())
-    first = next(iter(parameter_groups(*build_pair(SMALL, 2, 8, FAST.seed))["theta_s"]))
+    first = next(iter(parameter_groups(*_fresh_pair(SMALL, 2, 8, FAST.seed))["theta_s"]))
     with pytest.raises(GradError) as info:
         train_interactive(source, target, replace(FAST, epochs=1), SMALL)
     assert str(info.value) == ("epoch 1: step S1_train_Cs, group theta_s: "
@@ -570,6 +575,25 @@ def test_source_only_baseline_learns_source():
     assert result.target_accuracy > 0.8
 
 
+def test_the_model_config_reaches_every_stack_a_run_builds():
+    # ModelConfig.dropout_p is the one dropout default: both RDA blocks,
+    # both heads and the baseline's head carry the configured one and widths
+    source, target, eval_target = _task()
+    model_cfg = replace(SMALL, rda_hidden=(12,), clf_hidden=(10,), dropout_p=0.3)
+    result = train_interactive(source, target, FAST, model_cfg, eval_target)
+    baseline = train_source_only_baseline(result.prepared, FAST, model_cfg,
+                                          eval_target)
+    stacks = {"Ms.Fs": (result.ms.rda, model_cfg.rda_hidden),
+              "Mt.Ft": (result.mt.rda, model_cfg.rda_hidden),
+              "Ms.Cs": (result.ms.classifier, model_cfg.clf_hidden),
+              "Mt.Ct": (result.mt.classifier, model_cfg.clf_hidden),
+              "baseline": (baseline.classifier, model_cfg.clf_hidden)}
+    for name, (stack, hidden) in stacks.items():
+        assert stack.dropout_p == 0.3, name
+        assert tuple(fc.weight.shape[1] for fc in stack.fcs) == hidden, name
+        assert stack.out.weight.shape[0] == hidden[-1], name
+
+
 def _extractor_arrays(extractor, prefix):
     """An extractor's parameter and batch-norm buffer arrays by name."""
     return {**{name: t.data for name, t in extractor.named_parameters(prefix).items()},
@@ -670,7 +694,7 @@ def test_graph_nodes_per_backward_stay_small(monkeypatch):
     # and every node recorded before a backward is reachable from its loss
     source, target, _ = _task(samples_per_class=40)
     cfg = TrainConfig(iters_per_step=2, batch_size=32)
-    ms, mt = build_pair(ModelConfig(), 2, source.inputs.shape[-1], seed=0)
+    ms, mt = _fresh_pair(ModelConfig(), 2, source.inputs.shape[-1], seed=0)
     ms.extractor_s.mark_pretrained()
     ms.extractor_t.mark_pretrained()
     groups = parameter_groups(ms, mt)
@@ -716,7 +740,7 @@ def test_interactive_steps_record_at_most_three_nodes_per_backward(monkeypatch):
     # the loss (about 16 nodes per backward with a node per layer)
     source, target, _ = _task(samples_per_class=40)
     cfg = TrainConfig(iters_per_step=2, batch_size=32)
-    ms, mt = build_pair(ModelConfig(), 2, source.inputs.shape[-1], seed=0)
+    ms, mt = _fresh_pair(ModelConfig(), 2, source.inputs.shape[-1], seed=0)
     ms.extractor_s.mark_pretrained()
     ms.extractor_t.mark_pretrained()
     groups = parameter_groups(ms, mt)
