@@ -109,10 +109,11 @@ def load_config(path: Optional[str], overrides: List[str]) -> ExperimentConfig:
     texts: Dict[str, Dict[str, str]] = {sec: {} for sec in _KEY_TYPES}
     if path is not None:
         # no header spells "", so a [DEFAULT] section is an unknown one
-        # rather than keys merged into every section
-        parser = configparser.ConfigParser(default_section="")
+        # rather than keys merged into every section; values are literal, so
+        # a % is a character, not an interpolation; a leading BOM is skipped
+        parser = configparser.ConfigParser(default_section="", interpolation=None)
         try:
-            with open(path, encoding="utf-8") as f:
+            with open(path, encoding="utf-8-sig") as f:
                 parser.read_file(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None

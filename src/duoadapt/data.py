@@ -232,18 +232,14 @@ def spectrogram_ingest(signals: Tensor) -> Tensor:
 
 
 def augment_pair(x: Tensor, rng: np.random.Generator) -> Tuple[Tensor, Tensor]:
-    """Two independently augmented views of the same batch, row-aligned.
+    """The batch and one augmented view of it, row-aligned.
 
-    Each view adds Gaussian noise with sigma 0.1, then scales each row by
-    one amplitude drawn from U(0.8, 1.2); the first view's draws come first.
+    The view adds Gaussian noise with sigma 0.1, then scales each row by one
+    amplitude drawn from U(0.8, 1.2).
     """
-    return _augment_once(x.data, rng), _augment_once(x.data, rng)
-
-
-def _augment_once(x: np.ndarray, rng: np.random.Generator) -> Tensor:
-    out = x + 0.1 * rng.standard_normal(x.shape)
-    out *= rng.uniform(0.8, 1.2, size=(x.shape[0],) + (1,) * (x.ndim - 1))
-    return Tensor(out)
+    view = x.data + 0.1 * rng.standard_normal(x.shape)
+    view *= rng.uniform(0.8, 1.2, size=(x.shape[0],) + (1,) * (x.ndim - 1))
+    return x, Tensor(view)
 
 
 # -- binary container ---------------------------------------------------------

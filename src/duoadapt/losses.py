@@ -108,11 +108,8 @@ def nt_xent(originals: Tensor, augmented: Tensor, temperature: float) -> Tensor:
         raise ValueError("nt_xent: zero-norm row, cosine similarity undefined")
     o_hat, a_hat = o.data / norm_o, a.data / norm_a
     inv_t = 1.0 / temperature
-    # contiguous transposes, as ``Tensor.T`` makes them, keep the value bit
-    # equal to the composition of Tensor ops; a transposed view takes another
-    # BLAS path
-    d_ao = np.exp((a_hat @ o_hat.T.copy()) * inv_t)   # anchor i vs original j
-    d_aa = np.exp((a_hat @ a_hat.T.copy()) * inv_t)   # anchor i vs augmented j
+    d_ao = np.exp((a_hat @ o_hat.T) * inv_t)   # anchor i vs original j
+    d_aa = np.exp((a_hat @ a_hat.T) * inv_t)   # anchor i vs augmented j
     pos = np.diagonal(d_ao)
     denom = d_ao.sum(axis=1) + d_aa.sum(axis=1) - np.diagonal(d_aa)
     value = (np.log(denom) - np.log(pos)).sum() * (1.0 / n)

@@ -202,11 +202,7 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
             idx = order[start:start + cfg.batch_size]
             if len(idx) < 2:
                 continue
-            x = Tensor(data.inputs.data[idx])
-            # the batch pairs the originals with the first view; the second
-            # is drawn only so that the generator's stream, and so every
-            # pretrained extractor, stays the same
-            view, _ = augment_pair(x, rng)
+            x, view = augment_pair(Tensor(data.inputs.data[idx]), rng)
             originals, augmented = extractor.project(x), extractor.project(view)
             where = f"pretraining epoch {epoch}, batch {b}"
             try:

@@ -233,6 +233,26 @@ def test_a_default_section_exits_2_as_an_unknown_section(tmp_path, capsys, text)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["100%", "out_%(seed)s"], ids=["percent", "reference"])
+def test_config_values_are_read_literally(tmp_path, name):
+    # a % is a character of the value, not the start of an interpolation
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[output]\ndir = {tmp_path / name}\n")
+    assert load_config(str(ini), []).output.dir == str(tmp_path / name)
+    assert main(["-c", str(ini), "gen-data"]) == EXIT_OK
+    assert (tmp_path / name / "source.ds").is_file()
+
+
+def test_a_config_file_with_a_bom_hashes_like_the_file_without_it(tmp_path):
+    text = "[train]\nepochs = 3\n[output]\ndir = runs/bom\n"
+    plain, bom = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(text.encode("utf-8-sig"))
+    want = load_config(str(plain), [])
+    assert want.train.epochs == 3
+    assert load_config(str(bom), []).config_hash == want.config_hash
+
+
 def test_a_class_per_dimension_and_a_full_offset_generate(tmp_path):
     # the generator draws one orthogonal mean direction per class and adds
     # the offset to the leading coordinates: both may use every dimension

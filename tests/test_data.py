@@ -231,13 +231,13 @@ def test_spectrogram_rejects_bad_args():
 
 # -- augmentation -------------------------------------------------------------
 
-def test_augment_pair_views_differ_from_input_and_each_other():
+def test_augment_pair_returns_the_batch_and_one_view():
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((10, 6)))
-    v1, v2 = augment_pair(x, np.random.default_rng(9))
-    assert v1.shape == x.shape == v2.shape
-    assert not np.array_equal(v1.data, x.data)
-    assert not np.array_equal(v1.data, v2.data)
+    batch, view = augment_pair(x, np.random.default_rng(9))
+    assert batch is x
+    assert view.shape == x.shape
+    assert not np.array_equal(view.data, x.data)
 
 
 def test_augment_is_deterministic_given_rng_state():
@@ -250,14 +250,13 @@ def test_augment_is_deterministic_given_rng_state():
 
 @pytest.mark.parametrize("shape", [(6, 5), (3, 1, 4, 4)])
 def test_augment_pair_draw_order(shape):
-    # per view: all the noise, then one amplitude per row
+    # all the noise, then one amplitude per row
     x = Tensor(np.random.default_rng(16).standard_normal(shape))
-    views = augment_pair(x, np.random.default_rng(17))
+    _, view = augment_pair(x, np.random.default_rng(17))
     rng = np.random.default_rng(17)
     rows = (shape[0],) + (1,) * (len(shape) - 1)
-    for view in views:
-        want = (x.data + 0.1 * rng.standard_normal(shape)) * rng.uniform(0.8, 1.2, rows)
-        assert view.data.tobytes() == want.tobytes()
+    want = (x.data + 0.1 * rng.standard_normal(shape)) * rng.uniform(0.8, 1.2, rows)
+    assert view.data.tobytes() == want.tobytes()
 
 
 # -- container I/O ------------------------------------------------------------

@@ -180,6 +180,23 @@ def test_pretraining_skips_a_one_row_tail_batch(monkeypatch):
     assert len(steps) == 2 * FAST.pretrain_epochs
 
 
+def test_pretraining_draws_one_view_per_kept_batch():
+    # 9 rows in batches of 4 leave a one-row tail each epoch, which draws
+    # nothing; each kept batch draws its view's noise, then its amplitudes
+    source, _, _ = _task()
+    data = Dataset(Tensor(source.inputs.data[:9]), source.labels[:9], source.domain)
+    cfg = replace(FAST, batch_size=4, pretrain_epochs=2)
+    rng = np.random.default_rng(5)
+    pretrain_contrastive(build_extractor(SMALL, 8, 0), data, cfg, rng)
+    replay = np.random.default_rng(5)
+    for _ in range(cfg.pretrain_epochs):
+        replay.permutation(9)
+        for b in (4, 4):
+            replay.standard_normal((b, 8))
+            replay.uniform(0.8, 1.2, (b, 1))
+    assert rng.random() == replay.random()
+
+
 def test_pretraining_rejects_fewer_than_two_rows():
     # one row makes no contrastive pair and no batch statistics
     source, _, _ = _task()
