@@ -6,6 +6,7 @@ order. Everything is 64-bit, single-threaded, and deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -867,8 +868,9 @@ class Adam:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: Mapping[str, Tensor], learning_rate: float):
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite, "
+                             f"got {learning_rate}")
         self.learning_rate = learning_rate
         self.params: Dict[str, Tensor] = dict(params)
         sizes = [t.size for t in self.params.values()]

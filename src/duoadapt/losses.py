@@ -6,6 +6,7 @@ cross-entropy's teacher, which is a constant target.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence
@@ -69,8 +70,9 @@ class KernelSpec:
             if med <= 0.0:
                 med = 1.0
             return [med * s for s in MEDIAN_SCALES]
-        if not self.bandwidths or any(w <= 0 for w in self.bandwidths):
-            raise ValueError("bandwidths must be positive and nonempty")
+        if not self.bandwidths or not all(0.0 < w < math.inf for w in self.bandwidths):
+            raise ValueError("bandwidths must be positive and nonempty, each finite, "
+                             f"got {self.bandwidths}")
         return list(self.bandwidths)
 
 
@@ -81,54 +83,63 @@ def _through_row_norm(x_hat: np.ndarray, norm: np.ndarray, d: np.ndarray) -> np.
     return d / norm
 
 
-def nt_xent(originals: Tensor, augmented: Tensor, temperature: float) -> Tensor:
+def nt_xent(originals: Tensor, augmented: Optional[Tensor], temperature: float) -> Tensor:
     """Normalized temperature-scaled cross-entropy over augmented anchors.
 
-    ``originals`` and ``augmented`` are row-aligned projection pairs. Each
+    ``originals`` and ``augmented`` are row-aligned projection pairs. With
+    ``augmented`` None, ``originals`` holds both, stacked: the N originals'
+    rows, then their N views' rows; either form gives the same bits. Each
     augmented row is an anchor whose positive is the same-index original;
     the 2N-2 remaining rows of both sets are its negatives. Similarity is
-    exp(cosine / temperature). One graph node over the normalised rows
-    o^, a^ and E_ao = exp(a^ o^T / t), E_aa = exp(a^ a^T / t).
-    With r = (g/n) / denom per anchor, G_ao = (E_ao r - (g/n) I) / t and
-    G_aa = E_aa r / t with a zero diagonal; then da^ = G_ao o^ + (G_aa + G_aa^T) a^,
-    do^ = G_ao^T a^, and each row normalisation maps dx^ to
-    (dx^ - x^ (x^ . dx^)) / |x| (Chen et al. 2020).
+    exp(cosine / temperature). One graph node over the 2N normalised rows
+    p^ = [o^; a^]: with S = a^ p^T / t and E = exp(S) with each anchor's
+    entry against itself zeroed, the loss is the mean of
+    log(sum_j E_ij) - S_ii. With G = ((g/N) E / rowsum(E) - (g/N) [I 0]) / t,
+    dp^ = G^T a^ plus G p^ on the anchors' rows, and each row normalisation
+    maps dx^ to (dx^ - x^ (x^ . dx^)) / |x| (Chen et al. 2020).
     """
-    o, a = originals, augmented
-    if o.shape != a.shape:
-        raise ShapeMismatch("nt_xent", o.shape, a.shape)
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    n = o.shape[0]
-    if n < 2:
-        raise ValueError("nt_xent needs at least 2 pairs (no negatives otherwise)")
-    norm_o, norm_a = (np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
-                      for x in (o, a))
-    if np.any(norm_o < 1e-12) or np.any(norm_a < 1e-12):
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    if augmented is None:
+        parents, rows = (originals,), originals.data
+        if rows.ndim != 2 or len(rows) % 2 or len(rows) < 4:
+            raise ValueError("nt_xent: stacked projections need an even number "
+                             f"of at least 4 rows, got shape {rows.shape}")
+    else:
+        if originals.ndim != 2 or originals.shape != augmented.shape:
+            raise ShapeMismatch("nt_xent", originals.shape, augmented.shape)
+        if originals.shape[0] < 2:
+            raise ValueError("nt_xent needs at least 2 pairs (no negatives otherwise)")
+        parents = (originals, augmented)
+        rows = np.concatenate([originals.data, augmented.data])
+    n = len(rows) // 2
+    norm = np.sqrt((rows * rows).sum(axis=1, keepdims=True))
+    if np.any(norm < 1e-12):
         raise ValueError("nt_xent: zero-norm row, cosine similarity undefined")
-    o_hat, a_hat = o.data / norm_o, a.data / norm_a
+    p_hat = rows / norm
+    a_hat = p_hat[n:]
     inv_t = 1.0 / temperature
-    d_ao = np.exp((a_hat @ o_hat.T) * inv_t)   # anchor i vs original j
-    d_aa = np.exp((a_hat @ a_hat.T) * inv_t)   # anchor i vs augmented j
-    pos = np.diagonal(d_ao)
-    denom = d_ao.sum(axis=1) + d_aa.sum(axis=1) - np.diagonal(d_aa)
-    value = (np.log(denom) - np.log(pos)).sum() * (1.0 / n)
+    e = a_hat @ p_hat.T
+    e *= inv_t
+    pos = np.diagonal(e).copy()             # anchor i vs its original
+    np.exp(e, out=e)
+    np.fill_diagonal(e[:, n:], 0.0)         # anchor i vs itself
+    denom = e.sum(axis=1)
+    value = (np.log(denom) - pos).sum() * (1.0 / n)
 
     def back(g):
         gn = g / n
-        r = (gn / denom)[:, None]
-        g_ao = d_ao * r
-        g_ao[np.diag_indices(n)] -= gn
-        g_ao *= inv_t
-        g_aa = d_aa * r
-        g_aa *= inv_t
-        np.fill_diagonal(g_aa, 0.0)
-        if o.requires_grad:
-            o._accum(_through_row_norm(o_hat, norm_o, g_ao.T @ a_hat))
-        if a.requires_grad:
-            a._accum(_through_row_norm(a_hat, norm_a,
-                                       g_ao @ o_hat + (g_aa + g_aa.T) @ a_hat))
-    return Tensor._from_op(value, (o, a), "nt_xent", back)
+        grad = e * (gn / denom)[:, None]
+        grad[np.diag_indices(n)] -= gn
+        grad *= inv_t
+        d = grad.T @ a_hat
+        d[n:] += grad @ p_hat
+        d = _through_row_norm(p_hat, norm, d)
+        parts = (d,) if augmented is None else (d[:n], d[n:])
+        for t, part in zip(parents, parts):
+            if t.requires_grad:
+                t._accum(part)
+    return Tensor._from_op(value, parents, "nt_xent", back)
 
 
 def mmd_squared(a: Tensor, b: Tensor, kernel: Optional[KernelSpec] = None) -> Tensor:

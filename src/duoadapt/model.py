@@ -117,6 +117,10 @@ class Extractor(Module):
     """
 
     pretrained = False
+    # whether pretraining may project a batch and its view as one stack of
+    # rows: only an extractor without batch statistics projects each row
+    # the same way whatever rows it shares a pass with
+    stacks_views = False
 
     def _dense_input(self, x: Tensor) -> Tuple[Tensor, list]:
         """The tensor the extractor's dense layers read, and those layers as
@@ -143,7 +147,10 @@ def _chain(h: Tensor, layers: list) -> Tensor:
 class MlpExtractor(Extractor):
     """Fully connected extractor for vector-valued inputs: Linear layers
     with a ReLU after each but the last. ``features`` is one
-    ``linear_chain`` node, and so is ``project``."""
+    ``linear_chain`` node, and so is ``project``, which pretraining runs
+    once over a batch and its view stacked."""
+
+    stacks_views = True
 
     def __init__(self, in_dim: int, rng: np.random.Generator,
                  hidden: Sequence[int], feature_dim: int, proj_dim: int):

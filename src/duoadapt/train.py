@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -48,8 +49,9 @@ class TrainConfig:
                 raise ValueError(f"train.{key} must be at least {low}, "
                                  f"got {getattr(self, key)}")
         for key in ("learning_rate", "temperature"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"train.{key} must be positive, got {getattr(self, key)}")
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ValueError(f"train.{key} must be positive and finite, "
+                                 f"got {getattr(self, key)}")
         if not 0.0 < self.desired_reward <= 1.0:
             raise ValueError(f"train.desired_reward must be in (0, 1], "
                              f"got {self.desired_reward}")
@@ -187,7 +189,10 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
     """Train an extractor on original/augmented pairs, then freeze it.
 
     Returns the per-epoch mean contrastive loss; the projection head is
-    unused after this call.
+    unused after this call. An extractor that ``stacks_views`` projects a
+    batch's rows and then its view's as one pass and one loss; the conv
+    extractor projects each on its own, so its batch norm never pools the
+    two views' statistics.
     """
     if len(data) < 2:
         # one row makes no contrastive pair and no batch-norm statistics
@@ -203,17 +208,21 @@ def pretrain_contrastive(extractor, data: Dataset, cfg: TrainConfig,
             if len(idx) < 2:
                 continue
             x, view = augment_pair(Tensor(data.inputs.data[idx]), rng)
-            originals, augmented = extractor.project(x), extractor.project(view)
+            if extractor.stacks_views:
+                rows = Tensor(np.concatenate([x.data, view.data]))
+                projections = extractor.project(rows), None
+            else:
+                projections = extractor.project(x), extractor.project(view)
             where = f"pretraining epoch {epoch}, batch {b}"
             try:
-                loss = nt_xent(originals, augmented, cfg.temperature)
+                loss = nt_xent(*projections, cfg.temperature)
             except ValueError as e:
                 # a zero-norm projection row is reported, not clamped: a
                 # clamped norm would send a 1/eps-scaled gradient upstream
                 raise ValueError(f"{where}: {e}") from e
             losses.append(_update(loss, opt, where))
             # drop this step's graph before the next forward builds its own
-            del x, view, originals, augmented, loss
+            del x, view, projections, loss
         history.append(float(np.mean(losses)))
     extractor.mark_pretrained()
     return history

@@ -57,8 +57,10 @@ def test_shape_mismatch_names_shapes():
      ValueError, "dropout probability must be in [0, 1), got 1.0"),
     (lambda: Adam({"w": Tensor([1.0], requires_grad=True)}, 0.0), ValueError,
      "learning_rate must be positive"),
+    (lambda: Adam({"w": Tensor([1.0], requires_grad=True)}, float("nan")), ValueError,
+     "learning_rate must be positive and finite, got nan"),
 ], ids=["sub", "mul", "div", "transpose-3d", "conv2d-3d", "dropout-p-1",
-        "adam-zero-learning-rate"])
+        "adam-zero-learning-rate", "adam-nan-learning-rate"])
 def test_bad_operands_raise_naming_the_op(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

@@ -12,7 +12,7 @@ over frozen parameters and a constant input must record no node.
 of the input, and ``maxpool2x2`` with a take/put-along-axis node, bit for
 bit. ``nt_xent`` is compared with
 ``_nt_xent_ref``, its composition of row norms, matmuls, exp, masks, log
-and mean. Pooling before a ReLU must equal pooling after it
+and mean, and its stacked form with its two-set form, bit for bit. Pooling before a ReLU must equal pooling after it
 bit for bit, in values and input gradient, since the extractors rely on
 that order. Every op is also checked against central finite differences.
 ``Adam``'s one update over a flat buffer is compared with ``_adam_ref``, the
@@ -45,6 +45,7 @@ normalized map, pre-pool output, pooled output or ReLU mask, which its
 backward recomputes. That backward must read the statistics its forward
 used, not the running buffers as they are when it runs.
 """
+import re
 import tracemalloc
 
 import numpy as np
@@ -745,6 +746,47 @@ def test_grad_check_nt_xent():
     report = grad_check(lambda: nt_xent(o, a, 0.3),
                         {"originals": o, "augmented": a}, tolerance=1e-6)
     assert report.passed, report.failures()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 6), st.floats(0.1, 2.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_nt_xent_stacked_form_equals_two_set_form(n, d, temperature, seed):
+    # the originals' rows, then the views', as one tensor give the value
+    # and gradients of the two row sets, bit for bit
+    rng = np.random.default_rng(seed)
+    o, a = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    pair = [Tensor(o, requires_grad=True), Tensor(a, requires_grad=True)]
+    stacked = Tensor(np.concatenate([o, a]), requires_grad=True)
+    two, one = nt_xent(*pair, temperature), nt_xent(stacked, None, temperature)
+    two.backward()
+    one.backward()
+    assert one.item() == two.item()
+    assert np.array_equal(stacked.grad, np.concatenate([t.grad for t in pair]))
+
+
+def test_grad_check_nt_xent_stacked():
+    rng = np.random.default_rng(11)
+    p = Tensor(rng.standard_normal((10, 3)), requires_grad=True)
+    report = grad_check(lambda: nt_xent(p, None, 0.3), {"projections": p},
+                        tolerance=1e-6)
+    assert report.passed, report.failures()
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (2, 3), (0, 3), (6,), (4, 2, 2)])
+def test_nt_xent_stacked_rows_must_make_two_pairs(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            "nt_xent: stacked projections need an even number of at least 4 "
+            f"rows, got shape {shape}")):
+        nt_xent(Tensor(np.ones(shape)), None, 0.5)
+
+
+@pytest.mark.parametrize("row", [1, 3])
+def test_nt_xent_stacked_rejects_zero_norm_row(row):
+    p = np.ones((4, 3))
+    p[row] = 0.0
+    with pytest.raises(ValueError, match="nt_xent: zero-norm row"):
+        nt_xent(Tensor(p), None, 0.5)
 
 
 # -- dense stack ----------------------------------------------------------------

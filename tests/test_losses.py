@@ -72,9 +72,17 @@ def test_nt_xent_rejects_mismatched_shapes_and_nonpositive_temperature():
     with pytest.raises(ShapeMismatch, match=re.escape("nt_xent: incompatible "
                                                       "shapes (3, 4) and (4, 3)")):
         nt_xent(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 3))), 0.5)
-    for temperature in (0.0, -0.5):
-        with pytest.raises(ValueError, match="temperature must be positive"):
-            nt_xent(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), temperature)
+    # rows of one value each used to fail inside numpy, naming no op
+    with pytest.raises(ShapeMismatch, match=re.escape("nt_xent: incompatible "
+                                                      "shapes (3,) and (3,)")):
+        nt_xent(Tensor(np.ones(3)), Tensor(np.ones(3)), 0.5)
+    # NaN passes a "<= 0" check and made a NaN loss; inf made a constant one
+    for temperature in (0.0, -0.5, math.nan, math.inf):
+        message = f"temperature must be positive and finite, got {temperature}"
+        for args in ((Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4)))),
+                     (Tensor(np.ones((4, 4))), None)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                nt_xent(*args, temperature)
 
 
 def test_nt_xent_gradient_vs_finite_differences():
@@ -205,11 +213,16 @@ def test_cross_entropy_hard_rejects_bad_labels():
 @pytest.mark.parametrize("call, error, message", [
     (lambda: KernelSpec(bandwidths=[]).resolve(np.zeros((2, 2))),
      ValueError, "bandwidths must be positive and nonempty"),
+    (lambda: KernelSpec(bandwidths=[1.0, math.nan]).resolve(np.zeros((2, 2))),
+     ValueError, "bandwidths must be positive and nonempty, each finite, got [1.0, nan]"),
+    (lambda: KernelSpec(bandwidths=[math.inf]).resolve(np.zeros((2, 2))),
+     ValueError, "bandwidths must be positive and nonempty, each finite, got [inf]"),
     (lambda: cross_entropy_hard(Tensor(np.zeros((3, 2))), [0, 1]), ShapeMismatch,
      "cross_entropy_hard: incompatible shapes (3, 2) and (2,)"),
     (lambda: cross_entropy_soft(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4)))),
      ShapeMismatch, "cross_entropy_soft: incompatible shapes (3, 2) and (3, 4)"),
-], ids=["empty-bandwidths", "hard-label-count", "soft-shapes"])
+], ids=["empty-bandwidths", "nan-bandwidth", "inf-bandwidth", "hard-label-count",
+        "soft-shapes"])
 def test_bad_loss_arguments_raise(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
