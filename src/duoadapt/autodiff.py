@@ -321,18 +321,12 @@ def _linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return data
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of an (N, I) batch as one graph node: the
-    one-layer ``linear_chain``."""
-    return linear_chain(x, ((w, b, False),))
-
-
 def linear_chain(x: Tensor, layers: Iterable[tuple]) -> Tensor:
     """Linear layers over an (N, I) batch, each followed by a ReLU where
     its flag is set, as one graph node named "linear".
 
     ``layers`` yields one (weight, bias, relu) triple per layer. Each layer
-    runs the operations of ``linear`` and ``Tensor.relu`` in their order,
+    runs the operations of ``h @ w + b`` and ``Tensor.relu`` in their order,
     ``a = h @ w``, ``a += b``, then ``a * (a > 0.0)`` written over ``a``,
     so the values and gradients equal that composition bit for bit. The
     chain keeps each layer's input and ReLU mask, dropped when it records

@@ -57,22 +57,31 @@ class KernelSpec:
 
     ``bandwidths`` are squared length scales. ``None`` resolves them per
     call as the median pairwise squared distance of the pooled samples
-    scaled by 0.25/0.5/1/2/4; a list fixes them.
+    scaled by 0.25/0.5/1/2/4; a list fixes them, and is checked when the
+    spec is built.
     """
 
     bandwidths: Optional[List[float]] = None
 
+    def __post_init__(self):
+        if self.bandwidths is not None:
+            self._check_fixed()
+
+    def _check_fixed(self) -> None:
+        if not self.bandwidths or not all(0.0 < w < math.inf for w in self.bandwidths):
+            raise ValueError("bandwidths must be positive and nonempty, each finite, "
+                             f"got {self.bandwidths}")
+
     def resolve(self, d2: np.ndarray) -> List[float]:
         """Bandwidths for the pooled samples whose squared-distance matrix
-        is ``d2``; fixed bandwidths ignore it."""
+        is ``d2``; fixed bandwidths ignore it, and are checked again, since
+        the list may have changed since the spec was built."""
         if self.bandwidths is None:
             med = _median(d2.take(_upper_pairs(len(d2))))
             if med <= 0.0:
                 med = 1.0
             return [med * s for s in MEDIAN_SCALES]
-        if not self.bandwidths or not all(0.0 < w < math.inf for w in self.bandwidths):
-            raise ValueError("bandwidths must be positive and nonempty, each finite, "
-                             f"got {self.bandwidths}")
+        self._check_fixed()
         return list(self.bandwidths)
 
 
@@ -150,7 +159,13 @@ def mmd_squared(a: Tensor, b: Tensor, kernel: Optional[KernelSpec] = None) -> Te
     One graph node over the pooled squared-distance matrix D of the n + m
     rows X = [a; b], which also feeds the median heuristic. With the block
     weights W (1/n^2, 1/m^2, -1/nm) the loss is sum W * sum_bw exp(-D/2bw);
-    for G = dL/dD, which is symmetric, dL/dX = 4 (diag(rowsum G) X - G X).
+    for G = dL/dD, which is symmetric, dL/dX = 4 (diag(rowsum G) X - G X),
+    built only for the rows of an input that requires a gradient.
+
+    The kernels run from the widest bandwidth down. A bandwidth exactly half
+    the one before it squares that one's kernel, as exp(-D/bw) is
+    exp(-D/2bw)^2; any other takes its own exp. The median rule's five
+    bandwidths are such a chain, so they cost one exp.
     """
     kernel = kernel or KernelSpec()
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -160,30 +175,41 @@ def mmd_squared(a: Tensor, b: Tensor, kernel: Optional[KernelSpec] = None) -> Te
         raise ValueError("mmd_squared needs at least 2 samples per side")
     x = np.concatenate([a.data, b.data], axis=0)
     sq = np.sum(x ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :]
-    d2 -= 2.0 * x @ x.T
-    bws = kernel.resolve(d2)
+    # a contiguous right operand: OpenBLAS runs the transposed-operand
+    # product of these shapes on two threads, in no less time
+    d2 = x @ np.ascontiguousarray(x.T)
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += sq
+    bws = sorted(kernel.resolve(d2), reverse=True)
 
     weights = _block_weights(n, m)
-    # every bandwidth's kernel goes through the one buffer ``k``; the first
-    # starts the sums ``ksum`` and ``dk`` = d(sum_bw k)/dD as copies of it
-    k = np.empty_like(d2)
-    ksum = dk = None
-    for bw in bws:
-        scale = -0.5 / bw
-        np.exp(np.multiply(d2, scale, out=k), out=k)
-        ksum = k.copy() if ksum is None else np.add(ksum, k, out=ksum)
-        k *= scale
-        dk = k.copy() if dk is None else np.add(dk, k, out=dk)
-    value = np.sum(weights * ksum)
+    # ``k`` holds each bandwidth's kernel in turn; ``ksum`` sums them, and
+    # ``dk`` sums (widest / bw) k, which -0.5 / widest scales to d ksum/dD
+    widest = bws[0]
+    k = np.multiply(d2, -0.5 / widest)
+    np.exp(k, out=k)
+    ksum, dk = k.copy(), k.copy()
+    term = np.empty_like(k)
+    for prev, bw in zip(bws, bws[1:]):
+        if bw == 0.5 * prev:
+            np.square(k, out=k)
+        else:
+            np.exp(np.multiply(d2, -0.5 / bw, out=k), out=k)
+        ksum += k
+        dk += np.multiply(k, widest / bw, out=term)
+    # einsum sums in its own loop: np.vdot would call OpenBLAS's threaded dot
+    value = np.einsum("ij,ij->", weights, ksum)
 
     def back(g):
-        grad_d = (g * weights) * dk
-        rows = grad_d.sum(axis=1)
+        scale = -2.0 * g / widest           # 4 g times -0.5 / widest
         for t, part in ((a, slice(0, n)), (b, slice(n, n + m))):
             if t.requires_grad:
-                gx = rows[part, None] * x[part] - grad_d[part] @ x
-                t._accum(4.0 * gx)
+                grad_d = weights[part] * dk[part]
+                grad_d *= scale
+                gx = grad_d.sum(axis=1)[:, None] * x[part]
+                gx -= grad_d @ x
+                t._accum(gx)
     return Tensor._from_op(value, (a, b), "mmd_squared", back)
 
 

@@ -16,7 +16,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import Tensor, conv_stack, dense_stack, linear, linear_chain
+from .autodiff import Tensor, conv_stack, dense_stack, linear_chain
 from .data import CONV_INPUT_SHAPE, Cursor, read_container
 
 _CKPT_MAGIC = b"DACK"
@@ -81,9 +81,6 @@ class Linear(Module):
             w = rng.standard_normal((in_dim, out_dim)) * np.sqrt(2.0 / in_dim)
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
 
 
 class BatchNorm(Module):
@@ -175,8 +172,8 @@ class ConvExtractor(Extractor):
 
     A ``features`` call that records a graph (before pretraining, or when
     the input or a block's parameter requires a gradient) is one
-    ``conv_stack`` node and one ``linear`` node over the whole batch, and
-    a ``project`` call is the same ``conv_stack`` node and one
+    ``conv_stack`` node and one ``linear_chain`` node over the whole
+    batch, and a ``project`` call is the same ``conv_stack`` node and one
     ``linear_chain`` node over the FC and the head. A frozen ``features``
     pass records none; ``conv_stack`` decides whether it runs over chunks
     of rows, and the FC runs once over all of them: its matrix product can

@@ -3,8 +3,8 @@
 Each fused op is compared with the unfused composition of elementary Tensor
 ops it replaces, written out below; values and gradients must agree to
 1e-10 (relative to the larger magnitude when that exceeds 1).
-``linear_chain`` is compared with the composition of ``linear`` (or
-``_linear_ref``) and ``Tensor.relu`` layer by layer, bit for bit in its
+``linear_chain`` is compared with the composition of ``_linear_ref`` and
+``Tensor.relu`` layer by layer, bit for bit in its
 output and in every leaf's gradient, with frozen layers and a constant
 input among the cases. ``linear_chain``, ``dense_stack`` and ``conv_stack``
 over frozen parameters and a constant input must record no node.
@@ -18,7 +18,7 @@ that order. Every op is also checked against central finite differences.
 ``Adam``'s one update over a flat buffer is compared with ``_adam_ref``, the
 per-tensor loop with state per parameter name, bit for bit, step by step and
 through a whole ``train_interactive``. ``dense_stack`` is compared with
-``_dense_stack_ref``, the per-layer composition of ``linear``,
+``_dense_stack_ref``, the per-layer composition of ``_linear_ref``,
 ``batch_norm``, ReLU, a ``_dropout_mask`` product and the residual add: to
 1e-10 in values, gradients and running buffers, since the stack's
 feature-major matrix products (``W.T @ h`` over (F, N) rows) sum in another
@@ -56,7 +56,7 @@ from hypothesis import strategies as st
 from duoadapt import autodiff, train
 from duoadapt.autodiff import (MODES, Adam, GradError, ShapeMismatch, Tensor,
                                _dropout_mask, batch_norm, conv2d, conv_stack,
-                               grad_check, linear, linear_chain, maxpool2x2)
+                               grad_check, linear_chain, maxpool2x2)
 from duoadapt.data import Dataset, PdaTaskSpec, gen_synthetic_pda
 from duoadapt.losses import (MEDIAN_SCALES, KernelSpec, _block_weights,
                              cross_entropy_hard, cross_entropy_soft,
@@ -202,12 +202,12 @@ def _dense_stack_ref(stack, x, mode, residual=False):
     dropout per hidden layer, then a linear, then the residual add."""
     h = x
     for fc, bn in zip(stack.fcs, stack.bns):
-        h = batch_norm(fc(h), bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+        h = batch_norm(_linear_ref(h, fc.weight, fc.bias), bn.gamma, bn.beta, bn.running_mean, bn.running_var,
                        mode, momentum=bn.momentum, eps=bn.eps).relu()
         mask = _dropout_mask(h.shape, stack.dropout_p, stack.rng, mode == "train")
         if mask is not None:
             h = h * Tensor(mask)
-    out = stack.out(h)
+    out = _linear_ref(h, stack.out.weight, stack.out.bias)
     return x + out if residual else out
 
 
@@ -310,50 +310,25 @@ def _pool_bits_agree(first, second, n, c, h2, w2, seed):
     assert np.array_equal(got_grad, want_grad)
 
 
-# -- linear -------------------------------------------------------------------
+# -- linear chain -------------------------------------------------------------
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 9), st.integers(1, 6), st.integers(1, 6),
-       st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_linear_matches_composition(n, i, o, seed, x_grad):
-    rng = np.random.default_rng(seed)
-    arrays = [rng.standard_normal((n, i)), rng.standard_normal((i, o)),
-              rng.standard_normal(o)]
-    _agree(linear, _linear_ref, arrays, [x_grad, True, True],
-           rng.standard_normal((n, o)))
-
-
-def test_linear_is_exact_and_one_node():
-    rng = np.random.default_rng(0)
-    x, w, b = (rng.standard_normal(s) for s in ((5, 4), (4, 3), (3,)))
-    out = linear(Tensor(x), Tensor(w, requires_grad=True), Tensor(b))
-    assert np.array_equal(out.data, x @ w + b)
-    assert out._op == "linear" and len(out._parents) == 3
-
-
-def test_linear_rejects_bad_shapes():
+def test_linear_chain_rejects_bad_shapes():
     x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
     with pytest.raises(ShapeMismatch, match="linear"):
-        linear(x, Tensor(np.ones((2, 4))), Tensor(np.ones(4)))
+        linear_chain(x, [(Tensor(np.ones((2, 4))), Tensor(np.ones(4)), False)])
     with pytest.raises(ShapeMismatch, match="linear"):
-        linear(x, w, Tensor(np.ones(3)))
+        linear_chain(x, [(w, Tensor(np.ones(3)), False)])
+    # the second layer's input is the first layer's (2, 4) output
+    with pytest.raises(ShapeMismatch, match="linear"):
+        linear_chain(x, [(w, Tensor(np.ones(4)), True),
+                         (Tensor(np.ones((3, 2))), Tensor(np.ones(2)), False)])
 
 
-def test_grad_check_linear():
-    rng = np.random.default_rng(1)
-    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    b = Tensor(rng.standard_normal(3), requires_grad=True)
-    report = grad_check(lambda: (linear(x, w, b) ** 2).mean(),
-                        {"x": x, "w": w, "b": b}, tolerance=1e-6)
-    assert report.passed, report.failures()
-
-
-def _linear_chain_ref(x, layers, dense):
-    """``linear_chain``'s layers one node each: ``dense`` (``linear`` or
-    ``_linear_ref``), then ``Tensor.relu`` where the layer's flag is set."""
+def _linear_chain_ref(x, layers):
+    """``linear_chain``'s layers one node each: ``_linear_ref``, then
+    ``Tensor.relu`` where the layer's flag is set."""
     for w, b, relu in layers:
-        x = dense(x, w, b)
+        x = _linear_ref(x, w, b)
         if relu:
             x = x.relu()
     return x
@@ -363,10 +338,8 @@ def _linear_chain_ref(x, layers, dense):
 @given(st.integers(2, 9), st.integers(1, 6),
        st.lists(st.tuples(st.integers(1, 6), st.booleans(), st.booleans()),
                 min_size=1, max_size=4),
-       st.booleans(), st.sampled_from([linear, _linear_ref]),
-       st.integers(0, 2 ** 32 - 1))
-def test_linear_chain_matches_composition_bit_for_bit(n, in_dim, spec, x_grad,
-                                                      dense, seed):
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_linear_chain_matches_composition_bit_for_bit(n, in_dim, spec, x_grad, seed):
     # spec: (width, relu, frozen) per layer
     rng = np.random.default_rng(seed)
     dims = [in_dim] + [width for width, _, _ in spec]
@@ -387,7 +360,7 @@ def test_linear_chain_matches_composition_bit_for_bit(n, in_dim, spec, x_grad,
                 assert out._parents == (x,) + tuple(t for w, b, _ in layers
                                                     for t in (w, b))
         else:
-            out = _linear_chain_ref(x, layers, dense)
+            out = _linear_chain_ref(x, layers)
         if out.requires_grad:
             (out * Tensor(g)).sum().backward()
         leaves = [x] + [t for w, b, _ in layers for t in (w, b)]
@@ -650,20 +623,66 @@ def test_grad_check_log_softmax_and_cross_entropies():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 9), st.integers(2, 9), st.integers(1, 6),
-       st.integers(0, 2 ** 32 - 1), st.sampled_from(["fixed", "median"]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["fixed", "halving", "median"]),
        st.sampled_from([(True, True), (True, False), (False, True)]))
 def test_mmd_matches_composition(n, m, d, seed, rule, grads):
+    # "fixed" lists are mixed, and almost never hold a bandwidth exactly half
+    # another; "halving" lists are b * 2^k over a subset of k in 0..4, in
+    # shuffled order, so each k next to k + 1 takes the squaring path
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, d))
     b = rng.standard_normal((m, d)) + rng.uniform(-1, 1)
     if rule == "fixed":
         bws = rng.uniform(0.3, 5.0, int(rng.integers(1, 4))).tolist()
         kernel = KernelSpec(bandwidths=bws)
+    elif rule == "halving":
+        ks = rng.permutation(5)[:int(rng.integers(1, 6))]
+        bws = [rng.uniform(0.1, 1.0) * 2.0 ** k for k in ks]
+        kernel = KernelSpec(bandwidths=bws)
     else:
         bws = _median_bandwidths(a, b)
         kernel = KernelSpec()
     _agree(lambda x, y: mmd_squared(x, y, kernel),
            lambda x, y: _mmd_ref(x, y, bws), [a, b], list(grads))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 9), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_mmd_one_sided_gradient_is_its_side_of_the_two_sided_one(n, m, d, seed,
+                                                                 median):
+    # each side's rows of the backward are built alone, whether or not the
+    # other side requires a gradient: the same bits either way
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((n, d)), rng.standard_normal((m, d)) + 0.5
+    kernel = KernelSpec() if median else KernelSpec(bandwidths=[0.7, 1.4, 5.0])
+    runs = {}
+    for grads in ((True, True), (True, False), (False, True)):
+        a = Tensor(x.copy(), requires_grad=grads[0])
+        b = Tensor(y.copy(), requires_grad=grads[1])
+        out = mmd_squared(a, b, kernel)
+        out.backward()
+        runs[grads] = (out.item(), a.grad, b.grad)
+    both, only_a, only_b = runs[True, True], runs[True, False], runs[False, True]
+    assert both[0] == only_a[0] == only_b[0]
+    assert np.array_equal(both[1], only_a[1]) and only_a[2] is None
+    assert np.array_equal(both[2], only_b[2]) and only_b[1] is None
+
+
+def test_mmd_fixed_bandwidths_in_any_order_give_the_same_bits():
+    # the kernels run from the widest bandwidth down whatever the list's
+    # order, so a chain given narrowest first still takes the squaring path
+    rng = np.random.default_rng(13)
+    x, y = rng.standard_normal((6, 3)), rng.standard_normal((5, 3)) + 0.5
+    results = []
+    for bws in ([0.5, 1.0, 2.0, 4.0, 3.0], [3.0, 4.0, 0.5, 2.0, 1.0],
+                [4.0, 3.0, 2.0, 1.0, 0.5]):
+        a, b = Tensor(x.copy(), requires_grad=True), Tensor(y.copy())
+        out = mmd_squared(a, b, KernelSpec(bandwidths=bws))
+        out.backward()
+        results.append((out.item(), a.grad))
+    for value, grad in results[1:]:
+        assert value == results[0][0] and np.array_equal(grad, results[0][1])
 
 
 def test_mmd_resolve_reads_the_pooled_distances():
@@ -685,7 +704,12 @@ def test_mmd_resolve_reads_the_pooled_distances():
 
 
 def test_mmd_rejects_nonpositive_bandwidths():
-    kernel = KernelSpec(bandwidths=[1.0, 0.0])
+    # when the spec is built, not at its first mmd_squared call
+    with pytest.raises(ValueError, match="positive"):
+        KernelSpec(bandwidths=[1.0, 0.0])
+    # and at the call, for a list changed after that
+    kernel = KernelSpec(bandwidths=[1.0])
+    kernel.bandwidths.append(-1.0)
     with pytest.raises(ValueError, match="positive"):
         mmd_squared(Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), kernel)
 
@@ -714,15 +738,32 @@ def test_mmd_block_weights_are_one_read_only_matrix_per_batch_pair():
     assert cached == fresh
 
 
+class _HeldMedian(KernelSpec):
+    """The median rule, resolved at the first call and held after it: the
+    node treats its bandwidths as constants, so finite differences must
+    not move them."""
+
+    held = None
+
+    def resolve(self, d2):
+        if self.held is None:
+            self.held = super().resolve(d2)
+        return self.held
+
+
 def test_grad_check_mmd_one_sided():
+    # the backward builds rows only for the side that requires a gradient
     rng = np.random.default_rng(7)
-    a = Tensor(rng.standard_normal((4, 3)))
-    b = Tensor(rng.standard_normal((5, 3)) + 0.5, requires_grad=True)
-    kernel = KernelSpec(bandwidths=[0.5, 2.0])
-    report = grad_check(lambda: mmd_squared(a, b, kernel), {"b": b},
-                        tolerance=1e-6)
-    assert report.passed, report.failures()
-    assert a.grad is None
+    x, y = rng.standard_normal((4, 3)), rng.standard_normal((5, 3)) + 0.5
+    for kernel in (KernelSpec(bandwidths=[0.5, 2.0]), _HeldMedian()):
+        for side in ("a", "b"):
+            a = Tensor(x.copy(), requires_grad=side == "a")
+            b = Tensor(y.copy(), requires_grad=side == "b")
+            t, other = (a, b) if side == "a" else (b, a)
+            report = grad_check(lambda: mmd_squared(a, b, kernel), {side: t},
+                                tolerance=1e-6)
+            assert report.passed, (kernel, side, report.failures())
+            assert other.grad is None, (kernel, side)
 
 
 # -- NT-Xent --------------------------------------------------------------------

@@ -217,12 +217,14 @@ def test_cross_entropy_hard_rejects_bad_labels():
      ValueError, "bandwidths must be positive and nonempty, each finite, got [1.0, nan]"),
     (lambda: KernelSpec(bandwidths=[math.inf]).resolve(np.zeros((2, 2))),
      ValueError, "bandwidths must be positive and nonempty, each finite, got [inf]"),
+    (lambda: KernelSpec(bandwidths=[2.0, -1.0]),
+     ValueError, "bandwidths must be positive and nonempty, each finite, got [2.0, -1.0]"),
     (lambda: cross_entropy_hard(Tensor(np.zeros((3, 2))), [0, 1]), ShapeMismatch,
      "cross_entropy_hard: incompatible shapes (3, 2) and (2,)"),
     (lambda: cross_entropy_soft(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4)))),
      ShapeMismatch, "cross_entropy_soft: incompatible shapes (3, 2) and (3, 4)"),
-], ids=["empty-bandwidths", "nan-bandwidth", "inf-bandwidth", "hard-label-count",
-        "soft-shapes"])
+], ids=["empty-bandwidths", "nan-bandwidth", "inf-bandwidth",
+        "negative-bandwidth-when-built", "hard-label-count", "soft-shapes"])
 def test_bad_loss_arguments_raise(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

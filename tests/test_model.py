@@ -117,7 +117,8 @@ def test_a_projection_is_one_linear_node_over_the_extractor(kind):
     assert ops == (["linear"] if kind == "mlp" else ["linear", "conv_stack"])
     assert out._parents[-4:] == (g.proj1.weight, g.proj1.bias,
                                  g.proj2.weight, g.proj2.bias)
-    layered = g.proj2(g.proj1(g.features(x)).relu())
+    h = (g.features(x) @ g.proj1.weight + g.proj1.bias).relu()
+    layered = h @ g.proj2.weight + g.proj2.bias
     assert np.array_equal(out.data, layered.data)
 
 
@@ -176,8 +177,8 @@ def test_frozen_conv_features_equal_one_whole_set_pass(n):
     node, which conv_stack does not chunk) bit for bit, for sets within one
     chunk, of whole chunks and with a short last one."""
     g, x = _pretrained_conv_extractor()
-    whole = g.fc(conv_stack(Tensor(x[:n], requires_grad=True),
-                            zip(g.convs, g.bns), "eval")).data
+    h = conv_stack(Tensor(x[:n], requires_grad=True), zip(g.convs, g.bns), "eval")
+    whole = (h @ g.fc.weight + g.fc.bias).data
     out = g.features(Tensor(x[:n]))
     assert not out.requires_grad
     assert np.array_equal(out.data, whole)
