@@ -674,30 +674,48 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
     arrays, ``dW = h @ da.T``, ``db = da.sum(axis=1)`` and ``dh = W @ da``,
     only for the parents that require one, and stops below the lowest
     layer with such a parent.
+
+    Whether it records is decided before the forward, as in ``conv_stack``.
+    A stack whose parents need no gradient runs the same operations in the
+    same order, running-buffer updates and dropout draws included, but
+    writes each batch norm's affine over its normalized rows, keeps no
+    layer record and returns a constant ``Tensor``. No path writes into
+    ``x.data``, which may be a read-only buffer.
     """
     _check_mode("dense_stack", mode)
+    hidden = list(hidden)
+    top = (out.weight, out.bias)
+    params = [(fc.weight, fc.bias, bn.gamma, bn.beta) for fc, bn in hidden]
+    parents = (x, *[t for ws in params for t in ws], *top)
+    record = any(t.requires_grad for t in parents)
     layers = []
     h = x.data.T
-    for fc, bn in hidden:
-        w, b = fc.weight, fc.bias
+    for ws, (fc, bn) in zip(params, hidden):
+        w, b, gamma, beta = ws
         _check_linear(h.shape[::-1], w, b)
         a = w.data.T @ h
         a += b.data[:, None]
-        y, bn_cache = _batch_norm_fwd(a, bn.gamma.data, bn.beta.data,
-                                      bn.running_mean, bn.running_var,
-                                      mode, bn.momentum, bn.eps)
+        if record:
+            y, bn_cache = _batch_norm_fwd(a, gamma.data, beta.data,
+                                          bn.running_mean, bn.running_var,
+                                          mode, bn.momentum, bn.eps)
+        else:
+            xn, _, _ = _normalize(a, bn.running_mean, bn.running_var, mode,
+                                  bn.momentum, bn.eps)
+            y = _affine(xn, gamma.data, beta.data, out=xn)
         keep = y > 0.0
         drop_mask = _dropout_mask(y.shape[::-1], p, rng, mode == "train")
         if drop_mask is not None:
             keep = keep * drop_mask.T
-        layers.append(((w, b, bn.gamma, bn.beta), h, bn_cache, keep))
+        if record:
+            layers.append((ws, h, bn_cache, keep))
         h = np.multiply(y, keep, out=y)
-    top = (out.weight, out.bias)
     _check_linear(h.shape[::-1], *top)
     data = _linear_fwd(h.T, out.weight.data, out.bias.data)
     if residual:
         data += x.data
-    parents = (x, *[t for ws, *_ in layers for t in ws], *top)
+    if not record:
+        return Tensor(data)
 
     def back(g):
         if residual and x.requires_grad:

@@ -297,6 +297,8 @@ def cmd_eval(cfg: ExperimentConfig, checkpoint_path: str,
         raise CheckpointFormatError(f"{checkpoint_path} does not fit the model "
                                     f"built from the config and {dataset_path}: "
                                     f"{e}") from e
+    ms.freeze()
+    mt.freeze()
     t0 = time.monotonic()
     preds = ensemble_predict(ms, mt, ds.inputs)
     report = metrics_report(preds, ds.labels, ckpt.reward,

@@ -234,8 +234,10 @@ def _step_loss(step: StepId, model: DomainWiseModel, other: DomainWiseModel,
                sampler: BatchSampler, cfg: TrainConfig) -> Tensor:
     """One iteration of the loss ``step``'s row names, for ``model``, the
     one it trains. In "guide" and "feedback" ``other`` is the teacher: batch
-    statistics, no running-buffer update, no dropout, and no graph, because
-    ``run_step`` freezes every group but the trained one."""
+    statistics, no running-buffer update, no dropout. Only the trained
+    group requires gradients while ``run_step`` runs this, so the teacher
+    and S5's train-mode RDA block, whose group is frozen, record no node:
+    their stacks run in place and keep nothing."""
     _, _, loss = STEP_MAP[step]
     if loss == "source":
         zs, ys = sampler.source_batch()
@@ -258,24 +260,24 @@ def run_step(step: StepId, ms: DomainWiseModel, mt: DomainWiseModel,
              optimizers: Dict[str, Adam]) -> float:
     """Run one schedule step: iters_per_step updates of one group only.
 
-    The other optimizers' tensors are frozen for the step, so the graph
-    reaches only the trained group's tensors and the backward computes no
-    other gradient. Their ``requires_grad`` flags are restored afterwards,
-    also when the step raises."""
+    For the step's iterations exactly the trained group's tensors require
+    gradients and every other optimizer's tensors do not, so the graph
+    reaches only the trained group and the backward computes no other
+    gradient. Every flag is restored afterwards, also when the step
+    raises: between steps ``adapt`` keeps all four groups frozen."""
     _, group, _ = STEP_MAP[step]
     opt = optimizers[group]
     model, other = (ms, mt) if group.endswith("_s") else (mt, ms)
-    frozen = [t for o in optimizers.values() if o is not opt
-              for t in o.params.values()]
-    saved = [t.requires_grad for t in frozen]
-    for t in frozen:
-        t.requires_grad = False
+    tensors = [(t, o is opt) for o in optimizers.values() for t in o.params.values()]
+    saved = [t.requires_grad for t, _ in tensors]
+    for t, trained in tensors:
+        t.requires_grad = trained
     where = f"step {step.name}, group {group}"
     try:
         losses = [_update(_step_loss(step, model, other, sampler, cfg), opt, where)
                   for _ in range(cfg.iters_per_step)]
     finally:
-        for t, flag in zip(frozen, saved):
+        for (t, _), flag in zip(tensors, saved):
             t.requires_grad = flag
     return float(np.mean(losses))
 
@@ -366,10 +368,14 @@ def adapt(prepared: Prepared, cfg: TrainConfig,
     blocks and heads draw from the ``+ 17`` stream, the batches from ``+ 19``.
     Each epoch runs S1..S6 (V right after S1) and scores labeled eval
     features; the models end restored to the epoch of highest V, the
-    earliest on a tie."""
+    earliest on a tie. The pair is frozen from the start: ``run_step``
+    thaws one group for its own iterations, so the V and accuracy passes
+    record no graph, and the pair is returned frozen."""
     ms, mt = build_models(model_cfg or ModelConfig(),
                           int(prepared.source.labels.max()) + 1,
                           prepared.extractor_s, prepared.extractor_t, cfg.seed + 17)
+    ms.freeze()
+    mt.freeze()
     trace = RewardTrace(pretrain_loss_s=prepared.pretrain_loss_s,
                         pretrain_loss_t=prepared.pretrain_loss_t,
                         config_hash=config_hash)
@@ -435,6 +441,7 @@ def train_source_only_baseline(prepared: Prepared, cfg: TrainConfig,
         zs, ys = sampler.source_batch()
         loss = cross_entropy_hard(clf(zs, "train"), ys)
         _update(loss, opt, f"baseline iteration {i}")
+    clf.freeze()
     acc = None
     if eval_target is not None and eval_target.labels is not None:
         z = extract(prepared, eval_target.inputs, "source")

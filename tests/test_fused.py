@@ -7,7 +7,10 @@ ops it replaces, written out below; values and gradients must agree to
 ``Tensor.relu`` layer by layer, bit for bit in its
 output and in every leaf's gradient, with frozen layers and a constant
 input among the cases. ``linear_chain``, ``dense_stack`` and ``conv_stack``
-over frozen parameters and a constant input must record no node.
+over frozen parameters and a constant input must record no node; such a
+``dense_stack`` over a read-only input must give the values, running
+buffers and dropout-generator state of a recording call over the same
+arrays, bit for bit, and leave its input unchanged.
 ``conv2d`` is compared with an einsum + col2im node over a ``pad2d`` copy
 of the input, and ``maxpool2x2`` with a take/put-along-axis node, bit for
 bit. ``nt_xent`` is compared with
@@ -373,34 +376,75 @@ def test_linear_chain_matches_composition_bit_for_bit(n, in_dim, spec, x_grad, s
         assert cg is None or np.array_equal(cg, rg), i
 
 
-def _frozen_linear_chain(rng):
+def _drawn_rng(data):
+    return np.random.default_rng(data.draw(st.integers(0, 2 ** 31), label="seed"))
+
+
+def _frozen_linear_chain(data):
+    rng = _drawn_rng(data)
     layers = [(Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal(3)), True),
               (Tensor(rng.standard_normal((3, 2))), Tensor(rng.standard_normal(2)), False)]
     return linear_chain(Tensor(rng.standard_normal((5, 4))), layers)
 
 
 def _frozen_dense_stack(mode):
-    def run(rng):
-        stack = DenseStack(4, 4, rng, (5, 3), dropout_p=0.3)
-        stack.freeze()
-        return stack(Tensor(rng.standard_normal((6, 4))), mode, residual=True)
+    def run(data):
+        """The frozen stack's output over a read-only input, checked against
+        a recording call over the same arrays with one parameter requiring
+        a gradient: bit-equal values, running buffers and dropout-generator
+        state, and the input left as it was."""
+        depth = data.draw(st.integers(0, 3), label="depth")
+        dims = data.draw(st.lists(st.integers(1, 6), min_size=depth + 2,
+                                  max_size=depth + 2), label="widths")
+        n = data.draw(st.integers(2, 9), label="rows")
+        residual = data.draw(st.booleans(), label="residual")
+        p = data.draw(st.sampled_from([0.0, 0.3]), label="dropout")
+        thawed = data.draw(st.integers(0, 4 * depth + 1), label="thawed")
+        seed = data.draw(st.integers(0, 2 ** 31), label="seed")
+        if residual:
+            dims[-1] = dims[0]
+        x = np.random.default_rng(seed).standard_normal((n, dims[0]))
+        x.flags.writeable = False
+        before = x.tobytes()
+        results = []
+        for requires in ([False] * (4 * depth + 2),
+                         [i == thawed for i in range(4 * depth + 2)]):
+            stack = _stack_copy(seed, dims, p, requires)
+            # random scales and shifts too, so no affine is the identity
+            params = np.random.default_rng(seed + 2)
+            for t in stack.named_parameters().values():
+                t.data[...] = params.standard_normal(t.shape)
+            out = stack(Tensor(x), mode, residual=residual)
+            results.append((out, [b.tobytes() for b in stack.named_buffers().values()],
+                            stack.rng.bit_generator.state))
+        (frozen, bufs, state), (recorded, want_bufs, want_state) = results
+        assert recorded._backward is not None
+        assert frozen.data.tobytes() == recorded.data.tobytes()
+        assert bufs == want_bufs and state == want_state
+        assert x.tobytes() == before
+        return frozen
     return run
 
 
-def _frozen_conv_stack(rng):
+def _frozen_conv_stack(data):
     blocks, _ = _conv_blocks(2, (1, 2, 3), (3, 3), (1, 1),
                              requires=[False] * 6)
-    return conv_stack(Tensor(rng.standard_normal((2, 1, 8, 8))), blocks, "eval")
+    return conv_stack(Tensor(_drawn_rng(data).standard_normal((2, 1, 8, 8))),
+                      blocks, "eval")
 
 
-# the stacks build their per-layer records on every forward, so this rests
-# on ``Tensor._from_op`` dropping the closure of a node that records nothing
-@pytest.mark.parametrize("run", [_frozen_linear_chain, _frozen_dense_stack("eval"),
-                                 _frozen_dense_stack("teacher"), _frozen_conv_stack],
-                         ids=["linear_chain", "dense_stack-eval",
-                              "dense_stack-teacher", "conv_stack-eval"])
-def test_a_frozen_stack_over_a_constant_input_records_no_node(run):
-    out = run(np.random.default_rng(2))
+# ``linear_chain`` builds its per-layer records on every forward, so its
+# case rests on ``Tensor._from_op`` dropping the closure of a node that
+# records nothing; the dense and conv stacks decide before their forward
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("run", [_frozen_linear_chain,
+                                 *[_frozen_dense_stack(mode) for mode in MODES],
+                                 _frozen_conv_stack],
+                         ids=["linear_chain", *[f"dense_stack-{mode}" for mode in MODES],
+                              "conv_stack-eval"])
+def test_a_frozen_stack_over_a_constant_input_records_no_node(run, data):
+    out = run(data)
     assert out._backward is None and out._parents == () and not out.requires_grad
 
 

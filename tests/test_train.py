@@ -25,6 +25,7 @@ FAST = TrainConfig(pretrain_epochs=2, epochs=2, iters_per_step=2,
                    batch_size=16, desired_reward=1.0)
 SMALL = ModelConfig(feature_dim=8, mlp_hidden=(16,), proj_dim=4,
                     rda_hidden=(12, 8, 12), clf_hidden=(10, 8))
+ADAPTATION_GROUPS = ("phi_s", "theta_s", "phi_t", "theta_t")
 
 
 def _task(seed=0, **kw):
@@ -334,6 +335,85 @@ def test_run_step_leaves_gradients_only_on_its_group():
         run_step(StepId.S6_feedback_Fs, ms, mt, sampler, FAST,
                  {"phi_s": Failing(groups["phi_s"], 1e-3)})
     assert {n: t.requires_grad for n, t in entries.items()} == flags
+
+    # the frozen pair ``adapt`` keeps between steps: a step thaws exactly
+    # its own group for its iterations and freezes it again, also on a raise;
+    # the failing optimizer above rebound phi_s's arrays, so spy afresh
+    ms.freeze()
+    mt.freeze()
+    optimizers = {g: Spy(groups[g], 1e-3) for g in ADAPTATION_GROUPS}
+    frozen = dict.fromkeys(entries, False)
+    for step in StepId:
+        _, group, _ = STEP_MAP[step]
+        seen.clear()
+        run_step(step, ms, mt, sampler, FAST, optimizers)
+        assert seen == [set(groups[group])] * FAST.iters_per_step, step.name
+        assert {n: t.requires_grad for n, t in entries.items()} == frozen
+    with pytest.raises(FloatingPointError, match="S6_feedback_Fs"):
+        run_step(StepId.S6_feedback_Fs, ms, mt, sampler, FAST,
+                 {"phi_s": Failing(groups["phi_s"], 1e-3)})
+    assert {n: t.requires_grad for n, t in entries.items()} == frozen
+
+
+def test_reward_and_accuracy_passes_run_frozen_and_record_no_node(monkeypatch):
+    # V and the accuracy are passes over the whole target set that no
+    # backward follows: the four adaptation groups are frozen between
+    # steps, so their stacks record nothing, and the pair comes back frozen
+    source, target, eval_target = _task(seed=4)
+    recorded, calls = [], {"compute_reward": 0, "_accuracy": 0}
+    from_op = Tensor._from_op
+
+    def counting_from_op(data, parents, op, back):
+        out = from_op(data, parents, op, back)
+        if out._backward is not None:
+            recorded.append(op)
+        return out
+
+    def checked(name):
+        run = getattr(train_module, name)
+
+        def wrapper(ms, mt, *args):
+            groups = parameter_groups(ms, mt)
+            thawed = [n for g in ADAPTATION_GROUPS for n, t in groups[g].items()
+                      if t.requires_grad]
+            assert not thawed, (name, thawed)
+            start = len(recorded)
+            value = run(ms, mt, *args)
+            assert recorded[start:] == [], name
+            calls[name] += 1
+            return value
+        return wrapper
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting_from_op))
+    for name in calls:
+        monkeypatch.setattr(train_module, name, checked(name))
+    result = train_interactive(source, target, FAST, SMALL, eval_target)
+    assert calls == dict.fromkeys(calls, FAST.epochs)
+    assert not any(t.requires_grad for g in parameter_groups(result.ms, result.mt).values()
+                   for t in g.values())
+
+
+def test_every_node_adapt_records_is_consumed_by_a_backward(monkeypatch):
+    source, target, eval_target = _task(seed=4)
+    prepared = prepare(source, target, FAST, SMALL, eval_target)
+    nodes = []
+    from_op = Tensor._from_op
+
+    def marking_from_op(data, parents, op, back):
+        ran = [op, False]
+
+        def marked(g):
+            ran[1] = True
+            back(g)
+        out = from_op(data, parents, op, marked)
+        if out._backward is not None:
+            nodes.append(ran)
+        return out
+
+    monkeypatch.setattr(Tensor, "_from_op", staticmethod(marking_from_op))
+    adapt(prepared, FAST, SMALL)
+    assert nodes
+    assert [op for op, ran in nodes if not ran] == []
 
 
 def _buffer_owners(ms, mt):
