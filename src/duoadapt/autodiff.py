@@ -2,7 +2,9 @@
 
 Forward ops record a computation graph only when some input requires
 gradients; ``backward`` replays the graph once in reverse topological
-order. Everything is 64-bit, single-threaded, and deterministic.
+order. Everything is float64 and deterministic, and no training output
+depends on how BLAS splits a matrix product among its threads: CI compares
+the benchmark workloads' files under one BLAS thread and the default count.
 """
 from __future__ import annotations
 
@@ -34,6 +36,42 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _elementwise(op: str, forward: Callable, d_self: Callable,
+                 d_other: Callable) -> Callable:
+    """A broadcasting binary ``Tensor`` method: ``forward(a, b)`` over both
+    operands' arrays, raising ``ShapeMismatch`` named ``op`` where they do
+    not broadcast. Its backward gives each operand that requires a gradient
+    ``d(g, a, b)``, read from the operands' arrays when it runs, summed back
+    to that operand's shape."""
+    def method(self, other):
+        other = as_tensor(other)
+        try:
+            data = forward(self.data, other.data)
+        except ValueError:
+            raise ShapeMismatch(op, self.shape, other.shape)
+
+        def back(g):
+            if self.requires_grad:
+                self._accum(d_self(g, self.data, other.data))
+            if other.requires_grad:
+                other._accum(d_other(g, self.data, other.data))
+        return Tensor._from_op(data, (self, other), op, back)
+    return method
+
+
+def _pointwise(op: str, forward: Callable, d: Callable) -> Callable:
+    """A one-operand ``Tensor`` method: ``y = forward(x)`` over its array
+    ``x``, with the gradient ``d(g, x, y)`` from that input and output."""
+    def method(self):
+        x = self.data
+        y = forward(x)
+
+        def back(g):
+            self._accum(d(g, x, y))
+        return Tensor._from_op(y, (self,), op, back)
+    return method
 
 
 class Tensor:
@@ -99,70 +137,22 @@ class Tensor:
         return out
 
     # -- arithmetic ----------------------------------------------------------
-    def __add__(self, other):
-        other = as_tensor(other)
-        try:
-            data = self.data + other.data
-        except ValueError:
-            raise ShapeMismatch("add", self.shape, other.shape)
+    # one row per op: the name, the numpy forward and each operand's
+    # derivative, written in the operation order of the hand formula
+    __add__ = __radd__ = _elementwise(
+        "add", np.add, lambda g, a, b: g, lambda g, a, b: g)
+    __sub__ = _elementwise(
+        "sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+    __mul__ = __rmul__ = _elementwise(
+        "mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+    __truediv__ = _elementwise(
+        "div", np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b ** 2))
 
-        def back(g):
-            if self.requires_grad:
-                self._accum(g)
-            if other.requires_grad:
-                other._accum(g)
-        return Tensor._from_op(data, (self, other), "add", back)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        def back(g):
-            self._accum(-g)
-        return Tensor._from_op(-self.data, (self,), "neg", back)
-
-    def __sub__(self, other):
-        other = as_tensor(other)
-        try:
-            data = self.data - other.data
-        except ValueError:
-            raise ShapeMismatch("sub", self.shape, other.shape)
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(g)
-            if other.requires_grad:
-                other._accum(-g)
-        return Tensor._from_op(data, (self, other), "sub", back)
-
-    def __mul__(self, other):
-        other = as_tensor(other)
-        try:
-            data = self.data * other.data
-        except ValueError:
-            raise ShapeMismatch("mul", self.shape, other.shape)
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(g * other.data)
-            if other.requires_grad:
-                other._accum(g * self.data)
-        return Tensor._from_op(data, (self, other), "mul", back)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        try:
-            data = self.data / other.data
-        except ValueError:
-            raise ShapeMismatch("div", self.shape, other.shape)
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(g / other.data)
-            if other.requires_grad:
-                other._accum(-g * self.data / (other.data ** 2))
-        return Tensor._from_op(data, (self, other), "div", back)
+    __neg__ = _pointwise("neg", np.negative, lambda g, x, y: -g)
+    exp = _pointwise("exp", np.exp, lambda g, x, y: g * y)
+    log = _pointwise("log", np.log, lambda g, x, y: g / x)
+    sqrt = _pointwise("sqrt", np.sqrt, lambda g, x, y: g * 0.5 / y)
+    relu = _pointwise("relu", lambda x: x * (x > 0.0), lambda g, x, y: g * (x > 0.0))
 
     def __pow__(self, p: float):
         p = float(p)
@@ -184,33 +174,7 @@ class Tensor:
                 other._accum(self.data.T @ g)
         return Tensor._from_op(data, (self, other), "matmul", back)
 
-    # -- unary / reductions --------------------------------------------------
-    def exp(self):
-        data = np.exp(self.data)
-
-        def back(g):
-            self._accum(g * data)
-        return Tensor._from_op(data, (self,), "exp", back)
-
-    def log(self):
-        def back(g):
-            self._accum(g / self.data)
-        return Tensor._from_op(np.log(self.data), (self,), "log", back)
-
-    def sqrt(self):
-        data = np.sqrt(self.data)
-
-        def back(g):
-            self._accum(g * 0.5 / data)
-        return Tensor._from_op(data, (self,), "sqrt", back)
-
-    def relu(self):
-        mask = self.data > 0.0
-
-        def back(g):
-            self._accum(g * mask)
-        return Tensor._from_op(self.data * mask, (self,), "relu", back)
-
+    # -- reductions and shape ------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False):
         data = self.data.sum(axis=axis, keepdims=keepdims)
         in_shape = self.shape
@@ -518,35 +482,27 @@ def _normalize(x: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
 def _affine(xn: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
             out: Optional[np.ndarray] = None) -> np.ndarray:
     """``xn * gamma + beta`` over (C, M) channel rows, in that operation
-    order, into ``out`` when given: ``conv_stack``'s forward writes it over
-    ``xn``, which it does not keep."""
+    order, into ``out`` when given: ``conv_stack``'s forward and a
+    ``dense_stack`` that records no node write it over ``xn``, which they
+    do not keep."""
     out = np.multiply(xn, gamma[:, None], out=out)
     out += beta[:, None]
     return out
 
 
-def _batch_norm_fwd(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                    running_mean: np.ndarray, running_var: np.ndarray,
-                    mode: str, momentum: float, eps: float
-                    ) -> Tuple[np.ndarray, tuple]:
-    """Normalized, scaled and shifted channels-first ``x``, in ``x``'s
-    shape, and the cache its backward reads."""
-    xn, _, std = _normalize(x, running_mean, running_var, mode, momentum, eps)
-    cache = (x.shape, mode != "eval", xn, gamma[:, None], std)
-    return _affine(xn, gamma, beta).reshape(x.shape), cache
-
-
-def _batch_norm_bwd(g: np.ndarray, cache: tuple, need,
+def _batch_norm_bwd(g: np.ndarray, xn: np.ndarray, gamma: np.ndarray,
+                    std: np.ndarray, batch_stats: bool, need,
                     scratch: bool = False) -> tuple:
-    """Closed-form gradients (Ioffe & Szegedy 2015) for (x, gamma, beta).
+    """Closed-form gradients (Ioffe & Szegedy 2015) for (x, gamma, beta)
+    from the output gradient ``g`` and what ``_normalize`` returned: the
+    input gradient as (C, M) channel rows, which each caller reshapes.
 
-    Over the (C, N*...) channel rows, the input gradient is
-    ``gamma/std * (g - sum(g)/N - xn * sum(g*xn)/N)``, whose two sums are
-    ``dbeta`` and ``dgamma``, one pass over the rows each. With
-    ``scratch`` it is written over ``xn`` or ``g``, which the caller no
-    longer needs.
+    The input gradient is ``gamma/std * (g - sum(g)/M - xn * sum(g*xn)/M)``
+    when the forward normalized by the batch (``batch_stats``), whose two
+    sums are ``dbeta`` and ``dgamma``, one pass over the rows each; over
+    running statistics it is ``g * gamma/std``. With ``scratch`` it is
+    written over ``xn`` or ``g``, which the caller no longer needs.
     """
-    shape, batch_stats, xn, scale, std = cache
     need_x, need_gamma, need_beta = need
     g = g.reshape(xn.shape)
     sums = need_x and batch_stats
@@ -554,15 +510,15 @@ def _batch_norm_bwd(g: np.ndarray, cache: tuple, need,
     dbeta = g.sum(axis=1) if need_beta or sums else None
     dx = None
     if need_x:
+        scale = gamma[:, None] / std
         if batch_stats:
             inv_n = 1.0 / xn.shape[1]
             dx = np.multiply(xn, (dgamma * inv_n)[:, None], out=xn if scratch else None)
             np.subtract(g, dx, out=dx)
             dx -= (dbeta * inv_n)[:, None]
-            dx *= scale / std
+            dx *= scale
         else:
-            dx = np.multiply(g, scale / std, out=g if scratch else None)
-        dx = dx.reshape(shape)
+            dx = np.multiply(g, scale, out=g if scratch else None)
     return dx, dgamma if need_gamma else None, dbeta if need_beta else None
 
 
@@ -577,18 +533,22 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     running buffers with the given momentum; "eval" normalizes by the
     running buffers. One graph node with the closed-form backward; the
     batch runs channels first, as its contiguous (F, N) or (C, N, H, W)
-    copy, through the one batch-norm body that the two stacks share.
+    copy, through the ``_normalize``, ``_affine`` and ``_batch_norm_bwd``
+    that the two stacks share.
     """
     _check_mode("batch_norm", mode)
     if x.ndim not in (2, 4):
         raise ShapeMismatch("batch_norm", x.shape, gamma.shape)
-    out, cache = _batch_norm_fwd(_swap01(x.data), gamma.data, beta.data,
-                                 running_mean, running_var, mode, momentum, eps)
+    xc = _swap01(x.data)
+    xn, _, std = _normalize(xc, running_mean, running_var, mode, momentum, eps)
+    out = _affine(xn, gamma.data, beta.data).reshape(xc.shape)
 
     def back(g):
         dx, dgamma, dbeta = _batch_norm_bwd(
-            _swap01(g), cache, (x.requires_grad, gamma.requires_grad, beta.requires_grad))
-        _accum_each((x, gamma, beta), (None if dx is None else _swap01(dx), dgamma, dbeta))
+            _swap01(g), xn, gamma.data, std, mode != "eval",
+            (x.requires_grad, gamma.requires_grad, beta.requires_grad))
+        _accum_each((x, gamma, beta), (
+            None if dx is None else _swap01(dx.reshape(xc.shape)), dgamma, dbeta))
     return Tensor._from_op(_swap01(out), (x, gamma, beta), "batch_norm", back)
 
 
@@ -665,22 +625,23 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
 
     The activations run feature-major, as contiguous (F, N) rows, from the
     input's transposed view to the output layer: a hidden layer computes
-    ``W.T @ h + b``, hands it to the batch-norm body as its channel rows,
-    and multiplies the output by one keep mask, the ReLU mask times the
-    transposed dropout mask; the output layer reads ``h.T`` as an (N, F)
-    batch. So no activation or gradient is copied into a transpose, and the
-    values equal the one-layer composition up to the summation order of
-    the matrix products. The backward mirrors the forward over the cached
-    arrays, ``dW = h @ da.T``, ``db = da.sum(axis=1)`` and ``dh = W @ da``,
-    only for the parents that require one, and stops below the lowest
-    layer with such a parent.
+    ``W.T @ h + b``, runs ``_normalize`` and ``_affine`` over it as its
+    channel rows, and multiplies the output by one keep mask, the ReLU mask
+    times the transposed dropout mask; the output layer reads ``h.T`` as an
+    (N, F) batch. So no activation or gradient is copied into a transpose,
+    and the values equal the one-layer composition up to the summation
+    order of the matrix products. The backward mirrors the forward over
+    each layer's record ``(params, h, xn, std, keep)``, through
+    ``_batch_norm_bwd``, ``dW = h @ da.T``, ``db = da.sum(axis=1)`` and
+    ``dh = W @ da``, only for the parents that require one, and stops below
+    the lowest layer with such a parent.
 
     Whether it records is decided before the forward, as in ``conv_stack``.
-    A stack whose parents need no gradient runs the same operations in the
-    same order, running-buffer updates and dropout draws included, but
-    writes each batch norm's affine over its normalized rows, keeps no
-    layer record and returns a constant ``Tensor``. No path writes into
-    ``x.data``, which may be a read-only buffer.
+    A stack whose parents need no gradient runs the same calls in the same
+    order, running-buffer updates and dropout draws included, but writes
+    each affine over its normalized rows, keeps no layer record and returns
+    a constant ``Tensor``. No path writes into ``x.data``, which may be a
+    read-only buffer.
     """
     _check_mode("dense_stack", mode)
     hidden = list(hidden)
@@ -695,20 +656,15 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
         _check_linear(h.shape[::-1], w, b)
         a = w.data.T @ h
         a += b.data[:, None]
-        if record:
-            y, bn_cache = _batch_norm_fwd(a, gamma.data, beta.data,
-                                          bn.running_mean, bn.running_var,
-                                          mode, bn.momentum, bn.eps)
-        else:
-            xn, _, _ = _normalize(a, bn.running_mean, bn.running_var, mode,
-                                  bn.momentum, bn.eps)
-            y = _affine(xn, gamma.data, beta.data, out=xn)
+        xn, _, std = _normalize(a, bn.running_mean, bn.running_var, mode,
+                                bn.momentum, bn.eps)
+        y = _affine(xn, gamma.data, beta.data, out=None if record else xn)
         keep = y > 0.0
         drop_mask = _dropout_mask(y.shape[::-1], p, rng, mode == "train")
         if drop_mask is not None:
             keep = keep * drop_mask.T
         if record:
-            layers.append((ws, h, bn_cache, keep))
+            layers.append((ws, h, xn, std, keep))
         h = np.multiply(y, keep, out=y)
     _check_linear(h.shape[::-1], *top)
     data = _linear_fwd(h.T, out.weight.data, out.bias.data)
@@ -716,6 +672,7 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
         data += x.data
     if not record:
         return Tensor(data)
+    batch_stats = mode != "eval"
 
     def back(g):
         if residual and x.requires_grad:
@@ -734,11 +691,12 @@ def dense_stack(x: Tensor, hidden: Iterable[tuple], out, mode: str, p: float,
             if i == 0:
                 x._accum(dh.T)
                 return
-            (w, b, gamma, beta), h_in, bn_cache, keep = layers[i - 1]
+            (w, b, gamma, beta), h_in, xn, std, keep = layers[i - 1]
             dh *= keep
             da, dgamma, dbeta = _batch_norm_bwd(
-                dh, bn_cache, (below[i - 1] or w.requires_grad or b.requires_grad,
-                               gamma.requires_grad, beta.requires_grad))
+                dh, xn, gamma.data, std, batch_stats,
+                (below[i - 1] or w.requires_grad or b.requires_grad,
+                 gamma.requires_grad, beta.requires_grad))
             _accum_each((gamma, beta), (dgamma, dbeta))
             if da is None:
                 return
@@ -840,14 +798,13 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
             dy = _pool_bwd(d * (out > 0.0), y, out, dx=y)
             del y, out
             da, dgamma, dbeta = _batch_norm_bwd(
-                dy, (dy.shape, batch_stats, xn, gamma.data[:, None], std),
+                dy, xn, gamma.data, std, batch_stats,
                 (below[i] or w.requires_grad, gamma.requires_grad, beta.requires_grad),
                 scratch=True)
             del dy, xn  # the one that is not ``da`` dies before the conv backward
             _accum_each((gamma, beta), (dgamma, dbeta))
             if da is None:
                 return
-            da = da.reshape(da.shape[0], -1)
             if w.requires_grad:
                 w._accum((da @ cols.T).reshape(w.shape))
             del cols

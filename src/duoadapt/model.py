@@ -305,7 +305,7 @@ class DomainWiseModel(Module):
 def extract(model: DomainWiseModel, x: Tensor, domain_of_x: str) -> Tensor:
     """Frozen per-domain feature extraction; constant w.r.t. the tape."""
     ext = model.extractor_s if domain_of_x == "source" else model.extractor_t
-    if not getattr(ext, "pretrained", False):
+    if not ext.pretrained:
         raise ExtractorNotPretrained(
             f"{domain_of_x} extractor used before contrastive pretraining")
     return ext.features(x)

@@ -1,11 +1,15 @@
+import operator
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from duoadapt.autodiff import (MODES, Adam, GradError, ShapeMismatch, Tensor,
-                               _dropout_mask, batch_norm, conv2d, grad_check,
-                               log_softmax_array, maxpool2x2)
+                               _dropout_mask, _unbroadcast, batch_norm, conv2d,
+                               grad_check, log_softmax_array, maxpool2x2)
 from duoadapt.losses import cross_entropy_hard
 from duoadapt.model import DenseStack
 
@@ -64,6 +68,117 @@ def test_shape_mismatch_names_shapes():
 def test_bad_operands_raise_naming_the_op(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+# -- the elementwise op tables ------------------------------------------------
+#
+# One case per row of ``Tensor``'s two op tables. Each row gives the Tensor
+# form, numpy's value and the hand derivative of ``(out * w).sum()`` for
+# each operand, written in the operation order of the hand formula, so all
+# of them agree with the engine bit for bit. A Tensor holds a 0-d operand as
+# shape (1,), since ``np.ascontiguousarray`` returns at least one axis, so
+# numpy and the hand derivatives read the arrays the tensors hold.
+
+BINARY_ROWS = {
+    "add": (operator.add, np.add, lambda w, a, b: w, lambda w, a, b: w),
+    "sub": (operator.sub, np.subtract, lambda w, a, b: w, lambda w, a, b: -w),
+    "mul": (operator.mul, np.multiply, lambda w, a, b: w * b, lambda w, a, b: w * a),
+    "div": (operator.truediv, np.divide,
+            lambda w, a, b: w / b, lambda w, a, b: -w * a / (b ** 2)),
+}
+
+# the one-operand rows, the scalar-left forms of the binary ones included
+UNARY_ROWS = {
+    "radd": (lambda t: 2.0 + t, lambda x: 2.0 + x, lambda w, x: w),
+    "rmul": (lambda t: 3.0 * t, lambda x: 3.0 * x, lambda w, x: w * 3.0),
+    "neg": (operator.neg, np.negative, lambda w, x: -w),
+    "exp": (Tensor.exp, np.exp, lambda w, x: w * np.exp(x)),
+    "log": (Tensor.log, np.log, lambda w, x: w / x),
+    "sqrt": (Tensor.sqrt, np.sqrt, lambda w, x: w * 0.5 / np.sqrt(x)),
+    "relu": (Tensor.relu, lambda x: x * (x > 0.0), lambda w, x: w * (x > 0.0)),
+}
+
+
+def _bits(x):
+    x = np.asarray(x, dtype=np.float64)
+    return x.shape, x.tobytes()
+
+
+
+def _grad_bits(hand, shape):
+    return _bits(_unbroadcast(np.asarray(hand, dtype=np.float64), shape))
+
+
+def _draw(rng, shape, row):
+    """Operand values inside the row's domain: positive for ``log`` and
+    ``sqrt``, at least 0.5 from 0 for a divisor, and some signed zeros for
+    ``relu``."""
+    x = rng.standard_normal(shape)
+    if row in ("log", "sqrt"):
+        return np.abs(x) + 0.5
+    if row == "div":
+        return x + np.copysign(0.5, x)
+    if row == "relu":
+        return np.where(rng.random(shape) < 0.3, 0.0 * x, x)
+    return x
+
+
+@pytest.mark.parametrize("row", BINARY_ROWS)
+@settings(max_examples=40, deadline=None)
+@given(shapes=npst.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(shapes=npst.BroadcastableShapes(((), (2, 3)), (2, 3)), seed=0)
+@example(shapes=npst.BroadcastableShapes(((2, 3), ()), (2, 3)), seed=0)
+@example(shapes=npst.BroadcastableShapes(((2, 1), (1, 3)), (2, 3)), seed=0)
+@example(shapes=npst.BroadcastableShapes(((2, 3, 1), (3, 4)), (2, 3, 4)), seed=0)
+@example(shapes=npst.BroadcastableShapes(((3,), (2, 1, 3)), (2, 1, 3)), seed=0)
+def test_binary_rows_match_numpy_and_hand_derivatives(row, shapes, seed):
+    op, value, d_a, d_b = BINARY_ROWS[row]
+    rng = np.random.default_rng(seed)
+    (sa, sb), so = shapes
+    ta = Tensor(rng.standard_normal(sa), requires_grad=True)
+    tb = Tensor(_draw(rng, sb, row), requires_grad=True)
+    tw = Tensor(rng.standard_normal(so))
+    a, b, w = ta.data, tb.data, tw.data
+    out = op(ta, tb)
+    assert _bits(out.data) == _bits(value(a, b))
+    (out * tw).sum().backward()
+    assert _bits(ta.grad) == _grad_bits(d_a(w, a, b), a.shape)
+    assert _bits(tb.grad) == _grad_bits(d_b(w, a, b), b.shape)
+
+
+@pytest.mark.parametrize("row", UNARY_ROWS)
+@settings(max_examples=40, deadline=None)
+@given(shape=npst.array_shapes(min_dims=0, max_dims=3, max_side=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(), seed=0)
+def test_unary_rows_match_numpy_and_hand_derivatives(row, shape, seed):
+    op, value, d = UNARY_ROWS[row]
+    rng = np.random.default_rng(seed)
+    t = Tensor(_draw(rng, shape, row), requires_grad=True)
+    tw = Tensor(rng.standard_normal(shape))
+    x, w = t.data, tw.data
+    out = op(t)
+    assert _bits(out.data) == _bits(value(x))
+    (out * tw).sum().backward()
+    assert _bits(t.grad) == _grad_bits(d(w, x), x.shape)
+
+
+@pytest.mark.parametrize("row", [*BINARY_ROWS, *UNARY_ROWS])
+def test_elementwise_rows_pass_grad_check(row):
+    # every operand at least 0.5 from 0, so no finite difference crosses
+    # relu's kink; positive for log and sqrt
+    rng = np.random.default_rng(15)
+    a = Tensor(_draw(rng, (2, 3), row if row in ("log", "sqrt") else "div"),
+               requires_grad=True)
+    b = Tensor(_draw(rng, (3,), "div"), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 3)))
+    if row in BINARY_ROWS:
+        params, form = {"a": a, "b": b}, lambda: BINARY_ROWS[row][0](a, b)
+    else:
+        params, form = {"a": a}, lambda: UNARY_ROWS[row][0](a)
+    report = grad_check(lambda: (form() * w).sum(), params, tolerance=1e-6)
+    assert report.passed, report.failures()
 
 
 # -- conv / pool --------------------------------------------------------------
