@@ -80,7 +80,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        # copies only an array that is not C-contiguous; unlike
+        # ``np.ascontiguousarray``, keeps a 0-d array 0-d
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: Tuple["Tensor", ...] = ()
@@ -444,18 +446,17 @@ def _check_mode(op: str, mode: str) -> None:
         raise ValueError(f"{op}: unknown mode {mode!r}, expected one of {MODES}")
 
 
-def _normalize(x: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
-               mode: str, momentum: float, eps: float) -> tuple:
-    """The normalized (C, N*...) channel rows of a channels-first (C, N, ...)
-    batch ``x``, with the (C, 1) centring vector and std they used.
+def _centre(x: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
+            mode: str, momentum: float, eps: float, in_place: bool = False) -> tuple:
+    """The centred (C, N*...) channel rows of a channels-first (C, N, ...)
+    batch ``x``, ``rows - centre``, written over ``x`` when ``in_place``,
+    with the (C, 1) centring vector and std of its batch norm.
 
-    Each channel's variance is one row dot product, with no squared copy of
-    the batch. "train" folds the batch mean and variance into the running
-    buffers in place, ``buffer * momentum + (1 - momentum) * stat`` in that
-    operation order. In "eval" the centring vector is a view of
-    ``running_mean``. ``xn = (rows - centre) / std`` is taken in that
-    order, so ``conv_stack``'s backward rebuilds it bit for bit from the
-    centring vector and std alone.
+    Each channel's variance is one row dot product of the centred rows,
+    with no squared copy of the batch. "train" folds the batch mean and
+    variance into the running buffers in place,
+    ``buffer * momentum + (1 - momentum) * stat`` in that operation order.
+    In "eval" the centring vector is a view of ``running_mean``.
     """
     rows = x.reshape(x.shape[0], -1)
     if mode != "eval":
@@ -463,8 +464,8 @@ def _normalize(x: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
             raise ValueError(f"batch_norm: {mode} mode needs batch size >= 2")
         inv_n = 1.0 / rows.shape[1]
         centre = rows.sum(axis=1, keepdims=True) * inv_n
-        xn = rows - centre
-        var = np.einsum("ij,ij->i", xn, xn)[:, None] * inv_n
+        xc = np.subtract(rows, centre, out=rows if in_place else None)
+        var = np.einsum("ij,ij->i", xc, xc)[:, None] * inv_n
         if mode == "train":
             running_mean *= momentum
             running_mean += (1 - momentum) * centre.reshape(-1)
@@ -473,8 +474,20 @@ def _normalize(x: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
         std = np.sqrt(var + eps)
     else:
         centre = running_mean[:, None]
-        xn = rows - centre
+        xc = np.subtract(rows, centre, out=rows if in_place else None)
         std = np.sqrt(running_var[:, None] + eps)
+    return xc, centre, std
+
+
+def _normalize(x: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray,
+               mode: str, momentum: float, eps: float) -> tuple:
+    """The normalized (C, N*...) channel rows of a channels-first (C, N, ...)
+    batch ``x``, with the (C, 1) centring vector and std they used:
+    ``xn = (rows - centre) / std``, taken in that order from ``_centre``,
+    so ``conv_stack``'s backward rebuilds it bit for bit from the centring
+    vector and std alone.
+    """
+    xn, centre, std = _centre(x, running_mean, running_var, mode, momentum, eps)
     xn /= std
     return xn, centre, std
 
@@ -721,12 +734,27 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
     batch norm reduces along contiguous channel rows and the next im2col
     reads it as it is; one transpose returns the last block's output to
     NCHW. Every layer runs the same array helpers as the one-layer
-    ``conv2d``, ``batch_norm`` and ``maxpool2x2``, and each batch norm
-    writes its output over its normalized activations. An "eval" pass whose
+    ``conv2d``, ``batch_norm`` and ``maxpool2x2``. An "eval" pass whose
     parents need no gradient runs over ``EXTRACT_CHUNK``-row slices and
     concatenates their values, so its transient memory does not grow with
     the batch: eval-mode batch norm reads only the running statistics, so
     no row depends on another.
+
+    Each block holds one map of its conv output's size at a time: batch
+    norm centres the conv output in place. Where every gamma of the block
+    is positive and no beta is -0.0, the block pools before the rest of
+    its batch norm. The map ``(x - centre) / std * gamma + beta`` then
+    never decreases as ``x`` grows, under IEEE rounding too, and never
+    gives -0.0, so a window's maximum of mapped cells is the map of its
+    maximum, bit for bit. In "train" and "teacher" the block takes its
+    batch statistics and running-buffer updates from the whole centred
+    map, pools it, and divides, scales and shifts only the pooled quarter;
+    in "eval" it pools the raw conv output and centres the quarter by the
+    running mean. Any other block divides, scales and shifts the whole map
+    before pooling, as the one-layer ops do: with a gamma <= 0 the map may
+    decrease, and with a beta of -0.0 a product that underflows keeps its
+    sign, so two cells may map to zeros of opposite sign, which max pooling
+    tells apart by their position.
 
     A block keeps only its input (a view of ``x``, or the previous block's
     output), its batch-norm centring vector (the batch mean, or in "eval"
@@ -734,15 +762,18 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
     size of its activations. A forward that records no graph drops its
     block records when it returns. The backward walks the blocks in
     reverse. For each it builds the im2col matrix of the block input once
-    and rebuilds the pre-pool output from it bit for bit, with the
-    forward's own operations in the forward's order. The ReLU mask and the
-    pooled maxima come from the block's output, which the node keeps (the
-    next block's input, or a view of the node's value): where a maximum is
-    not above 0, the mask zeroes the window's gradient, so any matching
-    cell gets the same signed zero. Each window's gradient goes to its
-    first maximum, the kernel gradient reads the same im2col matrix, and
-    the block's record is dropped, so the node takes one backward. It
-    stops below the lowest block with a parent that requires a gradient.
+    and rebuilds the full pre-pool output from it in the one-layer ops'
+    order, whose window maxima are the forward's bit for bit. The ReLU mask
+    and the pooled maxima come from the block's output, which the node
+    keeps (the next block's input, or a view of the node's value): where a
+    maximum is not above 0, the mask zeroes the window's gradient, so any
+    matching cell gets the same signed zero. Each window's gradient goes to
+    its first maximum, the kernel gradient reads the same im2col matrix,
+    and the block's record is dropped, so the node takes one backward.
+    The block's incoming gradient is dropped once pooling has routed it,
+    and its input gradient once col2im has read it, before the next
+    full-size allocation. It stops below the lowest block with a parent
+    that requires a gradient.
     """
     _check_mode("conv_stack", mode)
     blocks = list(blocks)
@@ -765,11 +796,20 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
         oh, ow = _conv_out_hw((n, c) + h.shape[2:], w.shape, conv.padding,
                               "conv_stack")
         _check_pool((n, o, oh, ow), "conv_stack")
-        xn, centre, std = _normalize(
-            _conv_fwd(_im2col(h, w.shape[-1], conv.padding), w.data).reshape(o, n, oh, ow),
-            bn.running_mean, bn.running_var, mode, bn.momentum, bn.eps)
-        p = _pool_fwd(_affine(xn, bn.gamma.data, bn.beta.data, out=xn).reshape(o, n, oh, ow))
-        del xn
+        gamma, beta = bn.gamma.data, bn.beta.data
+        # pool first where that changes no bit (see the docstring)
+        first = (gamma > 0.0).all() and not (np.signbit(beta) & (beta == 0.0)).any()
+        a = _conv_fwd(_im2col(h, w.shape[-1], conv.padding), w.data).reshape(o, n, oh, ow)
+        if first and mode == "eval":
+            a = _pool_fwd(a)
+        a, centre, std = _centre(a, bn.running_mean, bn.running_var, mode,
+                                 bn.momentum, bn.eps, in_place=True)
+        if first and mode != "eval":
+            a = _pool_fwd(a.reshape(o, n, oh, ow)).reshape(o, -1)
+        a /= std
+        _affine(a, gamma, beta, out=a)
+        p = a.reshape(o, n, oh // 2, ow // 2) if first else _pool_fwd(a.reshape(o, n, oh, ow))
+        del a
         # a copy, so an "eval" centre does not follow the running mean
         layers.append(((w, bn.gamma, bn.beta), conv.padding, h, centre.copy(), std))
         h = np.multiply(p, p > 0.0, out=p)  # the ReLU, over the pooled output
@@ -796,7 +836,7 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
             y = _affine(xn, gamma.data, beta.data).reshape(
                 out.shape[:2] + (2 * out.shape[2], 2 * out.shape[3]))
             dy = _pool_bwd(d * (out > 0.0), y, out, dx=y)
-            del y, out
+            del y, out, d
             da, dgamma, dbeta = _batch_norm_bwd(
                 dy, xn, gamma.data, std, batch_stats,
                 (below[i] or w.requires_grad, gamma.requires_grad, beta.requires_grad),
@@ -811,6 +851,7 @@ def conv_stack(x: Tensor, blocks: Iterable[tuple], mode: str) -> Tensor:
             if not below[i]:
                 return
             d = _col2im(da, w.data, h_in.shape, padding)
+            del da
             out = h_in
         x._accum(_swap01(d))
     return Tensor._from_op(data, parents, "conv_stack", back)

@@ -75,9 +75,9 @@ def test_bad_operands_raise_naming_the_op(call, error, message):
 # One case per row of ``Tensor``'s two op tables. Each row gives the Tensor
 # form, numpy's value and the hand derivative of ``(out * w).sum()`` for
 # each operand, written in the operation order of the hand formula, so all
-# of them agree with the engine bit for bit. A Tensor holds a 0-d operand as
-# shape (1,), since ``np.ascontiguousarray`` returns at least one axis, so
-# numpy and the hand derivatives read the arrays the tensors hold.
+# of them agree with the engine bit for bit. numpy and the hand derivatives
+# read the drawn arrays, not the ones the tensors hold, so a 0-d operand
+# must give the shapes numpy gives, shape () included.
 
 BINARY_ROWS = {
     "add": (operator.add, np.add, lambda w, a, b: w, lambda w, a, b: w),
@@ -136,10 +136,9 @@ def test_binary_rows_match_numpy_and_hand_derivatives(row, shapes, seed):
     op, value, d_a, d_b = BINARY_ROWS[row]
     rng = np.random.default_rng(seed)
     (sa, sb), so = shapes
-    ta = Tensor(rng.standard_normal(sa), requires_grad=True)
-    tb = Tensor(_draw(rng, sb, row), requires_grad=True)
-    tw = Tensor(rng.standard_normal(so))
-    a, b, w = ta.data, tb.data, tw.data
+    a, b, w = (np.asarray(v) for v in (rng.standard_normal(sa), _draw(rng, sb, row),
+                                       rng.standard_normal(so)))
+    ta, tb, tw = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True), Tensor(w)
     out = op(ta, tb)
     assert _bits(out.data) == _bits(value(a, b))
     (out * tw).sum().backward()
@@ -155,9 +154,8 @@ def test_binary_rows_match_numpy_and_hand_derivatives(row, shapes, seed):
 def test_unary_rows_match_numpy_and_hand_derivatives(row, shape, seed):
     op, value, d = UNARY_ROWS[row]
     rng = np.random.default_rng(seed)
-    t = Tensor(_draw(rng, shape, row), requires_grad=True)
-    tw = Tensor(rng.standard_normal(shape))
-    x, w = t.data, tw.data
+    x, w = np.asarray(_draw(rng, shape, row)), np.asarray(rng.standard_normal(shape))
+    t, tw = Tensor(x, requires_grad=True), Tensor(w)
     out = op(t)
     assert _bits(out.data) == _bits(value(x))
     (out * tw).sum().backward()
@@ -351,6 +349,21 @@ def test_backward_rejects_nonscalar():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(GradError, match="scalar"):
         (w * w).backward()
+
+
+def test_a_tensor_holds_a_0d_array_and_full_reductions_are_0d():
+    assert Tensor(np.float64(2.0)).shape == ()
+    w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    total, mean = w.sum(), w.mean()
+    assert total.shape == mean.shape == np.zeros((2, 3)).sum().shape == ()
+    assert total.item() == 15.0 and mean.item() == 2.5
+    mean.backward()
+    assert w.grad.shape == (2, 3) and np.all(w.grad == 1 / 6)
+    # only an array that is not C-contiguous is copied
+    a = np.ones((2, 3))
+    assert Tensor(a).data is a
+    t = Tensor(a.T)
+    assert t.data.flags.c_contiguous and np.array_equal(t.data, a.T)
 
 
 def test_backward_rejects_detached():

@@ -34,9 +34,14 @@ per-block composition of ``conv2d``, ``batch_norm``, ``maxpool2x2`` and a
 ReLU, bit for bit in values, gradients and running buffers in every mode:
 the one-layer ops run the same array helpers, and every 4-D batch norm,
 one-layer or in the stack, runs on channels-first rows, so every sum runs
-in the same order. A ``batch_norm`` of an (N, F) batch must equal one of
-the same values shaped (N, F, 1, 1) bit for bit, since both run one body
-over the same (F, N) rows.
+in the same order. Over gammas that are positive, negative or zero, betas
+that include -0.0, and inputs and kernels on a coarse grid that ties
+windows, that comparison is byte for byte, signed zeros included: a block
+whose gammas are all positive pools before its batch norm divides, scales
+and shifts, and must still give the one-layer order's bits. A
+``batch_norm`` of an (N, F) batch must equal one of the same values shaped
+(N, F, 1, 1) bit for bit, since both run one body over the same (F, N)
+rows.
 The median-heuristic bandwidths are compared with ``np.median`` over the
 upper triangle, bit for bit, and the MMD's cached block weights must be
 read-only and give every batch pair the value a fresh build gives. The
@@ -228,7 +233,9 @@ def _conv_stack_ref(x, blocks, mode):
 
 class _adam_ref:
     """Adam as one loop over the tensors, with moments and a step count per
-    parameter name; each update rebinds the tensor's ``.data``."""
+    parameter name; each update rebinds the tensor's ``.data``. Its work
+    arrays are taken with ``np.asarray``, since numpy returns a scalar, not
+    an array it can write into, for arithmetic over 0-d arrays."""
 
     def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = dict(params)
@@ -248,11 +255,11 @@ class _adam_ref:
             ts = self._t[name]
             m *= self.beta1
             m += (1 - self.beta1) * g
-            gg = (1 - self.beta2) * g
+            gg = np.asarray((1 - self.beta2) * g)
             gg *= g
             v *= self.beta2
             v += gg
-            step = np.divide(m, 1 - self.beta1 ** ts)
+            step = np.asarray(np.divide(m, 1 - self.beta1 ** ts))
             step *= self.learning_rate
             den = np.divide(v, 1 - self.beta2 ** ts, out=gg)
             np.sqrt(den, out=den)
@@ -1050,6 +1057,91 @@ def test_conv_stack_matches_composition(depth, n, chain, kernels, pads,
         assert g is None or np.array_equal(g, w), i
     for g, w in zip(got_bufs, want_bufs):
         assert np.array_equal(g, w)
+
+
+# per channel, a block's gamma is positive, negative or zero, and its beta
+# may be a negative zero
+_GAMMAS = (0.5, 1.25, 2.0, -0.75, -1.5, 0.0)
+_BETAS = (0.0, -0.0, 0.5, -1.0)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MODES), st.booleans(), st.data())
+def test_conv_stack_pools_first_only_where_that_changes_no_bit(mode, record, data):
+    # a block whose gammas are all positive pools before its batch norm's
+    # division and affine map; inputs, kernels and running means on a
+    # coarse grid with signed zeros make tied windows and zero maxima common,
+    # and an "eval" pass that records no node runs in chunks past 32 rows
+    depth = data.draw(st.integers(1, 2))
+    n = data.draw(st.sampled_from([2, 3, autodiff.EXTRACT_CHUNK - 1,
+                                   autodiff.EXTRACT_CHUNK + 1]))
+    chain = data.draw(st.lists(st.integers(1, 3), min_size=depth + 1, max_size=depth + 1))
+    kernels = data.draw(st.lists(st.sampled_from([(1, 0), (3, 1)]),
+                                 min_size=depth, max_size=depth))
+    side = 2 ** depth * data.draw(st.integers(1, 2))
+    affine = []
+    for c in chain[1:]:
+        gamma = np.array(data.draw(st.lists(st.sampled_from(_GAMMAS), min_size=c, max_size=c)))
+        if data.draw(st.booleans()):
+            gamma = np.where(gamma == 0.0, 1.0, np.abs(gamma))
+        affine.append((gamma, data.draw(st.lists(st.sampled_from(_BETAS), min_size=c, max_size=c))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    shape = (n, chain[0], side, side)
+    x = np.copysign(rng.integers(0, 3, shape) * 0.5, rng.standard_normal(shape))
+    params = []
+    for c_in, c_out, (k, _) in zip(chain, chain[1:], kernels):
+        params.append((rng.integers(-1, 2, (c_out, c_in, k, k)) * 0.5,
+                       rng.integers(-2, 3, c_out) * 0.25,
+                       rng.choice([0.5, 1.0, 2.0], c_out)))
+    weights = Tensor(rng.standard_normal((n, chain[-1] * (side >> depth) ** 2)))
+    results = []
+    for build in (conv_stack, _conv_stack_ref):
+        blocks = []
+        for (c_in, c_out, (k, pad)), (w, mean, var), (gamma, beta) in zip(
+                zip(chain, chain[1:], kernels), params, affine):
+            conv, bn = Conv(c_in, c_out, k, rng, padding=pad), BatchNorm(c_out)
+            conv.weight.data[...] = w
+            bn.gamma.data[...], bn.beta.data[...] = gamma, beta
+            bn.running_mean[...], bn.running_var[...] = mean, var
+            blocks.append((conv, bn))
+        leaves = [Tensor(x.copy()), *[t for conv, bn in blocks
+                                      for t in (conv.weight, bn.gamma, bn.beta)]]
+        for t in leaves:
+            t.requires_grad = record
+        out = build(leaves[0], blocks, mode)
+        if record:
+            (out * weights).sum().backward()
+        else:
+            assert out._backward is None
+        results.append((out.data, [t.grad for t in leaves],
+                        [b.copy() for _, bn in blocks
+                         for b in (bn.running_mean, bn.running_var)]))
+    (got, got_grads, got_bufs), (want, want_grads, want_bufs) = results
+    assert _same_bits(got, want)
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        assert (g is None) == (w is None) == (not record), i
+        assert g is None or _same_bits(g, w), i
+    for g, w in zip(got_bufs, want_bufs):
+        assert _same_bits(g, w)
+
+
+def test_a_conv_block_with_a_negative_zero_beta_normalizes_before_it_pools():
+    # an identity block but for gamma 0.5 and beta -0.0: the cells +-5e-324
+    # map to underflowed zeros of their own sign, and the window's maximum
+    # is the -0.0 of its last cell, where pooling first would give 0.0
+    blocks, _ = _conv_blocks(0, (1, 1), (1,), (0,))
+    conv, bn = blocks[0]
+    conv.weight.data[...] = 1.0
+    bn.gamma.data[...], bn.beta.data[...] = 0.5, -0.0
+    bn.running_mean[...], bn.running_var[...] = 0.0, 1.0 - bn.eps
+    x = Tensor(np.array([5e-324, -5e-324, -5e-324, -5e-324]).reshape(1, 1, 2, 2))
+    out = conv_stack(x, blocks, "eval")
+    assert _same_bits(out.data, _conv_stack_ref(x, blocks, "eval").data)
+    assert np.signbit(out.data).all()
 
 
 @pytest.mark.parametrize("mode", ["teacher", "eval"])
