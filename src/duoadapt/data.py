@@ -88,6 +88,9 @@ class PdaTaskSpec:
             raise ValueError(
                 f"task.mean_offset has {len(self.mean_offset)} values, more than "
                 f"task.dim={self.dim}")
+        elif self.scale == 0:
+            # every target row would collapse onto mean_offset
+            raise ValueError(f"task.scale must be nonzero, got {self.scale}")
 
 
 @dataclass

@@ -2,7 +2,11 @@ import configparser
 import csv
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -251,6 +255,9 @@ def test_a_config_file_with_a_bom_hashes_like_the_file_without_it(tmp_path):
     want = load_config(str(plain), [])
     assert want.train.epochs == 3
     assert load_config(str(bom), []).config_hash == want.config_hash
+    out = tmp_path / "out"
+    assert main(["-c", str(bom), "--set", f"output.dir={out}", "gen-data"]) == EXIT_OK
+    assert (out / "source.ds").is_file()
 
 
 def test_a_class_per_dimension_and_a_full_offset_generate(tmp_path):
@@ -311,6 +318,7 @@ def test_exit_codes_for_bad_config_and_missing_data(tmp_path, capsys):
                            (["model.feature_dim=0"], "model.feature_dim"),
                            (["model.proj_dim=0"], "model.proj_dim"),
                            (["task.dim=0"], "task.dim"),
+                           (["task.scale=0"], "task.scale must be nonzero"),
                            (["task.mean_offset=1,2,3,4,5,6,7,8,9"],
                             "task.mean_offset has 9 values, more than task.dim=8"),
                            (["task.source_classes=10"],
@@ -348,6 +356,16 @@ def test_non_finite_update_names_epoch_step_group_and_parameter(
                  "non-finite values in parameter 'Mt.Ft."):
         assert part in err, err
 
+    # a real overflow, met as the command meets it, where numpy warns rather
+    # than raises: the first update that leaves a parameter non-finite is named
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(_fast_args(out, ["train.learning_rate=1e308"]) + ["train"])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "pretraining epoch 1, batch" in err and "non-finite values" in err, err
+
 
 def test_gen_data_writes_files_and_manifest(tmp_path):
     out = tmp_path / "run"
@@ -362,28 +380,34 @@ def test_gen_data_writes_files_and_manifest(tmp_path):
 
 def test_full_pipeline_train_then_eval(tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(_fast_args(out) + ["gen-data"]) == EXIT_OK
+    # four epochs, none stopped early by the reward
+    args = _fast_args(out, ["train.epochs=4", "train.desired_reward=1.0"])
+    assert main(args + ["gen-data"]) == EXIT_OK
     capsys.readouterr()
 
-    assert main(_fast_args(out) + ["train"]) == EXIT_OK
+    assert main(args + ["train"]) == EXIT_OK
     capsys.readouterr()
     assert (out / "best.ckpt").exists()
     trace_lines = (out / "trace.csv").read_text().splitlines()
     assert trace_lines[0].startswith("# config_hash=")
     metrics = json.loads((out / "metrics.json").read_text())
     assert 0.0 <= metrics["overall_accuracy"] <= 1.0
-    # the chosen epoch's accuracy, as trace.csv holds it, bit for bit
+    # the chosen epoch is the row of highest V, the earliest on a tie, and
+    # its accuracy is the one trace.csv holds, bit for bit
     rows = list(csv.DictReader(trace_lines[2:]))
-    chosen = next(r for r in rows if int(r["epoch"]) == metrics["chosen_epoch"])
+    assert [int(r["epoch"]) for r in rows] == [1, 2, 3, 4]
+    chosen = max(rows, key=lambda r: (float(r["V"]), -int(r["epoch"])))
+    assert metrics["chosen_epoch"] == int(chosen["epoch"])
+    assert chosen["checkpoint_id"] == f"epoch_{chosen['epoch']}"
     assert metrics["overall_accuracy"] == float(chosen["target_accuracy"])
 
-    code = main(_fast_args(out) + ["eval", str(out / "best.ckpt"),
-                                   str(out / "eval_target.ds")])
+    code = main(args + ["eval", str(out / "best.ckpt"), str(out / "eval_target.ds")])
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     # scoring the saved checkpoint reproduces the training-time metrics
     assert report["overall_accuracy"] == metrics["overall_accuracy"]
-    assert report["final_reward"] == metrics["final_reward"]
+    assert report["chosen_epoch"] == metrics["chosen_epoch"]
+    assert report["final_reward"] == metrics["final_reward"] == float(chosen["V"])
 
 
 def test_image_session_trains_a_conv_stack_that_eval_scores_alike(tmp_path, capsys):
@@ -798,3 +822,59 @@ def test_eval_of_a_checkpoint_unlike_the_dataset_names_both_files(tmp_path, caps
     assert (f"data error: {ckpt} does not fit the model built from the config "
             f"and {ds}: tensor 'Gs.layers0.weight': checkpoint shape (8, 16) != "
             "model shape (6, 16)" in captured.err), captured.err
+
+
+# -- determinism across processes ---------------------------------------------
+
+# one interpreter runs a session of commands, stopping at the first failure
+SESSION = ("import json, sys\n"
+           "from duoadapt.cli import main\n"
+           "for args in json.loads(sys.argv[1]):\n"
+           "    if main(args):\n"
+           "        sys.exit(f'{args} failed')\n")
+
+
+def test_sessions_in_two_interpreters_write_identical_bytes(tmp_path):
+    # the output root, the hash seed and the BLAS thread count are outside the
+    # config hash, so no byte a session writes may depend on them: a vector
+    # session whose compare-stopping runs the full-set accuracy pass every
+    # epoch, and an image session whose 36 source rows cross conv_stack's
+    # 32-row eval chunk
+    vector = ["--set", "output.dir=cli", "--set", "train.pretrain_epochs=1",
+              "--set", "train.epochs=1"]
+    image = [a for ov in ("output.dir=img", "task.input_kind=image",
+                          "model.extractor=conv_stack", "task.samples_per_class=9",
+                          "train.batch_size=8", "train.pretrain_epochs=1",
+                          "train.epochs=1", "train.iters_per_step=1")
+             for a in ("--set", ov)]
+    session = json.dumps([vector + ["gen-data"], vector + ["train"],
+                          vector + ["--set", "study.n_seeds=2", "compare-stopping"],
+                          image + ["gen-data"], image + ["train"]])
+    src = str(Path(cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    roots = tmp_path / "a", tmp_path / "b"
+    envs = [dict(env, DUOADAPT_OUTPUT_ROOT=str(roots[0]), PYTHONHASHSEED="0"),
+            dict(env, DUOADAPT_OUTPUT_ROOT=str(roots[1]), PYTHONHASHSEED="1",
+                 OPENBLAS_NUM_THREADS="1")]
+    runs = [subprocess.Popen([sys.executable, "-c", SESSION, session], cwd=tmp_path,
+                             env=e, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                             text=True) for e in envs]
+    for run in runs:
+        err = run.communicate()[1]
+        assert run.returncode == 0, err
+
+    def contents(path):
+        lines = path.read_bytes().splitlines(keepends=True)
+        if path.name == "metrics.json":
+            lines = [x for x in lines if b'"wall_clock_seconds"' not in x]
+        return lines
+
+    for out in ("cli", "img"):
+        names = sorted(p.name for p in (roots[0] / out).iterdir())
+        assert {"trace.csv", "best.ckpt", "metrics.json"} <= set(names)
+        assert out == "img" or "compare_summary.csv" in names
+        assert sorted(p.name for p in (roots[1] / out).iterdir()) == names
+        for name in names:
+            assert contents(roots[0] / out / name) == contents(roots[1] / out / name), \
+                f"{out}/{name}"
